@@ -14,12 +14,10 @@ import argparse
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from kgtable import dataset as ds
 from kgtable import harness, ranker, selector, synth
 from kgtable.graph import load_entity_meta, load_predicate_meta, load_triples
-from kgtable.query import QueryBudget, execute_chain
+from kgtable.query import QueryBudget
 
 
 @dataclass
@@ -59,29 +57,6 @@ def build(cfg: ExperimentConfig):
     return paths, g, entity_meta, pred_meta, embeddings, tables, split, tb_vocab, kb_vocab
 
 
-def train_ranker_groups(g, tables, split, entity_meta, pred_meta, embeddings):
-    featurizer = harness.FeatureTupleRanker(
-        ranker.RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings
-    )
-    budget = QueryBudget()
-    groups = []
-    for tid in split.train:
-        table = tables[tid]
-        chain = harness.oracle_select(table)
-        result = execute_chain(g, table.se, chain, budget)
-        if not result.pairs:
-            continue
-        er = next((r for r in table.rr if r in result.pairs), table.rr[0])
-        pairs = sorted(p for p in result.pairs if p != er)
-        if not pairs:
-            continue
-        err = {r for r in table.rr if r != er}
-        feats = featurizer.features_for(table, chain, er, pairs)
-        relevance = np.array([1.0 if p in err else 0.0 for p in pairs])
-        groups.append(ranker.TrainingGroup(feats, relevance))
-    return groups
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/exp")
@@ -105,7 +80,9 @@ def main() -> None:
 
     linear = selector.train_linear(train, tb_vocab, kb_vocab, hp)
     embedding = selector.train_embedding(train, tb_vocab, kb_vocab, hp, seed=cfg.train_seed)
-    groups = train_ranker_groups(g, tables, split, entity_meta, pred_meta, embeddings)
+    groups = harness.ranker_training_groups(
+        train, g, entity_meta, pred_meta, embeddings, QueryBudget()
+    )
     model = ranker.train_ranker(
         groups, ranker.RankerConfig(tree_count=cfg.tree_count, tree_depth=3)
     )

@@ -9,7 +9,6 @@ and ranks the retrieved entity tuples.
 from .graph import (
     EntityMeta,
     EntityMetaStore,
-    HubSkipped,
     KnowledgeGraph,
     PredicateMeta,
     PredicateMetaStore,
@@ -26,7 +25,6 @@ from .paths import (
     MetaPath,
     enumerate_simple_paths,
     join_chains,
-    prune_generic,
 )
 from .query import (
     BudgetExceeded,
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_BANNED_PREFIXES",
     "EntityMeta",
     "EntityMetaStore",
-    "HubSkipped",
     "KnowledgeGraph",
     "MetaPath",
     "PredicateMeta",
@@ -62,7 +59,6 @@ __all__ = [
     "load_entity_meta",
     "load_predicate_meta",
     "load_triples",
-    "prune_generic",
     "render_sparql",
     "__version__",
 ]

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import random
 import sys
 from collections import Counter
 from pathlib import Path
-
-import numpy as np
 
 from . import dataset as ds
 from . import harness, ranker, selector
@@ -43,9 +40,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for name, default in config_defaults().items():
         flag = "--" + name.replace("_", "-")
         kwargs: dict = {"dest": f"cfg_{name}", "help": f"config key (default: {default!r})"}
-        if isinstance(default, bool):
-            kwargs["type"] = lambda v: v.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
+        if isinstance(default, int):
             kwargs["type"] = int
         elif isinstance(default, float):
             kwargs["type"] = float
@@ -70,11 +65,6 @@ def _load_graph(cfg: RunConfig) -> KnowledgeGraph:
     if not cfg.graph_path:
         raise ConfigurationError("graph_path is required")
     return load_triples(cfg.graph_path)
-
-
-def _load_bundle(cfg: RunConfig, g: KnowledgeGraph):
-    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
-    return tables, split, tb_vocab, kb_vocab
 
 
 def _load_stores(cfg: RunConfig, g: KnowledgeGraph):
@@ -104,20 +94,23 @@ def _ranker_model_path(cfg: RunConfig) -> str:
     return cfg.ranker_model_path or str(Path(cfg.output_dir) / "ranker.json")
 
 
+def _make_scorer(cfg: RunConfig, tb_vocab, kb_vocab):
+    if cfg.selector == "jacsim":
+        return selector.JaccardScorer(tb_vocab, kb_vocab)
+    if cfg.selector in ("linear", "embedding"):
+        return selector.load_scorer(_selector_model_path(cfg), tb_vocab, kb_vocab)
+    raise ConfigurationError(
+        f"selector {cfg.selector!r} has no chain scorer (jacsim, linear, embedding)"
+    )
+
+
 def _make_chain_selector(cfg: RunConfig, tb_vocab, kb_vocab):
-    hp = cfg.selector_hp()
     if cfg.selector == "oracle":
         return harness.OracleChainSelector()
     if cfg.selector == "random":
         return harness.RandomChainSelector(cfg.seed)
-    if cfg.selector == "jacsim":
-        return harness.ScorerChainSelector(
-            selector.JaccardScorer(tb_vocab, kb_vocab), tb_vocab, kb_vocab, hp
-        )
-    if cfg.selector in ("linear", "embedding"):
-        scorer = selector.load_scorer(_selector_model_path(cfg), tb_vocab, kb_vocab)
-        return harness.ScorerChainSelector(scorer, tb_vocab, kb_vocab, hp)
-    raise ConfigurationError(f"unknown selector {cfg.selector!r}")
+    scorer = _make_scorer(cfg, tb_vocab, kb_vocab)
+    return harness.ScorerChainSelector(scorer, tb_vocab, kb_vocab, cfg.selector_hp())
 
 
 def _make_tuple_ranker(cfg: RunConfig, entity_meta, pred_meta, embeddings):
@@ -156,7 +149,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 
 def cmd_train_selector(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
-    tables, split, tb_vocab, kb_vocab = _load_bundle(cfg, g)
+    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     train_tables = [tables[tid] for tid in split.train]
     hp = cfg.selector_hp()
     if cfg.selector == "linear":
@@ -175,28 +168,12 @@ def cmd_train_selector(cfg: RunConfig) -> int:
 
 def cmd_train_ranker(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
-    tables, split, _, _ = _load_bundle(cfg, g)
+    tables, split, _, _ = ds.load_dataset(cfg.dataset_dir, g)
     entity_meta, pred_meta, embeddings = _load_stores(cfg, g)
-    featurizer = harness.FeatureTupleRanker(
-        ranker.RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings
+    groups = harness.ranker_training_groups(
+        [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
+        cfg.budget(),
     )
-    budget = cfg.budget()
-    groups = []
-    for tid in split.train:
-        table = tables[tid]
-        chain = harness.oracle_select(table)
-        result = execute_chain(g, table.se, chain, budget)
-        if isinstance(result, BudgetExceeded) or not result.pairs:
-            continue
-        # The example row is a ground-truth row this chain actually retrieves.
-        er = next((r for r in table.rr if r in result.pairs), table.rr[0])
-        pairs = sorted(p for p in result.pairs if p != er)
-        if not pairs:
-            continue
-        err = {r for r in table.rr if r != er}
-        feats = featurizer.features_for(table, chain, er, pairs)
-        relevance = np.array([1.0 if p in err else 0.0 for p in pairs])
-        groups.append(ranker.TrainingGroup(features=feats, relevance=relevance))
     model = ranker.train_ranker(groups, cfg.ranker_cfg(), cfg.seed)
     path = _ranker_model_path(cfg)
     ranker.save_ranker(path, model)
@@ -216,13 +193,13 @@ def _eval_tables(cfg: RunConfig, tables, split):
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
-    tables, split, tb_vocab, kb_vocab = _load_bundle(cfg, g)
+    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     entity_meta, pred_meta, embeddings = _load_stores(cfg, g)
     chain_selector = _make_chain_selector(cfg, tb_vocab, kb_vocab)
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
     eval_tables = _eval_tables(cfg, tables, split)
     runs, summary = harness.run_e2e(
-        eval_tables, g, chain_selector, tuple_ranker, cfg.budget(), cfg.threads
+        eval_tables, g, chain_selector, tuple_ranker, cfg.budget()
     )
     out = Path(cfg.output_dir)
     harness.write_runs(str(out / "runs.jsonl"), runs, g)
@@ -238,12 +215,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_core_column_eval(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
-    tables, split, tb_vocab, kb_vocab = _load_bundle(cfg, g)
+    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     chain_selector = _make_chain_selector(cfg, tb_vocab, kb_vocab)
     eval_tables = _eval_tables(cfg, tables, split)
     runs, _ = harness.run_e2e(
-        eval_tables, g, chain_selector, harness.RandomTupleRanker(cfg.seed),
-        cfg.budget(), cfg.threads,
+        eval_tables, g, chain_selector, harness.RandomTupleRanker(cfg.seed), cfg.budget()
     )
     payload = {}
     for mode in ("p1", "full"):
@@ -321,24 +297,19 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         )
         return 1
 
-    hp = cfg.selector_hp()
-    tb_vocab = kb_vocab = None
-    if cfg.selector != "random":
-        _, _, tb_vocab, kb_vocab = _load_bundle(cfg, g)
+    query_table = ds.AnnotatedTable(
+        table_id="query", qis=qis, cn1=cn1, cn2=cn2, se=se,
+        se_name=se_name, set_tokens=set_tokens, rr=((er1, er2),), chains=(),
+    )
     if cfg.selector == "random":
-        scorer = selector.RandomScorer(cfg.seed)
-        ctx = selector.QueryContext((), (), (), ())
-    elif cfg.selector == "jacsim":
-        scorer = selector.JaccardScorer(tb_vocab, kb_vocab)
-        ctx = selector.encode_context(qis, cn1, cn2, set_tokens, tb_vocab, kb_vocab, hp)
-    elif cfg.selector in ("linear", "embedding"):
-        scorer = selector.load_scorer(_selector_model_path(cfg), tb_vocab, kb_vocab)
-        ctx = selector.encode_context(qis, cn1, cn2, set_tokens, tb_vocab, kb_vocab, hp)
+        best_index = harness.RandomChainSelector(cfg.seed).choose(query_table, candidates, 0)
     else:
-        raise ConfigurationError(
-            f"selector {cfg.selector!r} cannot answer ad-hoc queries"
-        )
-    best = selector.select_top1(scorer, ctx, candidates, kb_vocab, hp)
+        _, _, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
+        hp = cfg.selector_hp()
+        scorer = _make_scorer(cfg, tb_vocab, kb_vocab)
+        ctx = selector.encode_context(qis, cn1, cn2, set_tokens, tb_vocab, kb_vocab, hp)
+        best_index = selector.select_top1(scorer, ctx, candidates, kb_vocab, hp)
+    best = candidates.chains[best_index]
 
     result = execute_chain(g, se, best, cfg.budget())
     if isinstance(result, BudgetExceeded):
@@ -350,11 +321,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     if cfg.ranker == "feature" and pairs:
         model = ranker.load_ranker(_ranker_model_path(cfg))
         tuple_ranker = harness.FeatureTupleRanker(model, entity_meta, pred_meta, embeddings)
-        table_stub = ds.AnnotatedTable(
-            table_id="query", qis=qis, cn1=cn1, cn2=cn2, se=se,
-            se_name=se_name, set_tokens=set_tokens, rr=((er1, er2),), chains=(),
-        )
-        feats = tuple_ranker.features_for(table_stub, best, (er1, er2), pairs)
+        feats = tuple_ranker.features_for(query_table, best, (er1, er2), pairs)
         order = ranker.rank(model, feats, pairs)
         predicted = model.predict(feats)
         scores = [float(predicted[i]) for i in order]
@@ -415,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)

@@ -10,10 +10,15 @@ import json
 from dataclasses import dataclass, fields
 
 from .dataset import BuildSettings, ConfigurationError
-from .paths import DEFAULT_BANNED_PREFIXES
 from .query import QueryBudget
 from .ranker import RankerConfig
 from .selector import SelectorHyperParams
+
+# The settings classes own the defaults; RunConfig only flattens them.
+_BUILD = BuildSettings()
+_BUDGET = QueryBudget()
+_HP = SelectorHyperParams()
+_RANKER = RankerConfig()
 
 
 @dataclass
@@ -37,36 +42,35 @@ class RunConfig:
     ranker: str = "feature"  # feature | random
     eval_split: str = "test"  # validation | test
     seed: int = 13
-    threads: int = 1
     # path search and query execution
-    max_path_len: int = 3
-    degree_cap: int = 500
-    banned_prefixes: tuple[str, ...] = DEFAULT_BANNED_PREFIXES
-    max_rows: int = 10000
-    max_steps: int = 1_000_000
+    max_path_len: int = _BUILD.max_path_len
+    degree_cap: int = _BUILD.degree_cap
+    banned_prefixes: tuple[str, ...] = _BUILD.banned_prefixes
+    max_rows: int = _BUDGET.max_rows
+    max_steps: int = _BUDGET.max_steps
     # dataset construction
-    k_negatives: int = 10
+    k_negatives: int = _HP.k_negatives
     # selector training
-    margin: float = 0.25
-    l2_weight: float = 5e-6
-    learning_rate: float = 1e-5
-    batch_size: int = 250
-    epochs: int = 2000
-    optimizer: str = "sgd"
-    dim_qis: int = 100
-    dim_cn: int = 25
-    dim_set: int = 100
-    dim_chain: int = 250
-    max_qis_tokens: int = 100
-    max_cn_tokens: int = 10
-    max_set_tokens: int = 100
-    max_chain_tokens: int = 200
-    linear_l2: float = 1e-3
+    margin: float = _HP.margin
+    l2_weight: float = _HP.l2_weight
+    learning_rate: float = _HP.learning_rate
+    batch_size: int = _HP.batch_size
+    epochs: int = _HP.epochs
+    optimizer: str = _HP.optimizer
+    dim_qis: int = _HP.dim_qis
+    dim_cn: int = _HP.dim_cn
+    dim_set: int = _HP.dim_set
+    dim_chain: int = _HP.dim_chain
+    max_qis_tokens: int = _HP.max_qis_tokens
+    max_cn_tokens: int = _HP.max_cn_tokens
+    max_set_tokens: int = _HP.max_set_tokens
+    max_chain_tokens: int = _HP.max_chain_tokens
+    linear_l2: float = _HP.linear_l2
     # ranker training
-    tree_count: int = 100
-    tree_depth: int = 4
-    tree_learning_rate: float = 0.1
-    pairwise_sigma: float = 1.0
+    tree_count: int = _RANKER.tree_count
+    tree_depth: int = _RANKER.tree_depth
+    tree_learning_rate: float = _RANKER.learning_rate
+    pairwise_sigma: float = _RANKER.sigma
 
     def budget(self) -> QueryBudget:
         return QueryBudget(max_rows=self.max_rows, max_steps=self.max_steps)
@@ -81,22 +85,7 @@ class RunConfig:
 
     def selector_hp(self) -> SelectorHyperParams:
         return SelectorHyperParams(
-            margin=self.margin,
-            l2_weight=self.l2_weight,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            k_negatives=self.k_negatives,
-            optimizer=self.optimizer,
-            dim_qis=self.dim_qis,
-            dim_cn=self.dim_cn,
-            dim_set=self.dim_set,
-            dim_chain=self.dim_chain,
-            max_qis_tokens=self.max_qis_tokens,
-            max_cn_tokens=self.max_cn_tokens,
-            max_set_tokens=self.max_set_tokens,
-            max_chain_tokens=self.max_chain_tokens,
-            linear_l2=self.linear_l2,
+            **{f.name: getattr(self, f.name) for f in fields(SelectorHyperParams)}
         )
 
     def ranker_cfg(self) -> RankerConfig:
@@ -113,8 +102,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(name: str, value):
     default = getattr(RunConfig(), name)
-    if isinstance(default, bool):
-        return bool(value)
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import random
 from collections import Counter
@@ -22,16 +21,22 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .graph import (
+    DEFAULT_DEGREE_CAP,
     GENERIC_TYPE_PREFIXES,
     EntityMetaStore,
     KnowledgeGraph,
     ParseError,
 )
-from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
+from .paths import (
+    DEFAULT_BANNED_PREFIXES,
+    MAX_SEGMENT_LENGTH,
+    ChainPair,
+    MetaPath,
+    enumerate_simple_paths,
+    join_chains,
+)
 from .query import BudgetExceeded, QueryBudget, execute_chain
 from .text import EMPTY_TOKEN, NUM_TOKEN, is_numeric, tokenize
-
-log = logging.getLogger(__name__)
 
 OOV_TOKEN = "<oov>"
 MIN_LINKED_ROWS = 3
@@ -286,20 +291,6 @@ def _score_chain(
     return hits, recall, precision, f1
 
 
-def compute_chain_metrics(
-    g: KnowledgeGraph,
-    se: int,
-    chain: ChainPair,
-    rr: Sequence[tuple[int, int]],
-    budget: QueryBudget | None = None,
-) -> tuple[float, float, float] | None:
-    """Table recall/precision/F1 of one chain; None flags a budget overrun."""
-    scored = _score_chain(g, se, chain, rr, budget)
-    if scored is None:
-        return None
-    return scored[1], scored[2], scored[3]
-
-
 def annotate_chains(
     scored: Sequence[tuple[ChainPair, float, float, float]],
 ) -> tuple[LabeledChain, ...]:
@@ -333,9 +324,9 @@ def annotate_chains(
 
 @dataclass(frozen=True)
 class BuildSettings:
-    max_path_len: int = 3
-    degree_cap: int = 500
-    banned_prefixes: tuple[str, ...] = ()
+    max_path_len: int = MAX_SEGMENT_LENGTH
+    degree_cap: int = DEFAULT_DEGREE_CAP
+    banned_prefixes: tuple[str, ...] = DEFAULT_BANNED_PREFIXES
     budget: QueryBudget = field(default_factory=QueryBudget)
 
 
@@ -709,7 +700,6 @@ def build_corpus_dataset(
             )
         except TableRejected as exc:
             rejects[exc.reason] += 1
-            log.debug("rejected %s: %s", raw.table_id, exc.reason)
             continue
         tables[table.table_id] = table
     if not tables:

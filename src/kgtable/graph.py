@@ -64,13 +64,6 @@ class PredicateToken:
         return self.render()
 
 
-@dataclass(frozen=True)
-class HubSkipped:
-    """Marker: the entity's neighborhood exceeds the degree cap and was not expanded."""
-
-    degree: int
-
-
 Edge = tuple[PredicateToken, int]
 
 
@@ -137,20 +130,6 @@ class KnowledgeGraph:
     def degree(self, entity: int) -> int:
         self._check(entity)
         return len(self._adj[entity])
-
-    def neighbors(
-        self, entity: int, degree_cap: int = DEFAULT_DEGREE_CAP
-    ) -> tuple[Edge, ...] | HubSkipped:
-        """Full adjacency list, or ``HubSkipped`` when degree exceeds the cap.
-
-        The cap is inclusive: an entity with exactly ``degree_cap`` edges is
-        still expanded. Never returns a truncated list.
-        """
-        self._check(entity)
-        edges = self._adj[entity]
-        if len(edges) > degree_cap:
-            return HubSkipped(len(edges))
-        return edges
 
 
 def walk(g: KnowledgeGraph, frontier: Iterable[int], tokens: Sequence[PredicateToken]) -> set[int]:

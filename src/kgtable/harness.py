@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,6 +26,7 @@ from .ranker import (
     PretrainedEmbeddings,
     RankContext,
     RankerModel,
+    TrainingGroup,
     featurize,
     ndcg,
     precision_at_1,
@@ -169,15 +169,10 @@ class ScorerChainSelector:
         return ctx
 
     def choose(self, table: AnnotatedTable, chains: Sequence[LabeledChain], run_key: int) -> int:
-        best = select_top1(
+        return select_top1(
             self.scorer, self._ctx(table), [lc.chain for lc in chains],
             self.kb_vocab, self.hp,
         )
-        canonical = best.canonical()
-        for i, lc in enumerate(chains):
-            if lc.chain.canonical() == canonical:
-                return i
-        raise RuntimeError("selected chain missing from candidates")
 
 
 # -- tuple rankers ----------------------------------------------------------------
@@ -297,30 +292,52 @@ def run_e2e(
     selector,
     tuple_ranker,
     budget: QueryBudget | None = None,
-    threads: int = 1,
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
 
-    Deterministic regardless of thread count: each run derives all its
-    randomness from its position in the fixed job order.
+    Each run derives all its randomness from its position in the fixed job
+    order.
     """
-    jobs = []
-    run_key = 0
+    runs = []
     for table in sorted(tables, key=lambda t: t.table_id):
         for er in table.rr:
-            jobs.append((table, er, run_key))
-            run_key += 1
-
-    def work(job):
-        table, er, key = job
-        return _run_one(table, er, key, g, selector, tuple_ranker, budget)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(work, jobs))
-    else:
-        runs = [work(j) for j in jobs]
+            runs.append(_run_one(table, er, len(runs), g, selector, tuple_ranker, budget))
     return runs, summarize(runs)
+
+
+def ranker_training_groups(
+    tables: Sequence[AnnotatedTable],
+    g: KnowledgeGraph,
+    entity_meta: EntityMetaStore,
+    pred_meta: PredicateMetaStore,
+    embeddings: PretrainedEmbeddings,
+    budget: QueryBudget | None = None,
+) -> list[TrainingGroup]:
+    """One ranker training group per table, over its oracle chain's tuples.
+
+    The example row is the first ground-truth row the chain retrieves; the
+    other ground-truth rows are the relevant candidates. Tables whose chain
+    runs over budget or retrieves nothing but the example row are skipped.
+    """
+    # Featurizing reads no model, so an empty one stands in.
+    featurizer = FeatureTupleRanker(
+        RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings
+    )
+    groups = []
+    for table in tables:
+        chain = oracle_select(table)
+        result = execute_chain(g, table.se, chain, budget)
+        if isinstance(result, BudgetExceeded):
+            continue
+        er = next((r for r in table.rr if r in result.pairs), table.rr[0])
+        pairs = sorted(p for p in result.pairs if p != er)
+        if not pairs:
+            continue
+        err = {r for r in table.rr if r != er}
+        feats = featurizer.features_for(table, chain, er, pairs)
+        relevance = np.array([1.0 if p in err else 0.0 for p in pairs])
+        groups.append(TrainingGroup(features=feats, relevance=relevance))
+    return groups
 
 
 def accuracy_at_1(tables: Sequence[AnnotatedTable], selector) -> float:

@@ -103,10 +103,6 @@ class CandidateChainSet:
         return chain in self.chains
 
 
-def _first_token_banned(name: str, banned_prefixes: Iterable[str]) -> bool:
-    return any(name.startswith(p) for p in banned_prefixes)
-
-
 def enumerate_simple_paths(
     g: KnowledgeGraph,
     src: int,
@@ -136,7 +132,7 @@ def enumerate_simple_paths(
 
     def _dfs(node: int, prefix: tuple[PredicateToken, ...]) -> None:
         for tok, nbr in g.adjacency(node):
-            if not prefix and _first_token_banned(tok.name, banned):
+            if not prefix and tok.name.startswith(banned):
                 continue
             if nbr == dst:
                 found.add(MetaPath(prefix + (tok,)))
@@ -153,16 +149,6 @@ def enumerate_simple_paths(
 
     _dfs(src, ())
     return sorted(found, key=MetaPath.canonical)
-
-
-def prune_generic(
-    paths: Iterable[MetaPath],
-    banned_prefixes: Iterable[str] = DEFAULT_BANNED_PREFIXES,
-) -> list[MetaPath]:
-    """Drop paths whose first token name starts with any banned prefix."""
-    banned = tuple(banned_prefixes)
-    kept = {p for p in paths if not _first_token_banned(p.tokens[0].name, banned)}
-    return sorted(kept, key=MetaPath.canonical)
 
 
 def join_chains(

@@ -13,7 +13,6 @@ pairwise lambda gradients weighted by the NDCG swap delta.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -187,21 +186,6 @@ def featurize(
     f[25] = cos(m_er1.notable_types, cn1) - cos(m_t1.notable_types, cn1)
     f[26] = cos(m_er2.notable_types, cn2) - cos(m_t2.notable_types, cn2)
     return f
-
-
-def write_feature_csv(
-    path: str,
-    rows: Iterable[tuple[str, str, str, int, np.ndarray]],
-) -> None:
-    """Dump feature vectors as CSV for offline inspection.
-
-    Each row is (table_id, c1_mid, c2_mid, relevance, features).
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["table_id", "c1", "c2", "relevance", *FEATURE_NAMES])
-        for table_id, c1, c2, rel, feats in rows:
-            writer.writerow([table_id, c1, c2, rel, *(repr(float(v)) for v in feats)])
 
 
 # -- ranking metrics ---------------------------------------------------------

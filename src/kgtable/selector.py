@@ -1,8 +1,8 @@
 """Chain scoring and top-1 selection against the query context.
 
-Four interchangeable scorers: seeded random, token-overlap Jaccard, an
-L2-regularized logistic model over concatenated count vectors, and a
-trainable embedding matcher. The embedding matcher encodes each field as
+Three interchangeable scorers: token-overlap Jaccard, an L2-regularized
+logistic model over concatenated count vectors, and a trainable
+embedding matcher. The embedding matcher encodes each field as
 the mean of its token embeddings, concatenates the context fields into a
 query vector of the same dimension as the chain vector, and scores by
 cosine; it trains with a margin hinge over (positive, negative) chain
@@ -12,7 +12,6 @@ pairs plus an L2 penalty on all parameters.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -136,16 +135,6 @@ def hinge_loss(
 ) -> float:
     """max(0, margin - cos(q, p) + cos(q, n))."""
     return max(0.0, margin - cosine(q_vec, p_vec) + cosine(q_vec, n_vec))
-
-
-class RandomScorer:
-    """Seeded uniform draws; the baseline non-learning selector."""
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-
-    def score(self, ctx: QueryContext, chain: ChainEncoding) -> float:
-        return self._rng.random()
 
 
 class JaccardScorer:
@@ -285,20 +274,20 @@ def select_top1(
     chains: Iterable[ChainPair],
     kb_vocab: Vocabulary | None,
     hp: SelectorHyperParams = DEFAULT_HP,
-) -> ChainPair:
-    """Highest-scoring chain; ties go to the smallest canonical string."""
+) -> int:
+    """Index of the highest-scoring chain; ties go to the smallest canonical string."""
     best: tuple[float, str] | None = None
-    best_chain: ChainPair | None = None
-    for chain in chains:
+    best_index = -1
+    for i, chain in enumerate(chains):
         enc = encode_chain(chain, kb_vocab, hp)
         s = scorer.score(ctx, enc)
         key = (-s, enc.canonical)
         if best is None or key < best:
             best = key
-            best_chain = chain
-    if best_chain is None:
+            best_index = i
+    if best is None:
         raise ValueError("no candidate chains to select from")
-    return best_chain
+    return best_index
 
 
 # -- embedding training ---------------------------------------------------------

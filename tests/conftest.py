@@ -15,6 +15,7 @@ from kgtable.graph import (
     load_predicate_meta,
     load_triples,
 )
+from kgtable.query import QueryBudget
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -86,33 +87,9 @@ def trained(bundle) -> TrainedModels:
     train = bundle.train_tables()
     lin = selector.train_linear(train, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
     emb = selector.train_embedding(train, bundle.tb_vocab, bundle.kb_vocab, TEST_HP, seed=3)
-    model = _train_bundle_ranker(bundle)
-    return TrainedModels(linear=lin, embedding=emb, ranker=model)
-
-
-def _train_bundle_ranker(bundle) -> ranker.RankerModel:
-    import numpy as np
-
-    from kgtable.query import QueryBudget, execute_chain
-
-    featurizer = harness.FeatureTupleRanker(
-        ranker.RankerModel([], 0.1, 1.0),
-        bundle.entity_meta,
-        bundle.pred_meta,
-        bundle.embeddings,
+    groups = harness.ranker_training_groups(
+        train, bundle.g, bundle.entity_meta, bundle.pred_meta, bundle.embeddings,
+        QueryBudget(),
     )
-    budget = QueryBudget()
-    groups = []
-    for tid in bundle.split.train:
-        table = bundle.tables[tid]
-        chain = harness.oracle_select(table)
-        result = execute_chain(bundle.g, table.se, chain, budget)
-        er = next((r for r in table.rr if r in result.pairs), table.rr[0])
-        pairs = sorted(p for p in result.pairs if p != er)
-        if not pairs:
-            continue
-        err = {r for r in table.rr if r != er}
-        feats = featurizer.features_for(table, chain, er, pairs)
-        relevance = np.array([1.0 if p in err else 0.0 for p in pairs])
-        groups.append(ranker.TrainingGroup(feats, relevance))
-    return ranker.train_ranker(groups, ranker.RankerConfig(tree_count=30, tree_depth=3))
+    model = ranker.train_ranker(groups, ranker.RankerConfig(tree_count=30, tree_depth=3))
+    return TrainedModels(linear=lin, embedding=emb, ranker=model)

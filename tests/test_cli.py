@@ -5,8 +5,11 @@ import pytest
 
 from kgtable import synth
 from kgtable.cli import main
-from kgtable.config import config_defaults, load_config
-from kgtable.dataset import ConfigurationError
+from kgtable.config import RunConfig, config_defaults, load_config
+from kgtable.dataset import BuildSettings, ConfigurationError
+from kgtable.query import QueryBudget
+from kgtable.ranker import RankerConfig
+from kgtable.selector import SelectorHyperParams
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +215,13 @@ class TestConfig:
         cfg.write_text('{"no_such_key": 1}')
         with pytest.raises(ConfigurationError):
             load_config(str(cfg))
+
+    def test_defaults_come_from_the_settings_classes(self):
+        cfg = RunConfig()
+        assert cfg.build_settings() == BuildSettings()
+        assert cfg.budget() == QueryBudget()
+        assert cfg.selector_hp() == SelectorHyperParams()
+        assert cfg.ranker_cfg() == RankerConfig()
 
     def test_flags_win_over_file(self, tmp_path):
         cfg = tmp_path / "c.json"

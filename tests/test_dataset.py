@@ -121,7 +121,7 @@ class TestChainMetrics:
     def test_perfect_chain(self):
         g = KnowledgeGraph([("se", "p", "x0"), ("x0", "q", "y0")])
         rr = [(g.entity_id("x0"), g.entity_id("y0"))]
-        assert ds.compute_chain_metrics(g, g.entity_id("se"), chain_of("p", "q"), rr) == (
+        assert ds._score_chain(g, g.entity_id("se"), chain_of("p", "q"), rr, None)[1:] == (
             1.0, 1.0, 1.0,
         )
 
@@ -136,8 +136,8 @@ class TestChainMetrics:
         # Pad ground truth to 4 rows with pairs the chain cannot retrieve.
         rr += [(g.entity_id("junk01"), g.entity_id("junk11"))]
         rr += [(g.entity_id("junk02"), g.entity_id("junk12"))]
-        recall, precision, f1 = ds.compute_chain_metrics(
-            g, g.entity_id("se"), chain_of("p", "q"), rr
+        _, recall, precision, f1 = ds._score_chain(
+            g, g.entity_id("se"), chain_of("p", "q"), rr, None
         )
         assert recall == 0.5
         assert precision == 0.25
@@ -146,14 +146,14 @@ class TestChainMetrics:
     def test_disjoint_retrieval_is_all_zero(self):
         g = KnowledgeGraph([("se", "p", "x0"), ("x0", "q", "y0")])
         rr = [(g.entity_id("se"), g.entity_id("se"))]
-        assert ds.compute_chain_metrics(g, g.entity_id("se"), chain_of("p", "q"), rr) == (
+        assert ds._score_chain(g, g.entity_id("se"), chain_of("p", "q"), rr, None)[1:] == (
             0.0, 0.0, 0.0,
         )
 
     def test_budget_overrun_flags_removal(self):
         g = self._graph()
         rr = [(g.entity_id(f"x{i}"), g.entity_id(f"y{i}")) for i in range(4)]
-        result = ds.compute_chain_metrics(
+        result = ds._score_chain(
             g, g.entity_id("se"), chain_of("p", "q"), rr, QueryBudget(max_rows=2)
         )
         assert result is None

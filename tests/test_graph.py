@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from kgtable.graph import (
     EntityMeta,
     EntityMetaStore,
-    HubSkipped,
     KnowledgeGraph,
     ParseError,
     PredicateToken,
@@ -97,27 +96,12 @@ class TestInvariants:
 
 
 class TestNeighbors:
-    def _star(self, n):
-        return graph_of(*[("hub", "p", f"leaf{i:04d}") for i in range(n)])
-
-    def test_below_cap_returns_all_edges(self):
-        g = self._star(3)
-        assert len(g.neighbors(g.entity_id("hub"), 500)) == 3
-
-    def test_at_cap_is_inclusive(self):
-        g = self._star(500)
-        assert len(g.neighbors(g.entity_id("hub"), 500)) == 500
-
-    def test_over_cap_returns_hub_skipped(self):
-        g = self._star(501)
-        result = g.neighbors(g.entity_id("hub"), 500)
-        assert isinstance(result, HubSkipped)
-        assert result.degree == 501
-
     def test_unknown_entity_raises(self):
-        g = self._star(2)
+        g = graph_of(("hub", "p", "leaf0"), ("hub", "p", "leaf1"))
         with pytest.raises(UnknownEntityError):
-            g.neighbors(9999)
+            g.adjacency(9999)
+        with pytest.raises(UnknownEntityError):
+            g.degree(9999)
         with pytest.raises(UnknownEntityError):
             g.entity_id("nope")
 

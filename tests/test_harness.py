@@ -3,9 +3,10 @@ import pytest
 from kgtable import harness
 from kgtable import selector as sel
 from kgtable.dataset import AnnotatedTable, LabeledChain
-from kgtable.graph import KnowledgeGraph
+from kgtable.graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore
 from kgtable.paths import ChainPair, MetaPath
 from kgtable.query import QueryBudget, TupleSet
+from kgtable.ranker import PretrainedEmbeddings
 
 from conftest import TEST_HP
 
@@ -141,16 +142,6 @@ class TestRunE2e:
         runs_o, _ = harness.run_e2e([one_chain], g, harness.OracleChainSelector(), ranker)
         assert [r.tuple_recall for r in runs_r] == [r.tuple_recall for r in runs_o]
 
-    def test_thread_count_does_not_change_results(self, bundle, trained):
-        heldout = bundle.heldout_tables()[:6]
-        ranker = harness.RandomTupleRanker(9)
-        selector = harness.RandomChainSelector(9)
-        serial, _ = harness.run_e2e(heldout, bundle.g, selector, ranker, QueryBudget())
-        threaded, _ = harness.run_e2e(
-            heldout, bundle.g, selector, ranker, QueryBudget(), threads=4
-        )
-        assert serial == threaded
-
     def test_er_is_removed_from_ranking_but_not_retrieval(self, small_world):
         g, table = small_world
         runs, _ = harness.run_e2e(
@@ -218,6 +209,22 @@ class TestCoreColumnEval:
             harness.core_column_eval([], {}, None, "sideways")
 
 
+class TestRankerTrainingGroups:
+    def test_over_budget_chain_is_skipped(self, small_world):
+        g, table = small_world
+
+        def groups(budget):
+            return harness.ranker_training_groups(
+                [table], g, EntityMetaStore(), PredicateMetaStore(),
+                PretrainedEmbeddings({}, 1), budget,
+            )
+
+        # The oracle chain 'p/q' retrieves three rows.
+        assert groups(QueryBudget(max_rows=1)) == []
+        [group] = groups(QueryBudget())
+        assert group.relevance.tolist() == [1.0, 1.0]
+
+
 class TestScorerChainSelector:
     def test_agrees_with_select_top1(self, bundle, trained):
         table = bundle.heldout_tables()[0]
@@ -230,4 +237,4 @@ class TestScorerChainSelector:
             trained.linear, ctx, [lc.chain for lc in table.chains],
             bundle.kb_vocab, TEST_HP,
         )
-        assert table.chains[idx].chain == best
+        assert idx == best

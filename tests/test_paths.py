@@ -9,7 +9,6 @@ from kgtable.paths import (
     MetaPath,
     enumerate_simple_paths,
     join_chains,
-    prune_generic,
 )
 from kgtable.query import execute_chain
 
@@ -67,10 +66,15 @@ class TestEnumerate:
 
     def test_banned_prefix_applies_to_first_token_only(self):
         g = KnowledgeGraph(
-            [("s", "common.topic.notable_types", "a"), ("a", "x", "t"), ("s", "y", "a")]
+            [
+                ("s", "common.topic.notable_types", "a"),
+                ("a", "x", "t"),
+                ("s", "y", "a"),
+                ("a", "common.topic.image", "t"),
+            ]
         )
         found = {p.canonical() for p in enumerate_(g, "s", "t", banned=DEFAULT_BANNED_PREFIXES)}
-        assert found == {"y/x"}
+        assert found == {"y/x", "y/common.topic.image"}
 
     def test_results_are_sorted_by_canonical_form(self):
         g = KnowledgeGraph([("s", "b", "t"), ("s", "a", "t"), ("s", "c", "t")])
@@ -123,17 +127,6 @@ class TestEnumerateProperties:
 
 
 class TestPruneGeneric:
-    def test_banned_first_token_removed(self):
-        p = MetaPath.parse("common.topic.notable_types/x")
-        assert prune_generic([p]) == []
-
-    def test_banned_later_token_kept(self):
-        p = MetaPath.parse("x/common.topic.image")
-        assert prune_generic([p]) == [p]
-
-    def test_empty_set(self):
-        assert prune_generic([]) == []
-
     def test_default_list_is_the_documented_seven(self):
         assert DEFAULT_BANNED_PREFIXES == (
             "freebase",

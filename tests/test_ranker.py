@@ -294,16 +294,6 @@ class TestModelFiles:
         assert np.array_equal(model.predict(X), loaded.predict(X))
 
 
-class TestFeatureCsv:
-    def test_header_carries_the_frozen_names(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        rk.write_feature_csv(
-            str(path), [("t1", "m.a", "m.b", 1, np.zeros(27))]
-        )
-        header = path.read_text().splitlines()[0]
-        assert header.split(",")[4:] == list(rk.FEATURE_NAMES)
-
-
 class TestEmbeddingsFile:
     def test_load_and_conventions(self, tmp_path):
         path = tmp_path / "emb.txt"

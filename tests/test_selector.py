@@ -89,17 +89,17 @@ class TestSelectTop1:
 
     def test_single_candidate(self):
         c = chain_of("p", "q")
-        assert sel.select_top1(self.FixedScorer({}), self._ctx(), [c], None) == c
+        assert sel.select_top1(self.FixedScorer({}), self._ctx(), [c], None) == 0
 
     def test_highest_score_wins(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
         scorer = self.FixedScorer({a.canonical(): 0.9, b.canonical(): 0.7})
-        assert sel.select_top1(scorer, self._ctx(), [b, a], None) == a
+        assert sel.select_top1(scorer, self._ctx(), [b, a], None) == 1
 
     def test_ties_break_to_smallest_canonical(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
         scorer = self.FixedScorer({a.canonical(): 0.5, b.canonical(): 0.5})
-        assert sel.select_top1(scorer, self._ctx(), [b, a], None) == a
+        assert sel.select_top1(scorer, self._ctx(), [b, a], None) == 1
 
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
