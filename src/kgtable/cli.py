@@ -275,19 +275,11 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     set_tokens = _derive_set_tokens(cfg, query, query["se"])
 
     settings = cfg.build_settings()
-    p1s = (
-        enumerate_simple_paths(
-            g, se, er1, settings.max_path_len, settings.degree_cap, settings.banned_prefixes
-        )
-        if se != er1
-        else []
+    p1s = enumerate_simple_paths(
+        g, se, er1, settings.max_path_len, settings.degree_cap, settings.banned_prefixes
     )
-    p2s = (
-        enumerate_simple_paths(
-            g, er1, er2, settings.max_path_len, settings.degree_cap, settings.banned_prefixes
-        )
-        if er1 != er2
-        else []
+    p2s = enumerate_simple_paths(
+        g, er1, er2, settings.max_path_len, settings.degree_cap, settings.banned_prefixes
     )
     candidates = join_chains(g, se, p1s, p2s)
     if not len(candidates):

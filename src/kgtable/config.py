@@ -56,7 +56,6 @@ class RunConfig:
     learning_rate: float = _HP.learning_rate
     batch_size: int = _HP.batch_size
     epochs: int = _HP.epochs
-    optimizer: str = _HP.optimizer
     dim_qis: int = _HP.dim_qis
     dim_cn: int = _HP.dim_cn
     dim_set: int = _HP.dim_set

@@ -371,20 +371,18 @@ def annotate_table(
 
     p1s, p2s = set(), set()
     for er1, er2 in rr:
-        if se != er1:
-            p1s.update(
-                enumerate_simple_paths(
-                    g, se, er1, settings.max_path_len, settings.degree_cap,
-                    settings.banned_prefixes,
-                )
+        p1s.update(
+            enumerate_simple_paths(
+                g, se, er1, settings.max_path_len, settings.degree_cap,
+                settings.banned_prefixes,
             )
-        if er1 != er2:
-            p2s.update(
-                enumerate_simple_paths(
-                    g, er1, er2, settings.max_path_len, settings.degree_cap,
-                    settings.banned_prefixes,
-                )
+        )
+        p2s.update(
+            enumerate_simple_paths(
+                g, er1, er2, settings.max_path_len, settings.degree_cap,
+                settings.banned_prefixes,
             )
+        )
     if not p1s or not p2s:
         raise TableRejected(tid, "no candidate paths for one of the segments")
 

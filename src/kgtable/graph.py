@@ -1,9 +1,9 @@
 """In-memory knowledge graph with direction-encoded predicate edges.
 
 Entity identifier strings (e.g. ``m.02dzsr``) are interned into dense
-integer ids. Every triple (s, p, o) is stored under both endpoints: as
-(p, o) on s and as (^p, s) on o, so one adjacency list serves forward and
-inverse traversal. The graph is immutable after construction and safe to
+integer ids. Every triple (s, p, o) is stored under both endpoints: o under
+token p on s and s under token ^p on o, so one adjacency map serves forward
+and inverse traversal. The graph is immutable after construction and safe to
 share between threads.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .text import tokenize
@@ -64,15 +66,14 @@ class PredicateToken:
         return self.render()
 
 
-Edge = tuple[PredicateToken, int]
-
-
 class KnowledgeGraph:
     """Immutable adjacency over interned entities.
 
-    Entity ids are assigned by sorted order of the identifier strings, and
-    adjacency lists are sorted by (predicate name, inverse flag, neighbor id),
-    so any permutation of the input triples produces an identical graph.
+    Entity ids are assigned by sorted order of the identifier strings. Each
+    entity's edges are grouped by token: ``{PredicateToken: neighbour ids}``
+    with tokens in (predicate name, inverse flag) order and each group's ids
+    sorted, so any permutation of the input triples produces an identical
+    graph. Equal tokens are one shared object.
     """
 
     def __init__(self, triples: Iterable[tuple[str, str, str]]):
@@ -80,14 +81,24 @@ class KnowledgeGraph:
         mids = sorted({t[0] for t in triple_set} | {t[2] for t in triple_set})
         self._mids: tuple[str, ...] = tuple(mids)
         self._ids: dict[str, int] = {m: i for i, m in enumerate(mids)}
-        adj: list[list[Edge]] = [[] for _ in mids]
+        edges: list[list[tuple[str, bool, int]]] = [[] for _ in mids]
         for s, p, o in triple_set:
             si, oi = self._ids[s], self._ids[o]
-            adj[si].append((PredicateToken(p), oi))
-            adj[oi].append((PredicateToken(p, True), si))
-        self._adj: tuple[tuple[Edge, ...], ...] = tuple(
-            tuple(sorted(edges)) for edges in adj
-        )
+            edges[si].append((p, False, oi))
+            edges[oi].append((p, True, si))
+        tokens: dict[tuple[str, bool], PredicateToken] = {}
+        adj: list[dict[PredicateToken, tuple[int, ...]]] = []
+        for entity_edges in edges:
+            entity_edges.sort()
+            groups: dict[PredicateToken, tuple[int, ...]] = {}
+            for key, group in groupby(entity_edges, key=itemgetter(0, 1)):
+                tok = tokens.get(key)
+                if tok is None:
+                    tok = tokens[key] = PredicateToken(*key)
+                groups[tok] = tuple(nbr for _, _, nbr in group)
+            adj.append(groups)
+        self._adj: tuple[dict[PredicateToken, tuple[int, ...]], ...] = tuple(adj)
+        self._degree: tuple[int, ...] = tuple(len(e) for e in edges)
         self._triples = tuple(triple_set)
 
     # -- entity interning ------------------------------------------------
@@ -123,32 +134,58 @@ class KnowledgeGraph:
         if not 0 <= entity < len(self._mids):
             raise UnknownEntityError(entity)
 
-    def adjacency(self, entity: int) -> tuple[Edge, ...]:
+    def adjacency(self, entity: int) -> Mapping[PredicateToken, tuple[int, ...]]:
+        """The entity's neighbour ids grouped by token; read-only."""
         self._check(entity)
         return self._adj[entity]
 
     def degree(self, entity: int) -> int:
         self._check(entity)
-        return len(self._adj[entity])
+        return self._degree[entity]
 
 
-def walk(g: KnowledgeGraph, frontier: Iterable[int], tokens: Sequence[PredicateToken]) -> set[int]:
+class StepAllowance:
+    """Node expansions left to the walks of one query; shared by all of them."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, left: int):
+        self.left = left
+
+
+class StepsExhausted(Exception):
+    """A budgeted walk needed more node expansions than its allowance had left."""
+
+
+def walk(
+    g: KnowledgeGraph,
+    frontier: Iterable[int],
+    tokens: Sequence[PredicateToken],
+    steps: StepAllowance | None = None,
+) -> set[int]:
     """Entities reachable from ``frontier`` by following ``tokens`` in order.
 
-    Unbudgeted frontier expansion with per-hop deduplication; used for chain
-    joining and connectivity checks. See ``query.execute_chain`` for the
-    budgeted variant.
+    The one traversal that follows predicate tokens: each hop expands every
+    entity of the deduplicated frontier by one adjacency lookup. With a step
+    allowance, each hop charges one step per frontier entity before expanding
+    it and raises ``StepsExhausted`` when the allowance cannot cover the hop;
+    ``query.execute_chain`` shares one allowance between all walks of a query.
     """
     cur = set(frontier)
+    for e in cur:
+        g._check(e)
+    adj = g._adj
     for tok in tokens:
-        nxt: set[int] = set()
-        for e in cur:
-            for t, nbr in g.adjacency(e):
-                if t == tok:
-                    nxt.add(nbr)
-        cur = nxt
         if not cur:
             break
+        if steps is not None:
+            if len(cur) > steps.left:
+                raise StepsExhausted
+            steps.left -= len(cur)
+        nxt: set[int] = set()
+        for e in cur:
+            nxt.update(adj[e].get(tok, ()))
+        cur = nxt
     return cur
 
 

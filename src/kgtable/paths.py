@@ -113,39 +113,37 @@ def enumerate_simple_paths(
 ) -> list[MetaPath]:
     """All simple paths from ``src`` to ``dst`` of length <= ``max_len``.
 
-    A path may not revisit any entity, including ``src``. Intermediate nodes
-    are only expanded while their degree is within ``degree_cap``; ``src`` is
-    always expanded and ``dst`` never needs to satisfy the cap. Paths whose
-    first token name starts with a banned prefix are dropped. The result is
-    a set, materialized in canonical-string sort order.
+    A path may not revisit any entity, including ``src``, so ``src == dst``
+    yields no path. Intermediate nodes are only expanded while their degree
+    is within ``degree_cap``; ``src`` is always expanded and ``dst`` never
+    needs to satisfy the cap. Paths whose first token name starts with a
+    banned prefix are dropped. The result is a set, materialized in
+    canonical-string sort order.
     """
-    if src == dst:
-        raise ValueError("src and dst must differ")
     g._check(src)
     g._check(dst)
     if not 1 <= max_len <= MAX_SEGMENT_LENGTH:
         raise ValueError(f"max_len must be in 1..{MAX_SEGMENT_LENGTH}")
+    if src == dst:
+        return []
     banned = tuple(banned_prefixes)
 
     found: set[MetaPath] = set()
     visited = {src}
 
     def _dfs(node: int, prefix: tuple[PredicateToken, ...]) -> None:
-        for tok, nbr in g.adjacency(node):
+        for tok, nbrs in g.adjacency(node).items():
             if not prefix and tok.name.startswith(banned):
                 continue
-            if nbr == dst:
-                found.add(MetaPath(prefix + (tok,)))
-                continue
-            if len(prefix) + 1 >= max_len:
-                continue
-            if nbr in visited:
-                continue
-            if g.degree(nbr) > degree_cap:
-                continue
-            visited.add(nbr)
-            _dfs(nbr, prefix + (tok,))
-            visited.remove(nbr)
+            path = prefix + (tok,)
+            deeper = len(path) < max_len
+            for nbr in nbrs:
+                if nbr == dst:
+                    found.add(MetaPath(path))
+                elif deeper and nbr not in visited and g.degree(nbr) <= degree_cap:
+                    visited.add(nbr)
+                    _dfs(nbr, path)
+                    visited.remove(nbr)
 
     _dfs(src, ())
     return sorted(found, key=MetaPath.canonical)

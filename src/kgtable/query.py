@@ -1,10 +1,14 @@
 """Chain execution as an in-memory path query, plus SPARQL text rendering.
 
-Evaluation is breadth-wise frontier expansion per hop with per-hop
-deduplication of bindings, so memory is bounded by distinct entities (or
-distinct (x, node) bindings in the second segment) rather than by path
-multiplicity. A deterministic node-expansion budget stands in for a
-wall-clock timeout; exceeding it discards all partial results.
+A chain runs as one ``graph.walk`` along P1 from the subject entity plus
+one walk along P2 from each entity x it reaches. Walks deduplicate their
+frontier per hop, so memory is bounded by distinct entities (distinct
+(x, node) bindings in the second segment) rather than by path multiplicity.
+A deterministic node-expansion budget, one step allowance shared by all
+walks of a query, stands in for a wall-clock timeout; exceeding it discards
+all partial results. This module reaches ``graph.walk`` through the module
+attribute and binds no name of its own for it, so a tracer that wraps the
+name where its callers bind it leaves no unwrapped copy behind.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import KnowledgeGraph, PredicateToken
+from . import graph
+from .graph import KnowledgeGraph
 from .paths import ChainPair, MetaPath
 
 SPARQL_PREFIX = "prefix a: <http://rdf.basekb.com/ns/>"
@@ -52,41 +57,8 @@ class TupleSet:
         return iter(self.pairs)
 
 
-class _StepCounter:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: QueryBudget | None):
-        self.left = budget.max_steps if budget else None
-
-    def spend(self) -> bool:
-        """Charge one node expansion; False once the budget is gone."""
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
-def _walk_frontier(
-    g: KnowledgeGraph,
-    frontier: set[int],
-    tokens: tuple[PredicateToken, ...],
-    steps: _StepCounter,
-) -> set[int] | BudgetExceeded:
-    cur = frontier
-    for tok in tokens:
-        nxt: set[int] = set()
-        for e in cur:
-            if not steps.spend():
-                return BudgetExceeded("steps")
-            for t, nbr in g.adjacency(e):
-                if t == tok:
-                    nxt.add(nbr)
-        cur = nxt
-        if not cur:
-            break
-    return cur
+def _allowance(budget: QueryBudget | None) -> graph.StepAllowance | None:
+    return graph.StepAllowance(budget.max_steps) if budget is not None else None
 
 
 def execute_prefix(
@@ -96,11 +68,10 @@ def execute_prefix(
     budget: QueryBudget | None = None,
 ) -> set[int] | BudgetExceeded:
     """Distinct entities reached from ``se`` via ``p1``."""
-    g._check(se)
-    steps = _StepCounter(budget)
-    xs = _walk_frontier(g, {se}, p1.tokens, steps)
-    if isinstance(xs, BudgetExceeded):
-        return xs
+    try:
+        xs = graph.walk(g, (se,), p1.tokens, _allowance(budget))
+    except graph.StepsExhausted:
+        return BudgetExceeded("steps")
     if budget is not None and len(xs) > budget.max_rows:
         return BudgetExceeded("rows")
     return xs
@@ -113,30 +84,15 @@ def execute_chain(
     budget: QueryBudget | None = None,
 ) -> TupleSet | BudgetExceeded:
     """All distinct (x, y) pairs with x reached via P1 from ``se`` and y via P2 from x."""
-    g._check(se)
-    steps = _StepCounter(budget)
-
-    xs = _walk_frontier(g, {se}, chain.p1.tokens, steps)
-    if isinstance(xs, BudgetExceeded):
-        return xs
-
-    # Second segment tracks (x, node) bindings, deduplicated per hop.
-    bindings = {(x, x) for x in xs}
-    for tok in chain.p2.tokens:
-        nxt: set[tuple[int, int]] = set()
-        for x, node in bindings:
-            if not steps.spend():
-                return BudgetExceeded("steps")
-            for t, nbr in g.adjacency(node):
-                if t == tok:
-                    nxt.add((x, nbr))
-        bindings = nxt
-        if not bindings:
-            break
-
-    if budget is not None and len(bindings) > budget.max_rows:
+    steps = _allowance(budget)
+    try:
+        xs = graph.walk(g, (se,), chain.p1.tokens, steps)
+        pairs = {(x, y) for x in xs for y in graph.walk(g, (x,), chain.p2.tokens, steps)}
+    except graph.StepsExhausted:
+        return BudgetExceeded("steps")
+    if budget is not None and len(pairs) > budget.max_rows:
         return BudgetExceeded("rows")
-    return TupleSet(frozenset(bindings))
+    return TupleSet(frozenset(pairs))
 
 
 def _render_segment(path: MetaPath) -> str:

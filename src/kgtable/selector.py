@@ -35,7 +35,6 @@ class SelectorHyperParams:
     batch_size: int = 250
     epochs: int = 2000
     k_negatives: int = 10
-    optimizer: str = "sgd"  # "sgd" or "adam"
     dim_qis: int = 100
     dim_cn: int = 25
     dim_set: int = 100
@@ -52,8 +51,6 @@ class SelectorHyperParams:
                 "query and chain vector dimensions must match: "
                 f"{self.dim_qis} + 2*{self.dim_cn} + {self.dim_set} != {self.dim_chain}"
             )
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
 
 
 DEFAULT_HP = SelectorHyperParams()
@@ -447,11 +444,6 @@ def train_embedding(
     if track_objective:
         history.append(embedding_objective(scorer, examples, hp))
 
-    adam_m = {k: np.zeros_like(m) for k, m in mats.items()}
-    adam_v = {k: np.zeros_like(m) for k, m in mats.items()}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-
     for _ in range(hp.epochs):
         order = rng.permutation(len(examples))
         for start in range(0, len(order), hp.batch_size):
@@ -469,17 +461,8 @@ def train_embedding(
             if norm > 0:
                 for k in grads:
                     grads[k] += hp.l2_weight * mats[k] / norm
-            step += 1
-            if hp.optimizer == "adam":
-                for k in mats:
-                    adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * grads[k]
-                    adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * grads[k] ** 2
-                    m_hat = adam_m[k] / (1 - beta1 ** step)
-                    v_hat = adam_v[k] / (1 - beta2 ** step)
-                    mats[k] -= hp.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-            else:
-                for k in mats:
-                    mats[k] -= hp.learning_rate * grads[k]
+            for k in mats:
+                mats[k] -= hp.learning_rate * grads[k]
         if track_objective:
             history.append(embedding_objective(scorer, examples, hp))
 

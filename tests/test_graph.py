@@ -27,8 +27,8 @@ class TestLoadTriples:
         path.write_text("a\tp\tb\n")
         g = load_triples(str(path))
         a, b = g.entity_id("a"), g.entity_id("b")
-        assert g.adjacency(a) == ((PredicateToken("p"), b),)
-        assert g.adjacency(b) == ((PredicateToken("p", True), a),)
+        assert g.adjacency(a) == {PredicateToken("p"): (b,)}
+        assert g.adjacency(b) == {PredicateToken("p", True): (a,)}
 
     def test_empty_file_gives_empty_graph(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -90,9 +90,13 @@ class TestInvariants:
     def test_inverse_closure_and_degree_consistency(self, triples):
         g = KnowledgeGraph(triples)
         for e in g.entities():
-            assert g.degree(e) == len(g.adjacency(e))
-            for tok, nbr in g.adjacency(e):
-                assert (tok.flipped(), e) in g.adjacency(nbr)
+            groups = g.adjacency(e)
+            assert list(groups) == sorted(groups)
+            assert g.degree(e) == sum(len(nbrs) for nbrs in groups.values())
+            for tok, nbrs in groups.items():
+                assert list(nbrs) == sorted(set(nbrs))
+                for nbr in nbrs:
+                    assert e in g.adjacency(nbr).get(tok.flipped(), ())
 
 
 class TestNeighbors:
@@ -112,6 +116,13 @@ class TestWalk:
         s = g.entity_id("s")
         assert walk(g, {s}, (PredicateToken("p"), PredicateToken("q"))) == {g.entity_id("b")}
         assert walk(g, {s}, (PredicateToken("q"),)) == set()
+
+    def test_unknown_start_entity_raises(self):
+        g = graph_of(("s", "p", "a"))
+        with pytest.raises(UnknownEntityError):
+            walk(g, {9999}, (PredicateToken("p"),))
+        with pytest.raises(UnknownEntityError):
+            walk(g, {g.entity_id("s"), -1}, ())
 
 
 class TestMetadata:

@@ -55,9 +55,12 @@ class TestEnumerate:
         assert {p.canonical() for p in enumerate_(g, "s", "t", cap=500)} == {"p"}
 
     def test_src_equals_dst_rejected(self):
-        g = KnowledgeGraph([("a", "p", "b")])
+        # A simple path may not revisit src, so none ends there.
+        g = KnowledgeGraph([("a", "p", "b"), ("b", "q", "a")])
+        assert enumerate_(g, "a", "a") == []
+        # The argument checks still come first.
         with pytest.raises(ValueError):
-            enumerate_(g, "a", "a")
+            enumerate_(g, "a", "a", max_len=4)
 
     def test_max_len_outside_bounds_rejected(self):
         g = KnowledgeGraph([("a", "p", "b")])

@@ -68,6 +68,18 @@ class TestExecuteChain:
         with pytest.raises(UnknownEntityError):
             execute_chain(g, 99, chain_of("p", "q"))
 
+    def test_step_charge_is_exact_on_fan_in(self):
+        # One step for se, then one per (x, node) binding of P2: (x1, x1),
+        # (x2, x2), (x1, h), (x2, h). Both x reach y through the shared h.
+        g = KnowledgeGraph(
+            [("se", "p", "x1"), ("se", "p", "x2"), ("x1", "q", "h"), ("x2", "q", "h"),
+             ("h", "r", "y")]
+        )
+        se, chain = g.entity_id("se"), chain_of("p", "q/r")
+        result = execute_chain(g, se, chain, QueryBudget(max_steps=5))
+        assert mids(g, result.pairs) == {("x1", "y"), ("x2", "y")}
+        assert execute_chain(g, se, chain, QueryBudget(max_steps=4)) == BudgetExceeded("steps")
+
 
 class TestExecutePrefix:
     def test_single_hop(self):
@@ -84,6 +96,15 @@ class TestExecutePrefix:
         g = KnowledgeGraph([("a", "p", "b")])
         with pytest.raises(UnknownEntityError):
             execute_prefix(g, 42, MetaPath.parse("p"))
+
+    def test_step_charge_is_exact_on_two_hops(self):
+        # One step for se, then one for each of a1 and a2.
+        g = KnowledgeGraph([("se", "p", "a1"), ("se", "p", "a2"), ("a1", "q", "b"),
+                            ("a2", "q", "b")])
+        se, p1 = g.entity_id("se"), MetaPath.parse("p/q")
+        xs = execute_prefix(g, se, p1, QueryBudget(max_steps=3))
+        assert {g.mid(x) for x in xs} == {"b"}
+        assert execute_prefix(g, se, p1, QueryBudget(max_steps=2)) == BudgetExceeded("steps")
 
 
 class TestProperties:

@@ -241,17 +241,6 @@ class TestTraining:
         for before, after in zip(history, history[1:]):
             assert after <= before + tolerance
 
-    def test_adam_option_trains(self, bundle):
-        hp = sel.SelectorHyperParams(
-            dim_qis=8, dim_cn=2, dim_set=8, dim_chain=20,
-            learning_rate=0.01, epochs=8, optimizer="adam",
-        )
-        scorer = sel.train_embedding(
-            bundle.train_tables()[:20], bundle.tb_vocab, bundle.kb_vocab, hp,
-            seed=2, track_objective=True,
-        )
-        assert scorer.objective_history[-1] < scorer.objective_history[0]
-
     def test_empty_training_set_rejected(self, bundle):
         with pytest.raises(ConfigurationError):
             sel.train_embedding([], bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
