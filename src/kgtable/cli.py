@@ -174,7 +174,7 @@ def cmd_train_ranker(cfg: RunConfig) -> int:
         [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
         cfg.budget(),
     )
-    model = ranker.train_ranker(groups, cfg.ranker_cfg(), cfg.seed)
+    model = ranker.train_ranker(groups, cfg.ranker_cfg())
     path = _ranker_model_path(cfg)
     ranker.save_ranker(path, model)
     print(f"trained ranker on {len(groups)} query groups -> {path}")
@@ -314,8 +314,8 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         model = ranker.load_ranker(_ranker_model_path(cfg))
         tuple_ranker = harness.FeatureTupleRanker(model, entity_meta, pred_meta, embeddings)
         feats = tuple_ranker.features_for(query_table, best, (er1, er2), pairs)
-        order = ranker.rank(model, feats, pairs)
         predicted = model.predict(feats)
+        order = ranker.rank(predicted, pairs)
         scores = [float(predicted[i]) for i in order]
         pairs = [pairs[i] for i in order]
     elif pairs:

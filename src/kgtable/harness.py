@@ -227,12 +227,7 @@ class FeatureTupleRanker:
             chain=chain,
             er=er,
         )
-        return np.array(
-            [
-                featurize(ctx, cand, pairs, self.entity_meta, self.pred_meta, self.embeddings)
-                for cand in pairs
-            ]
-        )
+        return featurize(ctx, pairs, self.entity_meta, self.pred_meta, self.embeddings)
 
     def order(
         self,
@@ -245,8 +240,8 @@ class FeatureTupleRanker:
         ordered = sorted(pairs)
         if not ordered:
             return []
-        feats = self.features_for(table, chain, er, ordered)
-        return [ordered[i] for i in rank(self.model, feats, ordered)]
+        scores = self.model.predict(self.features_for(table, chain, er, ordered))
+        return [ordered[i] for i in rank(scores, ordered)]
 
 
 # -- end-to-end simulation ----------------------------------------------------------

@@ -6,6 +6,9 @@ against the example row, query-intent overlap, and difference scores
 between the example row and the candidate against the chain's expected
 types and the column names. Overlap comes in two flavours everywhere:
 Jaccard on token sets and cosine of mean pre-trained word vectors.
+``featurize`` builds one query's whole candidate matrix: each distinct
+candidate entity is scored once per column, and each token set's mean
+vector once per ``PretrainedEmbeddings`` object.
 
 The ranker is a from-scratch LambdaMART: small regression trees fit to
 pairwise lambda gradients weighted by the NDCG swap delta.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -58,11 +62,17 @@ NUM_FEATURES = len(FEATURE_NAMES)
 
 
 class PretrainedEmbeddings:
-    """Word vectors loaded from a ``token v1 v2 .. vD`` text file."""
+    """Word vectors loaded from a ``token v1 v2 .. vD`` text file.
+
+    Cosines memoize each token set's (mean vector, norm) for the lifetime of
+    the object, which is one command; a set is keyed by its frozenset, which
+    loses nothing because the mean de-duplicates and sorts the tokens anyway.
+    """
 
     def __init__(self, vectors: Mapping[str, np.ndarray], dim: int):
         self._vectors = dict(vectors)
         self.dim = dim
+        self._means: dict[frozenset[str], tuple[np.ndarray, float]] = {}
 
     @classmethod
     def load(cls, path: str) -> "PretrainedEmbeddings":
@@ -88,10 +98,17 @@ class PretrainedEmbeddings:
             return np.zeros(self.dim)
         return np.mean(rows, axis=0)
 
+    def _mean_and_norm(self, tokens: Iterable[str]) -> tuple[np.ndarray, float]:
+        key = frozenset(tokens)
+        hit = self._means.get(key)
+        if hit is None:
+            vec = self.mean_vector(key)
+            hit = self._means[key] = (vec, float(np.linalg.norm(vec)))
+        return hit
+
     def cosine(self, tokens_a: Iterable[str], tokens_b: Iterable[str]) -> float:
-        a = self.mean_vector(tokens_a)
-        b = self.mean_vector(tokens_b)
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        a, na = self._mean_and_norm(tokens_a)
+        b, nb = self._mean_and_norm(tokens_b)
         if na == 0.0 or nb == 0.0:
             return 0.0
         return float(a @ b / (na * nb))
@@ -129,62 +146,73 @@ def chain_type_sets(
     return tgt(chain.p1.tokens[-1]), src(chain.p2.tokens[0]), tgt(chain.p2.tokens[-1])
 
 
+# Feature columns of a column-1 and a column-2 candidate entity, in the
+# order ``_column_features`` returns them.
+_COL1 = [1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 23, 20, 21, 25]
+_COL2 = [2, 4, 6, 8, 10, 12, 14, 16, 19, 24, 22, 26]
+
+
+def _column_features(
+    example: int,
+    entities: Iterable[int],
+    qis: frozenset[str],
+    type_sets: Sequence[frozenset[str]],
+    entity_meta: EntityMetaStore,
+    embeddings: PretrainedEmbeddings,
+) -> dict[int, list[float]]:
+    """One column's features of each distinct candidate entity, by entity id.
+
+    The candidate's description, notable and rdf types against the example
+    entity's and against the query intent, then the example-minus-candidate
+    overlap of notable types with each of ``type_sets``.
+    """
+    cos = embeddings.cosine
+    m = entity_meta.get(example)
+    ex_desc, ex_notable, ex_rdf = frozenset(m.description), m.notable_types, m.rdf_types
+    ex_jac = [jaccard(ex_notable, t) for t in type_sets]
+    ex_cos = [cos(ex_notable, t) for t in type_sets]
+    rows = {}
+    for entity in set(entities):
+        c = entity_meta.get(entity)
+        desc, notable, rdf = frozenset(c.description), c.notable_types, c.rdf_types
+        rows[entity] = [
+            jaccard(ex_desc, desc), cos(ex_desc, desc),
+            jaccard(qis, desc), cos(qis, desc),
+            jaccard(ex_notable, notable), cos(ex_notable, notable),
+            jaccard(ex_rdf, rdf), cos(ex_rdf, rdf),
+            *(e - jaccard(notable, t) for e, t in zip(ex_jac, type_sets)),
+            *(e - cos(notable, t) for e, t in zip(ex_cos, type_sets)),
+        ]
+    return rows
+
+
 def featurize(
     ctx: RankContext,
-    cand: tuple[int, int],
-    cand_set: Sequence[tuple[int, int]],
+    cands: Sequence[tuple[int, int]],
     entity_meta: EntityMetaStore,
     pred_meta: PredicateMetaStore,
     embeddings: PretrainedEmbeddings,
 ) -> np.ndarray:
-    """The 27-feature vector of one candidate tuple; missing metadata scores zero."""
-    er1, er2 = ctx.er
-    t1, t2 = cand
-    m_er1, m_er2 = entity_meta.get(er1), entity_meta.get(er2)
-    m_t1, m_t2 = entity_meta.get(t1), entity_meta.get(t2)
+    """The (len(cands), 27) feature matrix of one query; missing metadata scores zero.
 
-    d_er1, d_er2 = set(m_er1.description), set(m_er2.description)
-    d_t1, d_t2 = set(m_t1.description), set(m_t2.description)
-    qis = set(ctx.qis_tokens)
-
+    Every feature but the column-1 frequency compares the query with one
+    candidate entity, so each distinct entity of a column is scored once.
+    """
     tgt_p1, src_p2, tgt_p2 = chain_type_sets(ctx.chain, pred_meta)
-    cos = embeddings.cosine
-
-    f = np.empty(NUM_FEATURES)
-    f[0] = sum(1 for x, _ in cand_set if x == t1)
-    # Pairwise entity description match.
-    f[1] = jaccard(d_er1, d_t1)
-    f[2] = jaccard(d_er2, d_t2)
-    f[3] = cos(d_er1, d_t1)
-    f[4] = cos(d_er2, d_t2)
-    # Query intent vs candidate descriptions.
-    f[5] = jaccard(qis, d_t1)
-    f[6] = jaccard(qis, d_t2)
-    f[7] = cos(qis, d_t1)
-    f[8] = cos(qis, d_t2)
-    # Notable types.
-    f[9] = jaccard(m_er1.notable_types, m_t1.notable_types)
-    f[10] = jaccard(m_er2.notable_types, m_t2.notable_types)
-    f[11] = cos(m_er1.notable_types, m_t1.notable_types)
-    f[12] = cos(m_er2.notable_types, m_t2.notable_types)
-    # Rdf types.
-    f[13] = jaccard(m_er1.rdf_types, m_t1.rdf_types)
-    f[14] = jaccard(m_er2.rdf_types, m_t2.rdf_types)
-    f[15] = cos(m_er1.rdf_types, m_t1.rdf_types)
-    f[16] = cos(m_er2.rdf_types, m_t2.rdf_types)
-    # Entity notable type vs connecting chain expected type, example minus candidate.
-    f[17] = jaccard(m_er1.notable_types, tgt_p1) - jaccard(m_t1.notable_types, tgt_p1)
-    f[18] = jaccard(m_er1.notable_types, src_p2) - jaccard(m_t1.notable_types, src_p2)
-    f[19] = jaccard(m_er2.notable_types, tgt_p2) - jaccard(m_t2.notable_types, tgt_p2)
-    f[20] = cos(m_er1.notable_types, tgt_p1) - cos(m_t1.notable_types, tgt_p1)
-    f[21] = cos(m_er1.notable_types, src_p2) - cos(m_t1.notable_types, src_p2)
-    f[22] = cos(m_er2.notable_types, tgt_p2) - cos(m_t2.notable_types, tgt_p2)
-    # Column names vs entity notable types, example minus candidate.
-    cn1, cn2 = set(ctx.cn1_tokens), set(ctx.cn2_tokens)
-    f[23] = jaccard(m_er1.notable_types, cn1) - jaccard(m_t1.notable_types, cn1)
-    f[24] = jaccard(m_er2.notable_types, cn2) - jaccard(m_t2.notable_types, cn2)
-    f[25] = cos(m_er1.notable_types, cn1) - cos(m_t1.notable_types, cn1)
-    f[26] = cos(m_er2.notable_types, cn2) - cos(m_t2.notable_types, cn2)
+    qis = frozenset(ctx.qis_tokens)
+    cn1, cn2 = frozenset(ctx.cn1_tokens), frozenset(ctx.cn2_tokens)
+    c1_frequency = Counter(x for x, _ in cands)
+    col1 = _column_features(
+        ctx.er[0], c1_frequency, qis, (tgt_p1, src_p2, cn1), entity_meta, embeddings
+    )
+    col2 = _column_features(
+        ctx.er[1], (y for _, y in cands), qis, (tgt_p2, cn2), entity_meta, embeddings
+    )
+    f = np.empty((len(cands), NUM_FEATURES))
+    for i, (x, y) in enumerate(cands):
+        f[i, 0] = c1_frequency[x]
+        f[i, _COL1] = col1[x]
+        f[i, _COL2] = col2[y]
     return f
 
 
@@ -228,17 +256,18 @@ class TreeNode:
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> TreeNode:
-    if depth == 0 or len(idx) < 2 or np.allclose(y[idx], y[idx][0]):
-        return TreeNode(value=float(np.mean(y[idx])))
+    y_idx = y[idx]
+    if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
+        return TreeNode(value=float(np.mean(y_idx)))
     best_gain = 0.0
     best: tuple[int, float, np.ndarray, np.ndarray] | None = None
-    total = float(np.sum(y[idx]))
+    total = float(np.sum(y_idx))
     n = len(idx)
     base_sse_term = total * total / n
     for feat in range(X.shape[1]):
         vals = X[idx, feat]
         order = np.argsort(vals, kind="stable")
-        sv, sy = vals[order], y[idx][order]
+        sv, sy = vals[order], y_idx[order]
         csum = np.cumsum(sy)
         # Candidate splits sit between distinct consecutive values.
         for i in range(n - 1):
@@ -253,11 +282,10 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> Tree
             )
             if gain > best_gain + 1e-12:
                 thr = (sv[i] + sv[i + 1]) / 2.0
-                mask = vals <= thr
                 best_gain = gain
                 best = (feat, thr, idx[order[:nl]], idx[order[nl:]])
     if best is None:
-        return TreeNode(value=float(np.mean(y[idx])))
+        return TreeNode(value=float(np.mean(y_idx)))
     feat, thr, left_idx, right_idx = best
     return TreeNode(
         feature=feat,
@@ -355,16 +383,12 @@ def pairwise_lambdas(
 
 
 def train_ranker(
-    groups: Sequence[TrainingGroup],
-    cfg: RankerConfig = RankerConfig(),
-    seed: int = 0,
+    groups: Sequence[TrainingGroup], cfg: RankerConfig = RankerConfig()
 ) -> RankerModel:
     """Boost regression trees on accumulated lambda gradients.
 
-    Fully deterministic: splits are exact greedy over all features and the
-    seed parameter is kept for interface stability only.
+    Fully deterministic: splits are exact greedy over all features.
     """
-    del seed
     usable = [g for g in groups if len(g.relevance)]
     if not usable:
         return RankerModel([], cfg.learning_rate, cfg.sigma)
@@ -383,15 +407,8 @@ def train_ranker(
     return RankerModel(trees, cfg.learning_rate, cfg.sigma)
 
 
-def rank(
-    model: RankerModel,
-    features: np.ndarray,
-    cands: Sequence[tuple[int, int]],
-) -> list[int]:
-    """Candidate indices in descending model score, ties by (C1 id, C2 id)."""
-    if len(cands) == 0:
-        return []
-    scores = model.predict(features)
+def rank(scores: Sequence[float], cands: Sequence[tuple[int, int]]) -> list[int]:
+    """Candidate indices in descending score, ties by (C1 id, C2 id)."""
     return sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
 
 

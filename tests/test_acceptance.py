@@ -183,9 +183,10 @@ def test_criterion_05_hinge_gradients_match_finite_differences():
 def test_criterion_06_featurizer_golden_values():
     """27 features in frozen order match hand-computed values to 1e-9."""
     ctx, entity_meta, pred_meta, embeddings = golden_fixture()
-    feats = rk.featurize(ctx, (2, 1), [(2, 1)], entity_meta, pred_meta, embeddings)
+    feats = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, embeddings)
     assert len(rk.FEATURE_NAMES) == 27
-    assert feats.shape == (27,)
+    assert feats.shape == (1, 27)
+    feats = feats[0]
     np.testing.assert_allclose(feats, GOLDEN_27, atol=1e-9)
     assert feats[1] == pytest.approx(1 / 3, abs=1e-9)
 
@@ -207,7 +208,7 @@ def test_criterion_08_ranker_learns_a_separable_fixture():
         if not (0 < group.relevance.sum() < len(group.relevance)):
             continue
         cands = [(i, i) for i in range(len(group.relevance))]
-        order = rk.rank(model, group.features, cands)
+        order = rk.rank(model.predict(group.features), cands)
         rels = [int(group.relevance[i]) for i in order]
         trained_ndcgs.append(rk.ndcg(rels))
         assert rels[0] == 1  # P@1

@@ -4,9 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from kgtable import harness
 from kgtable import ranker as rk
+from kgtable.dataset import AnnotatedTable
 from kgtable.graph import EntityMeta, EntityMetaStore, PredicateMetaStore
 from kgtable.paths import ChainPair, MetaPath
+from oracles import naive_featurize
 
 SQ2 = math.sqrt(0.5)  # cosine of a 45 degree angle, appears all over the golden vector
 
@@ -96,9 +99,9 @@ GOLDEN_27 = [
 class TestFeaturizer:
     def test_golden_vector(self):
         ctx, entity_meta, pred_meta, embeddings = golden_fixture()
-        feats = rk.featurize(ctx, (2, 1), [(2, 1)], entity_meta, pred_meta, embeddings)
-        assert feats.shape == (27,)
-        np.testing.assert_allclose(feats, GOLDEN_27, atol=1e-9)
+        feats = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, embeddings)
+        assert feats.shape == (1, 27)
+        np.testing.assert_allclose(feats[0], GOLDEN_27, atol=1e-9)
 
     def test_feature_name_order_is_frozen(self):
         assert len(rk.FEATURE_NAMES) == 27
@@ -110,21 +113,19 @@ class TestFeaturizer:
 
     def test_candidate_equal_to_example_row_self_matches(self):
         ctx, entity_meta, pred_meta, embeddings = golden_fixture()
-        feats = rk.featurize(ctx, (0, 1), [(0, 1)], entity_meta, pred_meta, embeddings)
+        feats = rk.featurize(ctx, [(0, 1)], entity_meta, pred_meta, embeddings)[0]
         assert feats[1] == feats[2] == 1.0
         np.testing.assert_allclose(feats[17:27], 0.0, atol=1e-12)
 
     def test_c1_frequency_counts_candidate_set(self):
         ctx, entity_meta, pred_meta, embeddings = golden_fixture()
         cand_set = [(2, 1), (2, 5), (2, 6), (7, 8)]
-        feats = rk.featurize(ctx, (2, 1), cand_set, entity_meta, pred_meta, embeddings)
-        assert feats[0] == 3.0
+        feats = rk.featurize(ctx, cand_set, entity_meta, pred_meta, embeddings)
+        assert feats[0, 0] == 3.0
 
     def test_missing_metadata_scores_zero(self):
         ctx, _, pred_meta, embeddings = golden_fixture()
-        feats = rk.featurize(
-            ctx, (8, 9), [(8, 9)], EntityMetaStore({}), pred_meta, embeddings
-        )
+        feats = rk.featurize(ctx, [(8, 9)], EntityMetaStore({}), pred_meta, embeddings)[0]
         assert feats[0] == 1.0
         np.testing.assert_allclose(feats[1:17], 0.0, atol=1e-12)
 
@@ -144,6 +145,120 @@ class TestFeaturizer:
         jac_cols = [1, 2, 5, 6, 9, 10, 13, 14]
         assert np.all(feats[:, jac_cols] >= 0) and np.all(feats[:, jac_cols] <= 1)
         assert np.all(feats[:, 17:] >= -1) and np.all(feats[:, 17:] <= 1)
+
+
+def random_query(rng: random.Random):
+    """A random query over a small vocabulary where some tokens have no vector,
+    some entities no metadata and some predicates no expected types."""
+    tokens = [f"w{i}" for i in range(10)]
+
+    def pick(k):
+        return [rng.choice(tokens) for _ in range(rng.randint(0, k))]
+
+    entity_meta = EntityMetaStore(
+        {
+            e: EntityMeta(
+                name=f"e{e}",
+                description=tuple(pick(4)),
+                notable_types=frozenset(pick(3)),
+                rdf_types=frozenset(pick(3)),
+            )
+            for e in range(9)  # entities 9-11 are absent
+        }
+    )
+    names = [f"{rng.choice(tokens)}.{rng.choice(tokens)}.p{i}" for i in range(4)]
+    pred_meta = PredicateMetaStore({n: frozenset(pick(3)) for n in names[:3]})
+
+    def segment():
+        return "/".join(
+            ("^" if rng.random() < 0.5 else "") + rng.choice(names)
+            for _ in range(rng.randint(1, 2))
+        )
+
+    ctx = rk.RankContext(
+        qis_tokens=tuple(pick(4)),
+        cn1_tokens=tuple(pick(2)),
+        cn2_tokens=tuple(pick(2)),
+        chain=chain_of(segment(), segment()),
+        er=(rng.randrange(12), rng.randrange(12)),
+    )
+    cands = {(rng.randrange(6), rng.randrange(12)) for _ in range(rng.randint(1, 14))}
+    if rng.random() < 0.5:
+        cands.add(ctx.er)
+    return ctx, sorted(cands), entity_meta, pred_meta
+
+
+class TestFeaturizeOracleParity:
+    @pytest.mark.parametrize("dim", [3, 0])
+    def test_matches_the_per_candidate_oracle_byte_for_byte(self, dim):
+        rng = random.Random(11)
+        vec_rng = np.random.default_rng(11)
+        if dim:
+            embeddings = rk.PretrainedEmbeddings(
+                {f"w{i}": vec_rng.normal(size=dim) for i in range(7)}, dim
+            )
+        else:
+            embeddings = rk.PretrainedEmbeddings({}, 1)
+        seen = {"duplicate_c1": 0, "er_is_candidate": 0, "absent_entity": 0, "inverse": 0}
+        for _ in range(150):
+            ctx, cands, entity_meta, pred_meta = random_query(rng)
+            got = rk.featurize(ctx, cands, entity_meta, pred_meta, embeddings)
+            want = np.vstack(
+                [naive_featurize(ctx, c, cands, entity_meta, pred_meta, embeddings) for c in cands]
+            )
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            xs = [x for x, _ in cands]
+            seen["duplicate_c1"] += len(set(xs)) < len(xs)
+            seen["er_is_candidate"] += ctx.er in cands
+            seen["absent_entity"] += any(e >= 9 for c in cands for e in c)
+            seen["inverse"] += any(t.inverse for t in ctx.chain.p1.tokens + ctx.chain.p2.tokens)
+        assert all(seen.values()), seen
+
+
+class TestFeaturizeWorkCount:
+    def test_mean_vectors_once_per_token_set_metadata_once_per_entity(self, monkeypatch):
+        rng = random.Random(5)
+        _, _, _, pred_meta = random_query(rng)
+        # Distinct metadata per entity, so every token set is new.
+        entity_meta = EntityMetaStore(
+            {
+                e: EntityMeta(
+                    name=f"e{e}",
+                    description=(f"d{e}", "shared"),
+                    notable_types=frozenset({f"n{e}"}),
+                    rdf_types=frozenset({f"r{e}", "shared"}),
+                )
+                for e in range(20)
+            }
+        )
+        embeddings = rk.PretrainedEmbeddings({"shared": np.ones(2)}, 2)
+        calls, gets = [], []
+        mean_vector = rk.PretrainedEmbeddings.mean_vector
+        monkeypatch.setattr(
+            rk.PretrainedEmbeddings,
+            "mean_vector",
+            lambda self, tokens: calls.append(1) or mean_vector(self, tokens),
+        )
+        get = entity_meta.get
+        monkeypatch.setattr(entity_meta, "get", lambda e: gets.append(e) or get(e))
+        table = AnnotatedTable(
+            table_id="q", qis=("query", "intent"), cn1=("c1",), cn2=("c2",), se=19,
+            se_name="s", set_tokens=(), rr=((0, 1),), chains=(),
+        )
+        chain = chain_of("a.b.p0/^c.d.p1", "e.f.p2")
+        pairs = [(x, y) for x in range(2, 8) for y in range(8, 14)] + [(0, 1)]
+        k = len({e for pair in pairs for e in pair})
+        ranker = harness.FeatureTupleRanker(
+            rk.RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings
+        )
+        ranker.features_for(table, chain, (0, 1), pairs)
+        assert 0 < len(calls) <= 12 + 3 * k
+        # The example row once per column, each candidate entity once per column.
+        assert len(gets) == 2 + len({x for x, _ in pairs}) + len({y for _, y in pairs})
+        first = len(calls)
+        ranker.features_for(table, chain, (0, 1), pairs)
+        assert len(calls) == first
 
 
 class TestChainTypeSets:
@@ -233,7 +348,8 @@ class TestTrainRanker:
         for group in separable_groups(2):
             if not (0 < group.relevance.sum() < len(group.relevance)):
                 continue
-            order = rk.rank(model, group.features, [(i, i) for i in range(len(group.relevance))])
+            cands = [(i, i) for i in range(len(group.relevance))]
+            order = rk.rank(model.predict(group.features), cands)
             ranked_rels = [int(group.relevance[i]) for i in order]
             assert rk.ndcg(ranked_rels) == pytest.approx(1.0)
             assert ranked_rels[0] == 1
@@ -241,7 +357,7 @@ class TestTrainRanker:
     def test_zero_trees_mean_constant_scores(self):
         model = rk.RankerModel([], 0.1, 1.0)
         cands = [(3, 1), (1, 2), (1, 1)]
-        order = rk.rank(model, np.zeros((3, 27)), cands)
+        order = rk.rank(model.predict(np.zeros((3, 27))), cands)
         assert [cands[i] for i in order] == [(1, 1), (1, 2), (3, 1)]
 
     def test_deterministic(self):
@@ -257,30 +373,23 @@ class TestTrainRanker:
 
 
 class TestRank:
-    class FixedModel:
-        def __init__(self, scores):
-            self._scores = np.asarray(scores, dtype=float)
-
-        def predict(self, X):
-            return self._scores
-
     def test_descending_scores(self):
-        order = rk.rank(self.FixedModel([0.1, 0.9, 0.5]), np.zeros((3, 27)), [(0, 0), (1, 1), (2, 2)])
+        order = rk.rank([0.1, 0.9, 0.5], [(0, 0), (1, 1), (2, 2)])
         assert order == [1, 2, 0]
 
     def test_all_ties_fall_back_to_candidate_ids(self):
         cands = [(2, 9), (1, 3), (1, 2)]
-        order = rk.rank(self.FixedModel([0.5, 0.5, 0.5]), np.zeros((3, 27)), cands)
+        order = rk.rank([0.5, 0.5, 0.5], cands)
         assert [cands[i] for i in order] == [(1, 2), (1, 3), (2, 9)]
 
     def test_empty_input(self):
-        assert rk.rank(self.FixedModel([]), np.zeros((0, 27)), []) == []
+        assert rk.rank([], []) == []
 
     def test_invariant_under_monotone_score_transforms(self):
         scores = [0.1, 0.9, 0.5, 0.3]
         cands = [(i, i) for i in range(4)]
-        base = rk.rank(self.FixedModel(scores), np.zeros((4, 27)), cands)
-        scaled = rk.rank(self.FixedModel([3 * s + 7 for s in scores]), np.zeros((4, 27)), cands)
+        base = rk.rank(scores, cands)
+        scaled = rk.rank([3 * s + 7 for s in scores], cands)
         assert base == scaled
 
 
