@@ -275,13 +275,11 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     set_tokens = _derive_set_tokens(cfg, query, query["se"])
 
     settings = cfg.build_settings()
-    p1s = enumerate_simple_paths(
-        g, se, er1, settings.max_path_len, settings.degree_cap, settings.banned_prefixes
-    )
-    p2s = enumerate_simple_paths(
-        g, er1, er2, settings.max_path_len, settings.degree_cap, settings.banned_prefixes
-    )
-    candidates = join_chains(g, se, p1s, p2s)
+    limits = (settings.max_path_len, settings.degree_cap, settings.banned_prefixes)
+    p1s = enumerate_simple_paths(g, se, {er1}, *limits)
+    p2s = enumerate_simple_paths(g, er1, {er2}, *limits)
+    memo = {}  # the selected chain is executed from the join's reaches
+    candidates = join_chains(g, se, p1s, p2s, memo)
     if not len(candidates):
         print(
             f"no connecting chain within length {settings.max_path_len}",
@@ -303,11 +301,11 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         best_index = selector.select_top1(scorer, ctx, candidates, kb_vocab, hp)
     best = candidates.chains[best_index]
 
-    result = execute_chain(g, se, best, cfg.budget())
+    result = execute_chain(g, se, best, cfg.budget(), memo)
     if isinstance(result, BudgetExceeded):
         print(f"query exceeded its budget ({result.reason})", file=sys.stderr)
         return 1
-    pairs = sorted(p for p in result.pairs if p != (er1, er2))
+    pairs = [p for p in result.ordered() if p != (er1, er2)]
 
     scores: list = []
     if cfg.ranker == "feature" and pairs:

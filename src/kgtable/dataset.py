@@ -279,14 +279,15 @@ def _score_chain(
     chain: ChainPair,
     rr: Sequence[tuple[int, int]],
     budget: QueryBudget | None,
+    memo: dict | None = None,
 ) -> tuple[int, float, float, float] | None:
     """(hits, recall, precision, f1) for one chain, or None on budget overrun."""
-    result = execute_chain(g, se, chain, budget)
+    result = execute_chain(g, se, chain, budget, memo)
     if isinstance(result, BudgetExceeded):
         return None
-    hits = len(result.pairs & set(rr))
+    hits = sum(1 for r in set(rr) if r in result)
     recall = hits / len(rr)
-    precision = hits / len(result.pairs) if result.pairs else 0.0
+    precision = hits / len(result) if len(result) else 0.0
     f1 = 0.0 if recall + precision == 0 else 2 * recall * precision / (recall + precision)
     return hits, recall, precision, f1
 
@@ -369,26 +370,16 @@ def annotate_table(
     except ValueError as exc:
         raise TableRejected(tid, str(exc)) from None
 
-    p1s, p2s = set(), set()
-    for er1, er2 in rr:
-        p1s.update(
-            enumerate_simple_paths(
-                g, se, er1, settings.max_path_len, settings.degree_cap,
-                settings.banned_prefixes,
-            )
-        )
-        p2s.update(
-            enumerate_simple_paths(
-                g, er1, er2, settings.max_path_len, settings.degree_cap,
-                settings.banned_prefixes,
-            )
-        )
+    limits = (settings.max_path_len, settings.degree_cap, settings.banned_prefixes)
+    p1s = enumerate_simple_paths(g, se, c1_entities, *limits)
+    p2s = {p for er1, er2 in rr for p in enumerate_simple_paths(g, er1, {er2}, *limits)}
     if not p1s or not p2s:
         raise TableRejected(tid, "no candidate paths for one of the segments")
 
+    memo = {}  # the segment reaches this table's chains share
     scored = []
-    for chain in join_chains(g, se, p1s, p2s):
-        result = _score_chain(g, se, chain, rr, settings.budget)
+    for chain in join_chains(g, se, p1s, p2s, memo):
+        result = _score_chain(g, se, chain, rr, settings.budget, memo)
         if result is None:
             continue  # over budget: removed directly
         hits, recall, precision, f1 = result

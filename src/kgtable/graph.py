@@ -10,6 +10,7 @@ share between threads.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -145,11 +146,11 @@ class KnowledgeGraph:
 
 
 class StepAllowance:
-    """Node expansions left to the walks of one query; shared by all of them."""
+    """Node expansions left to the walks of one query; by default only counted."""
 
     __slots__ = ("left",)
 
-    def __init__(self, left: int):
+    def __init__(self, left: int = sys.maxsize):
         self.left = left
 
 
@@ -169,7 +170,7 @@ def walk(
     entity of the deduplicated frontier by one adjacency lookup. With a step
     allowance, each hop charges one step per frontier entity before expanding
     it and raises ``StepsExhausted`` when the allowance cannot cover the hop;
-    ``query.execute_chain`` shares one allowance between all walks of a query.
+    the charge depends only on the frontier and the tokens.
     """
     cur = set(frontier)
     for e in cur:

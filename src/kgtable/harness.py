@@ -110,7 +110,7 @@ def filter_cc_er(
 def tuple_recall(ct: TupleSet, err: Sequence[tuple[int, int]]) -> float:
     if not err:
         raise ValueError("expected result rows must be non-empty")
-    return len(ct.pairs & set(err)) / len(err)
+    return sum(1 for r in set(err) if r in ct) / len(err)
 
 
 def oracle_select(table: AnnotatedTable) -> ChainPair:
@@ -324,8 +324,8 @@ def ranker_training_groups(
         result = execute_chain(g, table.se, chain, budget)
         if isinstance(result, BudgetExceeded):
             continue
-        er = next((r for r in table.rr if r in result.pairs), table.rr[0])
-        pairs = sorted(p for p in result.pairs if p != er)
+        er = next((r for r in table.rr if r in result), table.rr[0])
+        pairs = [p for p in result.ordered() if p != er]
         if not pairs:
             continue
         err = {r for r in table.rr if r != er}
@@ -379,7 +379,7 @@ def core_column_eval(
             if isinstance(xs, BudgetExceeded):
                 xs = set()
         else:
-            xs = {x for x, _ in run.ct.pairs}
+            xs = run.ct.by_x.keys()
         recalls.append(len(xs & gt_c1) / len(gt_c1))
     if not recalls:
         return [], {}

@@ -4,15 +4,17 @@ A meta-path is a sequence of direction-marked predicate tokens; a chain
 pairs a path from the subject entity to a column-1 entity with a path from
 column 1 to column 2. Enumeration is depth-first with hub pruning (nodes
 over the degree cap are never expanded) and generic-prefix pruning on the
-first edge.
+first edge. The chains of a table share their segments, so one memo of
+segment reaches serves their join and their execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graph import DEFAULT_DEGREE_CAP, KnowledgeGraph, PredicateToken, walk
+from .graph import StepAllowance, StepsExhausted
 
 MAX_SEGMENT_LENGTH = 3
 
@@ -99,54 +101,87 @@ class CandidateChainSet:
     def __iter__(self) -> Iterator[ChainPair]:
         return iter(self.chains)
 
-    def __contains__(self, chain: ChainPair) -> bool:
-        return chain in self.chains
-
 
 def enumerate_simple_paths(
     g: KnowledgeGraph,
     src: int,
-    dst: int,
+    targets: Iterable[int],
     max_len: int = MAX_SEGMENT_LENGTH,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     banned_prefixes: Iterable[str] = DEFAULT_BANNED_PREFIXES,
 ) -> list[MetaPath]:
-    """All simple paths from ``src`` to ``dst`` of length <= ``max_len``.
+    """All simple paths from ``src`` to any of ``targets``, of length <= ``max_len``.
 
-    A path may not revisit any entity, including ``src``, so ``src == dst``
-    yields no path. Intermediate nodes are only expanded while their degree
-    is within ``degree_cap``; ``src`` is always expanded and ``dst`` never
-    needs to satisfy the cap. Paths whose first token name starts with a
-    banned prefix are dropped. The result is a set, materialized in
-    canonical-string sort order.
+    A path may not revisit any entity, including ``src``, so none ends at
+    ``src``. Intermediate nodes are only expanded while their degree is
+    within ``degree_cap``; ``src`` is always expanded and targets need not
+    satisfy the cap; a target is an intermediate only when there are others.
+    Paths whose first token name starts with a banned prefix are dropped.
+    The result is the union over the targets, in canonical-string order.
     """
-    g._check(src)
-    g._check(dst)
+    targets = set(targets)
+    for e in (src, *targets):
+        g._check(e)
     if not 1 <= max_len <= MAX_SEGMENT_LENGTH:
         raise ValueError(f"max_len must be in 1..{MAX_SEGMENT_LENGTH}")
-    if src == dst:
+    targets.discard(src)
+    if not targets:
         return []
     banned = tuple(banned_prefixes)
+    unexpanded = targets if len(targets) == 1 else set()
 
-    found: set[MetaPath] = set()
+    found: set[tuple[PredicateToken, ...]] = set()
     visited = {src}
+    adj, degree = g._adj, g._degree  # neighbour ids need no id check
 
     def _dfs(node: int, prefix: tuple[PredicateToken, ...]) -> None:
-        for tok, nbrs in g.adjacency(node).items():
+        for tok, nbrs in adj[node].items():
             if not prefix and tok.name.startswith(banned):
                 continue
             path = prefix + (tok,)
-            deeper = len(path) < max_len
+            if not targets.isdisjoint(nbrs) and targets.intersection(nbrs) - visited:
+                found.add(path)
+            if len(path) == max_len:
+                continue
             for nbr in nbrs:
-                if nbr == dst:
-                    found.add(MetaPath(path))
-                elif deeper and nbr not in visited and g.degree(nbr) <= degree_cap:
+                if nbr not in visited and nbr not in unexpanded and degree[nbr] <= degree_cap:
                     visited.add(nbr)
                     _dfs(nbr, path)
                     visited.remove(nbr)
 
     _dfs(src, ())
-    return sorted(found, key=MetaPath.canonical)
+    return sorted((MetaPath(p) for p in found), key=MetaPath.canonical)
+
+
+ReachMemo = dict[tuple[PredicateToken, ...], dict[int, tuple[set[int], int]]]
+
+
+def segment_reach(
+    g: KnowledgeGraph, tokens: tuple[PredicateToken, ...], steps: StepAllowance,
+    memo: ReachMemo | None = None,
+) -> Callable[[int], set[int]]:
+    """Maps a start entity to the entities it reaches along ``tokens``, charged to ``steps``.
+
+    A memo (segment -> entity -> (reached, step charge)) walks each (entity,
+    segment) once and charges repeats the recorded charge, so queries run
+    out of steps as without it. Reached sets are shared: read only.
+    """
+    if memo is None:
+        return lambda entity: walk(g, (entity,), tokens, steps)
+    seen = memo.setdefault(tokens, {})
+
+    def reach(entity: int) -> set[int]:
+        hit = seen.get(entity)
+        if hit is None:
+            left = StepAllowance(steps.left)
+            hit = seen[entity] = (walk(g, (entity,), tokens, left), steps.left - left.left)
+        reached, charge = hit
+        if charge > steps.left:
+            raise StepsExhausted
+        steps.left -= charge
+        return reached
+
+    return reach
 
 
 def join_chains(
@@ -154,6 +189,7 @@ def join_chains(
     se: int,
     p1s: Iterable[MetaPath],
     p2s: Iterable[MetaPath],
+    memo: ReachMemo | None = None,
 ) -> CandidateChainSet:
     """M x N join of P1 and P2 candidates, keeping chains that retrieve something.
 
@@ -167,12 +203,14 @@ def join_chains(
     if not p1_list or not p2_list:
         return CandidateChainSet.of(())
 
-    p1_reach = {p1: walk(g, {se}, p1.tokens) for p1 in p1_list}
+    steps = StepAllowance()  # only measures the charges the memo records
+    p1_reach = {p1: segment_reach(g, p1.tokens, steps, memo)(se) for p1 in p1_list}
     xs_union: set[int] = set().union(*p1_reach.values())
 
     kept = []
     for p2 in p2_list:
-        has_successor = {x for x in xs_union if walk(g, {x}, p2.tokens)}
+        reach_p2 = segment_reach(g, p2.tokens, steps, memo)
+        has_successor = {x for x in xs_union if reach_p2(x)}
         if not has_successor:
             continue
         for p1 in p1_list:

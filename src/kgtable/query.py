@@ -1,24 +1,23 @@
 """Chain execution as an in-memory path query, plus SPARQL text rendering.
 
-A chain runs as one ``graph.walk`` along P1 from the subject entity plus
-one walk along P2 from each entity x it reaches. Walks deduplicate their
-frontier per hop, so memory is bounded by distinct entities (distinct
-(x, node) bindings in the second segment) rather than by path multiplicity.
+A chain runs as one ``paths.segment_reach`` along P1 from the subject
+entity plus one along P2 from each x it reached, through a memo when the
+chains of a table share one; its result stays factorized as ``{x: Y_x}``.
 A deterministic node-expansion budget, one step allowance shared by all
-walks of a query, stands in for a wall-clock timeout; exceeding it discards
-all partial results. This module reaches ``graph.walk`` through the module
-attribute and binds no name of its own for it, so a tracer that wraps the
-name where its callers bind it leaves no unwrapped copy behind.
+walks of a query, stands in for a wall-clock timeout, and rows are counted
+as they come; exceeding either discards all partial results. This module
+binds no name of its own for ``walk``, so a tracer that wraps the name
+where its callers bind it leaves no unwrapped copy behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
 
 from . import graph
 from .graph import KnowledgeGraph
-from .paths import ChainPair, MetaPath
+from .paths import ChainPair, MetaPath, ReachMemo, segment_reach
 
 SPARQL_PREFIX = "prefix a: <http://rdf.basekb.com/ns/>"
 
@@ -42,23 +41,30 @@ class BudgetExceeded:
 
 @dataclass(frozen=True)
 class TupleSet:
-    pairs: frozenset[tuple[int, int]]
+    """Distinct (x, y) pairs as ``{x: Y_x}`` over the xs with some y; ``Y_x`` is read only.
+
+    ``len`` and ``in`` build no pair set; ``pairs`` builds it on first use.
+    """
+
+    by_x: dict[int, set[int]]
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x, ys in self.by_x.items() for y in ys)
 
     def ordered(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        return sorted([(x, y) for x, ys in self.by_x.items() for y in ys])
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(map(len, self.by_x.values()))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
+        ys = self.by_x.get(pair[0])
+        return ys is not None and pair[1] in ys
 
 
-def _allowance(budget: QueryBudget | None) -> graph.StepAllowance | None:
-    return graph.StepAllowance(budget.max_steps) if budget is not None else None
+def _allowance(budget: QueryBudget | None) -> graph.StepAllowance:
+    return graph.StepAllowance() if budget is None else graph.StepAllowance(budget.max_steps)
 
 
 def execute_prefix(
@@ -69,7 +75,7 @@ def execute_prefix(
 ) -> set[int] | BudgetExceeded:
     """Distinct entities reached from ``se`` via ``p1``."""
     try:
-        xs = graph.walk(g, (se,), p1.tokens, _allowance(budget))
+        xs = segment_reach(g, p1.tokens, _allowance(budget))(se)
     except graph.StepsExhausted:
         return BudgetExceeded("steps")
     if budget is not None and len(xs) > budget.max_rows:
@@ -82,17 +88,27 @@ def execute_chain(
     se: int,
     chain: ChainPair,
     budget: QueryBudget | None = None,
+    memo: ReachMemo | None = None,
 ) -> TupleSet | BudgetExceeded:
-    """All distinct (x, y) pairs with x reached via P1 from ``se`` and y via P2 from x."""
+    """All distinct (x, y) pairs with x reached via P1 from ``se`` and y via P2 from x.
+
+    Stops at the first x, in sorted order, that takes the rows past ``max_rows``.
+    """
     steps = _allowance(budget)
     try:
-        xs = graph.walk(g, (se,), chain.p1.tokens, steps)
-        pairs = {(x, y) for x in xs for y in graph.walk(g, (x,), chain.p2.tokens, steps)}
+        xs = segment_reach(g, chain.p1.tokens, steps, memo)(se)
+        reach_p2 = segment_reach(g, chain.p2.tokens, steps, memo)
+        by_x, rows = {}, 0
+        for x in sorted(xs):
+            ys = reach_p2(x)
+            if ys:
+                rows += len(ys)
+                if budget is not None and rows > budget.max_rows:
+                    return BudgetExceeded("rows")
+                by_x[x] = ys
     except graph.StepsExhausted:
         return BudgetExceeded("steps")
-    if budget is not None and len(pairs) > budget.max_rows:
-        return BudgetExceeded("rows")
-    return TupleSet(frozenset(pairs))
+    return TupleSet(by_x)
 
 
 def _render_segment(path: MetaPath) -> str:

@@ -23,8 +23,14 @@ def build_adjacency(triples) -> dict[str, list[tuple[Token, str]]]:
     return adj
 
 
-def brute_simple_paths(triples, src: str, dst: str, max_len: int) -> set[tuple[Token, ...]]:
-    """Every simple path (no repeated node, src included) of length <= max_len."""
+def brute_simple_paths(
+    triples, src: str, dst: str, max_len: int, degree_cap: int | None = None
+) -> set[tuple[Token, ...]]:
+    """Every simple path (no repeated node, src included) of length <= max_len.
+
+    With a degree cap, a path never passes through a node with more than
+    ``degree_cap`` edges, counting both directions; ``dst`` may exceed it.
+    """
     adj = build_adjacency(triples)
     found: set[tuple[Token, ...]] = set()
 
@@ -35,6 +41,8 @@ def brute_simple_paths(triples, src: str, dst: str, max_len: int) -> set[tuple[T
                     found.add(acc + (tok,))
                 continue
             if nbr in visited or len(acc) + 1 >= max_len:
+                continue
+            if degree_cap is not None and len(adj[nbr]) > degree_cap:
                 continue
             rec(nbr, visited | {nbr}, acc + (tok,))
 

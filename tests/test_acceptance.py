@@ -61,7 +61,7 @@ def test_criterion_02_path_enumeration_matches_brute_force():
                     got = {
                         tuple((t.name, t.inverse) for t in p.tokens)
                         for p in enumerate_simple_paths(
-                            g, g.entity_id(src), g.entity_id(dst), max_len, NO_CAP, ()
+                            g, g.entity_id(src), {g.entity_id(dst)}, max_len, NO_CAP, ()
                         )
                     }
                     want = brute_simple_paths(triples, src, dst, max_len)
@@ -87,13 +87,13 @@ def test_criterion_03_chain_execution_matches_naive_join():
         for a in g.entities():
             if a == se:
                 continue
-            p1s = enumerate_simple_paths(g, se, a, 3, NO_CAP, ())
+            p1s = enumerate_simple_paths(g, se, {a}, 3, NO_CAP, ())
             if not p1s:
                 continue
             for b in g.entities():
                 if b == a:
                     continue
-                for p2 in enumerate_simple_paths(g, a, b, 3, NO_CAP, ()):
+                for p2 in enumerate_simple_paths(g, a, {b}, 3, NO_CAP, ()):
                     for p1 in p1s:
                         chain = ChainPair(p1, p2)
                         chains.setdefault(chain.canonical(), chain)

@@ -396,3 +396,40 @@ class TestRejections:
                 raw, bundle.g, url2eid, bundle.entity_meta, {}, {}, {},
                 ds.BuildSettings(banned_prefixes=()),
             )
+
+
+class TestReachSharing:
+    def test_each_segment_is_walked_once_per_table(self, bundle, monkeypatch):
+        # Work count, no wall clock: the join and the scoring of every joined
+        # chain share one memo, so no (entity, segment) is walked twice.
+        from collections import Counter
+
+        from kgtable import graph, paths
+
+        walks = Counter()
+        original = graph.walk
+
+        def counting_walk(g, frontier, tokens, steps=None):
+            frontier = tuple(frontier)
+            walks[(frontier, tuple(tokens))] += 1
+            return original(g, frontier, tokens, steps)
+
+        monkeypatch.setattr(graph, "walk", counting_walk)
+        monkeypatch.setattr(paths, "walk", counting_walk)
+        g = bundle.g
+        url2eid = {
+            u: g.entity_id(m) for u, m in ds.read_tsv_map(bundle.paths.url2mid).items() if m in g
+        }
+        types_by_mid = ds.read_tsv_multimap(bundle.paths.mid2types)
+        fget = ds.read_tsv_map(bundle.paths.fget)
+        chains = 0
+        raws = ds.read_corpus(bundle.paths.corpus)[:25]
+        for raw in raws:
+            walks.clear()
+            table = ds.annotate_table(
+                raw, g, url2eid, bundle.entity_meta, types_by_mid, Counter(), fget,
+                ds.BuildSettings(banned_prefixes=()),
+            )
+            assert walks and max(walks.values()) == 1, raw.table_id
+            chains += len(table.chains)
+        assert chains > 2 * len(raws)

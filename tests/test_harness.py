@@ -61,13 +61,13 @@ class TestFilterCcEr:
 class TestTupleRecall:
     def test_full_and_partial(self):
         err = [(1, 2), (3, 4)]
-        assert harness.tuple_recall(TupleSet(frozenset(err)), err) == 1.0
-        assert harness.tuple_recall(TupleSet(frozenset({(1, 2)})), err) == 0.5
-        assert harness.tuple_recall(TupleSet(frozenset()), err) == 0.0
+        assert harness.tuple_recall(TupleSet({1: {2}, 3: {4}}), err) == 1.0
+        assert harness.tuple_recall(TupleSet({1: {2}}), err) == 0.5
+        assert harness.tuple_recall(TupleSet({}), err) == 0.0
 
     def test_empty_err_rejected(self):
         with pytest.raises(ValueError):
-            harness.tuple_recall(TupleSet(frozenset()), [])
+            harness.tuple_recall(TupleSet({}), [])
 
 
 class TestOracle:

@@ -22,7 +22,7 @@ def paths_as_tokens(paths):
 
 
 def enumerate_(g, src, dst, max_len=3, cap=NO_CAP, banned=()):
-    return enumerate_simple_paths(g, g.entity_id(src), g.entity_id(dst), max_len, cap, banned)
+    return enumerate_simple_paths(g, g.entity_id(src), {g.entity_id(dst)}, max_len, cap, banned)
 
 
 class TestEnumerate:
@@ -142,6 +142,50 @@ class TestPruneGeneric:
         )
 
 
+class TestMultiTarget:
+    def test_matches_the_union_of_single_target_oracles(self):
+        seen = {"src among targets": 0, "target on another's path": 0, "target over cap": 0}
+        for seed in range(80):
+            rng = random.Random(500 + seed)
+            nodes = [f"n{i}" for i in range(rng.randint(3, 9))]
+            triples = [
+                (rng.choice(nodes), rng.choice(["p", "q", "r"]), rng.choice(nodes))
+                for _ in range(rng.randint(2, 28))
+            ]
+            g = KnowledgeGraph(triples)
+            mids = [g.mid(e) for e in g.entities()]
+            for _ in range(4):
+                src = rng.choice(mids)
+                targets = rng.sample(mids, rng.randint(1, len(mids)))
+                max_len = rng.choice((1, 2, 3))
+                cap = rng.choice((NO_CAP, 2, 3, 4))
+                got = paths_as_tokens(
+                    enumerate_simple_paths(
+                        g, g.entity_id(src), {g.entity_id(t) for t in targets}, max_len, cap, ()
+                    )
+                )
+                # A simple path never returns to src.
+                per_target = {
+                    t: brute_simple_paths(triples, src, t, max_len, cap)
+                    for t in targets if t != src
+                }
+                assert got == set().union(*per_target.values()), (seed, src, targets, cap)
+
+                seen["src among targets"] += src in targets
+                seen["target over cap"] += any(
+                    found and g.degree(g.entity_id(t)) > cap for t, found in per_target.items()
+                )
+                seen["target on another's path"] += any(
+                    found != brute_simple_paths(
+                        [tr for tr in triples if other not in (tr[0], tr[2])],
+                        src, t, max_len, cap,
+                    )
+                    for t, found in per_target.items()
+                    for other in per_target if other != t
+                )
+        assert all(seen.values()), seen
+
+
 class TestJoinChains:
     def test_connected_pair_kept(self):
         g = KnowledgeGraph([("se", "p", "x1"), ("x1", "q", "y1")])
@@ -174,11 +218,11 @@ class TestJoinChains:
         p1s, p2s = set(), set()
         for e in g.entities():
             if e != se:
-                p1s.update(enumerate_simple_paths(g, se, e, 2, NO_CAP, ()))
+                p1s.update(enumerate_simple_paths(g, se, {e}, 2, NO_CAP, ()))
         for a in g.entities():
             for b in g.entities():
                 if a != b:
-                    p2s.update(enumerate_simple_paths(g, a, b, 2, NO_CAP, ()))
+                    p2s.update(enumerate_simple_paths(g, a, {b}, 2, NO_CAP, ()))
         cc = join_chains(g, se, p1s, p2s)
         assert len(cc) > 0
         for chain in cc:

@@ -81,6 +81,43 @@ class TestExecuteChain:
         assert execute_chain(g, se, chain, QueryBudget(max_steps=4)) == BudgetExceeded("steps")
 
 
+    def test_rows_are_bounded_at_the_first_x_past_max_rows(self):
+        # x1 brings three rows, x2 one; the whole query needs 3 steps. With two
+        # rows allowed the count passes the bound at x1, after 2 steps, so the
+        # query stops there for rows even when its steps would run out later.
+        g = KnowledgeGraph(
+            [("se", "p", "x1"), ("se", "p", "x2"), ("x1", "q", "y1"), ("x1", "q", "y2"),
+             ("x1", "q", "y3"), ("x2", "q", "y4")]
+        )
+        se, chain = g.entity_id("se"), chain_of("p", "q")
+        assert execute_chain(g, se, chain, QueryBudget(max_rows=2, max_steps=2)) == (
+            BudgetExceeded("rows")
+        )
+        assert execute_chain(g, se, chain, QueryBudget(max_rows=4, max_steps=2)) == (
+            BudgetExceeded("steps")
+        )
+        assert len(execute_chain(g, se, chain, QueryBudget(max_rows=4, max_steps=3))) == 4
+
+
+class TestTupleSet:
+    def test_counts_and_probes_without_building_pairs(self):
+        g = KnowledgeGraph(
+            [("se", "p", "x1"), ("se", "p", "x2"), ("se", "p", "x3"), ("x1", "q", "y1"),
+             ("x1", "q", "y2"), ("x2", "q", "y2")]
+        )
+        e = g.entity_id
+        result = execute_chain(g, e("se"), chain_of("p", "q"))
+        assert len(result) == 3
+        assert (e("x1"), e("y2")) in result
+        assert (e("x2"), e("y1")) not in result
+        assert (e("x3"), e("y1")) not in result
+        assert set(result.by_x) == {e("x1"), e("x2")}  # x3 retrieves nothing
+        assert "pairs" not in vars(result)
+        assert result.ordered() == sorted(result.pairs)
+        assert mids(g, result.pairs) == {("x1", "y1"), ("x1", "y2"), ("x2", "y2")}
+
+
+
 class TestExecutePrefix:
     def test_single_hop(self):
         g = KnowledgeGraph([("se", "p", "x1"), ("se", "p", "x2")])
@@ -122,12 +159,12 @@ class TestProperties:
         for mid_entity in g.entities():
             if mid_entity == se:
                 continue
-            p1s = enumerate_simple_paths(g, se, mid_entity, max_segment, 10**9, ())
+            p1s = enumerate_simple_paths(g, se, {mid_entity}, max_segment, 10**9, ())
             for p1 in p1s[:3]:
                 for other in g.entities():
                     if other == mid_entity:
                         continue
-                    p2s = enumerate_simple_paths(g, mid_entity, other, max_segment, 10**9, ())
+                    p2s = enumerate_simple_paths(g, mid_entity, {other}, max_segment, 10**9, ())
                     for p2 in p2s[:2]:
                         chains.append(ChainPair(p1, p2))
                         if len(chains) >= limit:
@@ -156,6 +193,38 @@ class TestProperties:
                 xs = execute_prefix(g, se, chain.p1)
                 projected = {x for x, _ in execute_chain(g, se, chain).pairs}
                 assert projected <= xs
+
+    def test_shared_reach_memo_keeps_results_and_budget_outcomes(self):
+        # One memo serves every chain and budget of a graph, as it serves the
+        # chains of one table: misses under tight budgets, hits afterwards.
+        rows_budgets = (1, 2, 5, 1000)
+        seen = {"pairs": 0, "steps": 0, "rows": 0}
+        for seed in range(15):
+            triples, g = self._random_graph(300 + seed)
+            se = g.entity_id(triples[0][0])
+            memo = {}
+            for chain in self._sample_chains(g, se, limit=20):
+                want = naive_chain_eval(
+                    triples,
+                    g.mid(se),
+                    tuple((t.name, t.inverse) for t in chain.p1.tokens),
+                    tuple((t.name, t.inverse) for t in chain.p2.tokens),
+                )
+                for max_steps in range(1, 25):
+                    for max_rows in rows_budgets:
+                        budget = QueryBudget(max_rows=max_rows, max_steps=max_steps)
+                        shared = execute_chain(g, se, chain, budget, memo)
+                        alone = execute_chain(g, se, chain, budget)
+                        key = (seed, chain.canonical(), max_steps, max_rows)
+                        if isinstance(alone, BudgetExceeded):
+                            assert shared == alone, key
+                            seen[alone.reason] += 1
+                        else:
+                            assert mids(g, shared.pairs) == want, key
+                            assert len(shared) == len(want), key
+                            seen["pairs"] += 1
+                assert mids(g, execute_chain(g, se, chain, None, memo).pairs) == want
+        assert all(seen.values()), seen
 
     def test_budget_monotonicity(self):
         triples, g = self._random_graph(7)
