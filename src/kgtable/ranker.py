@@ -255,54 +255,116 @@ class TreeNode:
         return self.feature < 0
 
 
+def _last_accepted(gains: np.ndarray) -> int:
+    """Where ``best = 0.0; for g in gains: if g > best + 1e-12: best = g`` last accepts, or -1.
+
+    Accepted gains are strict prefix maxima (records). From one record the
+    loop accepts the next record unless that one gains at most 1e-12 on it;
+    only such small steps need a search for the next record that clears
+    the threshold.
+    """
+    run = np.maximum.accumulate(gains)
+    records = np.flatnonzero(np.r_[True, run[1:] > run[:-1]])
+    values = gains[records]
+    small_steps = np.flatnonzero(~(values[1:] > values[:-1] + 1e-12))
+    r = int(np.searchsorted(values, 1e-12, side="right"))
+    if r == len(records):
+        return -1
+    while True:
+        s = int(np.searchsorted(small_steps, r))
+        if s == len(small_steps):
+            return int(records[-1])
+        r = int(small_steps[s])
+        nxt = int(np.searchsorted(values, values[r] + 1e-12, side="right"))
+        if nxt == len(records):
+            return int(records[r])
+        r = nxt
+
+
+def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, np.ndarray, int] | None:
+    """Best split of (X, y), or None: (feature, threshold, rows by feature value, left size).
+
+    All split points of all features are scored at once from the
+    cumulative sums of the targets sorted by each feature. A split must
+    beat the best gain so far by more than 1e-12, so the first of equally
+    good splits, by feature and then by position, wins. The (features x
+    rows) arrays live only in this call, not across the recursion of
+    ``_fit_tree``.
+    """
+    total = float(np.sum(y))
+    n = len(y)
+    base_sse_term = total * total / n
+    # One row per feature, so the gains read feature by feature when flattened.
+    order = np.argsort(X.T, axis=1, kind="stable")
+    sv = np.take_along_axis(X.T, order, axis=1)
+    left_sum = np.cumsum(y[order], axis=1)[:, :-1]
+    nl = np.arange(1, n)
+    gain = left_sum * left_sum / nl + (total - left_sum) ** 2 / (n - nl) - base_sse_term
+    # Candidate splits sit between distinct consecutive values.
+    gain[sv[:, :-1] == sv[:, 1:]] = -np.inf
+    k = _last_accepted(gain.ravel())
+    if k < 0:
+        return None
+    feat, i = divmod(k, n - 1)
+    return feat, (sv[feat, i] + sv[feat, i + 1]) / 2.0, order[feat].copy(), i + 1
+
+
 def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> TreeNode:
+    """Exact greedy regression tree on the rows ``idx``."""
     y_idx = y[idx]
     if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
         return TreeNode(value=float(np.mean(y_idx)))
-    best_gain = 0.0
-    best: tuple[int, float, np.ndarray, np.ndarray] | None = None
-    total = float(np.sum(y_idx))
-    n = len(idx)
-    base_sse_term = total * total / n
-    for feat in range(X.shape[1]):
-        vals = X[idx, feat]
-        order = np.argsort(vals, kind="stable")
-        sv, sy = vals[order], y_idx[order]
-        csum = np.cumsum(sy)
-        # Candidate splits sit between distinct consecutive values.
-        for i in range(n - 1):
-            if sv[i] == sv[i + 1]:
-                continue
-            nl = i + 1
-            left_sum = csum[i]
-            gain = (
-                left_sum * left_sum / nl
-                + (total - left_sum) ** 2 / (n - nl)
-                - base_sse_term
-            )
-            if gain > best_gain + 1e-12:
-                thr = (sv[i] + sv[i + 1]) / 2.0
-                best_gain = gain
-                best = (feat, thr, idx[order[:nl]], idx[order[nl:]])
-    if best is None:
+    split = _best_split(X[idx], y_idx)
+    if split is None:
         return TreeNode(value=float(np.mean(y_idx)))
-    feat, thr, left_idx, right_idx = best
+    feat, thr, rows, n_left = split
     return TreeNode(
         feature=feat,
         threshold=thr,
-        left=_fit_tree(X, y, left_idx, depth - 1),
-        right=_fit_tree(X, y, right_idx, depth - 1),
+        left=_fit_tree(X, y, idx[rows[:n_left]], depth - 1),
+        right=_fit_tree(X, y, idx[rows[n_left:]], depth - 1),
     )
 
 
-def _predict_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if X[i, cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.value
-    return out
+def _tree_arrays(trees: Sequence[TreeNode]) -> tuple:
+    """Nodes of the trees as arrays: (feature, threshold, left, right, value, roots, depth).
+
+    A leaf's children are the leaf itself, so a row routed past its leaf
+    stays there, and ``depth`` routing steps bring every row to its leaf.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add(node: TreeNode) -> tuple[int, int]:
+        i = len(feature)
+        feature.append(node.feature)
+        threshold.append(node.threshold)
+        value.append(node.value)
+        left.append(i)
+        right.append(i)
+        if node.is_leaf:
+            return i, 0
+        left[i], depth_left = add(node.left)
+        right[i], depth_right = add(node.right)
+        return i, 1 + max(depth_left, depth_right)
+
+    rooted = [add(t) for t in trees]
+    return (
+        np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
+        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+        np.array(value, dtype=float), np.array([r for r, _ in rooted], dtype=np.int64),
+        max((d for _, d in rooted), default=0),
+    )
+
+
+def _leaf_values(arrays: tuple, X: np.ndarray) -> np.ndarray:
+    """(rows, trees) matrix of the value of the leaf each row of X reaches in each tree."""
+    feature, threshold, left, right, value, roots, depth = arrays
+    node = np.tile(roots, (X.shape[0], 1))
+    rows = np.arange(X.shape[0])[:, None]
+    for _ in range(depth):
+        go_left = X[rows, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return value[node]
 
 
 @dataclass(frozen=True)
@@ -328,12 +390,13 @@ class RankerModel:
         self.trees = list(trees)
         self.learning_rate = learning_rate
         self.sigma = sigma
+        self._nodes = _tree_arrays(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         scores = np.zeros(X.shape[0])
-        for tree in self.trees:
-            scores += _predict_tree(tree, X)
+        for leaf_values in _leaf_values(self._nodes, X).T:
+            scores += leaf_values
         return self.learning_rate * scores
 
     def feature_importance(self) -> np.ndarray:
@@ -403,7 +466,7 @@ def train_ranker(
             lambdas[lo:hi] = pairwise_lambdas(scores[lo:hi], g.relevance, cfg.sigma)
         tree = _fit_tree(X, lambdas, np.arange(X.shape[0]), cfg.tree_depth)
         trees.append(tree)
-        scores += cfg.learning_rate * _predict_tree(tree, X)
+        scores += cfg.learning_rate * _leaf_values(_tree_arrays([tree]), X)[:, 0]
     return RankerModel(trees, cfg.learning_rate, cfg.sigma)
 
 

@@ -6,17 +6,22 @@ embedding matcher. The embedding matcher encodes each field as
 the mean of its token embeddings, concatenates the context fields into a
 query vector of the same dimension as the chain vector, and scores by
 cosine; it trains with a margin hinge over (positive, negative) chain
-pairs plus an L2 penalty on all parameters.
+pairs plus an L2 penalty on all parameters. Training takes one gradient
+per mini-batch: the field means of the batch's distinct contexts and
+chains are sparse averaging matrices times the embedding matrices, so a
+batch costs a few sparse-dense products rather than one pass per triple.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize
 
 from .dataset import AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
@@ -46,6 +51,11 @@ class SelectorHyperParams:
     linear_l2: float = 1e-3
 
     def __post_init__(self):
+        for key, least in (("batch_size", 1), ("epochs", 0), ("k_negatives", 1)):
+            if getattr(self, key) < least:
+                raise ConfigurationError(
+                    f"{key} must be at least {least}, got {getattr(self, key)}"
+                )
         if self.dim_qis + 2 * self.dim_cn + self.dim_set != self.dim_chain:
             raise ConfigurationError(
                 "query and chain vector dimensions must match: "
@@ -122,16 +132,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
-
-
-def hinge_loss(
-    q_vec: np.ndarray,
-    p_vec: np.ndarray,
-    n_vec: np.ndarray,
-    margin: float = DEFAULT_MARGIN,
-) -> float:
-    """max(0, margin - cos(q, p) + cos(q, n))."""
-    return max(0.0, margin - cosine(q_vec, p_vec) + cosine(q_vec, n_vec))
 
 
 class JaccardScorer:
@@ -289,56 +289,112 @@ def select_top1(
 
 # -- embedding training ---------------------------------------------------------
 
+# Rows of the query and chain vectors gathered at once to dot them pair by
+# pair, so a batch never holds a (pairs x dim) copy of either.
+_GATHER_ELEMENTS = 1 << 16
 
-def _cosine_with_grads(
-    u: np.ndarray, v: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0, np.zeros_like(u), np.zeros_like(v)
-    cos = float(np.dot(u, v) / (nu * nv))
-    du = v / (nu * nv) - cos * u / (nu * nu)
-    dv = u / (nu * nv) - cos * v / (nv * nv)
-    return cos, du, dv
+
+def _distinct(keys: Sequence) -> tuple[list, np.ndarray]:
+    """Distinct keys in first-seen order, and each key's position among them."""
+    ids: dict = {}
+    where = np.fromiter(
+        (ids.setdefault(k, len(ids)) for k in keys), dtype=np.int64, count=len(keys)
+    )
+    return list(ids), where
+
+
+def _averaging_matrix(fields: Sequence[Sequence[int]], vocab_size: int) -> sparse.csr_matrix:
+    """Row r averages the embedding rows listed in ``fields[r]``; an empty field is a zero row."""
+    lengths = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = np.fromiter(
+        itertools.chain.from_iterable(fields), dtype=np.int64, count=int(indptr[-1])
+    )
+    data = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(fields), vocab_size))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """``a[rows_a[k]] . b[rows_b[k]]`` for every k, a bounded block of rows at a time."""
+    step = max(1, _GATHER_ELEMENTS // max(1, a.shape[1]))
+    out = np.empty(len(rows_a))
+    for s in range(0, len(rows_a), step):
+        out[s:s + step] = np.einsum(
+            "ij,ij->i", a[rows_a[s:s + step]], b[rows_b[s:s + step]]
+        )
+    return out
+
+
+def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
 def triple_hinge_gradients(
     scorer: EmbeddingScorer,
-    ctx: QueryContext,
-    pos: ChainEncoding,
-    neg: ChainEncoding,
+    ctxs: Sequence[QueryContext],
+    positives: Sequence[ChainEncoding],
+    negatives: Sequence[ChainEncoding],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Hinge loss of one (context, positive, negative) triple and its gradients.
+    """Summed hinge loss of a batch of (context, positive, negative) triples and its gradients.
 
-    Gradients are with respect to the four embedding matrices; zero
-    everywhere when the margin is satisfied.
+    The three sequences are parallel, one entry per triple. Each distinct
+    context's query vector and each distinct chain's vector is computed
+    once, as a sparse averaging matrix times an embedding matrix. A triple
+    costs ``max(0, margin - cos(q, p) + cos(q, n))`` over the cosines of its
+    two (context, chain) pairs. Each pair is weighted by the number of
+    active triples that use it as a negative, less those that use it as a
+    positive, and the gradients with respect to the four embedding matrices
+    are sparse-dense products of those weights with the vectors. They are
+    zero where no triple is active.
     """
-    grads = {k: np.zeros_like(m) for k, m in scorer.matrices().items()}
-    q = scorer.query_vector(ctx)
-    p = scorer.chain_vector(pos)
-    n = scorer.chain_vector(neg)
-    cos_p, dqp, dp = _cosine_with_grads(q, p)
-    cos_n, dqn, dn = _cosine_with_grads(q, n)
-    loss = scorer.margin - cos_p + cos_n
-    if loss <= 0.0:
-        return 0.0, grads
-    dq = -dqp + dqn
+    contexts, ctx_of = _distinct(ctxs)
+    chains, chain_of = _distinct([c.indices for c in (*positives, *negatives)])
+    n_ctx, n_chain = len(contexts), len(chains)
+    a_qis = _averaging_matrix([c.qis for c in contexts], len(scorer.qis_emb))
+    a_cn1 = _averaging_matrix([c.cn1 for c in contexts], len(scorer.cn_emb))
+    a_cn2 = _averaging_matrix([c.cn2 for c in contexts], len(scorer.cn_emb))
+    a_set = _averaging_matrix([c.set_tokens for c in contexts], len(scorer.set_emb))
+    a_chain = _averaging_matrix(chains, len(scorer.chain_emb))
+    q = np.hstack([
+        a_qis @ scorer.qis_emb, a_cn1 @ scorer.cn_emb, a_cn2 @ scorer.cn_emb, a_set @ scorer.set_emb
+    ])
+    c = a_chain @ scorer.chain_emb
+    q_norm = np.linalg.norm(q, axis=1)
+    c_norm = np.linalg.norm(c, axis=1)
+
+    # Distinct (context, chain) pairs; the positive pairs of the triples come
+    # first in pair_of, the negative pairs after them.
+    n_triples = len(ctxs)
+    pair_ids = np.concatenate([ctx_of, ctx_of]) * n_chain + chain_of
+    pair_keys, pair_of = np.unique(pair_ids, return_inverse=True)
+    pair_ctx, pair_chain = np.divmod(pair_keys, n_chain)
+    denom = q_norm[pair_ctx] * c_norm[pair_chain]
+    cos = _safe_div(_row_dots(q, c, pair_ctx, pair_chain), denom)
+
+    pos_pair, neg_pair = pair_of[:n_triples], pair_of[n_triples:]
+    losses = scorer.margin - cos[pos_pair] + cos[neg_pair]
+    active = losses > 0.0
+    weights = (
+        np.bincount(neg_pair[active], minlength=len(pair_keys))
+        - np.bincount(pos_pair[active], minlength=len(pair_keys))
+    ).astype(float)
+    w = sparse.csr_matrix(
+        (_safe_div(weights, denom), (pair_ctx, pair_chain)), shape=(n_ctx, n_chain)
+    )
+    # d cos(q, c) / dq = c / (|q||c|) - cos q / |q|^2, and symmetrically for c.
+    weighted_cos = weights * cos
+    dq = w @ c
+    dq -= q * _safe_div(np.bincount(pair_ctx, weighted_cos, n_ctx), q_norm**2)[:, None]
+    dc = w.T @ q
+    dc -= c * _safe_div(np.bincount(pair_chain, weighted_cos, n_chain), c_norm**2)[:, None]
     d1, d2 = scorer.qis_emb.shape[1], scorer.cn_emb.shape[1]
-    d3 = scorer.set_emb.shape[1]
-    _scatter_mean_grad(grads["qis"], ctx.qis, dq[:d1])
-    _scatter_mean_grad(grads["cn"], ctx.cn1, dq[d1:d1 + d2])
-    _scatter_mean_grad(grads["cn"], ctx.cn2, dq[d1 + d2:d1 + 2 * d2])
-    _scatter_mean_grad(grads["set"], ctx.set_tokens, dq[d1 + 2 * d2:d1 + 2 * d2 + d3])
-    _scatter_mean_grad(grads["chain"], pos.indices, -dp)
-    _scatter_mean_grad(grads["chain"], neg.indices, dn)
-    return float(loss), grads
-
-
-def _scatter_mean_grad(grad: np.ndarray, indices: Sequence[int], dvec: np.ndarray) -> None:
-    if not indices:
-        return
-    np.add.at(grad, np.asarray(indices), dvec / len(indices))
+    grads = {
+        "qis": a_qis.T @ dq[:, :d1],
+        "cn": a_cn1.T @ dq[:, d1:d1 + d2] + a_cn2.T @ dq[:, d1 + d2:d1 + 2 * d2],
+        "set": a_set.T @ dq[:, d1 + 2 * d2:],
+        "chain": a_chain.T @ dc,
+    }
+    return float(np.sum(losses[active])), grads
 
 
 def _global_norm(mats: Mapping[str, np.ndarray]) -> float:
@@ -346,23 +402,22 @@ def _global_norm(mats: Mapping[str, np.ndarray]) -> float:
 
 
 def _pick_negatives(
-    negatives: Sequence[ChainEncoding], k_minus_1: int, rng: np.random.Generator
-) -> list[ChainEncoding]:
-    """First k-1 negatives in canonical order, topped up by seeded resampling."""
-    ordered = sorted(negatives, key=lambda e: e.canonical)
+    ordered: Sequence[ChainEncoding], k_minus_1: int, rng: np.random.Generator
+) -> Sequence[ChainEncoding]:
+    """First k-1 of the canonically ordered negatives, topped up by seeded resampling."""
     if len(ordered) >= k_minus_1:
         return ordered[:k_minus_1]
     if not ordered:
-        return []
+        return ()
     fill = [ordered[int(rng.integers(len(ordered)))] for _ in range(k_minus_1 - len(ordered))]
-    return ordered + fill
+    return (*ordered, *fill)
 
 
 @dataclass(frozen=True)
 class _TrainExample:
     ctx: QueryContext
     positives: tuple[ChainEncoding, ...]
-    negatives: tuple[ChainEncoding, ...]
+    negatives: tuple[ChainEncoding, ...]  # in canonical order
 
 
 def _prepare_examples(
@@ -373,18 +428,35 @@ def _prepare_examples(
 ) -> list[_TrainExample]:
     examples = []
     for table in sorted(tables, key=lambda t: t.table_id):
+        negatives = (encode_chain(lc.chain, kb_vocab, hp) for lc in table.negatives())
         examples.append(
             _TrainExample(
                 ctx=context_for_table(table, tb_vocab, kb_vocab, hp),
                 positives=tuple(
                     encode_chain(lc.chain, kb_vocab, hp) for lc in table.positives()
                 ),
-                negatives=tuple(
-                    encode_chain(lc.chain, kb_vocab, hp) for lc in table.negatives()
-                ),
+                negatives=tuple(sorted(negatives, key=lambda e: e.canonical)),
             )
         )
     return examples
+
+
+def _triples(
+    examples: Iterable[_TrainExample], k_minus_1: int, rng: np.random.Generator
+) -> tuple[list[QueryContext], list[ChainEncoding], list[ChainEncoding]]:
+    """Parallel (context, positive, negative) lists: every positive against k-1 negatives.
+
+    Negatives are picked per example in the order given, so the generator's
+    draws follow the example order.
+    """
+    ctxs, positives, negatives = [], [], []
+    for ex in examples:
+        negs = _pick_negatives(ex.negatives, k_minus_1, rng)
+        for pos in ex.positives:
+            ctxs += [ex.ctx] * len(negs)
+            positives += [pos] * len(negs)
+            negatives += negs
+    return ctxs, positives, negatives
 
 
 def embedding_objective(
@@ -395,15 +467,8 @@ def embedding_objective(
 ) -> float:
     """Full training objective: summed hinge losses plus the L2 norm penalty."""
     rng = np.random.default_rng(rng_seed)
-    total = 0.0
-    for ex in examples:
-        negs = _pick_negatives(ex.negatives, hp.k_negatives - 1, rng)
-        for pos in ex.positives:
-            p = scorer.chain_vector(pos)
-            q = scorer.query_vector(ex.ctx)
-            for neg in negs:
-                total += hinge_loss(q, p, scorer.chain_vector(neg), scorer.margin)
-    return total + hp.l2_weight * _global_norm(scorer.matrices())
+    loss, _ = triple_hinge_gradients(scorer, *_triples(examples, hp.k_negatives - 1, rng))
+    return loss + hp.l2_weight * _global_norm(scorer.matrices())
 
 
 def train_embedding(
@@ -416,6 +481,9 @@ def train_embedding(
 ) -> EmbeddingScorer:
     """Mini-batch gradient descent on the hinge objective.
 
+    Each batch of examples makes one ``triple_hinge_gradients`` call over
+    all of its triples (every positive against k-1 negatives), then one
+    step on the summed gradients plus the gradient of the L2 norm penalty.
     Deterministic given the seed: initialization, per-epoch shuffling and
     negative fill all come from one generator. When ``track_objective`` is
     set, the full objective is recorded per epoch on
@@ -447,16 +515,10 @@ def train_embedding(
     for _ in range(hp.epochs):
         order = rng.permutation(len(examples))
         for start in range(0, len(order), hp.batch_size):
-            batch = order[start:start + hp.batch_size]
-            grads = {k: np.zeros_like(m) for k, m in mats.items()}
-            for ei in batch:
-                ex = examples[ei]
-                negs = _pick_negatives(ex.negatives, hp.k_negatives - 1, rng)
-                for pos in ex.positives:
-                    for neg in negs:
-                        _, g = triple_hinge_gradients(scorer, ex.ctx, pos, neg)
-                        for k in grads:
-                            grads[k] += g[k]
+            batch = [examples[ei] for ei in order[start:start + hp.batch_size]]
+            _, grads = triple_hinge_gradients(
+                scorer, *_triples(batch, hp.k_negatives - 1, rng)
+            )
             norm = _global_norm(mats)
             if norm > 0:
                 for k in grads:

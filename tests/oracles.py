@@ -4,6 +4,8 @@ These deliberately avoid the library's graph and query code: adjacency is
 rebuilt straight from the raw triple list and evaluation enumerates every
 walk recursively, so agreement with the production code is meaningful.
 The featurizer oracle scores one candidate at a time and caches nothing.
+The selector's gradient oracle takes one (context, positive, negative)
+triple at a time, and the tree oracle scans split points one by one.
 """
 
 from __future__ import annotations
@@ -143,3 +145,111 @@ def naive_featurize(ctx, cand, cand_set, entity_meta, pred_meta, embeddings) -> 
     f[25] = cos(m_er1.notable_types, cn1) - cos(m_t1.notable_types, cn1)
     f[26] = cos(m_er2.notable_types, cn2) - cos(m_t2.notable_types, cn2)
     return f
+
+
+def _mean_rows(mat, indices) -> np.ndarray:
+    if not indices:
+        return np.zeros(mat.shape[1])
+    return mat[np.asarray(indices)].mean(axis=0)
+
+
+def _cosine_with_grads(u, v):
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0, np.zeros_like(u), np.zeros_like(v)
+    cos = float(np.dot(u, v) / (nu * nv))
+    du = v / (nu * nv) - cos * u / (nu * nu)
+    dv = u / (nu * nv) - cos * v / (nv * nv)
+    return cos, du, dv
+
+
+def hinge_loss(q_vec, p_vec, n_vec, margin: float) -> float:
+    """max(0, margin - cos(q, p) + cos(q, n))."""
+    cos_p = _cosine_with_grads(q_vec, p_vec)[0]
+    cos_n = _cosine_with_grads(q_vec, n_vec)[0]
+    return max(0.0, margin - cos_p + cos_n)
+
+
+def _scatter_mean_grad(grad, indices, dvec) -> None:
+    if not indices:
+        return
+    np.add.at(grad, np.asarray(indices), dvec / len(indices))
+
+
+def triple_hinge_gradients(scorer, ctx, pos, neg):
+    """Hinge loss of one (context, positive, negative) triple and its gradients.
+
+    Gradients are with respect to the four embedding matrices; zero
+    everywhere when the margin is satisfied.
+    """
+    mats = scorer.matrices()
+    grads = {k: np.zeros_like(m) for k, m in mats.items()}
+    q = np.concatenate([
+        _mean_rows(mats["qis"], ctx.qis),
+        _mean_rows(mats["cn"], ctx.cn1),
+        _mean_rows(mats["cn"], ctx.cn2),
+        _mean_rows(mats["set"], ctx.set_tokens),
+    ])
+    p = _mean_rows(mats["chain"], pos.indices)
+    n = _mean_rows(mats["chain"], neg.indices)
+    cos_p, dqp, dp = _cosine_with_grads(q, p)
+    cos_n, dqn, dn = _cosine_with_grads(q, n)
+    loss = scorer.margin - cos_p + cos_n
+    if loss <= 0.0:
+        return 0.0, grads
+    dq = -dqp + dqn
+    d1, d2 = mats["qis"].shape[1], mats["cn"].shape[1]
+    _scatter_mean_grad(grads["qis"], ctx.qis, dq[:d1])
+    _scatter_mean_grad(grads["cn"], ctx.cn1, dq[d1:d1 + d2])
+    _scatter_mean_grad(grads["cn"], ctx.cn2, dq[d1 + d2:d1 + 2 * d2])
+    _scatter_mean_grad(grads["set"], ctx.set_tokens, dq[d1 + 2 * d2:])
+    _scatter_mean_grad(grads["chain"], pos.indices, -dp)
+    _scatter_mean_grad(grads["chain"], neg.indices, dn)
+    return float(loss), grads
+
+
+def naive_fit_tree(X, y, idx, depth):
+    """Exact greedy regression tree, scanning each feature's split points in a loop.
+
+    A split must beat the best gain so far by more than 1e-12, so the first
+    of equally good splits (by feature, then by position) wins.
+    """
+    from kgtable.ranker import TreeNode
+
+    y_idx = y[idx]
+    if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
+        return TreeNode(value=float(np.mean(y_idx)))
+    best_gain = 0.0
+    best = None
+    total = float(np.sum(y_idx))
+    n = len(idx)
+    base_sse_term = total * total / n
+    for feat in range(X.shape[1]):
+        vals = X[idx, feat]
+        order = np.argsort(vals, kind="stable")
+        sv, sy = vals[order], y_idx[order]
+        csum = np.cumsum(sy)
+        for i in range(n - 1):
+            if sv[i] == sv[i + 1]:
+                continue
+            nl = i + 1
+            left_sum = csum[i]
+            gain = (
+                left_sum * left_sum / nl
+                + (total - left_sum) ** 2 / (n - nl)
+                - base_sse_term
+            )
+            if gain > best_gain + 1e-12:
+                thr = (sv[i] + sv[i + 1]) / 2.0
+                best_gain = gain
+                best = (feat, thr, idx[order[:nl]], idx[order[nl:]])
+    if best is None:
+        return TreeNode(value=float(np.mean(y_idx)))
+    feat, thr, left_idx, right_idx = best
+    return TreeNode(
+        feature=feat,
+        threshold=thr,
+        left=naive_fit_tree(X, y, left_idx, depth - 1),
+        right=naive_fit_tree(X, y, right_idx, depth - 1),
+    )

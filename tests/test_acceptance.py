@@ -161,7 +161,7 @@ def test_criterion_05_hinge_gradients_match_finite_differences():
     ctx = sel.QueryContext(qis=(1, 2, 3), cn1=(4,), cn2=(5, 6), set_tokens=(1, 2))
     pos = sel.ChainEncoding(indices=(3, 4, 5), canonical="pos")
     neg = sel.ChainEncoding(indices=(6, 7, 3), canonical="neg")
-    loss, grads = sel.triple_hinge_gradients(scorer, ctx, pos, neg)
+    loss, grads = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])
     assert loss > 1e-3
     h = 1e-5
     for _ in range(50):
@@ -171,9 +171,9 @@ def test_criterion_05_hinge_gradients_match_finite_differences():
         j = int(rng.integers(m.shape[1]))
         orig = m[i, j]
         m[i, j] = orig + h
-        up = sel.triple_hinge_gradients(scorer, ctx, pos, neg)[0]
+        up = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])[0]
         m[i, j] = orig - h
-        down = sel.triple_hinge_gradients(scorer, ctx, pos, neg)[0]
+        down = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])[0]
         m[i, j] = orig
         fd = (up - down) / (2 * h)
         analytic = grads[name][i, j]

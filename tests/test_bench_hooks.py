@@ -4,9 +4,9 @@
 and refuses to run when a kgtable module binds a wrapped function past its
 wrapper. Installing the tracer here makes a renamed target or a new alias
 fail the test suite in well under a second instead of aborting a traced
-benchmark run. Running ``build-dataset`` and ``complete`` under the tracer
-on a small corpus checks that both still reach every function the
-benchmark expects them to call.
+benchmark run. Running ``build-dataset``, ``train-selector``,
+``train-ranker`` and ``complete`` under the tracer on a small corpus checks
+that each still reaches every function the benchmark expects it to call.
 """
 
 import importlib.util
@@ -43,7 +43,7 @@ def test_tracer_installs_and_uninstalls():
         assert tracing.Patches().resolve(module, attr)[2] is raw, f"{module}.{attr}"
 
 
-def test_build_dataset_and_complete_reach_every_wrapped_function(tmp_path):
+def test_pipeline_commands_reach_every_wrapped_function(tmp_path):
     data = synth.make_corpus(str(tmp_path / "data"), n_tables=20, seed=5)
     cfg = {
         "graph_path": data.graph,
@@ -88,4 +88,4 @@ def test_build_dataset_and_complete_reach_every_wrapped_function(tmp_path):
         assert main(["complete", str(query_path), *args]) == 0
     finally:
         tracer.uninstall()
-    tracer.check_coverage({"build-dataset", "complete"})
+    tracer.check_coverage({"build-dataset", "train-selector", "train-ranker", "complete"})

@@ -241,6 +241,13 @@ class TestConfig:
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_training_sizes_exit_2(self, workspace, capsys):
+        _, cfg_path, _ = workspace
+        for flag, bad in (("--batch-size", "0"), ("--epochs", "-1"), ("--k-negatives", "0")):
+            argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding"]
+            assert main([*argv, flag, bad]) == 2
+            assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["evaluate", "--graph-path", "/nope/missing.tsv"]) == 2
 

@@ -9,7 +9,7 @@ from kgtable import ranker as rk
 from kgtable.dataset import AnnotatedTable
 from kgtable.graph import EntityMeta, EntityMetaStore, PredicateMetaStore
 from kgtable.paths import ChainPair, MetaPath
-from oracles import naive_featurize
+from oracles import naive_featurize, naive_fit_tree
 
 SQ2 = math.sqrt(0.5)  # cosine of a 45 degree angle, appears all over the golden vector
 
@@ -370,6 +370,43 @@ class TestTrainRanker:
         model = rk.train_ranker(separable_groups(1), rk.RankerConfig(tree_count=10, tree_depth=2))
         importance = model.feature_importance()
         assert importance[0] == importance.max() > 0
+
+
+def split_cases(seed, count=120):
+    """(X, y) sets with ties, near-ties within 1e-12, a constant feature and n = 2.
+
+    Columns: constant, a random feature, an exact copy of it (equal gains
+    across features) and a copy with two neighbours swapped (gains a few
+    1e-13 apart, given the 1e-13 offsets in y), plus a binary feature.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = 2 if case % 10 == 0 else int(rng.integers(3, 40))
+        base = rng.integers(0, 4, size=n).astype(float) if case % 2 else rng.normal(size=n)
+        swapped = base.copy()
+        if n > 2:
+            i = int(rng.integers(n - 1))
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        X = np.column_stack([np.ones(n), base, base, swapped, rng.integers(0, 2, size=n)])
+        y = rng.choice([-1.0, 0.0, 1.0], size=n) + 1e-13 * rng.integers(-2, 3, size=n)
+        yield X, y
+
+
+class TestSplitScanOracleParity:
+    def test_trees_match_the_loop_oracle_exactly(self):
+        for X, y in split_cases(0):
+            rows = np.arange(len(y))
+            fast = rk._fit_tree(X, y, rows, 3)
+            assert rk._node_to_json(fast) == rk._node_to_json(naive_fit_tree(X, y, rows, 3))
+            # Midpoints of integer features land on thresholds, testing "<=".
+            probe = np.vstack([X, (X + np.roll(X, 1, axis=0)) / 2])
+            per_row = []
+            for x in probe:
+                node = fast
+                while not node.is_leaf:
+                    node = node.left if x[node.feature] <= node.threshold else node.right
+                per_row.append(node.value)
+            assert rk._leaf_values(rk._tree_arrays([fast]), probe)[:, 0].tolist() == per_row
 
 
 class TestRank:

@@ -6,6 +6,8 @@ from kgtable.dataset import ConfigurationError, Vocabulary
 from kgtable.paths import ChainPair, MetaPath
 
 from conftest import TEST_HP
+from oracles import hinge_loss
+from oracles import triple_hinge_gradients as triple_oracle
 
 
 def chain_of(p1, p2):
@@ -17,25 +19,25 @@ class TestHingeLoss:
         q = np.array([1.0, 0.0])
         p = np.array([2.0, 0.0])
         n = np.array([-1.0, 0.0])
-        assert sel.hinge_loss(q, p, n, 0.25) == 0.0
+        assert hinge_loss(q, p, n, 0.25) == 0.0
 
     def test_identical_positive_and_negative_costs_the_margin(self):
         q = np.array([0.3, 0.7])
         v = np.array([1.0, 2.0])
-        assert sel.hinge_loss(q, v, v, 0.25) == pytest.approx(0.25)
+        assert hinge_loss(q, v, v, 0.25) == pytest.approx(0.25)
 
     def test_direct_arithmetic(self):
         # Vectors engineered so cos(q, p) = 0.3 and cos(q, n) = 0.4.
         q = np.array([1.0, 0.0])
         p = np.array([0.3, np.sqrt(1 - 0.09)])
         n = np.array([0.4, np.sqrt(1 - 0.16)])
-        assert sel.hinge_loss(q, p, n, 0.25) == pytest.approx(0.35)
+        assert hinge_loss(q, p, n, 0.25) == pytest.approx(0.35)
 
     def test_zero_vector_scores_zero(self):
         q = np.zeros(2)
         v = np.array([1.0, 0.0])
         assert sel.cosine(q, v) == 0.0
-        assert sel.hinge_loss(q, v, v, 0.25) == pytest.approx(0.25)
+        assert hinge_loss(q, v, v, 0.25) == pytest.approx(0.25)
 
 
 class TestJaccardScorer:
@@ -148,6 +150,21 @@ class TestEmbeddingScorer:
         with pytest.raises(ConfigurationError):
             sel.SelectorHyperParams(dim_qis=10, dim_cn=10, dim_set=10, dim_chain=10)
 
+    def test_batch_size_below_one_rejected(self):
+        for bad in (0, -1):
+            with pytest.raises(ConfigurationError, match="batch_size"):
+                sel.SelectorHyperParams(batch_size=bad)
+
+    def test_negative_epochs_rejected(self):
+        sel.SelectorHyperParams(epochs=0)
+        with pytest.raises(ConfigurationError, match="epochs"):
+            sel.SelectorHyperParams(epochs=-1)
+
+    def test_k_negatives_below_one_rejected(self):
+        sel.SelectorHyperParams(k_negatives=1)
+        with pytest.raises(ConfigurationError, match="k_negatives"):
+            sel.SelectorHyperParams(k_negatives=0)
+
     def test_zero_epochs_returns_initialization(self, bundle):
         hp = sel.SelectorHyperParams(
             dim_qis=8, dim_cn=2, dim_set=8, dim_chain=20, epochs=0
@@ -183,7 +200,7 @@ def _gradient_fixture():
 class TestGradients:
     def test_finite_difference_agreement(self):
         scorer, ctx, pos, neg = _gradient_fixture()
-        loss, grads = sel.triple_hinge_gradients(scorer, ctx, pos, neg)
+        loss, grads = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])
         assert loss > 1e-3, "fixture must sit on the active side of the hinge"
         rng = np.random.default_rng(0)
         mats = scorer.matrices()
@@ -196,9 +213,9 @@ class TestGradients:
             j = int(rng.integers(m.shape[1]))
             orig = m[i, j]
             m[i, j] = orig + h
-            up = sel.triple_hinge_gradients(scorer, ctx, pos, neg)[0]
+            up = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])[0]
             m[i, j] = orig - h
-            down = sel.triple_hinge_gradients(scorer, ctx, pos, neg)[0]
+            down = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])[0]
             m[i, j] = orig
             fd = (up - down) / (2 * h)
             analytic = grads[name][i, j]
@@ -209,9 +226,79 @@ class TestGradients:
     def test_satisfied_margin_gives_zero_gradient(self):
         scorer, ctx, pos, neg = _gradient_fixture()
         scorer.margin = -10.0
-        loss, grads = sel.triple_hinge_gradients(scorer, ctx, pos, neg)
+        loss, grads = sel.triple_hinge_gradients(scorer, [ctx], [pos], [neg])
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads.values())
+
+
+def _batch_fixture(rng):
+    """A small scorer with zero OOV rows, and pools of contexts and chains.
+
+    Fields draw with replacement from few tokens, so they repeat tokens and
+    share them between cn1 and cn2 and between chains; one context and one
+    chain hold only the OOV index, so their vectors are zero.
+    """
+    mats = {
+        "qis": rng.normal(size=(6, 5)),
+        "cn": rng.normal(size=(6, 2)),
+        "set": rng.normal(size=(8, 5)),
+        "chain": rng.normal(size=(8, 14)),
+    }
+    for m in mats.values():
+        m[0] = 0.0
+    scorer = sel.EmbeddingScorer(
+        mats["qis"], mats["cn"], mats["set"], mats["chain"],
+        margin=0.3, tb_vocab_hash="", kb_vocab_hash="",
+    )
+
+    def field(high, most):
+        return tuple(int(t) for t in rng.integers(0, high, size=rng.integers(0, most + 1)))
+
+    ctxs = [sel.QueryContext((0, 0), (0,), (), (0,))] + [
+        sel.QueryContext(field(6, 4), field(3, 2), field(3, 2), field(8, 3)) for _ in range(4)
+    ]
+    chains = [sel.ChainEncoding((0, 0, 0), "oov")] + [
+        sel.ChainEncoding(field(8, 5), f"c{i}") for i in range(7)
+    ]
+    return scorer, ctxs, chains
+
+
+class TestBatchGradientOracleParity:
+    def test_batch_equals_the_sum_of_per_triple_oracles(self):
+        rng = np.random.default_rng(3)
+        active = satisfied = 0
+        for _ in range(40):
+            scorer, ctxs, chains = _batch_fixture(rng)
+            triples = []
+            for _ in range(int(rng.integers(0, 12))):
+                ctx = ctxs[int(rng.integers(len(ctxs)))]
+                pos = chains[int(rng.integers(len(chains)))]
+                negs = [chains[int(rng.integers(len(chains)))]]
+                negs *= int(rng.integers(1, 3))  # a resampled negative repeats
+                triples += [(ctx, pos, neg) for neg in negs]
+            columns = [[t[i] for t in triples] for i in range(3)]
+            loss, grads = sel.triple_hinge_gradients(scorer, *columns)
+            want_loss = 0.0
+            want = {k: np.zeros_like(m) for k, m in scorer.matrices().items()}
+            for triple in triples:
+                one_loss, one = triple_oracle(scorer, *triple)
+                active += one_loss > 0
+                satisfied += one_loss == 0
+                want_loss += one_loss
+                for k in want:
+                    want[k] += one[k]
+            assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+            for k, w in want.items():
+                assert grads[k].shape == w.shape
+                assert np.max(np.abs(grads[k] - w)) <= 1e-12 * max(1.0, np.max(np.abs(w))), k
+        assert active and satisfied
+
+    def test_empty_batch_is_zero(self):
+        scorer, _, _ = _batch_fixture(np.random.default_rng(0))
+        loss, grads = sel.triple_hinge_gradients(scorer, [], [], [])
+        assert loss == 0.0
+        for k, m in scorer.matrices().items():
+            assert grads[k].shape == m.shape and not grads[k].any()
 
 
 class TestTraining:
