@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import dataset as ds
@@ -32,7 +31,9 @@ from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
 from .query import BudgetExceeded, execute_chain, render_sparql
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """A parent parser holding ``--config``, ``--output`` and one flag per config key."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument(
         "--output", dest="output_dir_alias", help="alias for --output-dir"
@@ -45,6 +46,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         elif isinstance(default, float):
             kwargs["type"] = float
         parser.add_argument(flag, **kwargs)
+    return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -136,7 +138,8 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
         corpus, g, url2mid, entity_meta, types_by_mid, fget_map,
         cfg.build_settings(), cfg.seed, cfg.k_negatives,
     )
-    ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g)
+    type_freq = ds.subject_type_freq(corpus, g, types_by_mid)
+    ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g, type_freq)
     print(
         f"annotated {len(tables)} tables "
         f"(train/val/test = {len(split.train)}/{len(split.validation)}/{len(split.test)}) "
@@ -241,13 +244,12 @@ def _derive_set_tokens(cfg: RunConfig, query: dict, se_mid: str) -> tuple[str, .
     if query.get("set"):
         return tuple(query["set"])
     if cfg.mid2types_path:
+        # Rank the subject's types by the build's frequencies, as build-dataset did.
+        type_freq = ds.load_type_freq(cfg.dataset_dir)
         types_by_mid = ds.read_tsv_multimap(cfg.mid2types_path)
         fget_map = ds.read_tsv_map(cfg.fget_path) if cfg.fget_path else {}
-        freq = Counter()
-        for types in types_by_mid.values():
-            freq.update(types)
         try:
-            return ds.build_set(types_by_mid.get(se_mid, ()), freq, fget_map)
+            return ds.build_set(types_by_mid.get(se_mid, ()), type_freq, fget_map)
         except ValueError:
             pass
     return (ds.EMPTY_TOKEN,)
@@ -272,7 +274,8 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     else:
         raise ConfigurationError("query file needs either 'qis' or 'qd'")
     cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
-    set_tokens = _derive_set_tokens(cfg, query, query["se"])
+    # SET feeds only the chain scorers; a random pick needs no dataset.
+    set_tokens = () if cfg.selector == "random" else _derive_set_tokens(cfg, query, query["se"])
 
     settings = cfg.build_settings()
     limits = (settings.max_path_len, settings.degree_cap, settings.banned_prefixes)
@@ -351,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Complete two-column entity tables from a knowledge graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Subparsers copy the config flags' actions instead of adding each again.
+    config_flags = [_config_flags()]
     for name in (
         "build-dataset",
         "train-selector",
@@ -358,16 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate",
         "core-column-eval",
     ):
-        p = sub.add_parser(name)
-        _add_config_flags(p)
-    p = sub.add_parser("complete", help="resolve one tabular query file")
+        sub.add_parser(name, parents=config_flags)
+    p = sub.add_parser("complete", parents=config_flags, help="resolve one tabular query file")
     p.add_argument("query_file", help="JSON file with qis/qd, se, cn1, cn2, er1, er2")
-    _add_config_flags(p)
-    p = sub.add_parser("render-sparql", help="print the SPARQL text of a chain")
+    p = sub.add_parser(
+        "render-sparql", parents=config_flags, help="print the SPARQL text of a chain"
+    )
     p.add_argument("--se", required=True, help="subject entity identifier")
     p.add_argument("--p1", required=True, help="first segment, e.g. 'a.b.c/^d.e.f'")
     p.add_argument("--p2", required=True, help="second segment")
-    _add_config_flags(p)
     return parser
 
 

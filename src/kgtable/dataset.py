@@ -26,6 +26,7 @@ from .graph import (
     EntityMetaStore,
     KnowledgeGraph,
     ParseError,
+    _json_lines,
 )
 from .paths import (
     DEFAULT_BANNED_PREFIXES,
@@ -39,6 +40,7 @@ from .query import BudgetExceeded, QueryBudget, execute_chain
 from .text import EMPTY_TOKEN, NUM_TOKEN, is_numeric, tokenize
 
 OOV_TOKEN = "<oov>"
+TYPE_FREQ_FILE = "type_freq.json"
 MIN_LINKED_ROWS = 3
 MIN_CHAIN_HITS = 2  # a retained chain must retrieve at least this many ground-truth rows
 
@@ -86,33 +88,24 @@ def _parse_cell(obj) -> RawCell:
 def read_corpus(path: str) -> list[RawTable]:
     """Read line-delimited JSON table records, validating row widths."""
     tables = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from exc
-            try:
-                headers = tuple(str(h) for h in rec["headers"])
-                rows = tuple(
-                    tuple(_parse_cell(c) for c in row) for row in rec["rows"]
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad table record: {exc}") from exc
-            if any(len(row) != len(headers) for row in rows):
-                raise ParseError(path, line_no, "row width differs from header count")
-            tables.append(
-                RawTable(
-                    table_id=str(rec.get("table_id", line_no)),
-                    page_title=str(rec.get("page_title", "")),
-                    caption=str(rec.get("caption", "")),
-                    headers=headers,
-                    rows=rows,
-                    se_mid=str(rec.get("se_mid", "")),
-                )
+    for line_no, rec in _json_lines(path):
+        try:
+            headers = tuple(str(h) for h in rec["headers"])
+            rows = tuple(tuple(_parse_cell(c) for c in row) for row in rec["rows"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(path, line_no, f"bad table record: {exc}") from exc
+        if any(len(row) != len(headers) for row in rows):
+            raise ParseError(path, line_no, "row width differs from header count")
+        tables.append(
+            RawTable(
+                table_id=str(rec.get("table_id", line_no)),
+                page_title=str(rec.get("page_title", "")),
+                caption=str(rec.get("caption", "")),
+                headers=headers,
+                rows=rows,
+                se_mid=str(rec.get("se_mid", "")),
             )
+        )
     return tables
 
 
@@ -563,7 +556,17 @@ def _table_to_json(t: AnnotatedTable, g: KnowledgeGraph) -> dict:
     }
 
 
-def _table_from_json(rec: dict, g: KnowledgeGraph) -> AnnotatedTable:
+def _table_from_json(
+    rec: dict, g: KnowledgeGraph, segments: dict[str, MetaPath]
+) -> AnnotatedTable:
+    """Rebuild one table; ``segments`` maps each segment string already parsed to its path."""
+
+    def segment(text: str) -> MetaPath:
+        path = segments.get(text)
+        if path is None:
+            path = segments[text] = MetaPath.parse(text)
+        return path
+
     return AnnotatedTable(
         table_id=rec["table_id"],
         qis=tuple(rec["qis"]),
@@ -575,7 +578,7 @@ def _table_from_json(rec: dict, g: KnowledgeGraph) -> AnnotatedTable:
         rr=tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"]),
         chains=tuple(
             LabeledChain(
-                chain=ChainPair(MetaPath.parse(c["p1"]), MetaPath.parse(c["p2"])),
+                chain=ChainPair(segment(c["p1"]), segment(c["p2"])),
                 positive=c["label"] == "positive",
                 recall=c["recall"],
                 precision=c["precision"],
@@ -597,8 +600,10 @@ def save_dataset(
     tb_vocab: Vocabulary,
     kb_vocab: Vocabulary,
     g: KnowledgeGraph,
+    type_freq: Mapping[str, int],
 ) -> None:
-    """Write tables.jsonl, split.json and the two vocabulary files.
+    """Write tables.jsonl, split.json, the two vocabulary files and the
+    subject type frequencies ``build_set`` ranked by (``TYPE_FREQ_FILE``).
 
     All output is byte-deterministic: tables are ordered by id and JSON is
     serialized with sorted keys.
@@ -632,6 +637,25 @@ def save_dataset(
                 )
                 + "\n"
             )
+    with open(out / TYPE_FREQ_FILE, "w", encoding="utf-8") as fh:
+        fh.write(_dump_json(dict(type_freq)) + "\n")
+
+
+def load_type_freq(in_dir: str) -> dict[str, int]:
+    """The subject type frequencies ``save_dataset`` wrote, for serving-time SET."""
+    path = Path(in_dir) / TYPE_FREQ_FILE
+    try:
+        with open(path, encoding="utf-8") as fh:
+            freq = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigurationError(
+            f"{path} is missing; rebuild the dataset with build-dataset"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from exc
+    if not isinstance(freq, dict) or not all(isinstance(v, int) for v in freq.values()):
+        raise ParseError(str(path), 1, "expected an object of type counts")
+    return freq
 
 
 def load_dataset(
@@ -639,11 +663,14 @@ def load_dataset(
 ) -> tuple[dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary]:
     base = Path(in_dir)
     tables: dict[str, AnnotatedTable] = {}
-    with open(base / "tables.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                t = _table_from_json(json.loads(line), g)
-                tables[t.table_id] = t
+    segments: dict[str, MetaPath] = {}  # tables repeat a few segments many times
+    path = str(base / "tables.jsonl")
+    for line_no, rec in _json_lines(path):
+        try:
+            t = _table_from_json(rec, g, segments)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(path, line_no, f"bad table record: {exc!r}") from exc
+        tables[t.table_id] = t
     with open(base / "split.json", encoding="utf-8") as fh:
         rec = json.load(fh)
     split = DatasetSplit(
@@ -660,6 +687,19 @@ def load_dataset(
     return tables, split, vocabs[0], vocabs[1]
 
 
+def subject_type_freq(
+    corpus: Sequence[RawTable],
+    g: KnowledgeGraph,
+    types_by_mid: Mapping[str, tuple[str, ...]],
+) -> Counter[str]:
+    """Corpus-level type frequencies over the subject entities linked to ``g``."""
+    type_freq: Counter[str] = Counter()
+    for raw in corpus:
+        if raw.se_mid and raw.se_mid in g:
+            type_freq.update(types_by_mid.get(raw.se_mid, ()))
+    return type_freq
+
+
 def build_corpus_dataset(
     corpus: Sequence[RawTable],
     g: KnowledgeGraph,
@@ -673,13 +713,7 @@ def build_corpus_dataset(
 ) -> tuple[dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, dict[str, int]]:
     """Annotate a whole corpus and return tables, split, vocabularies and reject counts."""
     url2eid = {u: g.entity_id(m) for u, m in url2mid.items() if m in g}
-
-    # Corpus-level type frequencies over the linked subject entities.
-    type_freq: Counter[str] = Counter()
-    for raw in corpus:
-        if raw.se_mid and raw.se_mid in g:
-            type_freq.update(types_by_mid.get(raw.se_mid, ()))
-
+    type_freq = subject_type_freq(corpus, g, types_by_mid)
     tables: dict[str, AnnotatedTable] = {}
     rejects: Counter[str] = Counter()
     for raw in corpus:

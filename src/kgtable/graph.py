@@ -287,41 +287,78 @@ def _json_lines(path: str) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
-def _type_tokens(values) -> frozenset[str]:
-    out: set[str] = set()
-    for v in values or []:
-        out.update(tokenize(str(v)))
-    return frozenset(out)
+def _text_field(rec: dict, key: str, path: str, line_no: int) -> str:
+    """A string field; absent or ``null`` is empty."""
+    value = rec.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ParseError(path, line_no, f"{key!r} must be a string")
+    return value
+
+
+def _type_field(
+    rec: dict, key: str, path: str, line_no: int, memo: dict[tuple[str, ...], frozenset[str]]
+) -> frozenset[str]:
+    """Tokens of a list-of-strings field; absent or ``null`` is empty.
+
+    ``memo`` maps each distinct list to its tokens, so a file tokenizes each
+    distinct list once and equal lists share one frozenset.
+    """
+    values = rec.get(key)
+    if values is None:
+        return frozenset()
+    if isinstance(values, list):
+        types = tuple(values)
+        try:
+            tokens = memo.get(types)  # holds lists of strings only
+        except TypeError:  # an unhashable item
+            tokens = None
+        if tokens is not None:
+            return tokens
+        out: set[str] = set()
+        for v in types:
+            if not isinstance(v, str):
+                break
+            out.update(tokenize(v))
+        else:
+            tokens = memo[types] = frozenset(out)
+            return tokens
+    raise ParseError(path, line_no, f"{key!r} must be a list of strings")
 
 
 def load_entity_meta(path: str, g: KnowledgeGraph) -> EntityMetaStore:
     """Load line-delimited JSON ``{mid, name, description, notable_types, rdf_types}``.
 
-    Records whose mid is not an entity of ``g`` are skipped: they can never
-    be referenced through the graph.
+    ``name`` and ``description`` are strings and the type fields lists of
+    strings; any other value is a ``ParseError``. Records whose mid is not an
+    entity of ``g`` are checked but not stored: they can never be referenced
+    through the graph.
     """
     by_entity: dict[int, EntityMeta] = {}
+    types: dict[tuple[str, ...], frozenset[str]] = {}
     for line_no, rec in _json_lines(path):
         mid = rec.get("mid")
         if not isinstance(mid, str) or not mid:
             raise ParseError(path, line_no, "missing 'mid'")
-        if mid not in g:
-            continue
-        by_entity[g.entity_id(mid)] = EntityMeta(
-            name=str(rec.get("name", "")),
-            description=tokenize(str(rec.get("description", ""))),
-            notable_types=_type_tokens(rec.get("notable_types")),
-            rdf_types=_type_tokens(rec.get("rdf_types")),
-        )
+        name = _text_field(rec, "name", path, line_no)
+        description = _text_field(rec, "description", path, line_no)
+        notable_types = _type_field(rec, "notable_types", path, line_no, types)
+        rdf_types = _type_field(rec, "rdf_types", path, line_no, types)
+        if mid in g:
+            by_entity[g.entity_id(mid)] = EntityMeta(
+                name, tokenize(description), notable_types, rdf_types
+            )
     return EntityMetaStore(by_entity)
 
 
 def load_predicate_meta(path: str) -> PredicateMetaStore:
     """Load line-delimited JSON ``{name, expected_target_types}`` records."""
     tgt_by_name: dict[str, frozenset[str]] = {}
+    types: dict[tuple[str, ...], frozenset[str]] = {}
     for line_no, rec in _json_lines(path):
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError(path, line_no, "missing 'name'")
-        tgt_by_name[name] = _type_tokens(rec.get("expected_target_types"))
+        tgt_by_name[name] = _type_field(rec, "expected_target_types", path, line_no, types)
     return PredicateMetaStore(tgt_by_name)

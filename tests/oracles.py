@@ -253,3 +253,31 @@ def naive_fit_tree(X, y, idx, depth):
         left=naive_fit_tree(X, y, left_idx, depth - 1),
         right=naive_fit_tree(X, y, right_idx, depth - 1),
     )
+
+
+def naive_entity_meta(path: str) -> dict[str, tuple[str, tuple[str, ...], frozenset, frozenset]]:
+    """``mid -> (name, description tokens, notable type tokens, rdf type tokens)``.
+
+    Every record is tokenized on its own, with no memo shared between
+    records, by the one normalization rule: lowercase, then split on
+    whitespace and ``. _ / ^ -``.
+    """
+    import json
+    import re
+
+    def tokens(text: str) -> tuple[str, ...]:
+        return tuple(t for t in re.split(r"[\s._/^\-]+", text.lower()) if t)
+
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            out[rec["mid"]] = (
+                rec.get("name") or "",
+                tokens(rec.get("description") or ""),
+                frozenset(t for v in rec.get("notable_types") or () for t in tokens(v)),
+                frozenset(t for v in rec.get("rdf_types") or () for t in tokens(v)),
+            )
+    return out

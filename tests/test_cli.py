@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from kgtable import dataset as ds
 from kgtable import synth
-from kgtable.cli import main
+from kgtable.cli import _derive_set_tokens, main
 from kgtable.config import RunConfig, config_defaults, load_config
 from kgtable.dataset import BuildSettings, ConfigurationError
+from kgtable.graph import KnowledgeGraph, load_triples
 from kgtable.query import QueryBudget
 from kgtable.ranker import RankerConfig
 from kgtable.selector import SelectorHyperParams
@@ -201,6 +203,63 @@ class TestCompleteCommand:
         assert blobs[0] == blobs[1]
 
 
+class TestSubjectTypes:
+    """``complete`` ranks the subject's types by the build's frequencies."""
+
+    @pytest.fixture()
+    def typed_world(self, tmp_path):
+        # Among the corpus's subjects x.rare is rarer than x.common; over every
+        # entity of mid2types it is the other way round.
+        types = tmp_path / "mid2types.tsv"
+        rows = [("s1", "x.rare"), ("s1", "x.common"), ("s2", "x.common"), ("s3", "x.common")]
+        rows += [(f"o{i}", "x.rare") for i in range(5)]
+        types.write_text("".join(f"{m}\t{t}\n" for m, t in rows))
+        g = KnowledgeGraph([("s1", "p", "s2"), ("s2", "p", "s3")])
+        corpus = [
+            ds.RawTable(f"t{i}", "", "", ("a", "b"), (), se_mid=mid)
+            for i, mid in enumerate(("s1", "s2", "s3"))
+        ]
+        type_freq = ds.subject_type_freq(corpus, g, ds.read_tsv_multimap(str(types)))
+        assert type_freq == {"x.rare": 1, "x.common": 3}
+        dataset = tmp_path / "dataset"
+        ds.save_dataset(
+            str(dataset), {}, ds.DatasetSplit((), (), (), 0),
+            ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g, type_freq,
+        )
+        return RunConfig(mid2types_path=str(types), dataset_dir=str(dataset))
+
+    def test_set_comes_from_the_saved_build_frequencies(self, typed_world):
+        assert _derive_set_tokens(typed_world, {}, "s1") == ("x", "rare")
+        assert _derive_set_tokens(typed_world, {"set": ["given"]}, "s1") == ("given",)
+
+    def test_missing_frequency_file_exits_2(self, typed_world, tmp_path, capsys):
+        (Path(typed_world.dataset_dir) / ds.TYPE_FREQ_FILE).unlink()
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("s1\tp\ts2\ns2\tp\ts3\n")
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(
+            {"qis": "x", "se": "s1", "er1": "s2", "er2": "s3", "cn1": "a", "cn2": "b"}
+        ))
+        argv = [
+            "complete", str(query), "--graph-path", str(graph),
+            "--mid2types-path", typed_world.mid2types_path,
+            "--dataset-dir", typed_world.dataset_dir, "--ranker", "random",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main([*argv, "--selector", "jacsim"]) == 2
+        assert "rebuild the dataset" in capsys.readouterr().err
+        # A random pick needs no SET, so it needs no dataset either.
+        assert main([*argv, "--selector", "random"]) == 0
+
+    def test_built_tables_agree_with_serving_time_set(self, workspace):
+        _, cfg_path, cfg = workspace
+        run_cfg = load_config(str(cfg_path))
+        g = load_triples(cfg["graph_path"])
+        tables, *_ = ds.load_dataset(cfg["dataset_dir"], g)
+        for table in tables.values():
+            assert _derive_set_tokens(run_cfg, {}, g.mid(table.se)) == table.set_tokens
+
+
 class TestRenderSparqlCommand:
     def test_prints_the_query(self, capsys):
         assert main(["render-sparql", "--se", "m.1", "--p1", "a.b/^c.d", "--p2", "e.f"]) == 0
@@ -229,11 +288,12 @@ class TestConfig:
         assert load_config(str(cfg), {"seed": 2}).seed == 2
 
     def test_help_lists_every_config_key(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--help"])
-        text = capsys.readouterr().out
-        for key in config_defaults():
-            assert "--" + key.replace("_", "-") in text
+        for command in ("evaluate", "complete", "render-sparql"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out
+            for key in config_defaults():
+                assert "--" + key.replace("_", "-") in text, (command, key)
 
     def test_cli_error_paths_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -247,6 +307,27 @@ class TestConfig:
             argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding"]
             assert main([*argv, flag, bad]) == 2
             assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_bad_metadata_field_exits_2_with_file_and_line(self, tmp_path, capsys):
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("m.1\tp\tm.2\n")
+        meta = tmp_path / "meta.jsonl"
+        meta.write_text('{"mid": "m.1"}\n{"mid": "m.2", "rdf_types": 5}\n')
+        argv = ["build-dataset", "--graph-path", str(graph), "--entity-meta-path", str(meta)]
+        assert main(argv) == 2
+        assert f"{meta}:2: 'rdf_types' must be a list of strings" in capsys.readouterr().err
+
+    def test_corrupt_tables_line_exits_2_with_file_and_line(self, workspace, tmp_path, capsys):
+        _, cfg_path, cfg = workspace
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        for src in Path(cfg["dataset_dir"]).iterdir():
+            (dataset / src.name).write_bytes(src.read_bytes())
+        lines = (dataset / "tables.jsonl").read_text().splitlines(keepends=True)
+        (dataset / "tables.jsonl").write_text(lines[0] + "{broken\n" + "".join(lines[1:]))
+        argv = ["train-selector", "--config", str(cfg_path), "--dataset-dir", str(dataset)]
+        assert main(argv) == 2
+        assert f"{dataset / 'tables.jsonl'}:2: bad JSON" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["evaluate", "--graph-path", "/nope/missing.tsv"]) == 2

@@ -314,18 +314,59 @@ class TestCorpusIo:
 class TestRoundTrip:
     def test_save_load_is_identity_and_deterministic(self, tmp_path, bundle):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
+        type_freq = ds.subject_type_freq(
+            ds.read_corpus(bundle.paths.corpus), bundle.g,
+            ds.read_tsv_multimap(bundle.paths.mid2types),
+        )
         for out in (out1, out2):
             ds.save_dataset(
                 str(out), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-                bundle.g,
+                bundle.g, type_freq,
             )
-        for name in ("tables.jsonl", "split.json", "vocab_tb.json", "vocab_kb.json"):
+        names = ("tables.jsonl", "split.json", "vocab_tb.json", "vocab_kb.json", ds.TYPE_FREQ_FILE)
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         tables, split, tb, kb = ds.load_dataset(str(out1), bundle.g)
         assert split == bundle.split
         assert tb.tokens == bundle.tb_vocab.tokens
         assert kb.tokens == bundle.kb_vocab.tokens
         assert tables == bundle.tables
+        assert ds.load_type_freq(str(out1)) == type_freq
+        assert type_freq and all(c > 0 for c in type_freq.values())
+
+    def test_loaded_segments_are_parsed_once_and_equal_a_fresh_parse(self, tmp_path, bundle):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g, {},
+        )
+        tables, *_ = ds.load_dataset(str(tmp_path), bundle.g)
+        by_text: dict[str, MetaPath] = {}
+        seen = 0
+        for table in tables.values():
+            for lc in table.chains:
+                for segment in (lc.chain.p1, lc.chain.p2):
+                    text = segment.canonical()
+                    assert segment == MetaPath.parse(text)
+                    first = by_text.setdefault(text, segment)
+                    assert first is segment, text
+                    seen += 1
+        assert seen > 2 * len(by_text)  # segments really repeat across chains
+
+    def test_corrupt_table_line_names_the_file_and_line(self, tmp_path, bundle):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g, {},
+        )
+        path = tmp_path / "tables.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        for bad in ("{broken\n", '{"table_id": "t"}\n'):
+            path.write_text(lines[0] + bad + "".join(lines[1:]))
+            with pytest.raises(ds.ParseError, match=r"tables\.jsonl:2: "):
+                ds.load_dataset(str(tmp_path), bundle.g)
+
+    def test_missing_type_frequencies_ask_for_a_rebuild(self, tmp_path):
+        with pytest.raises(ds.ConfigurationError, match="rebuild the dataset"):
+            ds.load_type_freq(str(tmp_path))
 
 
 class TestCorpusInvariants:

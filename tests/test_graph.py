@@ -1,7 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import naive_entity_meta
 
+from kgtable import synth
 from kgtable.graph import (
     EntityMeta,
     EntityMetaStore,
@@ -145,6 +149,72 @@ class TestMetadata:
         path.write_text('{"mid": "m.1"}\n{broken\n')
         with pytest.raises(ParseError, match="2"):
             load_entity_meta(str(path), g)
+
+    def _meta_file(self, tmp_path, *records):
+        path = tmp_path / "meta.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return str(path)
+
+    def test_type_field_that_is_not_a_list_is_rejected(self, tmp_path):
+        g = graph_of(("m.1", "p", "m.2"))
+        path = self._meta_file(tmp_path, {"mid": "m.2"}, {"mid": "m.1", "rdf_types": 5})
+        with pytest.raises(ParseError, match=r"meta\.jsonl:2: 'rdf_types' must be a list"):
+            load_entity_meta(path, g)
+
+    def test_type_field_that_is_a_string_is_rejected(self, tmp_path):
+        g = graph_of(("m.1", "p", "m.2"))
+        path = self._meta_file(tmp_path, {"mid": "m.1", "notable_types": "music.organization"})
+        with pytest.raises(ParseError, match=r"meta\.jsonl:1: 'notable_types' must be a list"):
+            load_entity_meta(path, g)
+
+    def test_type_list_with_a_non_string_item_is_rejected(self, tmp_path):
+        g = graph_of(("m.1", "p", "m.2"))
+        for bad in ([["a.b"]], ["a.b", 3]):
+            path = self._meta_file(tmp_path, {"mid": "m.1", "rdf_types": ["a.b"]},
+                                   {"mid": "m.2", "rdf_types": bad})
+            with pytest.raises(ParseError, match=r"meta\.jsonl:2: 'rdf_types'"):
+                load_entity_meta(path, g)
+
+    def test_null_text_fields_are_empty_and_other_values_rejected(self, tmp_path):
+        g = graph_of(("m.1", "p", "m.2"))
+        path = self._meta_file(
+            tmp_path,
+            {"mid": "m.1", "name": None, "description": None, "rdf_types": None},
+        )
+        assert load_entity_meta(path, g).get(g.entity_id("m.1")) == EntityMeta()
+        for key in ("name", "description"):
+            path = self._meta_file(tmp_path, {"mid": "m.1", key: 7})
+            with pytest.raises(ParseError, match=rf"meta\.jsonl:1: '{key}' must be a string"):
+                load_entity_meta(path, g)
+
+    def test_predicate_type_field_must_be_a_list_of_strings(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"name": "a.b.c", "expected_target_types": "tv.genre"}\n')
+        with pytest.raises(ParseError, match=r"preds\.jsonl:1: 'expected_target_types'"):
+            load_predicate_meta(str(path))
+
+    def test_equal_type_lists_share_one_token_set(self, tmp_path):
+        g = graph_of(("m.1", "p", "m.2"))
+        path = self._meta_file(
+            tmp_path,
+            {"mid": "m.1", "notable_types": ["tv.actor"], "rdf_types": ["tv.actor"]},
+            {"mid": "m.2", "notable_types": ["tv.actor"], "rdf_types": ["tv.actor", "x"]},
+        )
+        store = load_entity_meta(path, g)
+        one, two = store.get(g.entity_id("m.1")), store.get(g.entity_id("m.2"))
+        assert one.notable_types == {"tv", "actor"}
+        assert one.notable_types is one.rdf_types is two.notable_types
+        assert two.rdf_types == {"tv", "actor", "x"}
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_every_entity_matches_the_per_record_oracle(self, tmp_path, seed):
+        data = synth.make_corpus(str(tmp_path), n_tables=30, seed=seed)
+        g = load_triples(data.graph)
+        store = load_entity_meta(data.entity_meta, g)
+        want = naive_entity_meta(data.entity_meta)
+        assert len(store) == len(g)
+        for e in g.entities():
+            assert store.get(e) == EntityMeta(*want[g.mid(e)])
 
     def test_predicate_prefix_rule(self):
         assert predicate_src_tokens("tv.tv_actor.starring_roles") == {"tv", "actor"}
