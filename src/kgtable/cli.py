@@ -26,18 +26,16 @@ from .graph import (
     load_entity_meta,
     load_predicate_meta,
     load_triples,
+    read_json,
 )
 from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
 from .query import BudgetExceeded, execute_chain, render_sparql
 
 
 def _config_flags() -> argparse.ArgumentParser:
-    """A parent parser holding ``--config``, ``--output`` and one flag per config key."""
+    """A parent parser holding ``--config`` and one flag per config key."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument(
-        "--output", dest="output_dir_alias", help="alias for --output-dir"
-    )
     for name, default in config_defaults().items():
         flag = "--" + name.replace("_", "-")
         kwargs: dict = {"dest": f"cfg_{name}", "help": f"config key (default: {default!r})"}
@@ -55,8 +53,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for name, value in vars(args).items()
         if name.startswith("cfg_") and value is not None
     }
-    if getattr(args, "output_dir_alias", None):
-        overrides["output_dir"] = args.output_dir_alias
     return load_config(args.config, overrides)
 
 
@@ -258,8 +254,7 @@ def _derive_set_tokens(cfg: RunConfig, query: dict, se_mid: str) -> tuple[str, .
 def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     g = _load_graph(cfg)
     entity_meta, pred_meta, embeddings = _load_stores(cfg, g)
-    with open(query_path, encoding="utf-8") as fh:
-        query = json.load(fh)
+    query = read_json(query_path)
     for key in ("se", "er1", "er2", "cn1", "cn2"):
         if key not in query:
             raise ConfigurationError(f"query file is missing {key!r}")

@@ -6,10 +6,10 @@ file are rejected so stale experiment manifests fail loudly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 from .dataset import BuildSettings, ConfigurationError
+from .graph import read_json
 from .query import QueryBudget
 from .ranker import RankerConfig
 from .selector import SelectorHyperParams
@@ -118,11 +118,7 @@ def load_config(
     """Defaults, then the JSON file, then flag overrides; unknown keys fail."""
     values = {}
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ConfigurationError(f"{config_path}: expected a JSON object")
-        for name, value in file_values.items():
+        for name, value in read_json(config_path).items():
             if name not in _FIELD_TYPES:
                 raise ConfigurationError(f"{config_path}: unknown config key {name!r}")
             values[name] = _coerce(name, value)

@@ -16,7 +16,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +27,8 @@ from .graph import (
     KnowledgeGraph,
     ParseError,
     _json_lines,
+    _tsv_rows,
+    read_json,
 )
 from .paths import (
     DEFAULT_BANNED_PREFIXES,
@@ -111,31 +113,14 @@ def read_corpus(path: str) -> list[RawTable]:
 
 def read_tsv_map(path: str) -> dict[str, str]:
     """Two-column tab-separated file to dict; later duplicates win."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise ParseError(path, line_no, "expected 'key<TAB>value'")
-            out[parts[0]] = parts[1]
-    return out
+    return dict(_tsv_rows(path, 2, "key<TAB>value"))
 
 
 def read_tsv_multimap(path: str) -> dict[str, tuple[str, ...]]:
     """Tab-separated ``key<TAB>value`` lines grouped into key -> values."""
     grouped: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise ParseError(path, line_no, "expected 'key<TAB>value'")
-            grouped.setdefault(parts[0], []).append(parts[1])
+    for key, value in _tsv_rows(path, 2, "key<TAB>value"):
+        grouped.setdefault(key, []).append(value)
     return {k: tuple(v) for k, v in grouped.items()}
 
 
@@ -442,13 +427,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens) + 1
 
-    @property
-    def oov_index(self) -> int:
-        return 0
-
-    def index(self, token: str) -> int:
-        return self._index.get(token, 0)
-
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self._index.get(t, 0) for t in tokens)
 
@@ -515,17 +493,7 @@ def pad_negatives(
             LabeledChain(chain=c, positive=False, recall=0.0, precision=0.0, f1=0.0)
             for c in sorted(picked, key=ChainPair.canonical)
         )
-        out[tid] = AnnotatedTable(
-            table_id=table.table_id,
-            qis=table.qis,
-            cn1=table.cn1,
-            cn2=table.cn2,
-            se=table.se,
-            se_name=table.se_name,
-            set_tokens=table.set_tokens,
-            rr=table.rr,
-            chains=table.chains + extra,
-        )
+        out[tid] = replace(table, chains=table.chains + extra)
     return out
 
 
@@ -645,15 +613,12 @@ def load_type_freq(in_dir: str) -> dict[str, int]:
     """The subject type frequencies ``save_dataset`` wrote, for serving-time SET."""
     path = Path(in_dir) / TYPE_FREQ_FILE
     try:
-        with open(path, encoding="utf-8") as fh:
-            freq = json.load(fh)
+        freq = read_json(str(path))
     except FileNotFoundError:
         raise ConfigurationError(
             f"{path} is missing; rebuild the dataset with build-dataset"
         ) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from exc
-    if not isinstance(freq, dict) or not all(isinstance(v, int) for v in freq.values()):
+    if not all(isinstance(v, int) for v in freq.values()):
         raise ParseError(str(path), 1, "expected an object of type counts")
     return freq
 
@@ -671,19 +636,25 @@ def load_dataset(
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(path, line_no, f"bad table record: {exc!r}") from exc
         tables[t.table_id] = t
-    with open(base / "split.json", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    split = DatasetSplit(
-        train=tuple(rec["train"]),
-        validation=tuple(rec["validation"]),
-        test=tuple(rec["test"]),
-        seed=rec["seed"],
-    )
+    path = str(base / "split.json")
+    rec = read_json(path)
+    try:
+        split = DatasetSplit(
+            train=tuple(rec["train"]),
+            validation=tuple(rec["validation"]),
+            test=tuple(rec["test"]),
+            seed=rec["seed"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ParseError(path, 1, f"bad split record: {exc!r}") from exc
     vocabs = []
     for name in ("vocab_tb.json", "vocab_kb.json"):
-        with open(base / name, encoding="utf-8") as fh:
-            v = json.load(fh)
-        vocabs.append(Vocabulary(v["kind"], tuple(v["tokens"]), v["oov_token"]))
+        path = str(base / name)
+        v = read_json(path)
+        try:
+            vocabs.append(Vocabulary(v["kind"], tuple(v["tokens"]), v["oov_token"]))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(path, 1, f"bad vocabulary record: {exc!r}") from exc
     return tables, split, vocabs[0], vocabs[1]
 
 

@@ -54,9 +54,6 @@ class PredicateToken:
     def render(self) -> str:
         return ("^" + self.name) if self.inverse else self.name
 
-    def flipped(self) -> "PredicateToken":
-        return PredicateToken(self.name, not self.inverse)
-
     @classmethod
     def parse(cls, text: str) -> "PredicateToken":
         if text.startswith("^"):
@@ -123,9 +120,6 @@ class KnowledgeGraph:
     def entities(self) -> range:
         return range(len(self._mids))
 
-    def predicate_names(self) -> tuple[str, ...]:
-        return tuple(sorted({p for _, p, _ in self._triples}))
-
     def triples(self) -> tuple[tuple[str, str, str], ...]:
         return self._triples
 
@@ -190,23 +184,32 @@ def walk(
     return cur
 
 
-def load_triples(path: str) -> KnowledgeGraph:
-    """Load a graph from a tab-separated ``subject predicate object`` file.
+def _tsv_rows(path: str, width: int, expected: str) -> Iterator[list[str]]:
+    """The fields of each tab-separated line of ``path``.
 
-    ``#``-prefixed comment lines and blank lines are ignored; duplicate
-    triples are deduplicated silently; line order does not matter.
+    ``#``-prefixed comment lines and blank lines are skipped; a line without
+    exactly ``width`` non-empty fields is a ``ParseError`` saying what was
+    ``expected``.
     """
-    triples = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise ParseError(path, line_no, "expected 'subject<TAB>predicate<TAB>object'")
-            triples.append((parts[0], parts[1], parts[2]))
-    return KnowledgeGraph(triples)
+            if len(parts) != width or not all(parts):
+                raise ParseError(path, line_no, f"expected {expected!r}")
+            yield parts
+
+
+def load_triples(path: str) -> KnowledgeGraph:
+    """Load a graph from a tab-separated ``subject predicate object`` file.
+
+    ``#``-prefixed comment lines and blank lines are ignored; duplicate
+    triples are deduplicated silently; line order does not matter.
+    """
+    rows = _tsv_rows(path, 3, "subject<TAB>predicate<TAB>object")
+    return KnowledgeGraph(tuple(parts) for parts in rows)
 
 
 # -- entity / predicate metadata ------------------------------------------
@@ -285,6 +288,19 @@ def _json_lines(path: str) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, "expected a JSON object")
             yield line_no, record
+
+
+def read_json(path: str) -> dict:
+    """The JSON object that makes up the whole file; anything else is a ``ParseError``."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"bad JSON: {exc.msg}") from exc
+    if not isinstance(value, dict):
+        raise ParseError(path, 1, "expected a JSON object")
+    return value
 
 
 def _text_field(rec: dict, key: str, path: str, line_no: int) -> str:

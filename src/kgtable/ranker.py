@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EntityMetaStore, PredicateMetaStore
+from .graph import EntityMetaStore, ParseError, PredicateMetaStore, read_json
 from .paths import ChainPair
 from .text import jaccard
 
@@ -242,19 +242,6 @@ def precision_at_1(
 # -- LambdaMART --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
 def _last_accepted(gains: np.ndarray) -> int:
     """Where ``best = 0.0; for g in gains: if g > best + 1e-12: best = g`` last accepts, or -1.
 
@@ -309,42 +296,63 @@ def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, np.ndarray, i
     return feat, (sv[feat, i] + sv[feat, i + 1]) / 2.0, order[feat].copy(), i + 1
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> TreeNode:
-    """Exact greedy regression tree on the rows ``idx``."""
+def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> dict:
+    """Exact greedy regression tree on the rows ``idx``, in the form ``ranker.json`` stores.
+
+    A leaf is ``{"value": v}`` and a split ``{"feature", "threshold", "left",
+    "right"}``; a row goes left when its feature value is at most the threshold.
+    """
     y_idx = y[idx]
     if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
-        return TreeNode(value=float(np.mean(y_idx)))
+        return {"value": float(np.mean(y_idx))}
     split = _best_split(X[idx], y_idx)
     if split is None:
-        return TreeNode(value=float(np.mean(y_idx)))
+        return {"value": float(np.mean(y_idx))}
     feat, thr, rows, n_left = split
-    return TreeNode(
-        feature=feat,
-        threshold=thr,
-        left=_fit_tree(X, y, idx[rows[:n_left]], depth - 1),
-        right=_fit_tree(X, y, idx[rows[n_left:]], depth - 1),
-    )
+    return {
+        "feature": feat,
+        "threshold": float(thr),
+        "left": _fit_tree(X, y, idx[rows[:n_left]], depth - 1),
+        "right": _fit_tree(X, y, idx[rows[n_left:]], depth - 1),
+    }
 
 
-def _tree_arrays(trees: Sequence[TreeNode]) -> tuple:
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _tree_arrays(trees: Sequence[dict]) -> tuple:
     """Nodes of the trees as arrays: (feature, threshold, left, right, value, roots, depth).
 
     A leaf's children are the leaf itself, so a row routed past its leaf
     stays there, and ``depth`` routing steps bring every row to its leaf.
+    A node that is neither a leaf nor a split is a ``ValueError``.
     """
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def add(node: TreeNode) -> tuple[int, int]:
+    def add(node: dict) -> tuple[int, int]:
+        if not isinstance(node, dict):
+            raise ValueError("a tree node must be an object")
         i = len(feature)
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        value.append(node.value)
         left.append(i)
         right.append(i)
-        if node.is_leaf:
+        if "value" in node:
+            if not _is_number(node["value"]):
+                raise ValueError("a leaf 'value' must be a number")
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(node["value"])
             return i, 0
-        left[i], depth_left = add(node.left)
-        right[i], depth_right = add(node.right)
+        f = node.get("feature")
+        if type(f) is not int or not 0 <= f < NUM_FEATURES:
+            raise ValueError(f"a split 'feature' must be an int in 0..{NUM_FEATURES - 1}")
+        if not (_is_number(node.get("threshold")) and "left" in node and "right" in node):
+            raise ValueError("a split needs a numeric 'threshold', a 'left' and a 'right'")
+        feature.append(f)
+        threshold.append(node["threshold"])
+        value.append(0.0)
+        left[i], depth_left = add(node["left"])
+        right[i], depth_right = add(node["right"])
         return i, 1 + max(depth_left, depth_right)
 
     rooted = [add(t) for t in trees]
@@ -384,9 +392,14 @@ class TrainingGroup:
 
 
 class RankerModel:
-    """Ensemble of regression trees; prediction is learning_rate * sum of outputs."""
+    """Ensemble of regression trees; prediction is learning_rate * sum of outputs.
 
-    def __init__(self, trees: Sequence[TreeNode], learning_rate: float, sigma: float):
+    ``trees`` holds each tree as ``_fit_tree`` returns it and ``ranker.json``
+    stores it; the routing arrays are built from them once, which also
+    checks every node.
+    """
+
+    def __init__(self, trees: Sequence[dict], learning_rate: float, sigma: float):
         self.trees = list(trees)
         self.learning_rate = learning_rate
         self.sigma = sigma
@@ -398,20 +411,6 @@ class RankerModel:
         for leaf_values in _leaf_values(self._nodes, X).T:
             scores += leaf_values
         return self.learning_rate * scores
-
-    def feature_importance(self) -> np.ndarray:
-        """Split counts per feature across the ensemble."""
-        counts = np.zeros(NUM_FEATURES)
-
-        def visit(node: TreeNode):
-            if not node.is_leaf:
-                counts[node.feature] += 1
-                visit(node.left)
-                visit(node.right)
-
-        for tree in self.trees:
-            visit(tree)
-        return counts
 
 
 def pairwise_lambdas(
@@ -478,35 +477,13 @@ def rank(scores: Sequence[float], cands: Sequence[tuple[int, int]]) -> list[int]
 # -- model files --------------------------------------------------------------
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
-
-
-def _node_from_json(obj: dict) -> TreeNode:
-    if "value" in obj:
-        return TreeNode(value=obj["value"])
-    return TreeNode(
-        feature=obj["feature"],
-        threshold=obj["threshold"],
-        left=_node_from_json(obj["left"]),
-        right=_node_from_json(obj["right"]),
-    )
-
-
 def save_ranker(path: str, model: RankerModel) -> None:
     payload = {
         "version": 1,
         "type": "lambdamart",
         "learning_rate": model.learning_rate,
         "sigma": model.sigma,
-        "trees": [_node_to_json(t) for t in model.trees],
+        "trees": model.trees,
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -514,12 +491,17 @@ def save_ranker(path: str, model: RankerModel) -> None:
 
 
 def load_ranker(path: str) -> RankerModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """The model ``save_ranker`` wrote; a malformed file is a ``ParseError`` naming it."""
+    payload = read_json(path)
     if payload.get("type") != "lambdamart" or payload.get("version") != 1:
-        raise ValueError(f"not a ranker model file: {path}")
-    return RankerModel(
-        [_node_from_json(t) for t in payload["trees"]],
-        payload["learning_rate"],
-        payload["sigma"],
-    )
+        raise ParseError(path, 1, "not a ranker model file")
+    trees = payload.get("trees")
+    if not isinstance(trees, list):
+        raise ParseError(path, 1, "'trees' must be a list")
+    for key in ("learning_rate", "sigma"):
+        if not _is_number(payload.get(key)):
+            raise ParseError(path, 1, f"{key!r} must be a number")
+    try:
+        return RankerModel(trees, payload["learning_rate"], payload["sigma"])
+    except ValueError as exc:
+        raise ParseError(path, 1, str(exc)) from None

@@ -25,18 +25,15 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dataset import AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
+from .graph import read_json
 from .paths import ChainPair
-
-DEFAULT_MARGIN = 0.25
-DEFAULT_L2_WEIGHT = 5e-6
-DEFAULT_LEARNING_RATE = 1e-5
 
 
 @dataclass(frozen=True)
 class SelectorHyperParams:
-    margin: float = DEFAULT_MARGIN
-    l2_weight: float = DEFAULT_L2_WEIGHT
-    learning_rate: float = DEFAULT_LEARNING_RATE
+    margin: float = 0.25
+    l2_weight: float = 5e-6
+    learning_rate: float = 1e-5
     batch_size: int = 250
     epochs: int = 2000
     k_negatives: int = 10
@@ -112,14 +109,11 @@ def context_for_table(
 
 def encode_chain(
     chain: ChainPair,
-    kb_vocab: Vocabulary | None,
+    kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
 ) -> ChainEncoding:
-    canonical = chain.canonical()
-    if kb_vocab is None:
-        return ChainEncoding(indices=(), canonical=canonical)
     tokens = chain_tokens(chain)[: hp.max_chain_tokens]
-    return ChainEncoding(indices=kb_vocab.encode(tokens), canonical=canonical)
+    return ChainEncoding(indices=kb_vocab.encode(tokens), canonical=chain.canonical())
 
 
 # -- scoring ------------------------------------------------------------------
@@ -269,7 +263,7 @@ def select_top1(
     scorer,
     ctx: QueryContext,
     chains: Iterable[ChainPair],
-    kb_vocab: Vocabulary | None,
+    kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
 ) -> int:
     """Index of the highest-scoring chain; ties go to the smallest canonical string."""
@@ -459,25 +453,12 @@ def _triples(
     return ctxs, positives, negatives
 
 
-def embedding_objective(
-    scorer: EmbeddingScorer,
-    examples: Sequence[_TrainExample],
-    hp: SelectorHyperParams,
-    rng_seed: int = 0,
-) -> float:
-    """Full training objective: summed hinge losses plus the L2 norm penalty."""
-    rng = np.random.default_rng(rng_seed)
-    loss, _ = triple_hinge_gradients(scorer, *_triples(examples, hp.k_negatives - 1, rng))
-    return loss + hp.l2_weight * _global_norm(scorer.matrices())
-
-
 def train_embedding(
     tables: Sequence[AnnotatedTable],
     tb_vocab: Vocabulary,
     kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
     seed: int = 0,
-    track_objective: bool = False,
 ) -> EmbeddingScorer:
     """Mini-batch gradient descent on the hinge objective.
 
@@ -485,9 +466,8 @@ def train_embedding(
     all of its triples (every positive against k-1 negatives), then one
     step on the summed gradients plus the gradient of the L2 norm penalty.
     Deterministic given the seed: initialization, per-epoch shuffling and
-    negative fill all come from one generator. When ``track_objective`` is
-    set, the full objective is recorded per epoch on
-    ``scorer.objective_history`` (index 0 holds the pre-training value).
+    negative fill all come from one generator, so the first e epochs of a
+    longer run give the same parameters as a run of e epochs.
     """
     if not tables:
         raise ConfigurationError("empty training set")
@@ -507,11 +487,6 @@ def train_embedding(
         kb_vocab_hash=kb_vocab.content_hash(),
     )
     examples = _prepare_examples(tables, tb_vocab, kb_vocab, hp)
-
-    history: list[float] = []
-    if track_objective:
-        history.append(embedding_objective(scorer, examples, hp))
-
     for _ in range(hp.epochs):
         order = rng.permutation(len(examples))
         for start in range(0, len(order), hp.batch_size):
@@ -525,10 +500,6 @@ def train_embedding(
                     grads[k] += hp.l2_weight * mats[k] / norm
             for k in mats:
                 mats[k] -= hp.learning_rate * grads[k]
-        if track_objective:
-            history.append(embedding_objective(scorer, examples, hp))
-
-    scorer.objective_history = history
     return scorer
 
 
@@ -628,8 +599,7 @@ def save_scorer(path: str, scorer) -> None:
 
 
 def load_scorer(path: str, tb_vocab: Vocabulary, kb_vocab: Vocabulary):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if payload.get("version") != 1:
         raise ConfigurationError(f"unsupported model version {payload.get('version')}")
     if payload["tb_vocab_hash"] != tb_vocab.content_hash() or payload[

@@ -22,10 +22,6 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(t for t in _SPLIT.split(text.lower()) if t)
 
 
-def token_set(text: str) -> frozenset[str]:
-    return frozenset(tokenize(text))
-
-
 def is_numeric(token: str) -> bool:
     """True for tokens made of digits only (mapped to ``numtkn`` in text fields)."""
     return token.isdigit()

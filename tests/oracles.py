@@ -213,13 +213,13 @@ def naive_fit_tree(X, y, idx, depth):
     """Exact greedy regression tree, scanning each feature's split points in a loop.
 
     A split must beat the best gain so far by more than 1e-12, so the first
-    of equally good splits (by feature, then by position) wins.
+    of equally good splits (by feature, then by position) wins. Trees are
+    nested dicts: a leaf ``{"value"}``, a split ``{"feature", "threshold",
+    "left", "right"}``.
     """
-    from kgtable.ranker import TreeNode
-
     y_idx = y[idx]
     if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
-        return TreeNode(value=float(np.mean(y_idx)))
+        return {"value": float(np.mean(y_idx))}
     best_gain = 0.0
     best = None
     total = float(np.sum(y_idx))
@@ -245,14 +245,48 @@ def naive_fit_tree(X, y, idx, depth):
                 best_gain = gain
                 best = (feat, thr, idx[order[:nl]], idx[order[nl:]])
     if best is None:
-        return TreeNode(value=float(np.mean(y_idx)))
+        return {"value": float(np.mean(y_idx))}
     feat, thr, left_idx, right_idx = best
-    return TreeNode(
-        feature=feat,
-        threshold=thr,
-        left=naive_fit_tree(X, y, left_idx, depth - 1),
-        right=naive_fit_tree(X, y, right_idx, depth - 1),
+    return {
+        "feature": feat,
+        "threshold": thr,
+        "left": naive_fit_tree(X, y, left_idx, depth - 1),
+        "right": naive_fit_tree(X, y, right_idx, depth - 1),
+    }
+
+
+def embedding_objective(scorer, tables, tb_vocab, kb_vocab, hp, rng_seed=0) -> float:
+    """Full training objective of ``train_embedding``: summed hinge losses plus the L2 norm penalty.
+
+    The triples are those training draws (every positive against k-1
+    negatives), with the negative fill drawn from a generator of its own
+    seed; each triple's loss is computed on its own.
+    """
+    from kgtable import selector as sel
+
+    rng = np.random.default_rng(rng_seed)
+    examples = sel._prepare_examples(tables, tb_vocab, kb_vocab, hp)
+    mats = scorer.matrices()
+
+    def query_vector(ctx):
+        return np.concatenate([
+            _mean_rows(mats["qis"], ctx.qis),
+            _mean_rows(mats["cn"], ctx.cn1),
+            _mean_rows(mats["cn"], ctx.cn2),
+            _mean_rows(mats["set"], ctx.set_tokens),
+        ])
+
+    loss = sum(
+        hinge_loss(
+            query_vector(ctx),
+            _mean_rows(mats["chain"], pos.indices),
+            _mean_rows(mats["chain"], neg.indices),
+            scorer.margin,
+        )
+        for ctx, pos, neg in zip(*sel._triples(examples, hp.k_negatives - 1, rng))
     )
+    norm = np.sqrt(sum(float(np.sum(m * m)) for m in mats.values()))
+    return loss + hp.l2_weight * norm
 
 
 def naive_entity_meta(path: str) -> dict[str, tuple[str, tuple[str, ...], frozenset, frozenset]]:

@@ -184,6 +184,13 @@ class TestCompleteCommand:
         assert code == 1
         assert "no connecting chain within length 3" in capsys.readouterr().err
 
+    def test_truncated_query_file_exits_2_with_file_and_line(self, tv_world, capsys):
+        tmp_path, graph, meta, query = tv_world
+        query.write_text('{"qd": "whatever",\n')
+        argv = ["complete", str(query), "--graph-path", str(graph), "--selector", "random"]
+        assert main(argv) == 2
+        assert f"{query}:2: bad JSON" in capsys.readouterr().err
+
     def test_same_seed_runs_are_byte_identical(self, tv_world):
         tmp_path, graph, meta, query = tv_world
         blobs = []
@@ -328,6 +335,17 @@ class TestConfig:
         argv = ["train-selector", "--config", str(cfg_path), "--dataset-dir", str(dataset)]
         assert main(argv) == 2
         assert f"{dataset / 'tables.jsonl'}:2: bad JSON" in capsys.readouterr().err
+
+    def test_bad_ranker_model_exits_2_with_file(self, workspace, tmp_path, capsys):
+        _, cfg_path, cfg = workspace
+        payload = json.loads((Path(cfg["output_dir"]) / "ranker.json").read_text())
+        leaf = {"value": 0.0}
+        payload["trees"][0] = {"feature": 99, "threshold": 0.0, "left": leaf, "right": leaf}
+        bad = tmp_path / "ranker.json"
+        bad.write_text(json.dumps(payload))
+        argv = ["evaluate", "--config", str(cfg_path), "--ranker-model-path", str(bad)]
+        assert main(argv) == 2
+        assert f"{bad}:1: a split 'feature' must be an int in 0..26" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["evaluate", "--graph-path", "/nope/missing.tsv"]) == 2

@@ -230,8 +230,8 @@ class TestVocabulary:
         tb, kb = ds.build_vocab([t1, t2])
         assert "shared" in tb.tokens
         assert "rare" not in tb.tokens
-        assert tb.index("rare") == tb.oov_index == 0
-        assert tb.index("shared") > 0
+        rare, shared = tb.encode(["rare", "shared"])
+        assert rare == 0 < shared
 
     def test_kb_vocab_from_set_and_chains(self):
         t1 = make_table("a", (labeled("x.p", "y.q", True),), set_tokens=("stype",))
@@ -363,6 +363,26 @@ class TestRoundTrip:
             path.write_text(lines[0] + bad + "".join(lines[1:]))
             with pytest.raises(ds.ParseError, match=r"tables\.jsonl:2: "):
                 ds.load_dataset(str(tmp_path), bundle.g)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("split.json", '{"seed": 1,\n', r"split\.json:2: bad JSON"),
+            ("split.json", '{"seed": 1, "train": []}\n', r"split\.json:1: bad split record"),
+            ("vocab_tb.json", '{"kind": "TB_Vocab", "oov_token": "<oov>"}\n',
+             r"vocab_tb\.json:1: bad vocabulary record: KeyError\('tokens'\)"),
+            ("vocab_kb.json", "[]\n", r"vocab_kb\.json:1: expected a JSON object"),
+        ],
+        ids=["truncated-split", "split-without-fields", "vocab-without-tokens", "vocab-not-object"],
+    )
+    def test_bad_split_or_vocabulary_names_the_file(self, tmp_path, bundle, name, text, message):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g, {},
+        )
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ds.ParseError, match=message):
+            ds.load_dataset(str(tmp_path), bundle.g)
 
     def test_missing_type_frequencies_ask_for_a_rebuild(self, tmp_path):
         with pytest.raises(ds.ConfigurationError, match="rebuild the dataset"):

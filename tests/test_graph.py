@@ -100,7 +100,8 @@ class TestInvariants:
             for tok, nbrs in groups.items():
                 assert list(nbrs) == sorted(set(nbrs))
                 for nbr in nbrs:
-                    assert e in g.adjacency(nbr).get(tok.flipped(), ())
+                    inverse = PredicateToken(tok.name, not tok.inverse)
+                    assert e in g.adjacency(nbr).get(inverse, ())
 
 
 class TestNeighbors:

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from kgtable import harness
 from kgtable import ranker as rk
 from kgtable.dataset import AnnotatedTable
-from kgtable.graph import EntityMeta, EntityMetaStore, PredicateMetaStore
+from kgtable.graph import EntityMeta, EntityMetaStore, ParseError, PredicateMetaStore
 from kgtable.paths import ChainPair, MetaPath
 from oracles import naive_featurize, naive_fit_tree
 
@@ -368,8 +370,17 @@ class TestTrainRanker:
 
     def test_feature_importance_concentrates_on_the_signal(self):
         model = rk.train_ranker(separable_groups(1), rk.RankerConfig(tree_count=10, tree_depth=2))
-        importance = model.feature_importance()
-        assert importance[0] == importance.max() > 0
+        splits = np.zeros(rk.NUM_FEATURES)
+
+        def count(node):
+            if "value" not in node:
+                splits[node["feature"]] += 1
+                count(node["left"])
+                count(node["right"])
+
+        for tree in model.trees:
+            count(tree)
+        assert splits[0] == splits.max() > 0
 
 
 def split_cases(seed, count=120):
@@ -397,15 +408,16 @@ class TestSplitScanOracleParity:
         for X, y in split_cases(0):
             rows = np.arange(len(y))
             fast = rk._fit_tree(X, y, rows, 3)
-            assert rk._node_to_json(fast) == rk._node_to_json(naive_fit_tree(X, y, rows, 3))
+            assert fast == naive_fit_tree(X, y, rows, 3)
             # Midpoints of integer features land on thresholds, testing "<=".
             probe = np.vstack([X, (X + np.roll(X, 1, axis=0)) / 2])
             per_row = []
             for x in probe:
                 node = fast
-                while not node.is_leaf:
-                    node = node.left if x[node.feature] <= node.threshold else node.right
-                per_row.append(node.value)
+                while "value" not in node:
+                    side = "left" if x[node["feature"]] <= node["threshold"] else "right"
+                    node = node[side]
+                per_row.append(node["value"])
             assert rk._leaf_values(rk._tree_arrays([fast]), probe)[:, 0].tolist() == per_row
 
 
@@ -436,8 +448,41 @@ class TestModelFiles:
         path = tmp_path / "model.json"
         rk.save_ranker(str(path), model)
         loaded = rk.load_ranker(str(path))
+        assert loaded.trees == model.trees
         X = separable_groups(4)[0].features
         assert np.array_equal(model.predict(X), loaded.predict(X))
+
+    LEAF = {"value": 1.0}
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"feature": 99, "threshold": 0.5, "left": LEAF, "right": LEAF},
+            {"feature": -1, "threshold": 0.5, "left": LEAF, "right": LEAF},
+            {"feature": 3.0, "threshold": 0.5, "left": LEAF, "right": LEAF},
+            {"feature": True, "threshold": 0.5, "left": LEAF, "right": LEAF},
+            {"feature": 3, "left": LEAF, "right": LEAF},
+            {"feature": 3, "threshold": 0.5, "right": LEAF},
+            {"feature": 3, "threshold": 0.5, "left": LEAF},
+            {"value": "1.0"},
+            {"value": None},
+            [],
+        ],
+        ids=[
+            "feature-99", "feature-minus-1", "feature-float", "feature-bool",
+            "no-threshold", "no-left", "no-right", "value-string", "value-null",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_tree_is_a_parse_error_naming_the_file(self, tmp_path, node):
+        model = rk.train_ranker(separable_groups(3), rk.RankerConfig(tree_count=2, tree_depth=2))
+        path = tmp_path / "model.json"
+        rk.save_ranker(str(path), model)
+        payload = json.loads(path.read_text())
+        payload["trees"].append({"feature": 0, "threshold": 0.5, "left": self.LEAF, "right": node})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: ")):
+            rk.load_ranker(str(path))
 
 
 class TestEmbeddingsFile:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from kgtable.dataset import ConfigurationError, Vocabulary
 from kgtable.paths import ChainPair, MetaPath
 
 from conftest import TEST_HP
-from oracles import hinge_loss
+from oracles import embedding_objective, hinge_loss
 from oracles import triple_hinge_gradients as triple_oracle
 
 
@@ -86,26 +88,28 @@ class TestSelectTop1:
         def score(self, ctx, chain):
             return self.scores.get(chain.canonical, 0.0)
 
+    KB = Vocabulary("KB_Vocab", ())
+
     def _ctx(self):
         return sel.QueryContext((), (), (), ())
 
     def test_single_candidate(self):
         c = chain_of("p", "q")
-        assert sel.select_top1(self.FixedScorer({}), self._ctx(), [c], None) == 0
+        assert sel.select_top1(self.FixedScorer({}), self._ctx(), [c], self.KB) == 0
 
     def test_highest_score_wins(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
         scorer = self.FixedScorer({a.canonical(): 0.9, b.canonical(): 0.7})
-        assert sel.select_top1(scorer, self._ctx(), [b, a], None) == 1
+        assert sel.select_top1(scorer, self._ctx(), [b, a], self.KB) == 1
 
     def test_ties_break_to_smallest_canonical(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
         scorer = self.FixedScorer({a.canonical(): 0.5, b.canonical(): 0.5})
-        assert sel.select_top1(scorer, self._ctx(), [b, a], None) == 1
+        assert sel.select_top1(scorer, self._ctx(), [b, a], self.KB) == 1
 
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
-            sel.select_top1(self.FixedScorer({}), self._ctx(), [], None)
+            sel.select_top1(self.FixedScorer({}), self._ctx(), [], self.KB)
 
     def test_scale_invariance(self, bundle, trained):
         class Scaled:
@@ -315,14 +319,16 @@ class TestTraining:
 
     def test_objective_non_increasing_on_separable_corpus(self, bundle):
         hp = sel.SelectorHyperParams(
-            dim_qis=8, dim_cn=2, dim_set=8, dim_chain=20,
-            learning_rate=0.01, epochs=12,
+            dim_qis=8, dim_cn=2, dim_set=8, dim_chain=20, learning_rate=0.01,
         )
-        scorer = sel.train_embedding(
-            bundle.train_tables()[:20], bundle.tb_vocab, bundle.kb_vocab, hp,
-            seed=2, track_objective=True,
-        )
-        history = scorer.objective_history
+        args = (bundle.train_tables()[:20], bundle.tb_vocab, bundle.kb_vocab)
+        # One generator drives training, so e epochs equal the start of a longer run.
+        history = [
+            embedding_objective(
+                sel.train_embedding(*args, replace(hp, epochs=e), seed=2), *args, hp
+            )
+            for e in range(13)
+        ]
         assert history[-1] < history[0]
         tolerance = 1e-9 + 0.005 * history[0]
         for before, after in zip(history, history[1:]):

@@ -1,4 +1,4 @@
-from kgtable.text import is_numeric, jaccard, token_set, tokenize
+from kgtable.text import is_numeric, jaccard, tokenize
 
 
 def test_tokenize_lowercases_and_splits_on_punctuation():
@@ -9,10 +9,6 @@ def test_tokenize_lowercases_and_splits_on_punctuation():
 def test_tokenize_drops_empty_pieces():
     assert tokenize("..__//  ") == ()
     assert tokenize("") == ()
-
-
-def test_token_set_dedupes():
-    assert token_set("tv.tv_actor") == frozenset({"tv", "actor"})
 
 
 def test_is_numeric():
