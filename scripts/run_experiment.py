@@ -39,7 +39,7 @@ def build(cfg: ExperimentConfig):
     entity_meta = load_entity_meta(paths.entity_meta, g)
     pred_meta = load_predicate_meta(paths.predicate_meta)
     embeddings = ranker.PretrainedEmbeddings.load(paths.embeddings)
-    tables, split, tb_vocab, kb_vocab, rejects = ds.build_corpus_dataset(
+    tables, split, tb_vocab, kb_vocab, _, rejects = ds.build_corpus_dataset(
         ds.read_corpus(paths.corpus),
         g,
         ds.read_tsv_map(paths.url2mid),

@@ -9,7 +9,6 @@ idempotent given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -27,6 +26,7 @@ from .graph import (
     load_predicate_meta,
     load_triples,
     read_json,
+    write_json_lines,
 )
 from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
 from .query import BudgetExceeded, execute_chain, render_sparql
@@ -130,11 +130,10 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     url2mid = ds.read_tsv_map(cfg.url2mid_path)
     types_by_mid = ds.read_tsv_multimap(cfg.mid2types_path) if cfg.mid2types_path else {}
     fget_map = ds.read_tsv_map(cfg.fget_path) if cfg.fget_path else {}
-    tables, split, tb_vocab, kb_vocab, rejects = ds.build_corpus_dataset(
+    tables, split, tb_vocab, kb_vocab, type_freq, rejects = ds.build_corpus_dataset(
         corpus, g, url2mid, entity_meta, types_by_mid, fget_map,
         cfg.build_settings(), cfg.seed, cfg.k_negatives,
     )
-    type_freq = ds.subject_type_freq(corpus, g, types_by_mid)
     ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g, type_freq)
     print(
         f"annotated {len(tables)} tables "
@@ -222,17 +221,14 @@ def cmd_core_column_eval(cfg: RunConfig) -> int:
     )
     payload = {}
     for mode in ("p1", "full"):
-        recalls, stats = harness.core_column_eval(runs, tables, g, mode)
+        recalls, stats = harness.core_column_eval(runs, tables, g, mode, cfg.budget())
         payload[mode] = {"summary": stats, "per_query": recalls}
         if stats:
             print(
                 f"{mode}: mean C1 recall {stats['mean']:.4f} "
                 f"(50-ile {stats['p50']:.4f}, 75-ile {stats['p75']:.4f})"
             )
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "core_column.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json_lines(Path(cfg.output_dir) / "core_column.json", [payload])
     return 0
 
 
@@ -257,20 +253,26 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     query = read_json(query_path)
     for key in ("se", "er1", "er2", "cn1", "cn2"):
         if key not in query:
-            raise ConfigurationError(f"query file is missing {key!r}")
-    se = g.entity_id(query["se"])
-    er1 = g.entity_id(query["er1"])
-    er2 = g.entity_id(query["er2"])
+            raise ParseError(query_path, 1, f"missing {key!r}")
+    for key in ("se", "er1", "er2"):
+        mid = query[key]
+        if not isinstance(mid, str) or mid not in g:
+            raise ParseError(query_path, 1, f"{key!r} {mid!r} is not an entity of the graph")
+    se, er1, er2 = (g.entity_id(query[key]) for key in ("se", "er1", "er2"))
+    given_set = query.get("set") or []
+    if not isinstance(given_set, list) or not all(isinstance(t, str) for t in given_set):
+        raise ParseError(query_path, 1, "'set' must be a list of strings")
     se_name = query.get("se_name") or entity_meta.get(se).name
     if query.get("qis"):
         qis = ds.normalize_text(str(query["qis"]))
     elif query.get("qd"):
         qis = ds.build_qis(str(query["qd"]), "", se_name or str(query["qd"]))
     else:
-        raise ConfigurationError("query file needs either 'qis' or 'qd'")
+        raise ParseError(query_path, 1, "needs either 'qis' or 'qd'")
     cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
     # SET feeds only the chain scorers; a random pick needs no dataset.
     set_tokens = () if cfg.selector == "random" else _derive_set_tokens(cfg, query, query["se"])
+    tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
 
     settings = cfg.build_settings()
     limits = (settings.max_path_len, settings.degree_cap, settings.banned_prefixes)
@@ -306,17 +308,14 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     pairs = [p for p in result.ordered() if p != (er1, er2)]
 
     scores: list = []
-    if cfg.ranker == "feature" and pairs:
-        model = ranker.load_ranker(_ranker_model_path(cfg))
-        tuple_ranker = harness.FeatureTupleRanker(model, entity_meta, pred_meta, embeddings)
+    if isinstance(tuple_ranker, harness.FeatureTupleRanker) and pairs:
         feats = tuple_ranker.features_for(query_table, best, (er1, er2), pairs)
-        predicted = model.predict(feats)
+        predicted = tuple_ranker.model.predict(feats)
         order = ranker.rank(predicted, pairs)
         scores = [float(predicted[i]) for i in order]
         pairs = [pairs[i] for i in order]
-    elif pairs:
-        rng = random.Random(cfg.seed)
-        rng.shuffle(pairs)
+    else:
+        random.Random(cfg.seed).shuffle(pairs)
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,6 @@ training+validation portions.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from collections import Counter
@@ -29,6 +28,7 @@ from .graph import (
     _json_lines,
     _tsv_rows,
     read_json,
+    write_json_lines,
 )
 from .paths import (
     DEFAULT_BANNED_PREFIXES,
@@ -256,7 +256,7 @@ def _score_chain(
     se: int,
     chain: ChainPair,
     rr: Sequence[tuple[int, int]],
-    budget: QueryBudget | None,
+    budget: QueryBudget,
     memo: dict | None = None,
 ) -> tuple[int, float, float, float] | None:
     """(hits, recall, precision, f1) for one chain, or None on budget overrun."""
@@ -557,10 +557,6 @@ def _table_from_json(
     )
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def save_dataset(
     out_dir: str,
     tables: Mapping[str, AnnotatedTable],
@@ -573,40 +569,29 @@ def save_dataset(
     """Write tables.jsonl, split.json, the two vocabulary files and the
     subject type frequencies ``build_set`` ranked by (``TYPE_FREQ_FILE``).
 
-    All output is byte-deterministic: tables are ordered by id and JSON is
-    serialized with sorted keys.
+    All output is byte-deterministic: tables are ordered by id.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "tables.jsonl", "w", encoding="utf-8") as fh:
-        for tid in sorted(tables):
-            fh.write(_dump_json(_table_to_json(tables[tid], g)) + "\n")
-    with open(out / "split.json", "w", encoding="utf-8") as fh:
-        fh.write(
-            _dump_json(
-                {
-                    "seed": split.seed,
-                    "train": list(split.train),
-                    "validation": list(split.validation),
-                    "test": list(split.test),
-                }
-            )
-            + "\n"
-        )
+    write_json_lines(
+        out / "tables.jsonl", (_table_to_json(tables[tid], g) for tid in sorted(tables))
+    )
+    write_json_lines(
+        out / "split.json",
+        [
+            {
+                "seed": split.seed,
+                "train": list(split.train),
+                "validation": list(split.validation),
+                "test": list(split.test),
+            }
+        ],
+    )
     for vocab, name in ((tb_vocab, "vocab_tb.json"), (kb_vocab, "vocab_kb.json")):
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write(
-                _dump_json(
-                    {
-                        "kind": vocab.kind,
-                        "oov_token": vocab.oov_token,
-                        "tokens": list(vocab.tokens),
-                    }
-                )
-                + "\n"
-            )
-    with open(out / TYPE_FREQ_FILE, "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(dict(type_freq)) + "\n")
+        write_json_lines(
+            out / name,
+            [{"kind": vocab.kind, "oov_token": vocab.oov_token, "tokens": list(vocab.tokens)}],
+        )
+    write_json_lines(out / TYPE_FREQ_FILE, [dict(type_freq)])
 
 
 def load_type_freq(in_dir: str) -> dict[str, int]:
@@ -681,8 +666,10 @@ def build_corpus_dataset(
     settings: BuildSettings,
     seed: int,
     k_negatives: int = 10,
-) -> tuple[dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, dict[str, int]]:
-    """Annotate a whole corpus and return tables, split, vocabularies and reject counts."""
+) -> tuple[
+    dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, Counter[str], dict[str, int]
+]:
+    """Annotate a corpus: tables, split, vocabularies, SET's type frequencies, reject counts."""
     url2eid = {u: g.entity_id(m) for u, m in url2mid.items() if m in g}
     type_freq = subject_type_freq(corpus, g, types_by_mid)
     tables: dict[str, AnnotatedTable] = {}
@@ -703,4 +690,4 @@ def build_corpus_dataset(
     tables = pad_negatives(tables, split, k=k_negatives, seed=seed)
     trainval = [tables[tid] for tid in sorted(split.train + split.validation)]
     tb_vocab, kb_vocab = build_vocab(trainval)
-    return tables, split, tb_vocab, kb_vocab, dict(rejects)
+    return tables, split, tb_vocab, kb_vocab, type_freq, dict(rejects)

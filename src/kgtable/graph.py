@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .text import tokenize
@@ -301,6 +302,18 @@ def read_json(path: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(path, 1, "expected a JSON object")
     return value
+
+
+def write_json_lines(path: str | Path, records: Iterable) -> None:
+    """Write each record as one compact sorted-key JSON line, creating the directory.
+
+    The one format of every JSON artifact, so equal records give equal bytes;
+    a whole-file artifact is one record, which ``read_json`` reads back.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _text_field(rec: dict, key: str, path: str, line_no: int) -> str:

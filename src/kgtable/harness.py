@@ -10,7 +10,6 @@ first-class skipped records so failure rates can be reported.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import AnnotatedTable, LabeledChain, Vocabulary
-from .graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore, walk
+from .graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore, walk, write_json_lines
 from .paths import ChainPair
 from .query import BudgetExceeded, QueryBudget, TupleSet, execute_chain, execute_prefix
 from .ranker import (
@@ -254,7 +253,7 @@ def _run_one(
     g: KnowledgeGraph,
     selector,
     tuple_ranker,
-    budget: QueryBudget | None,
+    budget: QueryBudget,
 ) -> QueryRun:
     err = tuple(r for r in table.rr if r != er)
     cc_er = filter_cc_er(table, er, g)
@@ -286,7 +285,7 @@ def run_e2e(
     g: KnowledgeGraph,
     selector,
     tuple_ranker,
-    budget: QueryBudget | None = None,
+    budget: QueryBudget = QueryBudget(),
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
 
@@ -306,7 +305,7 @@ def ranker_training_groups(
     entity_meta: EntityMetaStore,
     pred_meta: PredicateMetaStore,
     embeddings: PretrainedEmbeddings,
-    budget: QueryBudget | None = None,
+    budget: QueryBudget = QueryBudget(),
 ) -> list[TrainingGroup]:
     """One ranker training group per table, over its oracle chain's tuples.
 
@@ -356,7 +355,7 @@ def core_column_eval(
     tables_by_id: Mapping[str, AnnotatedTable],
     g: KnowledgeGraph,
     mode: str,
-    budget: QueryBudget | None = None,
+    budget: QueryBudget = QueryBudget(),
 ) -> tuple[list[float], dict[str, float]]:
     """Core-column recall per executed run, in run order.
 
@@ -391,25 +390,24 @@ def core_column_eval(
 
 
 def write_runs(path: str, runs: Sequence[QueryRun], g: KnowledgeGraph) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in runs:
-            rec = {
-                "table_id": r.table_id,
-                "er": [g.mid(r.er[0]), g.mid(r.er[1])],
-                "status": r.status,
-                "num_candidate_chains": len(r.cc_er),
-                "selected": r.selected.canonical() if r.selected else None,
-                "ct_size": len(r.ct) if r.ct is not None else None,
-                "tuple_recall": r.tuple_recall,
-                "ndcg": r.ndcg,
-                "p_at_1": r.p_at_1,
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    records = (
+        {
+            "table_id": r.table_id,
+            "er": [g.mid(r.er[0]), g.mid(r.er[1])],
+            "status": r.status,
+            "num_candidate_chains": len(r.cc_er),
+            "selected": r.selected.canonical() if r.selected else None,
+            "ct_size": len(r.ct) if r.ct is not None else None,
+            "tuple_recall": r.tuple_recall,
+            "ndcg": r.ndcg,
+            "p_at_1": r.p_at_1,
+        }
+        for r in runs
+    )
+    write_json_lines(path, records)
 
 
 def write_summary(path: str, summary: MetricSummary) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "counts": summary.counts,
         "metrics": {
@@ -417,8 +415,7 @@ def write_summary(path: str, summary: MetricSummary) -> None:
             for name, v in summary.metrics.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json_lines(path, [payload])
 
 
 def write_metrics_csv(path: str, summary: MetricSummary) -> None:

@@ -63,22 +63,18 @@ class TupleSet:
         return ys is not None and pair[1] in ys
 
 
-def _allowance(budget: QueryBudget | None) -> graph.StepAllowance:
-    return graph.StepAllowance() if budget is None else graph.StepAllowance(budget.max_steps)
-
-
 def execute_prefix(
     g: KnowledgeGraph,
     se: int,
     p1: MetaPath,
-    budget: QueryBudget | None = None,
+    budget: QueryBudget = QueryBudget(),
 ) -> set[int] | BudgetExceeded:
     """Distinct entities reached from ``se`` via ``p1``."""
     try:
-        xs = segment_reach(g, p1.tokens, _allowance(budget))(se)
+        xs = segment_reach(g, p1.tokens, graph.StepAllowance(budget.max_steps))(se)
     except graph.StepsExhausted:
         return BudgetExceeded("steps")
-    if budget is not None and len(xs) > budget.max_rows:
+    if len(xs) > budget.max_rows:
         return BudgetExceeded("rows")
     return xs
 
@@ -87,14 +83,14 @@ def execute_chain(
     g: KnowledgeGraph,
     se: int,
     chain: ChainPair,
-    budget: QueryBudget | None = None,
+    budget: QueryBudget = QueryBudget(),
     memo: ReachMemo | None = None,
 ) -> TupleSet | BudgetExceeded:
     """All distinct (x, y) pairs with x reached via P1 from ``se`` and y via P2 from x.
 
     Stops at the first x, in sorted order, that takes the rows past ``max_rows``.
     """
-    steps = _allowance(budget)
+    steps = graph.StepAllowance(budget.max_steps)
     try:
         xs = segment_reach(g, chain.p1.tokens, steps, memo)(se)
         reach_p2 = segment_reach(g, chain.p2.tokens, steps, memo)
@@ -103,7 +99,7 @@ def execute_chain(
             ys = reach_p2(x)
             if ys:
                 rows += len(ys)
-                if budget is not None and rows > budget.max_rows:
+                if rows > budget.max_rows:
                     return BudgetExceeded("rows")
                 by_x[x] = ys
     except graph.StepsExhausted:

@@ -16,16 +16,14 @@ pairwise lambda gradients weighted by the NDCG swap delta.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EntityMetaStore, ParseError, PredicateMetaStore, read_json
+from .graph import EntityMetaStore, ParseError, PredicateMetaStore, read_json, write_json_lines
 from .paths import ChainPair
 from .text import jaccard
 
@@ -79,15 +77,21 @@ class PretrainedEmbeddings:
         vectors: dict[str, np.ndarray] = {}
         dim = 0
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 parts = line.split()
                 if len(parts) < 2:
                     continue
-                vec = np.asarray([float(v) for v in parts[1:]])
+                try:
+                    vec = np.asarray([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise ParseError(path, line_no, f"{parts[0]!r}: {exc}") from None
                 if dim == 0:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:
-                    raise ValueError(f"inconsistent embedding width for {parts[0]!r}")
+                    raise ParseError(
+                        path, line_no,
+                        f"vector for {parts[0]!r} has {vec.shape[0]} values, expected {dim}",
+                    )
                 vectors[parts[0]] = vec
         return cls(vectors, dim)
 
@@ -485,9 +489,7 @@ def save_ranker(path: str, model: RankerModel) -> None:
         "sigma": model.sigma,
         "trees": model.trees,
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json_lines(path, [payload])
 
 
 def load_ranker(path: str) -> RankerModel:

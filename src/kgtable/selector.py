@@ -15,9 +15,7 @@ batch costs a few sparse-dense products rather than one pass per triple.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +23,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dataset import AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
-from .graph import read_json
+from .graph import ParseError, read_json, write_json_lines
 from .paths import ChainPair
 
 
@@ -593,39 +591,45 @@ def save_scorer(path: str, scorer) -> None:
         }
     else:
         raise ConfigurationError(f"cannot serialize scorer of type {type(scorer).__name__}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json_lines(path, [payload])
+
+
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a numeric array of ``shape``, where ``None`` matches any length."""
+    arr = np.asarray(value)  # a ragged list raises ValueError
+    if arr.dtype.kind not in "fi" or arr.ndim != len(shape) or any(
+        want not in (None, got) for want, got in zip(shape, arr.shape)
+    ):
+        raise ValueError(f"{name!r} must be a numeric array of shape {shape}")
+    return arr
 
 
 def load_scorer(path: str, tb_vocab: Vocabulary, kb_vocab: Vocabulary):
+    """The scorer ``save_scorer`` wrote; a malformed file is a ``ParseError`` naming it."""
     payload = read_json(path)
-    if payload.get("version") != 1:
-        raise ConfigurationError(f"unsupported model version {payload.get('version')}")
-    if payload["tb_vocab_hash"] != tb_vocab.content_hash() or payload[
-        "kb_vocab_hash"
-    ] != kb_vocab.content_hash():
+    kind = payload.get("type")
+    if payload.get("version") != 1 or kind not in ("embedding", "linear"):
+        raise ParseError(path, 1, "not a selector model file")
+    hashes = payload.get("tb_vocab_hash"), payload.get("kb_vocab_hash")
+    if not all(isinstance(h, str) for h in hashes):
+        raise ParseError(path, 1, "'tb_vocab_hash' and 'kb_vocab_hash' must be strings")
+    if hashes != (tb_vocab.content_hash(), kb_vocab.content_hash()):
         raise ConfigurationError(
-            "vocabulary hash mismatch between the model file and the loaded dataset"
+            f"vocabulary hash mismatch between the model file {path} and the loaded dataset"
         )
-    if payload["type"] == "embedding":
-        params = payload["params"]
-        return EmbeddingScorer(
-            np.asarray(params["qis"]),
-            np.asarray(params["cn"]),
-            np.asarray(params["set"]),
-            np.asarray(params["chain"]),
-            margin=payload["margin"],
-            tb_vocab_hash=payload["tb_vocab_hash"],
-            kb_vocab_hash=payload["kb_vocab_hash"],
-        )
-    if payload["type"] == "linear":
-        return LinearScorer(
-            np.asarray(payload["weights"]),
-            payload["bias"],
-            payload["tb_size"],
-            payload["kb_size"],
-            payload["tb_vocab_hash"],
-            payload["kb_vocab_hash"],
-        )
-    raise ConfigurationError(f"unknown scorer type {payload['type']!r}")
+    tb, kb = tb_vocab.size, kb_vocab.size
+    try:
+        if kind == "embedding":
+            params = payload["params"]
+            rows = {"qis": tb, "cn": tb, "set": kb, "chain": kb}
+            return EmbeddingScorer(
+                *(_array(params[k], k, (n, None)) for k, n in rows.items()),
+                float(_array(payload["margin"], "margin", ())),
+                *hashes,
+            )
+        if (payload["tb_size"], payload["kb_size"]) != (tb, kb):
+            raise ValueError("'tb_size' and 'kb_size' must be the vocabulary sizes")
+        weights = _array(payload["weights"], "weights", (3 * tb + 2 * kb,))
+        return LinearScorer(weights, _array(payload["bias"], "bias", ()), tb, kb, *hashes)
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
+        raise ParseError(path, 1, f"bad selector model: {exc!r}") from None

@@ -9,6 +9,7 @@ from kgtable.cli import _derive_set_tokens, main
 from kgtable.config import RunConfig, config_defaults, load_config
 from kgtable.dataset import BuildSettings, ConfigurationError
 from kgtable.graph import KnowledgeGraph, load_triples
+from kgtable.paths import ChainPair, MetaPath
 from kgtable.query import QueryBudget
 from kgtable.ranker import RankerConfig
 from kgtable.selector import SelectorHyperParams
@@ -80,6 +81,37 @@ class TestPipelineCommands:
         per_full = payload["full"]["per_query"]
         assert per_p1 and len(per_p1) == len(per_full)
         assert all(a >= b - 1e-12 for a, b in zip(per_p1, per_full))
+
+    def test_core_column_eval_budgets_the_p1_prefixes(self, tmp_path, capsys):
+        # P1 reaches five entities; the chain retrieves the table's two rows.
+        triples = [("se", "p", f"x{i}") for i in range(5)]
+        triples += [("x0", "q", "y0"), ("x1", "q", "y1")]
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("".join(f"{s}\t{p}\t{o}\n" for s, p, o in triples))
+        g = KnowledgeGraph(triples)
+        chain = ChainPair(MetaPath.parse("p"), MetaPath.parse("q"))
+        table = ds.AnnotatedTable(
+            table_id="wide", qis=(), cn1=(), cn2=(), se=g.entity_id("se"), se_name="SE",
+            set_tokens=(), rr=tuple((g.entity_id(f"x{i}"), g.entity_id(f"y{i}")) for i in (0, 1)),
+            chains=(ds.LabeledChain(chain, True, 1.0, 1.0, 1.0),),
+        )
+        dataset = tmp_path / "dataset"
+        ds.save_dataset(
+            str(dataset), {"wide": table}, ds.DatasetSplit((), (), ("wide",), 0),
+            ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g, {},
+        )
+        out = tmp_path / "out"
+        argv = [
+            "core-column-eval", "--graph-path", str(graph), "--dataset-dir", str(dataset),
+            "--selector", "oracle", "--output-dir", str(out),
+        ]
+        per_query = {}
+        for max_rows in ("3", "5"):
+            assert main([*argv, "--max-rows", max_rows]) == 0
+            payload = json.loads((out / "core_column.json").read_text())
+            assert payload["full"]["per_query"] == [1.0, 1.0]
+            per_query[max_rows] = payload["p1"]["per_query"]
+        assert per_query == {"3": [0.0, 0.0], "5": [1.0, 1.0]}
 
     def test_flag_overrides_config(self, workspace, capsys):
         root, cfg_path, cfg = workspace
@@ -190,6 +222,40 @@ class TestCompleteCommand:
         argv = ["complete", str(query), "--graph-path", str(graph), "--selector", "random"]
         assert main(argv) == 2
         assert f"{query}:2: bad JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"er2": "m.nope"}, "'er2' 'm.nope' is not an entity of the graph"),
+            ({"se": ["m.02dzsr"]}, "'se' ['m.02dzsr'] is not an entity of the graph"),
+            ({"se": None}, "'se' None is not an entity of the graph"),
+            ({"cn1": ...}, "missing 'cn1'"),
+            ({"set": 5}, "'set' must be a list of strings"),
+            ({"set": ["tv", 1]}, "'set' must be a list of strings"),
+        ],
+        ids=[
+            "unknown-entity", "entity-a-list", "entity-null", "missing-key", "set-a-number",
+            "set-item-a-number",
+        ],
+    )
+    def test_bad_query_exits_2_naming_the_query_file(self, tv_world, capsys, edit, message):
+        # ``...`` drops the key.
+        tmp_path, graph, meta, query = tv_world
+        fields = {**json.loads(query.read_text()), **edit}
+        query.write_text(json.dumps({k: v for k, v in fields.items() if v is not ...}))
+        argv = ["complete", str(query), "--graph-path", str(graph), "--selector", "random"]
+        assert main(argv) == 2
+        assert f"{query}:1: {message}" in capsys.readouterr().err
+
+    def test_unknown_ranker_exits_2_as_in_evaluate(self, tv_world, capsys):
+        tmp_path, graph, meta, query = tv_world
+        argv = [
+            "complete", str(query), "--graph-path", str(graph), "--selector", "random",
+            "--ranker", "bogus", "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 2
+        assert "error: unknown ranker 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_same_seed_runs_are_byte_identical(self, tv_world):
         tmp_path, graph, meta, query = tv_world

@@ -121,9 +121,8 @@ class TestChainMetrics:
     def test_perfect_chain(self):
         g = KnowledgeGraph([("se", "p", "x0"), ("x0", "q", "y0")])
         rr = [(g.entity_id("x0"), g.entity_id("y0"))]
-        assert ds._score_chain(g, g.entity_id("se"), chain_of("p", "q"), rr, None)[1:] == (
-            1.0, 1.0, 1.0,
-        )
+        got = ds._score_chain(g, g.entity_id("se"), chain_of("p", "q"), rr, QueryBudget())
+        assert got[1:] == (1.0, 1.0, 1.0)
 
     def test_half_recall_quarter_precision(self):
         # 4 ground-truth rows; the chain retrieves 8 tuples, 2 of them correct.
@@ -137,7 +136,7 @@ class TestChainMetrics:
         rr += [(g.entity_id("junk01"), g.entity_id("junk11"))]
         rr += [(g.entity_id("junk02"), g.entity_id("junk12"))]
         _, recall, precision, f1 = ds._score_chain(
-            g, g.entity_id("se"), chain_of("p", "q"), rr, None
+            g, g.entity_id("se"), chain_of("p", "q"), rr, QueryBudget()
         )
         assert recall == 0.5
         assert precision == 0.25
@@ -146,9 +145,8 @@ class TestChainMetrics:
     def test_disjoint_retrieval_is_all_zero(self):
         g = KnowledgeGraph([("se", "p", "x0"), ("x0", "q", "y0")])
         rr = [(g.entity_id("se"), g.entity_id("se"))]
-        assert ds._score_chain(g, g.entity_id("se"), chain_of("p", "q"), rr, None)[1:] == (
-            0.0, 0.0, 0.0,
-        )
+        got = ds._score_chain(g, g.entity_id("se"), chain_of("p", "q"), rr, QueryBudget())
+        assert got[1:] == (0.0, 0.0, 0.0)
 
     def test_budget_overrun_flags_removal(self):
         g = self._graph()

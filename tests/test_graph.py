@@ -18,6 +18,7 @@ from kgtable.graph import (
     load_triples,
     predicate_src_tokens,
     walk,
+    write_json_lines,
 )
 
 
@@ -249,3 +250,11 @@ class TestPredicateToken:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             PredicateToken("")
+
+
+class TestJsonArtifacts:
+    def test_one_compact_sorted_key_line_per_record(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "runs.jsonl"
+        write_json_lines(path, iter([{"b": [1, 2.5], "a": None}, {"\u00e9": {"z": 0, "y": ""}}]))
+        assert path.read_bytes() == b'{"a":null,"b":[1,2.5]}\n{"\\u00e9":{"y":"","z":0}}\n'
+

@@ -204,6 +204,26 @@ class TestCoreColumnEval:
         assert all(r == 1.0 for r in recalls)
         assert stats["mean"] == 1.0
 
+    def test_p1_prefix_over_the_default_row_budget_scores_zero(self):
+        # P1 reaches max_rows + 1 entities; the chain retrieves only two rows.
+        rows = QueryBudget().max_rows + 1
+        triples = [("se", "p", f"x{i}") for i in range(rows)]
+        triples += [("x0", "q", "y0"), ("x1", "q", "y1")]
+        g = KnowledgeGraph(triples)
+        table = AnnotatedTable(
+            table_id="wide", qis=(), cn1=(), cn2=(), se=g.entity_id("se"), se_name="SE",
+            set_tokens=(), rr=tuple((g.entity_id(f"x{i}"), g.entity_id(f"y{i}")) for i in (0, 1)),
+            chains=(labeled("p", "q", True, 1.0),),
+        )
+        runs, _ = harness.run_e2e(
+            [table], g, harness.OracleChainSelector(), harness.RandomTupleRanker(0)
+        )
+        assert [r.status for r in runs] == [harness.STATUS_OK] * 2
+        tables = {"wide": table}
+        assert harness.core_column_eval(runs, tables, g, "p1")[0] == [0.0, 0.0]
+        within = QueryBudget(max_rows=rows)
+        assert harness.core_column_eval(runs, tables, g, "p1", within)[0] == [1.0, 1.0]
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             harness.core_column_eval([], {}, None, "sideways")

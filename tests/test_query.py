@@ -223,7 +223,7 @@ class TestProperties:
                             assert mids(g, shared.pairs) == want, key
                             assert len(shared) == len(want), key
                             seen["pairs"] += 1
-                assert mids(g, execute_chain(g, se, chain, None, memo).pairs) == want
+                assert mids(g, execute_chain(g, se, chain, memo=memo).pairs) == want
         assert all(seen.values()), seen
 
     def test_budget_monotonicity(self):

@@ -499,6 +499,12 @@ class TestEmbeddingsFile:
 
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("alpha 1.0 0.0\nbeta 1.0\n")
-        with pytest.raises(ValueError):
+        path.write_text("alpha 1.0 0.0\n\nbeta 1.0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: vector for 'beta' has 1")):
+            rk.PretrainedEmbeddings.load(str(path))
+
+    def test_non_numeric_value_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("alpha 1.0 0.0\nbeta 0.5 abc\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: 'beta': could not convert")):
             rk.PretrainedEmbeddings.load(str(path))

@@ -1,3 +1,5 @@
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from kgtable import selector as sel
 from kgtable.dataset import ConfigurationError, Vocabulary
+from kgtable.graph import ParseError
 from kgtable.paths import ChainPair, MetaPath
 
 from conftest import TEST_HP
@@ -377,3 +380,35 @@ class TestSerialization:
         other = Vocabulary("TB_Vocab", ("different",))
         with pytest.raises(ConfigurationError, match="hash"):
             sel.load_scorer(str(path), other, bundle.kb_vocab)
+
+    # (scorer kind, edit of the saved payload) for each kind of malformed file.
+    BAD_FILES = {
+        "no-tb-hash": ("linear", lambda p: p.pop("tb_vocab_hash")),
+        "hash-not-a-string": ("embedding", lambda p: p.update(kb_vocab_hash=7)),
+        "no-type": ("linear", lambda p: p.pop("type")),
+        "unknown-type": ("linear", lambda p: p.update(type="tree")),
+        "no-params": ("embedding", lambda p: p.pop("params")),
+        "params-a-list": ("embedding", lambda p: p.update(params=[])),
+        "no-margin": ("embedding", lambda p: p.pop("margin")),
+        "margin-a-string": ("embedding", lambda p: p.update(margin="0.25")),
+        "no-weights": ("linear", lambda p: p.pop("weights")),
+        "no-bias": ("linear", lambda p: p.pop("bias")),
+        "bias-a-bool": ("linear", lambda p: p.update(bias=True)),
+        "ragged-matrix": ("embedding", lambda p: p["params"]["qis"][0].pop()),
+        "non-numeric-entry": ("embedding", lambda p: p["params"]["set"][1].__setitem__(0, "x")),
+        "missing-row": ("embedding", lambda p: p["params"]["cn"].pop()),
+        "narrow-chain-matrix": ("embedding", lambda p: [r.pop() for r in p["params"]["chain"]]),
+        "short-weights": ("linear", lambda p: p["weights"].pop()),
+        "wrong-tb-size": ("linear", lambda p: p.update(tb_size=p["tb_size"] + 1)),
+    }
+
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_malformed_file_is_a_parse_error_naming_it(self, bundle, trained, tmp_path, case):
+        kind, edit = self.BAD_FILES[case]
+        path = tmp_path / "selector.json"
+        sel.save_scorer(str(path), getattr(trained, kind))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: ")):
+            sel.load_scorer(str(path), bundle.tb_vocab, bundle.kb_vocab)
