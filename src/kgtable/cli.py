@@ -262,14 +262,20 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     given_set = query.get("set") or []
     if not isinstance(given_set, list) or not all(isinstance(t, str) for t in given_set):
         raise ParseError(query_path, 1, "'set' must be a list of strings")
-    se_name = query.get("se_name") or entity_meta.get(se).name
+    se_name = query.get("se_name")
+    if not isinstance(se_name, str | None):
+        raise ParseError(query_path, 1, "'se_name' must be a string")
+    se_name = se_name or entity_meta.get(se).name
     if query.get("qis"):
         qis = ds.normalize_text(str(query["qis"]))
     elif query.get("qd"):
         qis = ds.build_qis(str(query["qd"]), "", se_name or str(query["qd"]))
     else:
         raise ParseError(query_path, 1, "needs either 'qis' or 'qd'")
-    cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
+    try:
+        cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
+    except ValueError as exc:
+        raise ParseError(query_path, 1, f"'cn1'/'cn2': {exc}") from exc
     # SET feeds only the chain scorers; a random pick needs no dataset.
     set_tokens = () if cfg.selector == "random" else _derive_set_tokens(cfg, query, query["se"])
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)

@@ -3,9 +3,10 @@
 A meta-path is a sequence of direction-marked predicate tokens; a chain
 pairs a path from the subject entity to a column-1 entity with a path from
 column 1 to column 2. Enumeration is depth-first with hub pruning (nodes
-over the degree cap are never expanded) and generic-prefix pruning on the
-first edge. The chains of a table share their segments, so one memo of
-segment reaches serves their join and their execution.
+over the degree cap are never expanded), generic-prefix pruning on the
+first edge and a target-neighbour barrier (only a target's neighbours
+start the last hop). The chains of a table share their segments, so one
+memo of segment reaches serves their join and their execution.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def enumerate_simple_paths(
     within ``degree_cap``; ``src`` is always expanded and targets need not
     satisfy the cap; a target is an intermediate only when there are others.
     Paths whose first token name starts with a banned prefix are dropped.
-    The result is the union over the targets, in canonical-string order.
+    Only a target's neighbours start the last hop (no other node can end a
+    path). The result is the union over the targets, in canonical-string order.
     """
     targets = set(targets)
     for e in (src, *targets):
@@ -133,6 +135,7 @@ def enumerate_simple_paths(
     found: set[tuple[PredicateToken, ...]] = set()
     visited = {src}
     adj, degree = g._adj, g._degree  # neighbour ids need no id check
+    near = set().union(*(nbrs for t in targets for nbrs in adj[t].values()))
 
     def _dfs(node: int, prefix: tuple[PredicateToken, ...]) -> None:
         for tok, nbrs in adj[node].items():
@@ -143,6 +146,8 @@ def enumerate_simple_paths(
                 found.add(path)
             if len(path) == max_len:
                 continue
+            if len(path) == max_len - 1:
+                nbrs = near.intersection(nbrs)
             for nbr in nbrs:
                 if nbr not in visited and nbr not in unexpanded and degree[nbr] <= degree_cap:
                     visited.add(nbr)
@@ -164,7 +169,8 @@ def segment_reach(
 
     A memo (segment -> entity -> (reached, step charge)) walks each (entity,
     segment) once and charges repeats the recorded charge, so queries run
-    out of steps as without it. Reached sets are shared: read only.
+    out of steps as without it. A miss (no first-token edge) costs 1 step
+    and reaches nothing without a walk. Reached sets are shared: read only.
     """
     if memo is None:
         return lambda entity: walk(g, (entity,), tokens, steps)
@@ -173,8 +179,11 @@ def segment_reach(
     def reach(entity: int) -> set[int]:
         hit = seen.get(entity)
         if hit is None:
-            left = StepAllowance(steps.left)
-            hit = seen[entity] = (walk(g, (entity,), tokens, left), steps.left - left.left)
+            if tokens[0] not in g.adjacency(entity):
+                hit = seen[entity] = (set(), 1)
+            else:
+                left = StepAllowance(steps.left)
+                hit = seen[entity] = (walk(g, (entity,), tokens, left), steps.left - left.left)
         reached, charge = hit
         if charge > steps.left:
             raise StepsExhausted

@@ -232,10 +232,12 @@ class TestCompleteCommand:
             ({"cn1": ...}, "missing 'cn1'"),
             ({"set": 5}, "'set' must be a list of strings"),
             ({"set": ["tv", 1]}, "'set' must be a list of strings"),
+            ({"se_name": 5}, "'se_name' must be a string"),
+            ({"cn2": ""}, "'cn1'/'cn2': empty column name after normalization"),
         ],
         ids=[
             "unknown-entity", "entity-a-list", "entity-null", "missing-key", "set-a-number",
-            "set-item-a-number",
+            "set-item-a-number", "se-name-a-number", "column-name-empty",
         ],
     )
     def test_bad_query_exits_2_naming_the_query_file(self, tv_world, capsys, edit, message):

@@ -458,9 +458,9 @@ class TestRejections:
 
 
 class TestReachSharing:
-    def test_each_segment_is_walked_once_per_table(self, bundle, monkeypatch):
-        # Work count, no wall clock: the join and the scoring of every joined
-        # chain share one memo, so no (entity, segment) is walked twice.
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """Counts the walks by (frontier, tokens)."""
         from collections import Counter
 
         from kgtable import graph, paths
@@ -475,20 +475,40 @@ class TestReachSharing:
 
         monkeypatch.setattr(graph, "walk", counting_walk)
         monkeypatch.setattr(paths, "walk", counting_walk)
+        return walks
+
+    @staticmethod
+    def _annotated(bundle, walks):
+        """Yields each of the first 25 toy tables, annotated, with ``walks`` holding its walks."""
+        from collections import Counter
+
         g = bundle.g
         url2eid = {
             u: g.entity_id(m) for u, m in ds.read_tsv_map(bundle.paths.url2mid).items() if m in g
         }
         types_by_mid = ds.read_tsv_multimap(bundle.paths.mid2types)
         fget = ds.read_tsv_map(bundle.paths.fget)
-        chains = 0
-        raws = ds.read_corpus(bundle.paths.corpus)[:25]
-        for raw in raws:
+        for raw in ds.read_corpus(bundle.paths.corpus)[:25]:
             walks.clear()
-            table = ds.annotate_table(
+            yield raw, ds.annotate_table(
                 raw, g, url2eid, bundle.entity_meta, types_by_mid, Counter(), fget,
                 ds.BuildSettings(banned_prefixes=()),
             )
+
+    def test_each_segment_is_walked_once_per_table(self, bundle, walks):
+        # Work count, no wall clock: the join and the scoring of every joined
+        # chain share one memo, so no (entity, segment) is walked twice.
+        chains = tables = 0
+        for raw, table in self._annotated(bundle, walks):
             assert walks and max(walks.values()) == 1, raw.table_id
             chains += len(table.chains)
-        assert chains > 2 * len(raws)
+            tables += 1
+        assert chains > 2 * tables
+
+    def test_no_walk_starts_without_the_first_token(self, bundle, walks):
+        # Work count, no wall clock: a start entity without the segment's
+        # first token is answered from its adjacency, not walked.
+        for raw, _ in self._annotated(bundle, walks):
+            assert walks, raw.table_id
+            for frontier, tokens in walks:
+                assert all(tokens[0] in bundle.g.adjacency(e) for e in frontier), raw.table_id

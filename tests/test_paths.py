@@ -1,18 +1,20 @@
 import random
+from collections import Counter
 
 import pytest
 
-from kgtable.graph import KnowledgeGraph
+from kgtable.graph import KnowledgeGraph, PredicateToken, StepAllowance, StepsExhausted, walk
 from kgtable.paths import (
     DEFAULT_BANNED_PREFIXES,
     ChainPair,
     MetaPath,
     enumerate_simple_paths,
     join_chains,
+    segment_reach,
 )
 from kgtable.query import execute_chain
 
-from oracles import brute_simple_paths
+from oracles import brute_simple_paths, build_adjacency
 
 NO_CAP = 10**9
 
@@ -184,6 +186,126 @@ class TestMultiTarget:
                     for other in per_target if other != t
                 )
         assert all(seen.values()), seen
+
+
+class TestTargetNeighbourBarrier:
+    PREDS = ("p0", "p1", "p2")
+
+    def _graph(self, rng):
+        """A random core with dead-end branches, and hubs next to core nodes."""
+        core = [f"c{i}" for i in range(rng.randint(3, 7))]
+        triples = [
+            (rng.choice(core), rng.choice(self.PREDS), rng.choice(core))
+            for _ in range(rng.randint(3, 14))
+        ]
+        for i in range(rng.randint(2, 10)):
+            edge = (rng.choice(core), rng.choice(self.PREDS), f"d{i}")
+            triples.append(edge if rng.random() < 0.5 else edge[::-1])
+            if rng.random() < 0.5:
+                triples.append((f"d{i}", rng.choice(self.PREDS), f"d{i}x"))
+        for h in range(rng.randint(0, 2)):
+            triples.append((f"h{h}", rng.choice(self.PREDS), rng.choice(core)))
+            triples += [
+                (f"h{h}", rng.choice(self.PREDS), f"h{h}l{j}") for j in range(rng.randint(3, 8))
+            ]
+        return core, triples
+
+    @staticmethod
+    def _skipped(triples, src, targets, max_len, cap, banned):
+        """Nodes the DFS without the barrier expands before the last hop that touch no target."""
+        adj = build_adjacency(triples)
+        near = {nbr for t in targets for _, nbr in adj[t]}
+        unexpanded = set(targets) if len(targets) == 1 else set()
+        skipped = 0
+
+        def rec(node, visited, depth):
+            nonlocal skipped
+            for (name, _), nbr in adj[node]:
+                if depth == 0 and name.startswith(banned):
+                    continue
+                if nbr in visited or nbr in unexpanded or len(adj[nbr]) > cap:
+                    continue
+                if depth + 1 == max_len - 1:
+                    skipped += nbr not in near
+                elif depth + 1 < max_len - 1:
+                    rec(nbr, visited | {nbr}, depth + 1)
+
+        rec(src, frozenset({src}), 0)
+        return skipped
+
+    def test_matches_the_oracle_where_the_barrier_prunes(self):
+        seen = Counter()
+        for seed in range(120):
+            rng = random.Random(7000 + seed)
+            core, triples = self._graph(rng)
+            g = KnowledgeGraph(triples)
+            mids = [g.mid(e) for e in g.entities()]
+            for _ in range(4):
+                src = rng.choice(mids)
+                targets = set(rng.sample(core, rng.choice((1, 1, 2, 3)))) & set(mids) - {src}
+                if not targets:
+                    continue
+                max_len = rng.choice((1, 2, 3))
+                cap = rng.choice((NO_CAP, 2, 3))
+                banned = rng.choice(((), ("p1",)))
+                ids = {g.entity_id(t) for t in targets}
+                got = paths_as_tokens(
+                    enumerate_simple_paths(g, g.entity_id(src), ids, max_len, cap, banned)
+                )
+                want = {
+                    p
+                    for t in targets
+                    for p in brute_simple_paths(triples, src, t, max_len, cap)
+                    if not p[0][0].startswith(banned)
+                }
+                assert got == want, (seed, src, targets, max_len, cap, banned)
+                seen[max_len, len(targets) > 1, cap, banned] += 1
+                seen["barrier skipped a node"] += (
+                    self._skipped(triples, src, targets, max_len, cap, banned) > 0
+                )
+        assert seen["barrier skipped a node"] > 0
+        assert len(seen) == 3 * 2 * 3 * 2 + 1, seen
+
+
+class TestSegmentReach:
+    def test_a_miss_reaches_nothing_for_one_step_as_a_walk_does(self):
+        toks = [PredicateToken(p, inv) for p in ("p", "q", "r") for inv in (False, True)]
+        seen = Counter()
+        for seed in range(40):
+            rng = random.Random(9000 + seed)
+            nodes = [f"n{i}" for i in range(rng.randint(2, 8))]
+            g = KnowledgeGraph([
+                (rng.choice(nodes), rng.choice("pqr"), rng.choice(nodes))
+                for _ in range(rng.randint(1, 14))
+            ])
+            for _ in range(6):
+                tokens = tuple(rng.choice(toks) for _ in range(rng.randint(1, 3)))
+                memo = {}
+                for entity in g.entities():
+                    miss = tokens[0] not in g.adjacency(entity)
+                    for left in (0, 1, 2, 10**6):
+                        plain = StepAllowance(left)
+                        try:
+                            want = walk(g, (entity,), tokens, plain)
+                        except StepsExhausted:
+                            want = StepsExhausted
+                        # Without a memo, with an empty memo entry, then from the memo.
+                        for m in (None, memo, memo):
+                            steps = StepAllowance(left)
+                            try:
+                                got = segment_reach(g, tokens, steps, m)(entity)
+                            except StepsExhausted:
+                                got = StepsExhausted
+                            assert got == want, (seed, entity, tokens, left)
+                            if got is not StepsExhausted:
+                                assert steps.left == plain.left
+                        if miss:
+                            assert want == (StepsExhausted if left == 0 else set())
+                            assert want is StepsExhausted or left - plain.left == 1
+                            seen["miss", want is StepsExhausted] += 1
+                        else:
+                            seen["hit"] += 1
+        assert len(seen) == 3, seen
 
 
 class TestJoinChains:
