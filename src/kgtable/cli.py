@@ -9,6 +9,7 @@ idempotent given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 from pathlib import Path
@@ -30,6 +31,8 @@ from .graph import (
 )
 from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
 from .query import BudgetExceeded, execute_chain, render_sparql
+
+gc.freeze()  # imports live as long as the process, so no collection need rescan them
 
 
 def _config_flags() -> argparse.ArgumentParser:

@@ -88,8 +88,12 @@ def _parse_cell(obj) -> RawCell:
 
 
 def read_corpus(path: str) -> list[RawTable]:
-    """Read line-delimited JSON table records, validating row widths."""
+    """Read line-delimited JSON table records, validating row widths and id uniqueness.
+
+    A record without ``table_id`` takes its line number as its id.
+    """
     tables = []
+    seen: set[str] = set()
     for line_no, rec in _json_lines(path):
         try:
             headers = tuple(str(h) for h in rec["headers"])
@@ -98,9 +102,13 @@ def read_corpus(path: str) -> list[RawTable]:
             raise ParseError(path, line_no, f"bad table record: {exc}") from exc
         if any(len(row) != len(headers) for row in rows):
             raise ParseError(path, line_no, "row width differs from header count")
+        table_id = str(rec.get("table_id", line_no))
+        if table_id in seen:
+            raise ParseError(path, line_no, f"duplicate table_id {table_id!r}")
+        seen.add(table_id)
         tables.append(
             RawTable(
-                table_id=str(rec.get("table_id", line_no)),
+                table_id=table_id,
                 page_title=str(rec.get("page_title", "")),
                 caption=str(rec.get("caption", "")),
                 headers=headers,
@@ -524,16 +532,25 @@ def _table_to_json(t: AnnotatedTable, g: KnowledgeGraph) -> dict:
     }
 
 
-def _table_from_json(
-    rec: dict, g: KnowledgeGraph, segments: dict[str, MetaPath]
-) -> AnnotatedTable:
-    """Rebuild one table; ``segments`` maps each segment string already parsed to its path."""
+def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable:
+    """Rebuild one table.
+
+    ``memo`` maps each segment string already parsed to its path and each
+    ``(p1, p2)`` string pair to its chain, so equal chains are one object.
+    """
 
     def segment(text: str) -> MetaPath:
-        path = segments.get(text)
+        path = memo.get(text)
         if path is None:
-            path = segments[text] = MetaPath.parse(text)
+            path = memo[text] = MetaPath.parse(text)
         return path
+
+    def chain(c: dict) -> ChainPair:
+        key = (c["p1"], c["p2"])
+        pair = memo.get(key)
+        if pair is None:
+            pair = memo[key] = ChainPair(segment(key[0]), segment(key[1]))
+        return pair
 
     return AnnotatedTable(
         table_id=rec["table_id"],
@@ -546,7 +563,7 @@ def _table_from_json(
         rr=tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"]),
         chains=tuple(
             LabeledChain(
-                chain=ChainPair(segment(c["p1"]), segment(c["p2"])),
+                chain=chain(c),
                 positive=c["label"] == "positive",
                 recall=c["recall"],
                 precision=c["precision"],
@@ -613,11 +630,11 @@ def load_dataset(
 ) -> tuple[dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary]:
     base = Path(in_dir)
     tables: dict[str, AnnotatedTable] = {}
-    segments: dict[str, MetaPath] = {}  # tables repeat a few segments many times
+    memo: dict = {}  # tables repeat a few segments and chains many times
     path = str(base / "tables.jsonl")
     for line_no, rec in _json_lines(path):
         try:
-            t = _table_from_json(rec, g, segments)
+            t = _table_from_json(rec, g, memo)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(path, line_no, f"bad table record: {exc!r}") from exc
         tables[t.table_id] = t

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -79,25 +77,21 @@ class KnowledgeGraph:
         triple_set = sorted(set(triples))
         mids = sorted({t[0] for t in triple_set} | {t[2] for t in triple_set})
         self._mids: tuple[str, ...] = tuple(mids)
-        self._ids: dict[str, int] = {m: i for i, m in enumerate(mids)}
-        edges: list[list[tuple[str, bool, int]]] = [[] for _ in mids]
+        self._ids = ids = {m: i for i, m in enumerate(mids)}
+        # Token 2i is predicate i forward and 2i + 1 its inverse, so code order is
+        # (name, inverse) order; sorted triples append each group's ids ascending.
+        preds = sorted({t[1] for t in triple_set})
+        code = {p: 2 * i for i, p in enumerate(preds)}
+        tokens = [PredicateToken(p, inverse) for p in preds for inverse in (False, True)]
+        grouped: list[dict[int, list[int]]] = [{} for _ in mids]
         for s, p, o in triple_set:
-            si, oi = self._ids[s], self._ids[o]
-            edges[si].append((p, False, oi))
-            edges[oi].append((p, True, si))
-        tokens: dict[tuple[str, bool], PredicateToken] = {}
-        adj: list[dict[PredicateToken, tuple[int, ...]]] = []
-        for entity_edges in edges:
-            entity_edges.sort()
-            groups: dict[PredicateToken, tuple[int, ...]] = {}
-            for key, group in groupby(entity_edges, key=itemgetter(0, 1)):
-                tok = tokens.get(key)
-                if tok is None:
-                    tok = tokens[key] = PredicateToken(*key)
-                groups[tok] = tuple(nbr for _, _, nbr in group)
-            adj.append(groups)
-        self._adj: tuple[dict[PredicateToken, tuple[int, ...]], ...] = tuple(adj)
-        self._degree: tuple[int, ...] = tuple(len(e) for e in edges)
+            si, oi, c = ids[s], ids[o], code[p]
+            grouped[si].setdefault(c, []).append(oi)
+            grouped[oi].setdefault(c + 1, []).append(si)
+        self._adj: tuple[dict[PredicateToken, tuple[int, ...]], ...] = tuple(
+            {tokens[c]: tuple(groups[c]) for c in sorted(groups)} for groups in grouped
+        )
+        self._degree: tuple[int, ...] = tuple(sum(map(len, groups.values())) for groups in grouped)
         self._triples = tuple(triple_set)
 
     # -- entity interning ------------------------------------------------
@@ -117,9 +111,6 @@ class KnowledgeGraph:
     def mid(self, entity: int) -> str:
         self._check(entity)
         return self._mids[entity]
-
-    def entities(self) -> range:
-        return range(len(self._mids))
 
     def triples(self) -> tuple[tuple[str, str, str], ...]:
         return self._triples
@@ -366,6 +357,7 @@ def load_entity_meta(path: str, g: KnowledgeGraph) -> EntityMetaStore:
     """
     by_entity: dict[int, EntityMeta] = {}
     types: dict[tuple[str, ...], frozenset[str]] = {}
+    descriptions: dict[str, tuple[str, ...]] = {}  # equal descriptions share one token tuple
     for line_no, rec in _json_lines(path):
         mid = rec.get("mid")
         if not isinstance(mid, str) or not mid:
@@ -375,9 +367,10 @@ def load_entity_meta(path: str, g: KnowledgeGraph) -> EntityMetaStore:
         notable_types = _type_field(rec, "notable_types", path, line_no, types)
         rdf_types = _type_field(rec, "rdf_types", path, line_no, types)
         if mid in g:
-            by_entity[g.entity_id(mid)] = EntityMeta(
-                name, tokenize(description), notable_types, rdf_types
-            )
+            tokens = descriptions.get(description)
+            if tokens is None:
+                tokens = descriptions[description] = tokenize(description)
+            by_entity[g.entity_id(mid)] = EntityMeta(name, tokens, notable_types, rdf_types)
     return EntityMetaStore(by_entity)
 
 

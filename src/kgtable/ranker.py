@@ -85,6 +85,8 @@ class PretrainedEmbeddings:
                     vec = np.asarray([float(v) for v in parts[1:]])
                 except ValueError as exc:
                     raise ParseError(path, line_no, f"{parts[0]!r}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise ParseError(path, line_no, f"{parts[0]!r}: non-finite value")
                 if dim == 0:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:

@@ -25,6 +25,17 @@ def build_adjacency(triples) -> dict[str, list[tuple[Token, str]]]:
     return adj
 
 
+def grouped_adjacency(triples) -> dict[str, list[tuple[Token, list[str]]]]:
+    """Each entity's neighbours per token: tokens in (name, inverse) order, neighbours sorted."""
+    out = {}
+    for node, edges in build_adjacency(triples).items():
+        groups: dict[Token, list[str]] = defaultdict(list)
+        for tok, nbr in edges:
+            groups[tok].append(nbr)
+        out[node] = [(tok, sorted(groups[tok])) for tok in sorted(groups)]
+    return out
+
+
 def brute_simple_paths(
     triples, src: str, dst: str, max_len: int, degree_cap: int | None = None
 ) -> set[tuple[Token, ...]]:

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -117,6 +118,29 @@ class TestPipelineCommands:
         root, cfg_path, cfg = workspace
         assert main(["evaluate", "--config", str(cfg_path), "--eval-split", "validation"]) == 0
         assert "validation:" in capsys.readouterr().out
+
+    def test_repeated_completes_freeze_nothing_and_keep_the_heap_flat(self, workspace, tmp_path):
+        # Only the imports are frozen; one command's garbage must stay collectable.
+        _, cfg_path, cfg = workspace
+        g = load_triples(cfg["graph_path"])
+        tables, split, *_ = ds.load_dataset(cfg["dataset_dir"], g)
+        table = tables[split.test[0]]
+        er1, er2 = table.rr[0]
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps({
+            "qis": " ".join(table.qis), "se": g.mid(table.se), "cn1": " ".join(table.cn1),
+            "cn2": " ".join(table.cn2), "er1": g.mid(er1), "er2": g.mid(er2),
+        }))
+        del g, tables, table
+        argv = ["complete", str(query), "--config", str(cfg_path)]
+        frozen, tracked = [], []
+        for _ in range(30):
+            assert main(argv) == 0
+            gc.collect()
+            frozen.append(gc.get_freeze_count())
+            tracked.append(len(gc.get_objects()))
+        assert frozen == [frozen[0]] * 30
+        assert max(tracked) - tracked[0] < 500, tracked
 
 
 class TestCompleteCommand:

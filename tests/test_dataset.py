@@ -299,6 +299,20 @@ class TestCorpusIo:
         with pytest.raises(ds.ParseError):
             ds.read_corpus(str(path))
 
+    @pytest.mark.parametrize(
+        "ids", [("t1", "t2", "t1"), ("3", "t2", None)], ids=["repeated", "line-number"]
+    )
+    def test_duplicate_table_id_names_the_second_line(self, tmp_path, ids):
+        # A record without an id takes its line number, which can repeat an explicit id.
+        path = tmp_path / "corpus.jsonl"
+        recs = [{"headers": ["a", "b"], "rows": []} for _ in ids]
+        for rec, table_id in zip(recs, ids):
+            if table_id is not None:
+                rec["table_id"] = table_id
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        with pytest.raises(ds.ParseError, match=f"corpus.jsonl:3: duplicate table_id '{ids[0]}'"):
+            ds.read_corpus(str(path))
+
     def test_cell_url_singleton_alias(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         rec = {"table_id": "t", "page_title": "x", "caption": "", "headers": ["a", "b"],
@@ -349,6 +363,20 @@ class TestRoundTrip:
                     assert first is segment, text
                     seen += 1
         assert seen > 2 * len(by_text)  # segments really repeat across chains
+
+    def test_equal_loaded_chains_are_one_object(self, tmp_path, bundle):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g, {},
+        )
+        tables, *_ = ds.load_dataset(str(tmp_path), bundle.g)
+        by_text: dict[str, ChainPair] = {}
+        seen = 0
+        for table in tables.values():
+            for lc in table.chains:
+                assert by_text.setdefault(lc.chain.canonical(), lc.chain) is lc.chain
+                seen += 1
+        assert seen > 2 * len(by_text)  # chains really repeat across tables
 
     def test_corrupt_table_line_names_the_file_and_line(self, tmp_path, bundle):
         ds.save_dataset(

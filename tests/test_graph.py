@@ -1,9 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import naive_entity_meta
+from oracles import build_adjacency, grouped_adjacency, naive_entity_meta
 
 from kgtable import synth
 from kgtable.graph import (
@@ -78,8 +78,8 @@ class TestInvariants:
         rnd.shuffle(shuffled)
         g2 = KnowledgeGraph(shuffled)
         assert g1.triples() == g2.triples()
-        assert [g1.mid(e) for e in g1.entities()] == [g2.mid(e) for e in g2.entities()]
-        assert all(g1.adjacency(e) == g2.adjacency(e) for e in g1.entities())
+        assert [g1.mid(e) for e in range(len(g1))] == [g2.mid(e) for e in range(len(g2))]
+        assert all(g1.adjacency(e) == g2.adjacency(e) for e in range(len(g1)))
 
     @given(
         st.lists(
@@ -94,7 +94,7 @@ class TestInvariants:
     )
     def test_inverse_closure_and_degree_consistency(self, triples):
         g = KnowledgeGraph(triples)
-        for e in g.entities():
+        for e in range(len(g)):
             groups = g.adjacency(e)
             assert list(groups) == sorted(groups)
             assert g.degree(e) == sum(len(nbrs) for nbrs in groups.values())
@@ -103,6 +103,31 @@ class TestInvariants:
                 for nbr in nbrs:
                     inverse = PredicateToken(tok.name, not tok.inverse)
                     assert e in g.adjacency(nbr).get(inverse, ())
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abcde"),
+                st.sampled_from(["p", "q.r", "s"]),
+                st.sampled_from("abcde"),
+            ),
+            max_size=30,
+        )
+    )
+    @example([("a", "p", "a"), ("a", "p", "b"), ("a", "p", "b"), ("b", "p", "a"), ("c", "s", "a")])
+    def test_groups_and_degrees_match_the_naive_adjacency(self, triples):
+        g = KnowledgeGraph(triples)
+        want = grouped_adjacency(triples)
+        degree = build_adjacency(triples)
+        assert sorted(want) == [g.mid(e) for e in range(len(g))]
+        shared: dict[tuple[str, bool], PredicateToken] = {}
+        for e in range(len(g)):
+            groups = g.adjacency(e)
+            got = [((t.name, t.inverse), [g.mid(n) for n in nbrs]) for t, nbrs in groups.items()]
+            assert got == want[g.mid(e)]
+            assert g.degree(e) == len(degree[g.mid(e)])
+            for tok in groups:
+                assert shared.setdefault((tok.name, tok.inverse), tok) is tok
 
 
 class TestNeighbors:
@@ -208,6 +233,18 @@ class TestMetadata:
         assert one.notable_types is one.rdf_types is two.notable_types
         assert two.rdf_types == {"tv", "actor", "x"}
 
+    def test_equal_descriptions_share_one_token_tuple(self, tmp_path):
+        g = graph_of(("m.1", "p", "m.2"))
+        path = self._meta_file(
+            tmp_path,
+            {"mid": "m.1", "description": "An American actor."},
+            {"mid": "m.2", "description": "An American actor."},
+        )
+        store = load_entity_meta(path, g)
+        one, two = store.get(g.entity_id("m.1")), store.get(g.entity_id("m.2"))
+        assert one.description == ("an", "american", "actor")
+        assert one.description is two.description
+
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_every_entity_matches_the_per_record_oracle(self, tmp_path, seed):
         data = synth.make_corpus(str(tmp_path), n_tables=30, seed=seed)
@@ -215,7 +252,7 @@ class TestMetadata:
         store = load_entity_meta(data.entity_meta, g)
         want = naive_entity_meta(data.entity_meta)
         assert len(store) == len(g)
-        for e in g.entities():
+        for e in range(len(g)):
             assert store.get(e) == EntityMeta(*want[g.mid(e)])
 
     def test_predicate_prefix_rule(self):

@@ -156,12 +156,12 @@ class TestProperties:
 
     def _sample_chains(self, g, se, max_segment=3, limit=40):
         chains = []
-        for mid_entity in g.entities():
+        for mid_entity in range(len(g)):
             if mid_entity == se:
                 continue
             p1s = enumerate_simple_paths(g, se, {mid_entity}, max_segment, 10**9, ())
             for p1 in p1s[:3]:
-                for other in g.entities():
+                for other in range(len(g)):
                     if other == mid_entity:
                         continue
                     p2s = enumerate_simple_paths(g, mid_entity, {other}, max_segment, 10**9, ())

@@ -508,3 +508,10 @@ class TestEmbeddingsFile:
         path.write_text("alpha 1.0 0.0\nbeta 0.5 abc\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: 'beta': could not convert")):
             rk.PretrainedEmbeddings.load(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_file_and_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"alpha 1.0 0.0\nmusic 0.1 {value}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: 'music': non-finite value")):
+            rk.PretrainedEmbeddings.load(str(path))
