@@ -20,7 +20,6 @@ from .config import RunConfig, config_defaults, load_config
 from .dataset import ConfigurationError
 from .graph import (
     EntityMetaStore,
-    KnowledgeGraph,
     ParseError,
     PredicateMetaStore,
     load_entity_meta,
@@ -62,29 +61,26 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # -- shared loading -----------------------------------------------------------
 
 
-def _load_graph(cfg: RunConfig) -> KnowledgeGraph:
+def _kb_sources(cfg: RunConfig) -> dict[str, str]:
+    """The KB files a compiled KB records, by config key."""
     if not cfg.graph_path:
         raise ConfigurationError("graph_path is required")
-    return load_triples(cfg.graph_path)
+    return {
+        "graph_path": cfg.graph_path,
+        "entity_meta_path": cfg.entity_meta_path,
+        "predicate_meta_path": cfg.predicate_meta_path,
+    }
 
 
-def _load_stores(cfg: RunConfig, g: KnowledgeGraph):
-    entity_meta = (
-        load_entity_meta(cfg.entity_meta_path, g)
-        if cfg.entity_meta_path
-        else EntityMetaStore()
-    )
-    pred_meta = (
-        load_predicate_meta(cfg.predicate_meta_path)
-        if cfg.predicate_meta_path
-        else PredicateMetaStore()
-    )
-    embeddings = (
-        ranker.PretrainedEmbeddings.load(cfg.embeddings_path)
-        if cfg.embeddings_path
-        else ranker.PretrainedEmbeddings({}, 1)
-    )
-    return entity_meta, pred_meta, embeddings
+def _load_kb(cfg: RunConfig, meta: bool = True):
+    """The KB that build-dataset compiled into the dataset directory."""
+    return ds.load_kb(cfg.dataset_dir, _kb_sources(cfg), meta)
+
+
+def _load_embeddings(cfg: RunConfig) -> ranker.PretrainedEmbeddings:
+    if cfg.embeddings_path:
+        return ranker.PretrainedEmbeddings.load(cfg.embeddings_path)
+    return ranker.PretrainedEmbeddings({}, 1)
 
 
 def _selector_model_path(cfg: RunConfig) -> str:
@@ -127,8 +123,16 @@ def _make_tuple_ranker(cfg: RunConfig, entity_meta, pred_meta, embeddings):
 
 
 def cmd_build_dataset(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    entity_meta, _, _ = _load_stores(cfg, g)
+    sources = _kb_sources(cfg)
+    g = load_triples(cfg.graph_path)
+    entity_meta = (
+        load_entity_meta(cfg.entity_meta_path, g) if cfg.entity_meta_path else EntityMetaStore()
+    )
+    pred_meta = (
+        load_predicate_meta(cfg.predicate_meta_path)
+        if cfg.predicate_meta_path
+        else PredicateMetaStore()
+    )
     corpus = ds.read_corpus(cfg.corpus_path)
     url2mid = ds.read_tsv_map(cfg.url2mid_path)
     types_by_mid = ds.read_tsv_multimap(cfg.mid2types_path) if cfg.mid2types_path else {}
@@ -138,6 +142,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
         cfg.build_settings(), cfg.seed, cfg.k_negatives,
     )
     ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g, type_freq)
+    ds.save_kb(cfg.dataset_dir, g, entity_meta, pred_meta, sources)
     print(
         f"annotated {len(tables)} tables "
         f"(train/val/test = {len(split.train)}/{len(split.validation)}/{len(split.test)}) "
@@ -149,7 +154,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 
 
 def cmd_train_selector(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+    g, _, _ = _load_kb(cfg, meta=False)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     train_tables = [tables[tid] for tid in split.train]
     hp = cfg.selector_hp()
@@ -168,9 +173,9 @@ def cmd_train_selector(cfg: RunConfig) -> int:
 
 
 def cmd_train_ranker(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+    g, entity_meta, pred_meta = _load_kb(cfg)
     tables, split, _, _ = ds.load_dataset(cfg.dataset_dir, g)
-    entity_meta, pred_meta, embeddings = _load_stores(cfg, g)
+    embeddings = _load_embeddings(cfg)
     groups = harness.ranker_training_groups(
         [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
         cfg.budget(),
@@ -193,9 +198,9 @@ def _eval_tables(cfg: RunConfig, tables, split):
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+    g, entity_meta, pred_meta = _load_kb(cfg)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
-    entity_meta, pred_meta, embeddings = _load_stores(cfg, g)
+    embeddings = _load_embeddings(cfg)
     chain_selector = _make_chain_selector(cfg, tb_vocab, kb_vocab)
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
     eval_tables = _eval_tables(cfg, tables, split)
@@ -215,7 +220,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_core_column_eval(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+    g, _, _ = _load_kb(cfg, meta=False)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     chain_selector = _make_chain_selector(cfg, tb_vocab, kb_vocab)
     eval_tables = _eval_tables(cfg, tables, split)
@@ -251,8 +256,8 @@ def _derive_set_tokens(cfg: RunConfig, query: dict, se_mid: str) -> tuple[str, .
 
 
 def cmd_complete(cfg: RunConfig, query_path: str) -> int:
-    g = _load_graph(cfg)
-    entity_meta, pred_meta, embeddings = _load_stores(cfg, g)
+    g, entity_meta, pred_meta = _load_kb(cfg)
+    embeddings = _load_embeddings(cfg)
     query = read_json(query_path)
     for key in ("se", "er1", "er2", "cn1", "cn2"):
         if key not in query:
@@ -279,7 +284,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
     except ValueError as exc:
         raise ParseError(query_path, 1, f"'cn1'/'cn2': {exc}") from exc
-    # SET feeds only the chain scorers; a random pick needs no dataset.
+    # SET feeds only the chain scorers; a random pick reads no type frequencies.
     set_tokens = () if cfg.selector == "random" else _derive_set_tokens(cfg, query, query["se"])
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
 
@@ -303,7 +308,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     if cfg.selector == "random":
         best_index = harness.RandomChainSelector(cfg.seed).choose(query_table, candidates, 0)
     else:
-        _, _, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
+        tb_vocab, kb_vocab = ds.load_vocabularies(cfg.dataset_dir)
         hp = cfg.selector_hp()
         scorer = _make_scorer(cfg, tb_vocab, kb_vocab)
         ctx = selector.encode_context(qis, cn1, cn2, set_tokens, tb_vocab, kb_vocab, hp)

@@ -25,8 +25,11 @@ from .graph import (
     EntityMetaStore,
     KnowledgeGraph,
     ParseError,
+    PredicateMetaStore,
     _json_lines,
     _tsv_rows,
+    decode_kb,
+    encode_kb,
     read_json,
     write_json_lines,
 )
@@ -43,6 +46,8 @@ from .text import EMPTY_TOKEN, NUM_TOKEN, is_numeric, tokenize
 
 OOV_TOKEN = "<oov>"
 TYPE_FREQ_FILE = "type_freq.json"
+KB_FILE = "kb.json"
+REBUILD = "rebuild the dataset with build-dataset"
 MIN_LINKED_ROWS = 3
 MIN_CHAIN_HITS = 2  # a retained chain must retrieve at least this many ground-truth rows
 
@@ -535,8 +540,12 @@ def _table_to_json(t: AnnotatedTable, g: KnowledgeGraph) -> dict:
 def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable:
     """Rebuild one table.
 
-    ``memo`` maps each segment string already parsed to its path and each
-    ``(p1, p2)`` string pair to its chain, so equal chains are one object.
+    ``memo`` maps each segment string already parsed to its path, each
+    ``(p1, p2)`` string pair to its chain and each chain record to its
+    labelled chain, so equal chains and equal records are one object. A
+    record's key holds the type of each metric and the sign of a zero, which
+    keeps ``1`` apart from ``1.0`` and ``0.0`` from ``-0.0``, so a shared
+    record saves as read; a metric that is not a number is a ``TypeError``.
     """
 
     def segment(text: str) -> MetaPath:
@@ -545,12 +554,18 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
             path = memo[text] = MetaPath.parse(text)
         return path
 
-    def chain(c: dict) -> ChainPair:
-        key = (c["p1"], c["p2"])
-        pair = memo.get(key)
-        if pair is None:
-            pair = memo[key] = ChainPair(segment(key[0]), segment(key[1]))
-        return pair
+    def labeled(c: dict) -> LabeledChain:
+        p1, p2, positive = c["p1"], c["p2"], c["label"] == "positive"
+        r, p, f = c["recall"], c["precision"], c["f1"]
+        key = (p1, p2, positive, r, p, f, type(r), type(p), type(f),
+               math.copysign(1, r), math.copysign(1, p), math.copysign(1, f))
+        lc = memo.get(key)
+        if lc is None:
+            pair = memo.get((p1, p2))
+            if pair is None:
+                pair = memo[p1, p2] = ChainPair(segment(p1), segment(p2))
+            lc = memo[key] = LabeledChain(pair, positive, r, p, f)
+        return lc
 
     return AnnotatedTable(
         table_id=rec["table_id"],
@@ -561,16 +576,7 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
         se_name=rec["se_name"],
         set_tokens=tuple(rec["set"]),
         rr=tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"]),
-        chains=tuple(
-            LabeledChain(
-                chain=chain(c),
-                positive=c["label"] == "positive",
-                recall=c["recall"],
-                precision=c["precision"],
-                f1=c["f1"],
-            )
-            for c in rec["chains"]
-        ),
+        chains=tuple(map(labeled, rec["chains"])),
     )
 
 
@@ -617,12 +623,67 @@ def load_type_freq(in_dir: str) -> dict[str, int]:
     try:
         freq = read_json(str(path))
     except FileNotFoundError:
-        raise ConfigurationError(
-            f"{path} is missing; rebuild the dataset with build-dataset"
-        ) from None
+        raise ConfigurationError(f"{path} is missing; {REBUILD}") from None
     if not all(isinstance(v, int) for v in freq.values()):
         raise ParseError(str(path), 1, "expected an object of type counts")
     return freq
+
+
+def _source_hashes(sources: Mapping[str, str]) -> dict[str, str | None]:
+    """The sha256 of each configured source file; ``None`` where none is configured."""
+    return {
+        name: hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+        for name, path in sources.items()
+    }
+
+
+def save_kb(
+    out_dir: str,
+    g: KnowledgeGraph,
+    entity_meta: EntityMetaStore,
+    pred_meta: PredicateMetaStore,
+    sources: Mapping[str, str],
+) -> None:
+    """Write ``KB_FILE``: the loaded KB compiled by ``encode_kb``, plus the
+    sha256 of each file in ``sources`` (config key -> path, empty when unset)."""
+    record = encode_kb(g, entity_meta, pred_meta)
+    record["sources"] = _source_hashes(sources)
+    write_json_lines(Path(out_dir) / KB_FILE, [record])
+
+
+def load_kb(
+    in_dir: str, sources: Mapping[str, str], meta: bool = True
+) -> tuple[KnowledgeGraph, EntityMetaStore | None, PredicateMetaStore | None]:
+    """The KB that ``save_kb`` compiled, decoded by ``decode_kb`` (``meta``
+    as there), once the configured ``sources`` are checked to be the files
+    it was compiled from."""
+    path = Path(in_dir) / KB_FILE
+    hashes = _source_hashes(sources)
+    try:
+        rec = read_json(str(path))
+    except FileNotFoundError:
+        raise ConfigurationError(f"{path} is missing; {REBUILD}") from None
+    recorded = rec.get("sources")
+    for name, digest in hashes.items():
+        if not isinstance(recorded, dict) or recorded.get(name) != digest:
+            given = sources[name] or "no file"
+            raise ConfigurationError(
+                f"{path} was not compiled from {name} = {given}; {REBUILD}"
+            )
+    return decode_kb(rec, str(path), meta)
+
+
+def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:
+    """The TB and KB vocabularies ``save_dataset`` wrote."""
+    vocabs = []
+    for name in ("vocab_tb.json", "vocab_kb.json"):
+        path = str(Path(in_dir) / name)
+        v = read_json(path)
+        try:
+            vocabs.append(Vocabulary(v["kind"], tuple(v["tokens"]), v["oov_token"]))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(path, 1, f"bad vocabulary record: {exc!r}") from exc
+    return vocabs[0], vocabs[1]
 
 
 def load_dataset(
@@ -649,15 +710,7 @@ def load_dataset(
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(path, 1, f"bad split record: {exc!r}") from exc
-    vocabs = []
-    for name in ("vocab_tb.json", "vocab_kb.json"):
-        path = str(base / name)
-        v = read_json(path)
-        try:
-            vocabs.append(Vocabulary(v["kind"], tuple(v["tokens"]), v["oov_token"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(path, 1, f"bad vocabulary record: {exc!r}") from exc
-    return tables, split, vocabs[0], vocabs[1]
+    return (tables, split, *load_vocabularies(in_dir))
 
 
 def subject_type_freq(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -49,6 +50,15 @@ class PredicateToken:
     def __post_init__(self):
         if not self.name:
             raise ValueError("predicate name must be non-empty")
+        # Every adjacency insert and walk lookup hashes a token: compute it once.
+        object.__setattr__(self, "_hash", hash((self.name, self.inverse)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so a copy recomputes its hash.
+        return PredicateToken, (self.name, self.inverse)
 
     def render(self) -> str:
         return ("^" + self.name) if self.inverse else self.name
@@ -76,23 +86,43 @@ class KnowledgeGraph:
     def __init__(self, triples: Iterable[tuple[str, str, str]]):
         triple_set = sorted(set(triples))
         mids = sorted({t[0] for t in triple_set} | {t[2] for t in triple_set})
-        self._mids: tuple[str, ...] = tuple(mids)
-        self._ids = ids = {m: i for i, m in enumerate(mids)}
-        # Token 2i is predicate i forward and 2i + 1 its inverse, so code order is
-        # (name, inverse) order; sorted triples append each group's ids ascending.
+        ids = {m: i for i, m in enumerate(mids)}
         preds = sorted({t[1] for t in triple_set})
         code = {p: 2 * i for i, p in enumerate(preds)}
-        tokens = [PredicateToken(p, inverse) for p in preds for inverse in (False, True)]
+        # Sorted triples append each group's ids ascending.
         grouped: list[dict[int, list[int]]] = [{} for _ in mids]
         for s, p, o in triple_set:
             si, oi, c = ids[s], ids[o], code[p]
             grouped[si].setdefault(c, []).append(oi)
             grouped[oi].setdefault(c + 1, []).append(si)
-        self._adj: tuple[dict[PredicateToken, tuple[int, ...]], ...] = tuple(
-            {tokens[c]: tuple(groups[c]) for c in sorted(groups)} for groups in grouped
-        )
-        self._degree: tuple[int, ...] = tuple(sum(map(len, groups.values())) for groups in grouped)
-        self._triples = tuple(triple_set)
+        self._assemble(mids, ids, preds, ([(c, gs[c]) for c in sorted(gs)] for gs in grouped))
+
+    def _assemble(
+        self,
+        mids: Sequence[str],
+        ids: dict[str, int],
+        preds: Sequence[str],
+        grouped: Iterable[Iterable[tuple[int, Sequence[int]]]],
+    ) -> None:
+        """Set the graph from its entities and each entity's ``(token code, ids)`` groups.
+
+        ``mids`` lists the entities in id order and ``ids`` inverts it;
+        ``preds`` lists the predicate names in sorted order. Token code 2i is
+        predicate i forward and 2i + 1 its inverse, so groups in code order
+        are in (name, inverse) order; each code maps to one shared token, and
+        a code outside the tokens is a ``KeyError``.
+        """
+        self._mids: tuple[str, ...] = tuple(mids)
+        self._ids = ids
+        tokens = dict(enumerate(PredicateToken(p, inv) for p in preds for inv in (False, True)))
+        adj = []
+        for groups in grouped:  # plain loops: a comprehension per entity costs a call
+            nbrs_by_token = {}
+            for c, nbrs in groups:
+                nbrs_by_token[tokens[c]] = tuple(nbrs)
+            adj.append(nbrs_by_token)
+        self._adj: tuple[dict[PredicateToken, tuple[int, ...]], ...] = tuple(adj)
+        self._degree: tuple[int, ...] = tuple(sum(map(len, a.values())) for a in adj)
 
     # -- entity interning ------------------------------------------------
 
@@ -113,7 +143,15 @@ class KnowledgeGraph:
         return self._mids[entity]
 
     def triples(self) -> tuple[tuple[str, str, str], ...]:
-        return self._triples
+        """Every distinct triple in sorted order, read off the forward groups."""
+        mids = self._mids
+        return tuple(
+            (mids[s], tok.name, mids[o])
+            for s, groups in enumerate(self._adj)
+            for tok, nbrs in groups.items()
+            if not tok.inverse
+            for o in nbrs
+        )
 
     # -- adjacency -------------------------------------------------------
 
@@ -304,7 +342,9 @@ def write_json_lines(path: str | Path, records: Iterable) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            # Records are trees, so the encoder need not track containers for cycles.
+            text = json.dumps(record, sort_keys=True, separators=(",", ":"), check_circular=False)
+            fh.write(text + "\n")
 
 
 def _text_field(rec: dict, key: str, path: str, line_no: int) -> str:
@@ -384,3 +424,91 @@ def load_predicate_meta(path: str) -> PredicateMetaStore:
             raise ParseError(path, line_no, "missing 'name'")
         tgt_by_name[name] = _type_field(rec, "expected_target_types", path, line_no, types)
     return PredicateMetaStore(tgt_by_name)
+
+
+# -- compiled KB -------------------------------------------------------------
+
+
+def encode_kb(
+    g: KnowledgeGraph, entity_meta: EntityMetaStore, pred_meta: PredicateMetaStore
+) -> dict:
+    """A loaded KB as one JSON record of integer ids and string tables.
+
+    Each entity's groups are ``[token code, neighbour ids]`` in the codes of
+    ``KnowledgeGraph._assemble``. Entity metadata refers to the distinct
+    description-token tuples and type-token sets by index; records keep the
+    stores' order, so equal stores give equal records.
+    """
+    tokens = {tok for groups in g._adj for tok in groups}
+    preds = sorted({tok.name for tok in tokens})
+    forward = {p: 2 * i for i, p in enumerate(preds)}
+    code = {tok: forward[tok.name] + tok.inverse for tok in tokens}
+    descriptions: dict[tuple[str, ...], int] = {}
+    type_sets: dict[frozenset[str], int] = {}
+    # Each distinct value gets the next index.
+    d_index, t_index = descriptions.setdefault, type_sets.setdefault
+    entities = [
+        (e, m.name, d_index(m.description, len(descriptions)),
+         t_index(m.notable_types, len(type_sets)), t_index(m.rdf_types, len(type_sets)))
+        for e, m in entity_meta._by_entity.items()
+    ]
+    predicate_types = [(name, t_index(tgt, len(type_sets))) for name, tgt in pred_meta._tgt.items()]
+    return {
+        "mids": g._mids,
+        "predicates": preds,
+        "adjacency": [[(code[tok], nbrs) for tok, nbrs in groups.items()] for groups in g._adj],
+        "descriptions": list(descriptions),
+        "type_sets": [sorted(t) for t in type_sets],
+        "entities": entities,
+        "predicate_types": predicate_types,
+    }
+
+
+def _check_ids(what: str, ids: Iterable, n: int) -> None:
+    """Raise ``ValueError`` unless every id is an int in ``range(n)``."""
+    ids = list(ids)
+    # A float makes the sum a float; any other non-int makes it raise.
+    if ids and (type(sum(ids)) is not int or min(ids) < 0 or max(ids) >= n):
+        raise ValueError(f"{what} id is not an entity of the graph")
+
+
+def decode_kb(
+    rec: dict, path: str, meta: bool = True
+) -> tuple[KnowledgeGraph, EntityMetaStore | None, PredicateMetaStore | None]:
+    """The graph and, with ``meta``, the metadata stores ``encode_kb`` recorded.
+
+    Equal descriptions share one tuple and equal type sets one frozenset. A
+    missing field, a value of the wrong type or an id out of range is a
+    ``ParseError`` naming ``path``; without ``meta`` the metadata goes
+    unread and unchecked, and both stores are ``None``.
+    """
+    try:
+        mids, preds = rec["mids"], rec["predicates"]
+        if not set(map(type, chain(mids, preds))) <= {str}:
+            raise ValueError("a mid or predicate name is not a string")
+        ids = {m: i for i, m in enumerate(mids)}
+        if len(ids) != len(mids) or len(rec["adjacency"]) != len(mids):
+            raise ValueError("mids repeat or differ in number from the adjacency lists")
+        g = KnowledgeGraph.__new__(KnowledgeGraph)
+        g._assemble(mids, ids, preds, rec["adjacency"])
+        nbrs = chain.from_iterable(chain.from_iterable(map(dict.values, g._adj)))
+        _check_ids("a neighbour", nbrs, len(mids))
+        if not meta:
+            return g, None, None
+        descriptions = [tuple(d) for d in rec["descriptions"]]
+        type_sets = [frozenset(t) for t in rec["type_sets"]]
+        by_entity = {
+            e: EntityMeta(name, descriptions[d], type_sets[notable], type_sets[rdf])
+            for e, name, d, notable, rdf in rec["entities"]
+        }
+        tgt_by_name = {name: type_sets[t] for name, t in rec["predicate_types"]}
+        strings = chain(
+            chain.from_iterable(descriptions), chain.from_iterable(type_sets),
+            (m.name for m in by_entity.values()), tgt_by_name,
+        )
+        if not set(map(type, strings)) <= {str}:
+            raise ValueError("a name or token is not a string")
+        _check_ids("an entity metadata", by_entity, len(mids))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(path, 1, f"bad compiled KB: {exc!r}") from exc
+    return g, EntityMetaStore(by_entity), PredicateMetaStore(tgt_by_name)

@@ -42,12 +42,14 @@ class MetaPath:
     def __post_init__(self):
         if not self.tokens:
             raise ValueError("meta-path must have at least one token")
+        # Sorting, joining and saving chains read the canonical form many times.
+        object.__setattr__(self, "_canonical", "/".join(t.render() for t in self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def canonical(self) -> str:
-        return "/".join(t.render() for t in self.tokens)
+        return self._canonical
 
     @classmethod
     def parse(cls, text: str) -> "MetaPath":

@@ -335,6 +335,7 @@ def test_criterion_12_full_pipeline_is_byte_deterministic(tmp_path):
                 "dataset/split.json",
                 "dataset/vocab_tb.json",
                 "dataset/vocab_kb.json",
+                "dataset/kb.json",
                 "out/selector.json",
                 "out/ranker.json",
                 "out/runs.jsonl",

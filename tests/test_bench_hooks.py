@@ -5,8 +5,9 @@ and refuses to run when a kgtable module binds a wrapped function past its
 wrapper. Installing the tracer here makes a renamed target or a new alias
 fail the test suite in well under a second instead of aborting a traced
 benchmark run. Running ``build-dataset``, ``train-selector``,
-``train-ranker`` and ``complete`` under the tracer on a small corpus checks
-that each still reaches every function the benchmark expects it to call.
+``train-ranker``, ``evaluate`` and ``complete`` under the tracer on a small
+corpus checks that each still reaches every function the benchmark expects
+it to call.
 """
 
 import importlib.util
@@ -74,6 +75,7 @@ def test_pipeline_commands_reach_every_wrapped_function(tmp_path):
         assert main(["build-dataset", *args]) == 0
         assert main(["train-selector", *args]) == 0
         assert main(["train-ranker", *args]) == 0
+        assert main(["evaluate", *args]) == 0
         # A query row that one of the table's chains connects.
         g = load_triples(data.graph)
         tables, *_ = ds.load_dataset(cfg["dataset_dir"], g)
@@ -88,4 +90,6 @@ def test_pipeline_commands_reach_every_wrapped_function(tmp_path):
         assert main(["complete", str(query_path), *args]) == 0
     finally:
         tracer.uninstall()
-    tracer.check_coverage({"build-dataset", "train-selector", "train-ranker", "complete"})
+    tracer.check_coverage(
+        {"build-dataset", "train-selector", "train-ranker", "evaluate", "complete"}
+    )

@@ -9,11 +9,42 @@ from kgtable import synth
 from kgtable.cli import _derive_set_tokens, main
 from kgtable.config import RunConfig, config_defaults, load_config
 from kgtable.dataset import BuildSettings, ConfigurationError
-from kgtable.graph import KnowledgeGraph, load_triples
+from kgtable.graph import (
+    EntityMetaStore,
+    KnowledgeGraph,
+    PredicateMetaStore,
+    load_entity_meta,
+    load_triples,
+)
 from kgtable.paths import ChainPair, MetaPath
 from kgtable.query import QueryBudget
 from kgtable.ranker import RankerConfig
 from kgtable.selector import SelectorHyperParams
+
+
+def save_kb(dataset, graph, meta=None):
+    """Compile a graph file (and an entity metadata file) into ``dataset`` as build-dataset does."""
+    g = load_triples(str(graph))
+    entity_meta = load_entity_meta(str(meta), g) if meta else EntityMetaStore()
+    sources = {
+        "graph_path": str(graph),
+        "entity_meta_path": str(meta) if meta else "",
+        "predicate_meta_path": "",
+    }
+    ds.save_kb(str(dataset), g, entity_meta, PredicateMetaStore(), sources)
+
+
+def write_query(cfg, path):
+    """A query file holding the first row of the first test table."""
+    g = load_triples(cfg["graph_path"])
+    tables, split, *_ = ds.load_dataset(cfg["dataset_dir"], g)
+    table = tables[split.test[0]]
+    er1, er2 = table.rr[0]
+    path.write_text(json.dumps({
+        "qis": " ".join(table.qis), "se": g.mid(table.se), "cn1": " ".join(table.cn1),
+        "cn2": " ".join(table.cn2), "er1": g.mid(er1), "er2": g.mid(er2),
+    }))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +132,7 @@ class TestPipelineCommands:
             str(dataset), {"wide": table}, ds.DatasetSplit((), (), ("wide",), 0),
             ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g, {},
         )
+        save_kb(dataset, graph)
         out = tmp_path / "out"
         argv = [
             "core-column-eval", "--graph-path", str(graph), "--dataset-dir", str(dataset),
@@ -122,16 +154,7 @@ class TestPipelineCommands:
     def test_repeated_completes_freeze_nothing_and_keep_the_heap_flat(self, workspace, tmp_path):
         # Only the imports are frozen; one command's garbage must stay collectable.
         _, cfg_path, cfg = workspace
-        g = load_triples(cfg["graph_path"])
-        tables, split, *_ = ds.load_dataset(cfg["dataset_dir"], g)
-        table = tables[split.test[0]]
-        er1, er2 = table.rr[0]
-        query = tmp_path / "query.json"
-        query.write_text(json.dumps({
-            "qis": " ".join(table.qis), "se": g.mid(table.se), "cn1": " ".join(table.cn1),
-            "cn2": " ".join(table.cn2), "er1": g.mid(er1), "er2": g.mid(er2),
-        }))
-        del g, tables, table
+        query = write_query(cfg, tmp_path / "query.json")
         argv = ["complete", str(query), "--config", str(cfg_path)]
         frozen, tracked = [], []
         for _ in range(30):
@@ -173,6 +196,11 @@ class TestCompleteCommand:
                 ]
             )
         )
+        save_kb(tmp_path / "dataset", graph, meta)
+        kb_args = [
+            "--graph-path", str(graph), "--entity-meta-path", str(meta),
+            "--dataset-dir", str(tmp_path / "dataset"),
+        ]
         query = tmp_path / "query.json"
         query.write_text(
             json.dumps(
@@ -187,15 +215,14 @@ class TestCompleteCommand:
                 }
             )
         )
-        return tmp_path, graph, meta, query
+        return tmp_path, kb_args, query
 
     def test_completes_with_the_second_pair_on_top(self, tv_world, capsys):
-        tmp_path, graph, meta, query = tv_world
+        tmp_path, kb_args, query = tv_world
         code = main(
             [
                 "complete", str(query),
-                "--graph-path", str(graph),
-                "--entity-meta-path", str(meta),
+                *kb_args,
                 "--selector", "random",
                 "--ranker", "random",
                 "--output", str(tmp_path / "out"),
@@ -212,7 +239,7 @@ class TestCompleteCommand:
         assert (c1_name, c2_name) == ("Adam Rodriguez", "Eric Delko")
 
     def test_disconnected_example_row_fails_with_diagnostic(self, tv_world, capsys):
-        tmp_path, graph, meta, query = tv_world
+        tmp_path, kb_args, query = tv_world
         bad = tmp_path / "bad.json"
         bad.write_text(
             json.dumps(
@@ -230,8 +257,7 @@ class TestCompleteCommand:
         code = main(
             [
                 "complete", str(bad),
-                "--graph-path", str(graph),
-                "--entity-meta-path", str(meta),
+                *kb_args,
                 "--selector", "random",
                 "--ranker", "random",
                 "--output", str(tmp_path / "out2"),
@@ -241,9 +267,9 @@ class TestCompleteCommand:
         assert "no connecting chain within length 3" in capsys.readouterr().err
 
     def test_truncated_query_file_exits_2_with_file_and_line(self, tv_world, capsys):
-        tmp_path, graph, meta, query = tv_world
+        tmp_path, kb_args, query = tv_world
         query.write_text('{"qd": "whatever",\n')
-        argv = ["complete", str(query), "--graph-path", str(graph), "--selector", "random"]
+        argv = ["complete", str(query), *kb_args, "--selector", "random"]
         assert main(argv) == 2
         assert f"{query}:2: bad JSON" in capsys.readouterr().err
 
@@ -266,17 +292,17 @@ class TestCompleteCommand:
     )
     def test_bad_query_exits_2_naming_the_query_file(self, tv_world, capsys, edit, message):
         # ``...`` drops the key.
-        tmp_path, graph, meta, query = tv_world
+        tmp_path, kb_args, query = tv_world
         fields = {**json.loads(query.read_text()), **edit}
         query.write_text(json.dumps({k: v for k, v in fields.items() if v is not ...}))
-        argv = ["complete", str(query), "--graph-path", str(graph), "--selector", "random"]
+        argv = ["complete", str(query), *kb_args, "--selector", "random"]
         assert main(argv) == 2
         assert f"{query}:1: {message}" in capsys.readouterr().err
 
     def test_unknown_ranker_exits_2_as_in_evaluate(self, tv_world, capsys):
-        tmp_path, graph, meta, query = tv_world
+        tmp_path, kb_args, query = tv_world
         argv = [
-            "complete", str(query), "--graph-path", str(graph), "--selector", "random",
+            "complete", str(query), *kb_args, "--selector", "random",
             "--ranker", "bogus", "--output-dir", str(tmp_path / "out"),
         ]
         assert main(argv) == 2
@@ -284,14 +310,13 @@ class TestCompleteCommand:
         assert not (tmp_path / "out").exists()
 
     def test_same_seed_runs_are_byte_identical(self, tv_world):
-        tmp_path, graph, meta, query = tv_world
+        tmp_path, kb_args, query = tv_world
         blobs = []
         for sub in ("o1", "o2"):
             assert main(
                 [
                     "complete", str(query),
-                    "--graph-path", str(graph),
-                    "--entity-meta-path", str(meta),
+                    *kb_args,
                     "--selector", "random",
                     "--ranker", "random",
                     "--seed", "21",
@@ -313,7 +338,9 @@ class TestSubjectTypes:
         rows = [("s1", "x.rare"), ("s1", "x.common"), ("s2", "x.common"), ("s3", "x.common")]
         rows += [(f"o{i}", "x.rare") for i in range(5)]
         types.write_text("".join(f"{m}\t{t}\n" for m, t in rows))
-        g = KnowledgeGraph([("s1", "p", "s2"), ("s2", "p", "s3")])
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("s1\tp\ts2\ns2\tp\ts3\n")
+        g = load_triples(str(graph))
         corpus = [
             ds.RawTable(f"t{i}", "", "", ("a", "b"), (), se_mid=mid)
             for i, mid in enumerate(("s1", "s2", "s3"))
@@ -325,7 +352,10 @@ class TestSubjectTypes:
             str(dataset), {}, ds.DatasetSplit((), (), (), 0),
             ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g, type_freq,
         )
-        return RunConfig(mid2types_path=str(types), dataset_dir=str(dataset))
+        save_kb(dataset, graph)
+        return RunConfig(
+            graph_path=str(graph), mid2types_path=str(types), dataset_dir=str(dataset)
+        )
 
     def test_set_comes_from_the_saved_build_frequencies(self, typed_world):
         assert _derive_set_tokens(typed_world, {}, "s1") == ("x", "rare")
@@ -333,21 +363,19 @@ class TestSubjectTypes:
 
     def test_missing_frequency_file_exits_2(self, typed_world, tmp_path, capsys):
         (Path(typed_world.dataset_dir) / ds.TYPE_FREQ_FILE).unlink()
-        graph = tmp_path / "graph.tsv"
-        graph.write_text("s1\tp\ts2\ns2\tp\ts3\n")
         query = tmp_path / "query.json"
         query.write_text(json.dumps(
             {"qis": "x", "se": "s1", "er1": "s2", "er2": "s3", "cn1": "a", "cn2": "b"}
         ))
         argv = [
-            "complete", str(query), "--graph-path", str(graph),
+            "complete", str(query), "--graph-path", typed_world.graph_path,
             "--mid2types-path", typed_world.mid2types_path,
             "--dataset-dir", typed_world.dataset_dir, "--ranker", "random",
             "--output-dir", str(tmp_path / "out"),
         ]
         assert main([*argv, "--selector", "jacsim"]) == 2
         assert "rebuild the dataset" in capsys.readouterr().err
-        # A random pick needs no SET, so it needs no dataset either.
+        # A random pick needs no SET, so it reads no type frequencies.
         assert main([*argv, "--selector", "random"]) == 0
 
     def test_built_tables_agree_with_serving_time_set(self, workspace):
@@ -357,6 +385,99 @@ class TestSubjectTypes:
         tables, *_ = ds.load_dataset(cfg["dataset_dir"], g)
         for table in tables.values():
             assert _derive_set_tokens(run_cfg, {}, g.mid(table.se)) == table.set_tokens
+
+
+class TestCompiledKB:
+    """Serving commands load the KB that build-dataset compiled, and only that one."""
+
+    SERVING = ("train-selector", "train-ranker", "evaluate", "core-column-eval", "complete")
+    META_READERS = ("train-ranker", "evaluate", "complete")
+
+    def _serving_argvs(self, cfg_path, query, *flags, commands=SERVING):
+        for command in commands:
+            head = [command, str(query)] if command == "complete" else [command]
+            yield [*head, "--config", str(cfg_path), *flags]
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("graph_path", lambda text: text + "m.new\tp\tm.other\n"),
+            ("entity_meta_path", lambda text: text.replace('"name"', '"name" ', 1)),
+            ("predicate_meta_path", lambda text: "\n" + text),
+            ("entity_meta_path", None),
+        ],
+        ids=["graph", "entity-meta", "predicate-meta", "entity-meta-unset"],
+    )
+    def test_changed_kb_files_make_every_serving_command_ask_for_a_rebuild(
+        self, workspace, tmp_path, capsys, key, edit
+    ):
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+        edited = ""
+        if edit is not None:
+            edited = str(tmp_path / Path(cfg[key]).name)
+            Path(edited).write_text(edit(Path(cfg[key]).read_text()))
+        flag = "--" + key.replace("_", "-")
+        out = ["--output-dir", str(tmp_path / "out")]
+        for argv in self._serving_argvs(cfg_path, query, flag, edited, *out):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"was not compiled from {key} = {edited or 'no file'}" in err, argv[0]
+            assert "rebuild the dataset with build-dataset" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message, commands",
+        [
+            (None, "kb.json is missing; rebuild the dataset with build-dataset", SERVING),
+            ("truncate", "kb.json:1: bad JSON", SERVING),
+            (lambda rec: rec.pop("mids"), "kb.json:1: bad compiled KB: KeyError('mids')", SERVING),
+            (lambda rec: rec["adjacency"][0][0][1].append(len(rec["mids"])),
+             "a neighbour id is not an entity of the graph", SERVING),
+            (lambda rec: rec["adjacency"][0][0][1].append(-1),
+             "a neighbour id is not an entity of the graph", SERVING),
+            (lambda rec: rec["adjacency"][0][0][1].append(0.5),
+             "a neighbour id is not an entity of the graph", SERVING),
+            (lambda rec: rec["adjacency"][0][0].__setitem__(0, 10**6),
+             "kb.json:1: bad compiled KB: KeyError(1000000)", SERVING),
+            (lambda rec: rec["adjacency"].pop(), "mids repeat or differ in number", SERVING),
+            (lambda rec: rec["sources"].clear(), "rebuild the dataset with build-dataset", SERVING),
+            # Only the commands that use the metadata read and check it.
+            (lambda rec: rec["entities"][0].__setitem__(0, len(rec["mids"])),
+             "an entity metadata id is not an entity of the graph", META_READERS),
+            (lambda rec: rec["entities"][0].__setitem__(1, 5),
+             "a name or token is not a string", META_READERS),
+        ],
+        ids=[
+            "missing", "truncated", "no-mids", "neighbour-too-large", "neighbour-negative",
+            "neighbour-a-float", "unknown-token-code", "adjacency-short", "no-sources",
+            "metadata-entity-too-large", "metadata-name-a-number",
+        ],
+    )
+    def test_bad_compiled_kb_exits_2_naming_the_file(
+        self, workspace, tmp_path, capsys, edit, message, commands
+    ):
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        for src in Path(cfg["dataset_dir"]).iterdir():
+            (dataset / src.name).write_bytes(src.read_bytes())
+        kb = dataset / ds.KB_FILE
+        if edit is None:
+            kb.unlink()
+        elif edit == "truncate":
+            kb.write_text(kb.read_text()[: kb.stat().st_size // 2])
+        else:
+            rec = json.loads(kb.read_text())
+            edit(rec)
+            kb.write_text(json.dumps(rec))
+        flags = ["--dataset-dir", str(dataset), "--output-dir", str(tmp_path / "out")]
+        for argv in self._serving_argvs(cfg_path, query, *flags, commands=commands):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {kb}") and message in err, (argv[0], err)
+            assert "Traceback" not in err
 
 
 class TestRenderSparqlCommand:

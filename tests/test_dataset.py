@@ -378,6 +378,43 @@ class TestRoundTrip:
                 seen += 1
         assert seen > 2 * len(by_text)  # chains really repeat across tables
 
+    def test_equal_chain_records_are_one_object_and_save_as_read(self, tmp_path, bundle):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g, {},
+        )
+        # Spellings of one metric value that JSON keeps apart: 1 and 1.0, 0.0 and -0.0.
+        path = tmp_path / "tables.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        c = rec["chains"][0]
+        spellings = [
+            {**c, "recall": 1, "precision": 0.0},
+            {**c, "recall": 1.0, "precision": 0.0},
+            {**c, "recall": 1.0, "precision": -0.0},
+        ]
+        rec["chains"] = rec["chains"] + spellings + spellings
+        lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines))
+
+        tables, split, tb, kb = ds.load_dataset(str(tmp_path), bundle.g)
+        by_record: dict[tuple, ds.LabeledChain] = {}
+        seen = 0
+        for table in tables.values():
+            for lc in table.chains:
+                key = (lc.chain.canonical(), lc.label, *map(repr, (lc.recall, lc.precision, lc.f1)))
+                assert by_record.setdefault(key, lc) is lc
+                seen += 1
+        assert seen > len(by_record)  # padded negatives really repeat
+        spelled = tables[rec["table_id"]].chains[-6:]
+        assert spelled[:3] == spelled[3:]
+        assert len({id(lc) for lc in spelled}) == 3
+        assert [repr(lc.recall) for lc in spelled[:3]] == ["1", "1.0", "1.0"]
+
+        out = tmp_path / "resaved"
+        ds.save_dataset(str(out), tables, split, tb, kb, bundle.g, {})
+        assert (out / "tables.jsonl").read_bytes() == path.read_bytes()
+
     def test_corrupt_table_line_names_the_file_and_line(self, tmp_path, bundle):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
@@ -385,7 +422,9 @@ class TestRoundTrip:
         )
         path = tmp_path / "tables.jsonl"
         lines = path.read_text().splitlines(keepends=True)
-        for bad in ("{broken\n", '{"table_id": "t"}\n'):
+        rec = json.loads(lines[1])
+        rec["chains"][0]["recall"] = "high"  # a metric that is not a number
+        for bad in ("{broken\n", '{"table_id": "t"}\n', json.dumps(rec) + "\n"):
             path.write_text(lines[0] + bad + "".join(lines[1:]))
             with pytest.raises(ds.ParseError, match=r"tables\.jsonl:2: "):
                 ds.load_dataset(str(tmp_path), bundle.g)

@@ -1,10 +1,16 @@
+import copy
+import dataclasses
 import json
+import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import build_adjacency, grouped_adjacency, naive_entity_meta
 
+from kgtable import dataset as ds
 from kgtable import synth
 from kgtable.graph import (
     EntityMeta,
@@ -288,6 +294,18 @@ class TestPredicateToken:
         with pytest.raises(ValueError):
             PredicateToken("")
 
+    def test_equal_tokens_hash_equal_and_sort_by_name_then_direction(self):
+        inverse = PredicateToken("p", True)
+        copies = (copy.copy(inverse), pickle.loads(pickle.dumps(inverse)))
+        for twin in (PredicateToken.parse("^p"), *copies):
+            assert twin == inverse and hash(twin) == hash(inverse)
+            assert {inverse: 1}[twin] == 1
+        tokens = [PredicateToken("q"), inverse, PredicateToken("p"), PredicateToken("a.b", True)]
+        assert [t.render() for t in sorted(tokens)] == ["^a.b", "p", "^p", "q"]
+        assert dataclasses.replace(inverse, inverse=False) == PredicateToken("p")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inverse.name = "q"
+
 
 class TestJsonArtifacts:
     def test_one_compact_sorted_key_line_per_record(self, tmp_path):
@@ -295,3 +313,86 @@ class TestJsonArtifacts:
         write_json_lines(path, iter([{"b": [1, 2.5], "a": None}, {"\u00e9": {"z": 0, "y": ""}}]))
         assert path.read_bytes() == b'{"a":null,"b":[1,2.5]}\n{"\\u00e9":{"y":"","z":0}}\n'
 
+
+
+META_TEXT = st.sampled_from(["", "Ann", "An actor.", "an ACTOR", "A film/series"])
+META_TYPES = st.lists(
+    st.sampled_from(["tv.actor", "film.film", "base.x", "tv.tv_actor"]), max_size=3
+)
+
+
+class TestCompiledKB:
+    """The compiled KB that build-dataset writes reloads as the raw files load."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                st.sampled_from(["p", "q.r", "s.t.u"]),
+                st.sampled_from("abcdef"),
+            ),
+            max_size=30,
+        ),
+        st.lists(
+            st.fixed_dictionaries(
+                {"mid": st.sampled_from("abcdefz")},
+                optional={
+                    "name": META_TEXT, "description": META_TEXT,
+                    "notable_types": META_TYPES, "rdf_types": META_TYPES,
+                },
+            ),
+            max_size=12,
+        ),
+        st.lists(
+            st.fixed_dictionaries(
+                {"name": st.sampled_from(["p", "q.r", "v.w"])},
+                optional={"expected_target_types": META_TYPES},
+            ),
+            max_size=4,
+        ),
+    )
+    @example(
+        [("a", "p", "a"), ("a", "p", "b"), ("a", "p", "b"), ("b", "p", "a"), ("c", "q.r", "a")],
+        [{"mid": "a", "description": "An actor."}, {"mid": "b", "description": "an ACTOR"}],
+        [{"name": "p", "expected_target_types": ["tv.actor"]}],
+    )
+    def test_reloaded_kb_equals_the_raw_load(self, triples, meta, preds):
+        with tempfile.TemporaryDirectory() as tmp:
+            names = ("g.tsv", "m.jsonl", "p.jsonl")
+            graph, meta_path, preds_path = (Path(tmp, name) for name in names)
+            graph.write_text("".join(f"{s}\t{p}\t{o}\n" for s, p, o in triples))
+            write_json_lines(meta_path, meta)
+            write_json_lines(preds_path, preds)
+            sources = {
+                "graph_path": str(graph),
+                "entity_meta_path": str(meta_path),
+                "predicate_meta_path": str(preds_path),
+            }
+            g = load_triples(str(graph))
+            entity_meta = load_entity_meta(str(meta_path), g)
+            pred_meta = load_predicate_meta(str(preds_path))
+            ds.save_kb(tmp, g, entity_meta, pred_meta, sources)
+            cg, c_entity_meta, c_pred_meta = ds.load_kb(tmp, sources)
+
+        assert cg._mids == g._mids and cg._ids == g._ids
+        want = grouped_adjacency(triples)
+        shared: dict[PredicateToken, PredicateToken] = {}
+        for e in range(len(g)):
+            assert list(cg.adjacency(e).items()) == list(g.adjacency(e).items())
+            got = [((t.name, t.inverse), [cg.mid(n) for n in nbrs])
+                   for t, nbrs in cg.adjacency(e).items()]
+            assert got == want[cg.mid(e)]
+            assert cg.degree(e) == g.degree(e)
+            for tok in cg.adjacency(e):
+                assert shared.setdefault(tok, tok) is tok
+        assert cg.triples() == g.triples() == tuple(sorted(set(triples)))
+
+        assert list(c_entity_meta) == list(entity_meta)
+        descriptions: dict[tuple[str, ...], tuple[str, ...]] = {}
+        for e in entity_meta:
+            got = c_entity_meta.get(e)
+            assert got == entity_meta.get(e)
+            assert descriptions.setdefault(got.description, got.description) is got.description
+        assert len(c_pred_meta) == len(pred_meta)
+        for name in {p for _, p, _ in triples} | {r["name"] for r in preds}:
+            assert c_pred_meta.get(name) == pred_meta.get(name)
