@@ -89,13 +89,11 @@ def main() -> None:
     print(f"trained selectors and ranker in {time.time() - t0:.1f}s")
 
     selectors = {
-        "oracle": harness.OracleChainSelector(),
-        "random": harness.RandomChainSelector(1),
-        "jacsim": harness.ScorerChainSelector(
-            selector.JaccardScorer(tb_vocab, kb_vocab), tb_vocab, kb_vocab, hp
-        ),
-        "linear": harness.ScorerChainSelector(linear, tb_vocab, kb_vocab, hp),
-        "embedding": harness.ScorerChainSelector(embedding, tb_vocab, kb_vocab, hp),
+        "oracle": selector.OracleScorer(),
+        "random": selector.RandomScorer(1),
+        "jacsim": selector.JaccardScorer(tb_vocab, kb_vocab),
+        "linear": linear,
+        "embedding": embedding,
     }
     rankers = {
         "rand": harness.RandomTupleRanker(1),
@@ -104,14 +102,14 @@ def main() -> None:
 
     print(f"\nchain selection Accuracy@1 ({cfg.eval_split} tables with negatives):")
     for name, s in selectors.items():
-        print(f"  {name:10s} {harness.accuracy_at_1(heldout, s):.4f}")
+        print(f"  {name:10s} {harness.accuracy_at_1(heldout, s, tb_vocab, kb_vocab, hp):.4f}")
 
     print("\nend-to-end scenarios [25-ile, 50-ile, mean, 75-ile]:")
     budget = QueryBudget()
     runs_by_selector = {}
     for sname, s in selectors.items():
         for rname, r in rankers.items():
-            runs, summary = harness.run_e2e(heldout, g, s, r, budget)
+            runs, summary = harness.run_e2e(heldout, g, s, r, tb_vocab, kb_vocab, hp, budget)
             runs_by_selector[sname] = runs
             m = summary.metrics
             print(

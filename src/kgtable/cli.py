@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import random
 import sys
 from pathlib import Path
 
@@ -91,23 +90,18 @@ def _ranker_model_path(cfg: RunConfig) -> str:
     return cfg.ranker_model_path or str(Path(cfg.output_dir) / "ranker.json")
 
 
-def _make_scorer(cfg: RunConfig, tb_vocab, kb_vocab):
+def _make_selector(cfg: RunConfig, tb_vocab, kb_vocab):
+    if cfg.selector == "oracle":
+        return selector.OracleScorer()
+    if cfg.selector == "random":
+        return selector.RandomScorer(cfg.seed)
     if cfg.selector == "jacsim":
         return selector.JaccardScorer(tb_vocab, kb_vocab)
     if cfg.selector in ("linear", "embedding"):
         return selector.load_scorer(_selector_model_path(cfg), tb_vocab, kb_vocab)
     raise ConfigurationError(
-        f"selector {cfg.selector!r} has no chain scorer (jacsim, linear, embedding)"
+        f"unknown selector {cfg.selector!r} (oracle, random, jacsim, linear, embedding)"
     )
-
-
-def _make_chain_selector(cfg: RunConfig, tb_vocab, kb_vocab):
-    if cfg.selector == "oracle":
-        return harness.OracleChainSelector()
-    if cfg.selector == "random":
-        return harness.RandomChainSelector(cfg.seed)
-    scorer = _make_scorer(cfg, tb_vocab, kb_vocab)
-    return harness.ScorerChainSelector(scorer, tb_vocab, kb_vocab, cfg.selector_hp())
 
 
 def _make_tuple_ranker(cfg: RunConfig, entity_meta, pred_meta, embeddings):
@@ -201,11 +195,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     g, entity_meta, pred_meta = _load_kb(cfg)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     embeddings = _load_embeddings(cfg)
-    chain_selector = _make_chain_selector(cfg, tb_vocab, kb_vocab)
+    chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
     eval_tables = _eval_tables(cfg, tables, split)
     runs, summary = harness.run_e2e(
-        eval_tables, g, chain_selector, tuple_ranker, cfg.budget()
+        eval_tables, g, chain_selector, tuple_ranker, tb_vocab, kb_vocab,
+        cfg.selector_hp(), cfg.budget(),
     )
     out = Path(cfg.output_dir)
     harness.write_runs(str(out / "runs.jsonl"), runs, g)
@@ -222,10 +217,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_core_column_eval(cfg: RunConfig) -> int:
     g, _, _ = _load_kb(cfg, meta=False)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
-    chain_selector = _make_chain_selector(cfg, tb_vocab, kb_vocab)
+    chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
     eval_tables = _eval_tables(cfg, tables, split)
     runs, _ = harness.run_e2e(
-        eval_tables, g, chain_selector, harness.RandomTupleRanker(cfg.seed), cfg.budget()
+        eval_tables, g, chain_selector, harness.RandomTupleRanker(cfg.seed),
+        tb_vocab, kb_vocab, cfg.selector_hp(), cfg.budget(),
     )
     payload = {}
     for mode in ("p1", "full"):
@@ -256,6 +252,11 @@ def _derive_set_tokens(cfg: RunConfig, query: dict, se_mid: str) -> tuple[str, .
 
 
 def cmd_complete(cfg: RunConfig, query_path: str) -> int:
+    if cfg.selector == "oracle":
+        raise ConfigurationError(
+            "the oracle selector needs labelled chains and complete's candidates have "
+            "none; use jacsim, linear, embedding or random"
+        )
     g, entity_meta, pred_meta = _load_kb(cfg)
     embeddings = _load_embeddings(cfg)
     query = read_json(query_path)
@@ -284,8 +285,9 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
     except ValueError as exc:
         raise ParseError(query_path, 1, f"'cn1'/'cn2': {exc}") from exc
-    # SET feeds only the chain scorers; a random pick reads no type frequencies.
-    set_tokens = () if cfg.selector == "random" else _derive_set_tokens(cfg, query, query["se"])
+    # A random pick reads no tokens: it needs no SET and no vocabularies.
+    reads_tokens = cfg.selector != "random"
+    set_tokens = _derive_set_tokens(cfg, query, query["se"]) if reads_tokens else ()
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
 
     settings = cfg.build_settings()
@@ -305,31 +307,20 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         table_id="query", qis=qis, cn1=cn1, cn2=cn2, se=se,
         se_name=se_name, set_tokens=set_tokens, rr=((er1, er2),), chains=(),
     )
-    if cfg.selector == "random":
-        best_index = harness.RandomChainSelector(cfg.seed).choose(query_table, candidates, 0)
-    else:
-        tb_vocab, kb_vocab = ds.load_vocabularies(cfg.dataset_dir)
-        hp = cfg.selector_hp()
-        scorer = _make_scorer(cfg, tb_vocab, kb_vocab)
-        ctx = selector.encode_context(qis, cn1, cn2, set_tokens, tb_vocab, kb_vocab, hp)
-        best_index = selector.select_top1(scorer, ctx, candidates, kb_vocab, hp)
-    best = candidates.chains[best_index]
+    tb_vocab, kb_vocab = (
+        ds.load_vocabularies(cfg.dataset_dir) if reads_tokens
+        else (ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()))
+    )
+    hp = cfg.selector_hp()
+    ctx = selector.context_for_table(query_table, tb_vocab, kb_vocab, hp)
+    chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
+    best = candidates.chains[selector.select_top1(chain_selector, ctx, candidates, kb_vocab, hp)]
 
     result = execute_chain(g, se, best, cfg.budget(), memo)
     if isinstance(result, BudgetExceeded):
         print(f"query exceeded its budget ({result.reason})", file=sys.stderr)
         return 1
-    pairs = [p for p in result.ordered() if p != (er1, er2)]
-
-    scores: list = []
-    if isinstance(tuple_ranker, harness.FeatureTupleRanker) and pairs:
-        feats = tuple_ranker.features_for(query_table, best, (er1, er2), pairs)
-        predicted = tuple_ranker.model.predict(feats)
-        order = ranker.rank(predicted, pairs)
-        scores = [float(predicted[i]) for i in order]
-        pairs = [pairs[i] for i in order]
-    else:
-        random.Random(cfg.seed).shuffle(pairs)
+    pairs, scores = harness.rank_retrieved(tuple_ranker, query_table, best, (er1, er2), result, 0)
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,7 +328,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     with open(result_path, "w", encoding="utf-8") as fh:
         fh.write("rank\tc1\tc1_name\tc2\tc2_name\tscore\n")
         for i, (x, y) in enumerate(pairs, start=1):
-            score = repr(scores[i - 1]) if scores else ""
+            score = repr(scores[i - 1]) if scores is not None else ""
             fh.write(
                 f"{i}\t{g.mid(x)}\t{entity_meta.get(x).name}\t"
                 f"{g.mid(y)}\t{entity_meta.get(y).name}\t{score}\n"

@@ -1,11 +1,13 @@
 """End-to-end simulation: every ground-truth row plays the example row once.
 
 For each (table, row) query the harness filters the chains that actually
-connect that row, asks the selector for the best chain, executes it,
-scores tuple recall against the remaining rows, and ranks the retrieved
-tuples for NDCG and precision at 1 (the example row is removed from the
-ranked list before both). Queries whose filtered chain set is empty are
-first-class skipped records so failure rates can be reported.
+connect that row, scores them with the selector through ``select_top1``,
+executes the best one and scores tuple recall against the remaining rows.
+``rank_retrieved`` is the one ranking step, shared with ``complete``: it
+drops the example row from the retrieved tuples, as training does, and
+ranks the rest for NDCG and precision at 1. Queries whose filtered chain
+set is empty are first-class skipped records so failure rates can be
+reported.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .ranker import (
     precision_at_1,
     rank,
 )
-from .selector import SelectorHyperParams, DEFAULT_HP, context_for_table, select_top1
+from .selector import DEFAULT_HP, QueryContext, SelectorHyperParams, context_for_table, select_top1
 
 STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped_empty_cc"
@@ -120,60 +122,6 @@ def oracle_select(table: AnnotatedTable) -> ChainPair:
     raise ValueError(f"table {table.table_id} has no positive chain")
 
 
-# -- chain selectors ------------------------------------------------------------
-
-
-class OracleChainSelector:
-    """Picks the first positive among the offered chains (first chain as fallback)."""
-
-    def choose(self, table: AnnotatedTable, chains: Sequence[LabeledChain], run_key: int) -> int:
-        for i, lc in enumerate(chains):
-            if lc.positive:
-                return i
-        return 0
-
-
-class RandomChainSelector:
-    """Uniform choice among the offered chains, seeded per run for determinism."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def choose(self, table: AnnotatedTable, chains: Sequence[LabeledChain], run_key: int) -> int:
-        rng = random.Random(self.seed * 1_000_003 + run_key)
-        return rng.randrange(len(chains))
-
-
-class ScorerChainSelector:
-    """Adapts a chain scorer (jaccard, linear, embedding) to the harness."""
-
-    def __init__(
-        self,
-        scorer,
-        tb_vocab: Vocabulary,
-        kb_vocab: Vocabulary,
-        hp: SelectorHyperParams = DEFAULT_HP,
-    ):
-        self.scorer = scorer
-        self.tb_vocab = tb_vocab
-        self.kb_vocab = kb_vocab
-        self.hp = hp
-        self._ctx_cache: dict[str, object] = {}
-
-    def _ctx(self, table: AnnotatedTable):
-        ctx = self._ctx_cache.get(table.table_id)
-        if ctx is None:
-            ctx = context_for_table(table, self.tb_vocab, self.kb_vocab, self.hp)
-            self._ctx_cache[table.table_id] = ctx
-        return ctx
-
-    def choose(self, table: AnnotatedTable, chains: Sequence[LabeledChain], run_key: int) -> int:
-        return select_top1(
-            self.scorer, self._ctx(table), [lc.chain for lc in chains],
-            self.kb_vocab, self.hp,
-        )
-
-
 # -- tuple rankers ----------------------------------------------------------------
 
 
@@ -188,13 +136,12 @@ class RandomTupleRanker:
         table: AnnotatedTable,
         chain: ChainPair,
         er: tuple[int, int],
-        pairs: Sequence[tuple[int, int]],
+        pairs: list[tuple[int, int]],
         run_key: int,
-    ) -> list[tuple[int, int]]:
-        ordered = sorted(pairs)
-        rng = random.Random(self.seed * 1_000_003 + run_key)
-        rng.shuffle(ordered)
-        return ordered
+    ) -> tuple[list[tuple[int, int]], None]:
+        ordered = list(pairs)
+        random.Random(self.seed * 1_000_003 + run_key).shuffle(ordered)
+        return ordered, None
 
 
 class FeatureTupleRanker:
@@ -233,14 +180,35 @@ class FeatureTupleRanker:
         table: AnnotatedTable,
         chain: ChainPair,
         er: tuple[int, int],
-        pairs: Sequence[tuple[int, int]],
+        pairs: list[tuple[int, int]],
         run_key: int,
-    ) -> list[tuple[int, int]]:
-        ordered = sorted(pairs)
-        if not ordered:
-            return []
-        scores = self.model.predict(self.features_for(table, chain, er, ordered))
-        return [ordered[i] for i in rank(scores, ordered)]
+    ) -> tuple[list[tuple[int, int]], list[float]]:
+        if not pairs:
+            return [], []
+        scores = self.model.predict(self.features_for(table, chain, er, pairs))
+        order = rank(scores, pairs)
+        return [pairs[i] for i in order], [float(scores[i]) for i in order]
+
+
+def ranking_candidates(result: TupleSet, er: tuple[int, int]) -> list[tuple[int, int]]:
+    """The tuples a ranker sees: every retrieved one but the example row, sorted."""
+    return [p for p in result.ordered() if p != er]
+
+
+def rank_retrieved(
+    tuple_ranker,
+    table: AnnotatedTable,
+    chain: ChainPair,
+    er: tuple[int, int],
+    result: TupleSet,
+    run_key: int,
+) -> tuple[list[tuple[int, int]], list[float] | None]:
+    """The ranking step of one query: its candidates best first, and their scores.
+
+    The example row is dropped before featurizing, as in training. The
+    scores are ``None`` for a ranker that has none.
+    """
+    return tuple_ranker.order(table, chain, er, ranking_candidates(result, er), run_key)
 
 
 # -- end-to-end simulation ----------------------------------------------------------
@@ -248,11 +216,14 @@ class FeatureTupleRanker:
 
 def _run_one(
     table: AnnotatedTable,
+    ctx: QueryContext,
     er: tuple[int, int],
     run_key: int,
     g: KnowledgeGraph,
     selector,
     tuple_ranker,
+    kb_vocab: Vocabulary,
+    hp: SelectorHyperParams,
     budget: QueryBudget,
 ) -> QueryRun:
     err = tuple(r for r in table.rr if r != er)
@@ -262,7 +233,8 @@ def _run_one(
             table.table_id, er, cc_er, None, None, err,
             None, None, None, STATUS_SKIPPED,
         )
-    selected = cc_er[selector.choose(table, cc_er, run_key)].chain
+    chains = [lc.chain for lc in cc_er]
+    selected = chains[select_top1(selector, ctx, chains, kb_vocab, hp, run_key)]
     result = execute_chain(g, table.se, selected, budget)
     if isinstance(result, BudgetExceeded):
         return QueryRun(
@@ -270,13 +242,12 @@ def _run_one(
             None, None, None, STATUS_BUDGET,
         )
     recall = tuple_recall(result, err)
-    ranked = tuple_ranker.order(table, selected, er, result.ordered(), run_key)
-    ranked_wo_er = [p for p in ranked if p != er]
+    ranked, _ = rank_retrieved(tuple_ranker, table, selected, er, result, run_key)
     err_set = set(err)
-    relevances = [1 if p in err_set else 0 for p in ranked_wo_er]
+    relevances = [1 if p in err_set else 0 for p in ranked]
     return QueryRun(
         table.table_id, er, cc_er, selected, result, err,
-        recall, ndcg(relevances), precision_at_1(ranked_wo_er, err_set), STATUS_OK,
+        recall, ndcg(relevances), precision_at_1(ranked, err_set), STATUS_OK,
     )
 
 
@@ -285,17 +256,23 @@ def run_e2e(
     g: KnowledgeGraph,
     selector,
     tuple_ranker,
+    tb_vocab: Vocabulary,
+    kb_vocab: Vocabulary,
+    hp: SelectorHyperParams = DEFAULT_HP,
     budget: QueryBudget = QueryBudget(),
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
 
-    Each run derives all its randomness from its position in the fixed job
-    order.
+    Each table's context is encoded once. Each run derives all its
+    randomness from its position in the fixed job order.
     """
     runs = []
     for table in sorted(tables, key=lambda t: t.table_id):
+        ctx = context_for_table(table, tb_vocab, kb_vocab, hp)
         for er in table.rr:
-            runs.append(_run_one(table, er, len(runs), g, selector, tuple_ranker, budget))
+            runs.append(_run_one(
+                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, hp, budget
+            ))
     return runs, summarize(runs)
 
 
@@ -324,7 +301,7 @@ def ranker_training_groups(
         if isinstance(result, BudgetExceeded):
             continue
         er = next((r for r in table.rr if r in result), table.rr[0])
-        pairs = [p for p in result.ordered() if p != er]
+        pairs = ranking_candidates(result, er)
         if not pairs:
             continue
         err = {r for r in table.rr if r != er}
@@ -334,7 +311,13 @@ def ranker_training_groups(
     return groups
 
 
-def accuracy_at_1(tables: Sequence[AnnotatedTable], selector) -> float:
+def accuracy_at_1(
+    tables: Sequence[AnnotatedTable],
+    selector,
+    tb_vocab: Vocabulary,
+    kb_vocab: Vocabulary,
+    hp: SelectorHyperParams = DEFAULT_HP,
+) -> float:
     """Fraction of tables whose top-1 chain over all candidates is positive.
 
     Tables without any negative chain are excluded so the metric cannot be
@@ -345,7 +328,8 @@ def accuracy_at_1(tables: Sequence[AnnotatedTable], selector) -> float:
         raise ValueError("no table has a negative chain")
     correct = 0
     for key, table in enumerate(eligible):
-        idx = selector.choose(table, table.chains, key)
+        ctx = context_for_table(table, tb_vocab, kb_vocab, hp)
+        idx = select_top1(selector, ctx, [lc.chain for lc in table.chains], kb_vocab, hp, key)
         correct += 1 if table.chains[idx].positive else 0
     return correct / len(eligible)
 

@@ -1,20 +1,26 @@
 """Chain scoring and top-1 selection against the query context.
 
-Three interchangeable scorers: token-overlap Jaccard, an L2-regularized
-logistic model over concatenated count vectors, and a trainable
-embedding matcher. The embedding matcher encodes each field as
-the mean of its token embeddings, concatenates the context fields into a
-query vector of the same dimension as the chain vector, and scores by
-cosine; it trains with a margin hinge over (positive, negative) chain
-pairs plus an L2 penalty on all parameters. Training takes one gradient
-per mini-batch: the field means of the batch's distinct contexts and
-chains are sparse averaging matrices times the embedding matrices, so a
-batch costs a few sparse-dense products rather than one pass per triple.
+Five interchangeable scorers share one method, ``scores(ctx, chains,
+run_key)``, which scores every candidate chain of one query in one call:
+the oracle (stored order, positives first), a seeded random pick,
+token-overlap Jaccard, an L2-regularized logistic model over concatenated
+count vectors, and a trainable embedding matcher. ``select_top1`` is the
+one tie rule: highest score, then smallest canonical string.
+
+The embedding matcher encodes each field as the mean of its token
+embeddings, concatenates the context fields into a query vector of the
+same dimension as the chain vector, and scores by cosine; it trains with a
+margin hinge over (positive, negative) chain pairs plus an L2 penalty on
+all parameters. Training takes one gradient per mini-batch: the field
+means of the batch's distinct contexts and chains are sparse averaging
+matrices times the embedding matrices, so a batch costs a few sparse-dense
+products rather than one pass per triple.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -77,31 +83,17 @@ class ChainEncoding:
     canonical: str
 
 
-def encode_context(
-    qis: Sequence[str],
-    cn1: Sequence[str],
-    cn2: Sequence[str],
-    set_tokens: Sequence[str],
-    tb_vocab: Vocabulary,
-    kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
-) -> QueryContext:
-    return QueryContext(
-        qis=tb_vocab.encode(qis[: hp.max_qis_tokens]),
-        cn1=tb_vocab.encode(cn1[: hp.max_cn_tokens]),
-        cn2=tb_vocab.encode(cn2[: hp.max_cn_tokens]),
-        set_tokens=kb_vocab.encode(set_tokens[: hp.max_set_tokens]),
-    )
-
-
 def context_for_table(
     table: AnnotatedTable,
     tb_vocab: Vocabulary,
     kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
 ) -> QueryContext:
-    return encode_context(
-        table.qis, table.cn1, table.cn2, table.set_tokens, tb_vocab, kb_vocab, hp
+    return QueryContext(
+        qis=tb_vocab.encode(table.qis[: hp.max_qis_tokens]),
+        cn1=tb_vocab.encode(table.cn1[: hp.max_cn_tokens]),
+        cn2=tb_vocab.encode(table.cn2[: hp.max_cn_tokens]),
+        set_tokens=kb_vocab.encode(table.set_tokens[: hp.max_set_tokens]),
     )
 
 
@@ -117,13 +109,28 @@ def encode_chain(
 # -- scoring ------------------------------------------------------------------
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0.0 by convention when either vector is zero."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+class OracleScorer:
+    """Scores chains by their stored position, first highest.
+
+    Annotated tables store their positive chains first, and filtering keeps
+    that order, so the pick is the first positive when there is one and the
+    first chain otherwise. Serving-time candidates carry no labels.
+    """
+
+    def scores(self, ctx: QueryContext, chains: list[ChainEncoding], run_key: int) -> np.ndarray:
+        return -np.arange(len(chains), dtype=float)
+
+
+class RandomScorer:
+    """One chain scores 1, the rest 0: a uniform pick seeded by the seed and the run key."""
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+
+    def scores(self, ctx: QueryContext, chains: list[ChainEncoding], run_key: int) -> np.ndarray:
+        out = np.zeros(len(chains))
+        out[random.Random(self.seed * 1_000_003 + run_key).randrange(len(chains))] = 1.0
+        return out
 
 
 class JaccardScorer:
@@ -142,13 +149,16 @@ class JaccardScorer:
     def _decode(vocab: Vocabulary, indices: Iterable[int]) -> set[str]:
         return {vocab.tokens[i - 1] for i in indices if i != 0}
 
-    def score(self, ctx: QueryContext, chain: ChainEncoding) -> float:
+    def scores(self, ctx: QueryContext, chains: list[ChainEncoding], run_key: int) -> np.ndarray:
         ctx_set = self._decode(self._tb, (*ctx.qis, *ctx.cn1, *ctx.cn2))
         ctx_set |= self._decode(self._kb, ctx.set_tokens)
-        chain_set = self._decode(self._kb, chain.indices)
-        if not ctx_set and not chain_set:
-            return 0.0
-        return len(ctx_set & chain_set) / len(ctx_set | chain_set)
+        out = np.zeros(len(chains))
+        for i, chain in enumerate(chains):
+            chain_set = self._decode(self._kb, chain.indices)
+            union = len(ctx_set | chain_set)
+            if union:
+                out[i] = len(ctx_set & chain_set) / union
+        return out
 
 
 class LinearScorer:
@@ -175,18 +185,23 @@ class LinearScorer:
         self.tb_vocab_hash = tb_vocab_hash
         self.kb_vocab_hash = kb_vocab_hash
 
-    def feature_vector(self, ctx: QueryContext, chain: ChainEncoding) -> np.ndarray:
-        blocks = [
+    def context_vector(self, ctx: QueryContext) -> np.ndarray:
+        """The four context blocks of the feature vector."""
+        return np.concatenate([
             _count_block(ctx.qis, self.tb_size),
             _count_block(ctx.cn1, self.tb_size),
             _count_block(ctx.cn2, self.tb_size),
             _count_block(ctx.set_tokens, self.kb_size),
-            _count_block(chain.indices, self.kb_size),
-        ]
-        return np.concatenate(blocks)
+        ])
 
-    def score(self, ctx: QueryContext, chain: ChainEncoding) -> float:
-        return float(self.weights @ self.feature_vector(ctx, chain) + self.bias)
+    def feature_vector(self, context: np.ndarray, chain: ChainEncoding) -> np.ndarray:
+        return np.concatenate([context, _count_block(chain.indices, self.kb_size)])
+
+    def scores(self, ctx: QueryContext, chains: list[ChainEncoding], run_key: int) -> np.ndarray:
+        context = self.context_vector(ctx)
+        return np.array(
+            [self.weights @ self.feature_vector(context, chain) + self.bias for chain in chains]
+        )
 
 
 def _count_block(indices: Sequence[int], size: int) -> np.ndarray:
@@ -234,27 +249,29 @@ class EmbeddingScorer:
             "chain": self.chain_emb,
         }
 
-    def query_vector(self, ctx: QueryContext) -> np.ndarray:
-        return np.concatenate(
-            [
-                _mean_rows(self.qis_emb, ctx.qis),
-                _mean_rows(self.cn_emb, ctx.cn1),
-                _mean_rows(self.cn_emb, ctx.cn2),
-                _mean_rows(self.set_emb, ctx.set_tokens),
-            ]
-        )
+    def scores(self, ctx: QueryContext, chains: list[ChainEncoding], run_key: int) -> np.ndarray:
+        """Cosine of the query vector with each chain vector; 0 where either is zero.
 
-    def chain_vector(self, chain: ChainEncoding) -> np.ndarray:
-        return _mean_rows(self.chain_emb, chain.indices)
-
-    def score(self, ctx: QueryContext, chain: ChainEncoding) -> float:
-        return cosine(self.query_vector(ctx), self.chain_vector(chain))
+        The chain vectors are the rows of one matrix. Chains of equal token
+        indices share a row, so they score exactly alike and their order is
+        left to the tie rule.
+        """
+        q = np.concatenate([
+            _mean_rows(self.qis_emb, ctx.qis),
+            _mean_rows(self.cn_emb, ctx.cn1),
+            _mean_rows(self.cn_emb, ctx.cn2),
+            _mean_rows(self.set_emb, ctx.set_tokens),
+        ])
+        distinct, where = _distinct([chain.indices for chain in chains])
+        c = np.array([_mean_rows(self.chain_emb, indices) for indices in distinct])
+        norms = np.sqrt(np.einsum("ij,ij->i", c, c) * (q @ q))
+        return _safe_div(c @ q, norms)[where]
 
 
 def _mean_rows(mat: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     if not indices:
         return np.zeros(mat.shape[1])
-    return mat[np.asarray(indices)].mean(axis=0)
+    return mat[np.asarray(indices)].sum(axis=0) / len(indices)  # the mean, without its overhead
 
 
 def select_top1(
@@ -263,20 +280,14 @@ def select_top1(
     chains: Iterable[ChainPair],
     kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
+    run_key: int = 0,
 ) -> int:
     """Index of the highest-scoring chain; ties go to the smallest canonical string."""
-    best: tuple[float, str] | None = None
-    best_index = -1
-    for i, chain in enumerate(chains):
-        enc = encode_chain(chain, kb_vocab, hp)
-        s = scorer.score(ctx, enc)
-        key = (-s, enc.canonical)
-        if best is None or key < best:
-            best = key
-            best_index = i
-    if best is None:
+    encodings = [encode_chain(chain, kb_vocab, hp) for chain in chains]
+    if not encodings:
         raise ValueError("no candidate chains to select from")
-    return best_index
+    scores = scorer.scores(ctx, encodings, run_key)
+    return min(range(len(encodings)), key=lambda i: (-scores[i], encodings[i].canonical))
 
 
 # -- embedding training ---------------------------------------------------------
@@ -526,10 +537,9 @@ def train_linear(
     )
     rows, labels = [], []
     for table in sorted(tables, key=lambda t: t.table_id):
-        ctx = context_for_table(table, tb_vocab, kb_vocab, hp)
+        context = probe.context_vector(context_for_table(table, tb_vocab, kb_vocab, hp))
         for lc in table.chains:
-            enc = encode_chain(lc.chain, kb_vocab, hp)
-            rows.append(probe.feature_vector(ctx, enc))
+            rows.append(probe.feature_vector(context, encode_chain(lc.chain, kb_vocab, hp)))
             labels.append(1.0 if lc.positive else -1.0)
     X = np.asarray(rows)
     y = np.asarray(labels)

@@ -5,7 +5,8 @@ rebuilt straight from the raw triple list and evaluation enumerates every
 walk recursively, so agreement with the production code is meaningful.
 The featurizer oracle scores one candidate at a time and caches nothing.
 The selector's gradient oracle takes one (context, positive, negative)
-triple at a time, and the tree oracle scans split points one by one.
+triple at a time, its scoring oracles score one (context, chain) pair at a
+time, and the tree oracle scans split points one by one.
 """
 
 from __future__ import annotations
@@ -164,6 +165,15 @@ def _mean_rows(mat, indices) -> np.ndarray:
     return mat[np.asarray(indices)].mean(axis=0)
 
 
+def _query_vector(mats, ctx) -> np.ndarray:
+    return np.concatenate([
+        _mean_rows(mats["qis"], ctx.qis),
+        _mean_rows(mats["cn"], ctx.cn1),
+        _mean_rows(mats["cn"], ctx.cn2),
+        _mean_rows(mats["set"], ctx.set_tokens),
+    ])
+
+
 def _cosine_with_grads(u, v):
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
@@ -196,12 +206,7 @@ def triple_hinge_gradients(scorer, ctx, pos, neg):
     """
     mats = scorer.matrices()
     grads = {k: np.zeros_like(m) for k, m in mats.items()}
-    q = np.concatenate([
-        _mean_rows(mats["qis"], ctx.qis),
-        _mean_rows(mats["cn"], ctx.cn1),
-        _mean_rows(mats["cn"], ctx.cn2),
-        _mean_rows(mats["set"], ctx.set_tokens),
-    ])
+    q = _query_vector(mats, ctx)
     p = _mean_rows(mats["chain"], pos.indices)
     n = _mean_rows(mats["chain"], neg.indices)
     cos_p, dqp, dp = _cosine_with_grads(q, p)
@@ -218,6 +223,38 @@ def triple_hinge_gradients(scorer, ctx, pos, neg):
     _scatter_mean_grad(grads["chain"], pos.indices, -dp)
     _scatter_mean_grad(grads["chain"], neg.indices, dn)
     return float(loss), grads
+
+
+def jaccard_chain_score(tb_vocab, kb_vocab, ctx, chain) -> float:
+    """Jaccard of the context's and one chain's token sets; the OOV index decodes to nothing."""
+
+    def decode(vocab, indices):
+        return {vocab.tokens[i - 1] for i in indices if i != 0}
+
+    ctx_set = decode(tb_vocab, ctx.qis + ctx.cn1 + ctx.cn2) | decode(kb_vocab, ctx.set_tokens)
+    chain_set = decode(kb_vocab, chain.indices)
+    if not ctx_set and not chain_set:
+        return 0.0
+    return len(ctx_set & chain_set) / len(ctx_set | chain_set)
+
+
+def linear_chain_score(scorer, ctx, chain) -> float:
+    """Weights times one chain's five count blocks (three TB, two KB), plus the bias."""
+    sizes = (scorer.tb_size,) * 3 + (scorer.kb_size,) * 2
+    fields = (ctx.qis, ctx.cn1, ctx.cn2, ctx.set_tokens, chain.indices)
+    blocks = []
+    for size, indices in zip(sizes, fields):
+        block = np.zeros(size)
+        for i in indices:
+            block[i] += 1.0
+        blocks.append(block)
+    return float(scorer.weights @ np.concatenate(blocks) + scorer.bias)
+
+
+def embedding_chain_score(scorer, ctx, chain) -> float:
+    """Cosine of the context's query vector and one chain's mean embedding."""
+    mats = scorer.matrices()
+    return _cosine_with_grads(_query_vector(mats, ctx), _mean_rows(mats["chain"], chain.indices))[0]
 
 
 def naive_fit_tree(X, y, idx, depth):
@@ -278,18 +315,9 @@ def embedding_objective(scorer, tables, tb_vocab, kb_vocab, hp, rng_seed=0) -> f
     rng = np.random.default_rng(rng_seed)
     examples = sel._prepare_examples(tables, tb_vocab, kb_vocab, hp)
     mats = scorer.matrices()
-
-    def query_vector(ctx):
-        return np.concatenate([
-            _mean_rows(mats["qis"], ctx.qis),
-            _mean_rows(mats["cn"], ctx.cn1),
-            _mean_rows(mats["cn"], ctx.cn2),
-            _mean_rows(mats["set"], ctx.set_tokens),
-        ])
-
     loss = sum(
         hinge_loss(
-            query_vector(ctx),
+            _query_vector(mats, ctx),
             _mean_rows(mats["chain"], pos.indices),
             _mean_rows(mats["chain"], neg.indices),
             scorer.margin,

@@ -35,7 +35,7 @@ def test_criterion_01_oracle_accuracy_is_exactly_100_percent(bundle):
     """Oracle Accuracy@1 = 1.0 on any generated dataset; exact; < 1 s."""
     start = time.monotonic()
     acc = harness.accuracy_at_1(
-        list(bundle.tables.values()), harness.OracleChainSelector()
+        list(bundle.tables.values()), sel.OracleScorer(), bundle.tb_vocab, bundle.kb_vocab
     )
     assert acc == 1.0
     assert time.monotonic() - start < 1.0
@@ -116,29 +116,19 @@ def test_criterion_04_selector_ordering_on_separable_corpus(bundle, trained):
     start = time.monotonic()
     heldout = bundle.heldout_tables()
 
-    linear = harness.ScorerChainSelector(
-        trained.linear, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
-    )
-    embedding = harness.ScorerChainSelector(
-        trained.embedding, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
-    )
-    jacsim = harness.ScorerChainSelector(
-        sel.JaccardScorer(bundle.tb_vocab, bundle.kb_vocab),
-        bundle.tb_vocab, bundle.kb_vocab, TEST_HP,
-    )
-    assert harness.accuracy_at_1(heldout, linear) >= 0.95
-    assert harness.accuracy_at_1(heldout, embedding) >= 0.95
-    assert harness.accuracy_at_1(heldout, jacsim) >= 0.8
+    def accuracy(scorer):
+        return harness.accuracy_at_1(heldout, scorer, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
+
+    assert accuracy(trained.linear) >= 0.95
+    assert accuracy(trained.embedding) >= 0.95
+    assert accuracy(sel.JaccardScorer(bundle.tb_vocab, bundle.kb_vocab)) >= 0.8
 
     eligible = [t for t in heldout if t.negatives()]
     expectation = sum(1 / len(t.chains) for t in eligible) / len(eligible)
     variance = sum(
         (1 / len(t.chains)) * (1 - 1 / len(t.chains)) for t in eligible
     ) / len(eligible) ** 2
-    accs = [
-        harness.accuracy_at_1(heldout, harness.RandomChainSelector(seed))
-        for seed in range(1000)
-    ]
+    accs = [accuracy(sel.RandomScorer(seed)) for seed in range(1000)]
     three_sigma = 3.0 * math.sqrt(variance / 1000)
     assert abs(float(np.mean(accs)) - expectation) <= three_sigma
     assert time.monotonic() - start < 300.0
@@ -231,17 +221,15 @@ def test_criterion_09_end_to_end_tuple_recall_ordering(bundle, trained):
     budget = QueryBudget()
 
     def mean_recall(selector):
-        _, summary = harness.run_e2e(heldout, bundle.g, selector, tuple_ranker, budget)
+        _, summary = harness.run_e2e(
+            heldout, bundle.g, selector, tuple_ranker, bundle.tb_vocab, bundle.kb_vocab,
+            TEST_HP, budget,
+        )
         return summary.metrics["tuple_recall"][2]
 
-    oracle = mean_recall(harness.OracleChainSelector())
-    trained_selector = harness.ScorerChainSelector(
-        trained.embedding, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
-    )
-    learned = mean_recall(trained_selector)
-    random_means = [
-        mean_recall(harness.RandomChainSelector(seed)) for seed in range(20)
-    ]
+    oracle = mean_recall(sel.OracleScorer())
+    learned = mean_recall(trained.embedding)
+    random_means = [mean_recall(sel.RandomScorer(seed)) for seed in range(20)]
     assert oracle >= learned >= float(np.mean(random_means))
 
     # One-sided t-test: the 20 random means sit significantly below the
@@ -257,11 +245,9 @@ def test_criterion_09_end_to_end_tuple_recall_ordering(bundle, trained):
 def test_criterion_10_core_column_p1_dominates_full_per_query(bundle, trained):
     """P1-mode C1 recall >= Full-mode C1 recall on every executed query; exact."""
     heldout = bundle.heldout_tables()
-    selector = harness.ScorerChainSelector(
-        trained.embedding, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
-    )
     runs, _ = harness.run_e2e(
-        heldout, bundle.g, selector, harness.RandomTupleRanker(0), QueryBudget()
+        heldout, bundle.g, trained.embedding, harness.RandomTupleRanker(0),
+        bundle.tb_vocab, bundle.kb_vocab, TEST_HP, QueryBudget(),
     )
     p1, _ = harness.core_column_eval(runs, bundle.tables, bundle.g, "p1")
     full, _ = harness.core_column_eval(runs, bundle.tables, bundle.g, "full")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from kgtable import dataset as ds
-from kgtable import synth
+from kgtable import harness, selector, synth
 from kgtable.cli import _derive_set_tokens, main
 from kgtable.config import RunConfig, config_defaults, load_config
 from kgtable.dataset import BuildSettings, ConfigurationError
@@ -18,7 +18,7 @@ from kgtable.graph import (
 )
 from kgtable.paths import ChainPair, MetaPath
 from kgtable.query import QueryBudget
-from kgtable.ranker import RankerConfig
+from kgtable.ranker import PretrainedEmbeddings, RankerConfig, RankerModel, save_ranker
 from kgtable.selector import SelectorHyperParams
 
 
@@ -309,6 +309,16 @@ class TestCompleteCommand:
         assert "error: unknown ranker 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oracle_selector_exits_2_since_candidates_carry_no_labels(self, tv_world, capsys):
+        tmp_path, kb_args, query = tv_world
+        argv = [
+            "complete", str(query), *kb_args, "--selector", "oracle", "--ranker", "random",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 2
+        assert "error: the oracle selector needs labelled chains" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_same_seed_runs_are_byte_identical(self, tv_world):
         tmp_path, kb_args, query = tv_world
         blobs = []
@@ -325,6 +335,60 @@ class TestCompleteCommand:
             ) == 0
             blobs.append((tmp_path / sub / "completed.tsv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestTrainServeParity:
+    def test_training_evaluate_and_complete_featurize_the_same_candidates(
+        self, tmp_path, monkeypatch
+    ):
+        """One (table, chain, example row): every path drops the row before featurizing."""
+        triples = [("se", "p", f"x{i}") for i in range(3)]
+        triples += [(f"x{i}", "q", f"y{i}") for i in range(3)]
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("".join(f"{s}\t{p}\t{o}\n" for s, p, o in triples))
+        g = KnowledgeGraph(triples)
+        rr = tuple((g.entity_id(f"x{i}"), g.entity_id(f"y{i}")) for i in range(3))
+        chain = ChainPair(MetaPath.parse("p"), MetaPath.parse("q"))
+        table = ds.AnnotatedTable(
+            table_id="w", qis=("cast",), cn1=("actor",), cn2=("role",), se=g.entity_id("se"),
+            se_name="SE", set_tokens=(), rr=rr,
+            chains=(ds.LabeledChain(chain, True, 1.0, 1.0, 1.0),),
+        )
+        dataset = tmp_path / "dataset"
+        no_vocabs = (ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()))
+        ds.save_dataset(
+            str(dataset), {"w": table}, ds.DatasetSplit(("w",), (), ("w",), 0), *no_vocabs, g, {}
+        )
+        save_kb(dataset, graph)
+        model = RankerModel([], 0.1, 1.0)
+        save_ranker(str(tmp_path / "ranker.json"), model)
+
+        seen = []
+        features_for = harness.FeatureTupleRanker.features_for
+
+        def recording(self, table, chain, er, pairs):
+            seen.append((chain.canonical(), er, list(pairs)))
+            return features_for(self, table, chain, er, pairs)
+
+        monkeypatch.setattr(harness.FeatureTupleRanker, "features_for", recording)
+        harness.ranker_training_groups(
+            [table], g, EntityMetaStore(), PredicateMetaStore(), PretrainedEmbeddings({}, 1)
+        )
+        ranker = harness.FeatureTupleRanker(
+            model, EntityMetaStore(), PredicateMetaStore(), PretrainedEmbeddings({}, 1)
+        )
+        harness.run_e2e([table], g, selector.OracleScorer(), ranker, *no_vocabs)
+        del seen[2:]  # evaluate's later runs take the other rows as the example
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(
+            {"qis": "cast", "se": "se", "er1": "x0", "er2": "y0", "cn1": "actor", "cn2": "role"}
+        ))
+        assert main([
+            "complete", str(query), "--graph-path", str(graph), "--dataset-dir", str(dataset),
+            "--selector", "random", "--ranker-model-path", str(tmp_path / "ranker.json"),
+            "--output-dir", str(tmp_path / "out"),
+        ]) == 0
+        assert seen == [("p / q", rr[0], [rr[1], rr[2]])] * 3
 
 
 class TestSubjectTypes:

@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
 
 from kgtable import harness
 from kgtable import selector as sel
-from kgtable.dataset import AnnotatedTable, LabeledChain
+from kgtable.dataset import AnnotatedTable, LabeledChain, Vocabulary
 from kgtable.graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore
 from kgtable.paths import ChainPair, MetaPath
 from kgtable.query import QueryBudget, TupleSet
 from kgtable.ranker import PretrainedEmbeddings
 
-from conftest import TEST_HP
+
+
+# The oracle and random scorers read no tokens, so empty vocabularies do.
+NO_VOCABS = (Vocabulary("TB_Vocab", ()), Vocabulary("KB_Vocab", ()))
 
 
 def chain_of(p1, p2):
@@ -84,20 +88,20 @@ class TestOracle:
         assert harness.oracle_select(table).canonical() == "b / x"
 
     def test_oracle_accuracy_is_always_one(self, bundle):
-        acc = harness.accuracy_at_1(list(bundle.tables.values()), harness.OracleChainSelector())
+        acc = harness.accuracy_at_1(list(bundle.tables.values()), sel.OracleScorer(), *NO_VOCABS)
         assert acc == 1.0
 
 
 class TestAccuracyAt1:
     def test_always_negative_selector_scores_zero(self, bundle):
-        class WorstSelector:
-            def choose(self, table, chains, run_key):
-                for i, lc in enumerate(chains):
-                    if not lc.positive:
-                        return i
-                return 0
+        class LastChainScorer:
+            """Tables store positives first, so the last chain is a negative when any is."""
 
-        assert harness.accuracy_at_1(bundle.heldout_tables(), WorstSelector()) == 0.0
+            def scores(self, ctx, chains, run_key):
+                return np.arange(len(chains), dtype=float)
+
+        acc = harness.accuracy_at_1(bundle.heldout_tables(), LastChainScorer(), *NO_VOCABS)
+        assert acc == 0.0
 
     def test_tables_without_negatives_are_excluded(self):
         lonely = AnnotatedTable(
@@ -105,7 +109,7 @@ class TestAccuracyAt1:
             ((1, 2), (3, 4), (5, 6)), (labeled("p", "q", True),),
         )
         with pytest.raises(ValueError):
-            harness.accuracy_at_1([lonely], harness.OracleChainSelector())
+            harness.accuracy_at_1([lonely], sel.OracleScorer(), *NO_VOCABS)
 
 
 class TestRunE2e:
@@ -115,7 +119,7 @@ class TestRunE2e:
             trained.ranker, bundle.entity_meta, bundle.pred_meta, bundle.embeddings
         )
         runs, summary = harness.run_e2e(
-            heldout, bundle.g, harness.OracleChainSelector(), ranker, QueryBudget()
+            heldout, bundle.g, sel.OracleScorer(), ranker, *NO_VOCABS, budget=QueryBudget()
         )
         assert sum(summary.counts.values()) == sum(len(t.rr) for t in heldout)
         assert len(runs) == sum(len(t.rr) for t in heldout)
@@ -138,14 +142,14 @@ class TestRunE2e:
             table.set_tokens, table.rr, (table.chains[0],),
         )
         ranker = harness.RandomTupleRanker(3)
-        runs_r, _ = harness.run_e2e([one_chain], g, harness.RandomChainSelector(1), ranker)
-        runs_o, _ = harness.run_e2e([one_chain], g, harness.OracleChainSelector(), ranker)
+        runs_r, _ = harness.run_e2e([one_chain], g, sel.RandomScorer(1), ranker, *NO_VOCABS)
+        runs_o, _ = harness.run_e2e([one_chain], g, sel.OracleScorer(), ranker, *NO_VOCABS)
         assert [r.tuple_recall for r in runs_r] == [r.tuple_recall for r in runs_o]
 
     def test_er_is_removed_from_ranking_but_not_retrieval(self, small_world):
         g, table = small_world
         runs, _ = harness.run_e2e(
-            [table], g, harness.OracleChainSelector(), harness.RandomTupleRanker(0)
+            [table], g, sel.OracleScorer(), harness.RandomTupleRanker(0), *NO_VOCABS
         )
         for run in runs:
             assert run.er in run.ct.pairs  # retrieval keeps the example row
@@ -156,16 +160,14 @@ class TestSummaries:
     def test_permutation_invariance(self, bundle, trained):
         heldout = bundle.heldout_tables()
         ranker = harness.RandomTupleRanker(2)
-        runs, summary = harness.run_e2e(
-            heldout, bundle.g, harness.OracleChainSelector(), ranker
-        )
+        runs, summary = harness.run_e2e(heldout, bundle.g, sel.OracleScorer(), ranker, *NO_VOCABS)
         reversed_summary = harness.summarize(list(reversed(runs)))
         assert reversed_summary == summary
 
     def test_quartile_structure(self, small_world):
         g, table = small_world
         _, summary = harness.run_e2e(
-            [table], g, harness.OracleChainSelector(), harness.RandomTupleRanker(0)
+            [table], g, sel.OracleScorer(), harness.RandomTupleRanker(0), *NO_VOCABS
         )
         assert set(summary.metrics) == {"tuple_recall", "ndcg", "p_at_1"}
         for values in summary.metrics.values():
@@ -174,7 +176,7 @@ class TestSummaries:
     def test_written_artifacts(self, small_world, tmp_path):
         g, table = small_world
         runs, summary = harness.run_e2e(
-            [table], g, harness.OracleChainSelector(), harness.RandomTupleRanker(0)
+            [table], g, sel.OracleScorer(), harness.RandomTupleRanker(0), *NO_VOCABS
         )
         harness.write_runs(str(tmp_path / "runs.jsonl"), runs, g)
         harness.write_summary(str(tmp_path / "summary.json"), summary)
@@ -187,7 +189,7 @@ class TestCoreColumnEval:
     def test_p1_contains_full_per_query(self, bundle):
         heldout = bundle.heldout_tables()
         runs, _ = harness.run_e2e(
-            heldout, bundle.g, harness.RandomChainSelector(4), harness.RandomTupleRanker(4)
+            heldout, bundle.g, sel.RandomScorer(4), harness.RandomTupleRanker(4), *NO_VOCABS
         )
         p1, _ = harness.core_column_eval(runs, bundle.tables, bundle.g, "p1")
         full, _ = harness.core_column_eval(runs, bundle.tables, bundle.g, "full")
@@ -198,7 +200,7 @@ class TestCoreColumnEval:
     def test_perfect_retrieval_scores_one(self, small_world):
         g, table = small_world
         runs, _ = harness.run_e2e(
-            [table], g, harness.OracleChainSelector(), harness.RandomTupleRanker(0)
+            [table], g, sel.OracleScorer(), harness.RandomTupleRanker(0), *NO_VOCABS
         )
         recalls, stats = harness.core_column_eval(runs, {table.table_id: table}, g, "p1")
         assert all(r == 1.0 for r in recalls)
@@ -216,7 +218,7 @@ class TestCoreColumnEval:
             chains=(labeled("p", "q", True, 1.0),),
         )
         runs, _ = harness.run_e2e(
-            [table], g, harness.OracleChainSelector(), harness.RandomTupleRanker(0)
+            [table], g, sel.OracleScorer(), harness.RandomTupleRanker(0), *NO_VOCABS
         )
         assert [r.status for r in runs] == [harness.STATUS_OK] * 2
         tables = {"wide": table}
@@ -243,18 +245,3 @@ class TestRankerTrainingGroups:
         assert groups(QueryBudget(max_rows=1)) == []
         [group] = groups(QueryBudget())
         assert group.relevance.tolist() == [1.0, 1.0]
-
-
-class TestScorerChainSelector:
-    def test_agrees_with_select_top1(self, bundle, trained):
-        table = bundle.heldout_tables()[0]
-        adapter = harness.ScorerChainSelector(
-            trained.linear, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
-        )
-        idx = adapter.choose(table, table.chains, 0)
-        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
-        best = sel.select_top1(
-            trained.linear, ctx, [lc.chain for lc in table.chains],
-            bundle.kb_vocab, TEST_HP,
-        )
-        assert idx == best

@@ -1,6 +1,8 @@
 import json
+import random
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from kgtable.graph import ParseError
 from kgtable.paths import ChainPair, MetaPath
 
 from conftest import TEST_HP
-from oracles import embedding_objective, hinge_loss
+from oracles import (
+    embedding_chain_score,
+    embedding_objective,
+    hinge_loss,
+    jaccard_chain_score,
+    linear_chain_score,
+)
 from oracles import triple_hinge_gradients as triple_oracle
 
 
@@ -41,7 +49,6 @@ class TestHingeLoss:
     def test_zero_vector_scores_zero(self):
         q = np.zeros(2)
         v = np.array([1.0, 0.0])
-        assert sel.cosine(q, v) == 0.0
         assert hinge_loss(q, v, v, 0.25) == pytest.approx(0.25)
 
 
@@ -50,46 +57,47 @@ class TestJaccardScorer:
         tb = Vocabulary("TB_Vocab", ("actor", "character"))
         kb = Vocabulary("KB_Vocab", ("actor", "film", "role", "tv"))
         scorer = sel.JaccardScorer(tb, kb)
-        ctx = sel.encode_context(
-            ["actor"], ["character"], ["character"], ["tv"], tb, kb
+        ctx = sel.QueryContext(
+            tb.encode(["actor"]), tb.encode(["character"]), tb.encode(["character"]),
+            kb.encode(["tv"]),
         )
         return tb, kb, scorer, ctx
 
     def test_worked_example(self):
         _, kb, scorer, ctx = self._fixture()
         enc = sel.encode_chain(chain_of("tv.actor", "film.role"), kb)
-        assert scorer.score(ctx, enc) == pytest.approx(2 / 5)
+        assert scorer.scores(ctx, [enc], 0).tolist() == [pytest.approx(2 / 5)]
 
     def test_identical_token_sets_score_one(self):
         tb = Vocabulary("TB_Vocab", ("a", "b"))
         kb = Vocabulary("KB_Vocab", ("a", "b"))
         scorer = sel.JaccardScorer(tb, kb)
-        ctx = sel.encode_context(["a"], ["b"], ["b"], [], tb, kb)
+        ctx = sel.QueryContext(tb.encode(["a"]), tb.encode(["b"]), tb.encode(["b"]), ())
         enc = sel.encode_chain(chain_of("a", "b"), kb)
-        assert scorer.score(ctx, enc) == 1.0
+        assert scorer.scores(ctx, [enc], 0).tolist() == [1.0]
 
     def test_bounded_and_symmetric_in_token_sets(self):
         _, kb, scorer, ctx = self._fixture()
-        for chain in (chain_of("tv.actor", "film.role"), chain_of("x.y", "z.w")):
-            enc = sel.encode_chain(chain, kb)
-            assert 0.0 <= scorer.score(ctx, enc) <= 1.0
+        chains = (chain_of("tv.actor", "film.role"), chain_of("x.y", "z.w"))
+        scores = scorer.scores(ctx, [sel.encode_chain(c, kb) for c in chains], 0)
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_oov_tokens_never_match(self):
         tb = Vocabulary("TB_Vocab", ())
         kb = Vocabulary("KB_Vocab", ())
         scorer = sel.JaccardScorer(tb, kb)
-        ctx = sel.encode_context(["mystery"], ["mystery"], [], [], tb, kb)
+        ctx = sel.QueryContext(tb.encode(["mystery"]), tb.encode(["mystery"]), (), ())
         enc = sel.encode_chain(chain_of("mystery", "mystery"), kb)
-        assert scorer.score(ctx, enc) == 0.0
+        assert scorer.scores(ctx, [enc], 0).tolist() == [0.0]
 
 
 class TestSelectTop1:
     class FixedScorer:
-        def __init__(self, scores):
-            self.scores = scores
+        def __init__(self, by_canonical):
+            self.by_canonical = by_canonical
 
-        def score(self, ctx, chain):
-            return self.scores.get(chain.canonical, 0.0)
+        def scores(self, ctx, chains, run_key):
+            return np.array([self.by_canonical.get(c.canonical, 0.0) for c in chains])
 
     KB = Vocabulary("KB_Vocab", ())
 
@@ -119,8 +127,8 @@ class TestSelectTop1:
             def __init__(self, inner, c):
                 self.inner, self.c = inner, c
 
-            def score(self, ctx, chain):
-                return self.c * self.inner.score(ctx, chain)
+            def scores(self, ctx, chains, run_key):
+                return self.c * self.inner.scores(ctx, chains, run_key)
 
         table = bundle.heldout_tables()[0]
         ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
@@ -133,13 +141,57 @@ class TestSelectTop1:
             assert scaled == base
 
 
+    def test_oracle_takes_the_first_chain_and_random_its_seeded_draw(self):
+        chains = [chain_of(p, "x") for p in "dcba"]
+        ctx = self._ctx()
+        assert sel.select_top1(sel.OracleScorer(), ctx, chains, self.KB, run_key=5) == 0
+        for seed, run_key in ((0, 0), (3, 7), (11, 2)):
+            want = random.Random(seed * 1_000_003 + run_key).randrange(len(chains))
+            got = sel.select_top1(sel.RandomScorer(seed), ctx, chains, self.KB, run_key=run_key)
+            assert got == want
+
+
+class TestBatchedScoringOracleParity:
+    def test_scores_and_picks_match_the_per_chain_oracles(self, bundle, trained):
+        """Every held-out table: one call per query equals the per-chain oracles.
+
+        Jaccard and linear scores keep the oracles' arithmetic and must match
+        exactly; the embedding scorer sums its chain means in another order.
+        The bundle's held-out tables hold no OOV token, so each table is also
+        encoded with vocabularies that drop every other token.
+        """
+        thinned = tuple(
+            Vocabulary(v.kind, v.tokens[::2]) for v in (bundle.tb_vocab, bundle.kb_vocab)
+        )
+        oov = 0
+        for tb, kb in ((bundle.tb_vocab, bundle.kb_vocab), thinned):
+            scorers = (
+                (sel.JaccardScorer(tb, kb), partial(jaccard_chain_score, tb, kb), 0.0),
+                (trained.linear, partial(linear_chain_score, trained.linear), 0.0),
+                (trained.embedding, partial(embedding_chain_score, trained.embedding), 1e-12),
+            )
+            for table in bundle.heldout_tables():
+                ctx = sel.context_for_table(table, tb, kb, TEST_HP)
+                chains = [lc.chain for lc in table.chains]
+                encodings = [sel.encode_chain(c, kb, TEST_HP) for c in chains]
+                oov += (*ctx.qis, *ctx.set_tokens, *encodings[0].indices).count(0)
+                for scorer, oracle, tolerance in scorers:
+                    name = type(scorer).__name__
+                    want = [oracle(ctx, enc) for enc in encodings]
+                    got = scorer.scores(ctx, encodings, 0)
+                    assert np.max(np.abs(got - want)) <= tolerance, (name, table.table_id)
+                    best = min(range(len(chains)), key=lambda i: (-want[i], encodings[i].canonical))
+                    assert sel.select_top1(scorer, ctx, chains, kb, TEST_HP) == best, name
+        assert oov > 0
+
+
 class TestEmbeddingScorer:
     def test_score_is_bounded(self, bundle, trained):
         table = bundle.heldout_tables()[0]
         ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
-        for lc in table.chains:
-            enc = sel.encode_chain(lc.chain, bundle.kb_vocab, TEST_HP)
-            assert -1.0 <= trained.embedding.score(ctx, enc) <= 1.0
+        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab, TEST_HP) for lc in table.chains]
+        scores = trained.embedding.scores(ctx, encodings, 0)
+        assert np.all((-1.0 <= scores) & (scores <= 1.0))
 
     def test_all_oov_chain_scores_zero_with_fresh_model(self, bundle):
         hp = sel.SelectorHyperParams(
@@ -151,7 +203,7 @@ class TestEmbeddingScorer:
         table = bundle.train_tables()[0]
         ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, hp)
         all_oov = sel.ChainEncoding(indices=(0, 0, 0), canonical="oov chain")
-        assert scorer.score(ctx, all_oov) == 0.0
+        assert scorer.scores(ctx, [all_oov], 0).tolist() == [0.0]
 
     def test_dimension_constraint_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -348,10 +400,10 @@ class TestTraining:
 
         heldout = bundle.heldout_tables()
         for scorer in (trained.linear, trained.embedding):
-            adapter = harness.ScorerChainSelector(
-                scorer, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
+            accuracy = harness.accuracy_at_1(
+                heldout, scorer, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
             )
-            assert harness.accuracy_at_1(heldout, adapter) >= 0.95
+            assert accuracy >= 0.95
 
 
 class TestSerialization:
@@ -361,11 +413,10 @@ class TestSerialization:
         loaded = sel.load_scorer(str(path), bundle.tb_vocab, bundle.kb_vocab)
         table = bundle.heldout_tables()[0]
         ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
-        for lc in table.chains:
-            enc = sel.encode_chain(lc.chain, bundle.kb_vocab, TEST_HP)
-            assert loaded.score(ctx, enc) == pytest.approx(
-                trained.embedding.score(ctx, enc)
-            )
+        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab, TEST_HP) for lc in table.chains]
+        assert loaded.scores(ctx, encodings, 0) == pytest.approx(
+            trained.embedding.scores(ctx, encodings, 0)
+        )
 
     def test_roundtrip_linear(self, bundle, trained, tmp_path):
         path = tmp_path / "lin.json"
