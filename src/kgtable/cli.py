@@ -71,9 +71,9 @@ def _kb_sources(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def _load_kb(cfg: RunConfig, meta: bool = True):
+def _load_kb(cfg: RunConfig):
     """The KB that build-dataset compiled into the dataset directory."""
-    return ds.load_kb(cfg.dataset_dir, _kb_sources(cfg), meta)
+    return ds.load_kb(cfg.dataset_dir, _kb_sources(cfg))
 
 
 def _load_embeddings(cfg: RunConfig) -> ranker.PretrainedEmbeddings:
@@ -148,7 +148,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 
 
 def cmd_train_selector(cfg: RunConfig) -> int:
-    g, _, _ = _load_kb(cfg, meta=False)
+    g, _, _ = _load_kb(cfg)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     train_tables = [tables[tid] for tid in split.train]
     hp = cfg.selector_hp()
@@ -215,7 +215,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_core_column_eval(cfg: RunConfig) -> int:
-    g, _, _ = _load_kb(cfg, meta=False)
+    g, _, _ = _load_kb(cfg)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
     eval_tables = _eval_tables(cfg, tables, split)

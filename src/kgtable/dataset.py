@@ -652,11 +652,10 @@ def save_kb(
 
 
 def load_kb(
-    in_dir: str, sources: Mapping[str, str], meta: bool = True
-) -> tuple[KnowledgeGraph, EntityMetaStore | None, PredicateMetaStore | None]:
-    """The KB that ``save_kb`` compiled, decoded by ``decode_kb`` (``meta``
-    as there), once the configured ``sources`` are checked to be the files
-    it was compiled from."""
+    in_dir: str, sources: Mapping[str, str]
+) -> tuple[KnowledgeGraph, EntityMetaStore, PredicateMetaStore]:
+    """The KB that ``save_kb`` compiled, decoded by ``decode_kb``, once the
+    configured ``sources`` are checked to be the files it was compiled from."""
     path = Path(in_dir) / KB_FILE
     hashes = _source_hashes(sources)
     try:
@@ -670,7 +669,7 @@ def load_kb(
             raise ConfigurationError(
                 f"{path} was not compiled from {name} = {given}; {REBUILD}"
             )
-    return decode_kb(rec, str(path), meta)
+    return decode_kb(rec, str(path))
 
 
 def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:

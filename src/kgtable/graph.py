@@ -3,18 +3,23 @@
 Entity identifier strings (e.g. ``m.02dzsr``) are interned into dense
 integer ids. Every triple (s, p, o) is stored under both endpoints: o under
 token p on s and s under token ^p on o, so one adjacency map serves forward
-and inverse traversal. The graph is immutable after construction and safe to
-share between threads.
+and inverse traversal. The graph is read-only after construction: it keeps
+its edges as flat integer columns and builds an entity's adjacency map on
+first read. Decoded entries are memoized; threads may share a graph, and a
+race decodes an entry twice into equal values.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .text import tokenize
 
@@ -73,14 +78,33 @@ class PredicateToken:
         return self.render()
 
 
+class _Memo(dict):
+    """A dict that builds a missing key's value with ``build(key)`` and keeps it.
+
+    A hit is a plain dict lookup. Two threads that miss one key both build
+    it, into equal values, and either one is kept.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
 class KnowledgeGraph:
-    """Immutable adjacency over interned entities.
+    """Read-only adjacency over interned entities, decoded per entity on first read.
 
     Entity ids are assigned by sorted order of the identifier strings. Each
     entity's edges are grouped by token: ``{PredicateToken: neighbour ids}``
     with tokens in (predicate name, inverse flag) order and each group's ids
     sorted, so any permutation of the input triples produces an identical
-    graph. Equal tokens are one shared object.
+    graph. Equal tokens are one shared object. Decoded entries are memoized;
+    two threads that race on one entity decode it twice into equal values.
     """
 
     def __init__(self, triples: Iterable[tuple[str, str, str]]):
@@ -89,40 +113,43 @@ class KnowledgeGraph:
         ids = {m: i for i, m in enumerate(mids)}
         preds = sorted({t[1] for t in triple_set})
         code = {p: 2 * i for i, p in enumerate(preds)}
-        # Sorted triples append each group's ids ascending.
-        grouped: list[dict[int, list[int]]] = [{} for _ in mids]
-        for s, p, o in triple_set:
-            si, oi, c = ids[s], ids[o], code[p]
-            grouped[si].setdefault(c, []).append(oi)
-            grouped[oi].setdefault(c + 1, []).append(si)
-        self._assemble(mids, ids, preds, ([(c, gs[c]) for c in sorted(gs)] for gs in grouped))
+        s, c, o = np.array(
+            [(ids[s], code[p], ids[o]) for s, p, o in triple_set], dtype=np.int64
+        ).reshape(-1, 3).T
+        # Each triple is an edge of both endpoints; sort them by (entity, code, neighbour).
+        ent, cod, nbr = np.concatenate([s, o]), np.concatenate([c, c + 1]), np.concatenate([o, s])
+        order = np.lexsort((nbr, cod, ent))
+        ent, cod, nbr = ent[order], cod[order], nbr[order]
+        starts = np.flatnonzero(np.diff(ent * (2 * len(preds)) + cod, prepend=-1))
+        goff = np.searchsorted(ent[starts], np.arange(len(mids) + 1))
+        noff = np.append(starts, len(nbr))
+        self._assemble(mids, preds, [a.astype(np.int32) for a in (goff, cod[starts], noff, nbr)])
 
-    def _assemble(
-        self,
-        mids: Sequence[str],
-        ids: dict[str, int],
-        preds: Sequence[str],
-        grouped: Iterable[Iterable[tuple[int, Sequence[int]]]],
-    ) -> None:
-        """Set the graph from its entities and each entity's ``(token code, ids)`` groups.
+    def _assemble(self, mids: Sequence[str], preds: Sequence[str], columns: Sequence) -> None:
+        """Set the graph from its entities, predicate names and four int32 columns.
 
-        ``mids`` lists the entities in id order and ``ids`` inverts it;
-        ``preds`` lists the predicate names in sorted order. Token code 2i is
-        predicate i forward and 2i + 1 its inverse, so groups in code order
-        are in (name, inverse) order; each code maps to one shared token, and
-        a code outside the tokens is a ``KeyError``.
+        ``columns`` are ``(goff, codes, noff, nbrs)``: entity e's groups are
+        ``goff[e]:goff[e + 1]``, and group i has token code ``codes[i]`` and
+        the neighbour ids ``nbrs[noff[i]:noff[i + 1]]``. Token code 2j is
+        predicate j forward and 2j + 1 its inverse, so groups in code order
+        are in (name, inverse) order; each code maps to one shared token.
         """
         self._mids: tuple[str, ...] = tuple(mids)
-        self._ids = ids
-        tokens = dict(enumerate(PredicateToken(p, inv) for p in preds for inv in (False, True)))
-        adj = []
-        for groups in grouped:  # plain loops: a comprehension per entity costs a call
+        self._ids = dict(zip(self._mids, range(len(self._mids))))
+        self._preds = preds = tuple(preds)
+        self._columns = columns
+        goff, codes, noff, nbrs = columns
+        self._degree: list[int] = np.diff(noff[goff]).tolist()
+        tokens = _Memo(lambda c: PredicateToken(preds[c >> 1], c & 1 == 1))
+        goff, codes, noff, nbrs = map(memoryview, columns)  # ints read without a whole-column copy
+
+        def groups(e: int) -> dict[PredicateToken, tuple[int, ...]]:
             nbrs_by_token = {}
-            for c, nbrs in groups:
-                nbrs_by_token[tokens[c]] = tuple(nbrs)
-            adj.append(nbrs_by_token)
-        self._adj: tuple[dict[PredicateToken, tuple[int, ...]], ...] = tuple(adj)
-        self._degree: tuple[int, ...] = tuple(sum(map(len, a.values())) for a in adj)
+            for i in range(goff[e], goff[e + 1]):
+                nbrs_by_token[tokens[codes[i]]] = tuple(nbrs[noff[i]:noff[i + 1]])
+            return nbrs_by_token
+
+        self._adj: Mapping[int, dict[PredicateToken, tuple[int, ...]]] = _Memo(groups)
 
     # -- entity interning ------------------------------------------------
 
@@ -143,14 +170,15 @@ class KnowledgeGraph:
         return self._mids[entity]
 
     def triples(self) -> tuple[tuple[str, str, str], ...]:
-        """Every distinct triple in sorted order, read off the forward groups."""
-        mids = self._mids
+        """Every distinct triple in sorted order, read off the forward groups' columns."""
+        goff, codes, noff, nbrs = self._columns
+        group = np.repeat(np.arange(len(codes)), np.diff(noff))  # of each neighbour
+        entity = np.repeat(np.arange(len(self._mids)), np.diff(goff))[group]
+        forward = codes[group] % 2 == 0
+        mids, preds = self._mids, self._preds
         return tuple(
-            (mids[s], tok.name, mids[o])
-            for s, groups in enumerate(self._adj)
-            for tok, nbrs in groups.items()
-            if not tok.inverse
-            for o in nbrs
+            (mids[s], preds[c >> 1], mids[o])
+            for s, c, o in zip(*(a[forward].tolist() for a in (entity, codes[group], nbrs)))
         )
 
     # -- adjacency -------------------------------------------------------
@@ -278,19 +306,30 @@ def predicate_src_tokens(name: str) -> frozenset[str]:
 
 
 class EntityMetaStore:
-    """Entity-id keyed metadata with an empty default for unknown entities."""
+    """Entity-id keyed metadata with an empty default for unknown entities.
 
-    def __init__(self, by_entity: Mapping[int, EntityMeta] | None = None):
-        self._by_entity = dict(by_entity or {})
+    With ``decode``, the records are those of ``entities``, and each is built
+    by ``decode(entity)`` on its first read and memoized.
+    """
+
+    def __init__(
+        self,
+        by_entity: Mapping[int, EntityMeta] | None = None,
+        decode: Callable[[int], EntityMeta] = lambda entity: EMPTY_ENTITY_META,
+        entities: Sequence[int] = (),
+    ):
+        self._by_entity = _Memo(decode)
+        self._by_entity.update(by_entity or {})
+        self._entities = entities or tuple(self._by_entity)
 
     def get(self, entity: int) -> EntityMeta:
-        return self._by_entity.get(entity, EMPTY_ENTITY_META)
+        return self._by_entity[entity]
 
     def __len__(self) -> int:
-        return len(self._by_entity)
+        return len(self._entities)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._by_entity)
+        return iter(self._entities)
 
 
 class PredicateMetaStore:
@@ -432,83 +471,104 @@ def load_predicate_meta(path: str) -> PredicateMetaStore:
 def encode_kb(
     g: KnowledgeGraph, entity_meta: EntityMetaStore, pred_meta: PredicateMetaStore
 ) -> dict:
-    """A loaded KB as one JSON record of integer ids and string tables.
+    """A loaded KB as one JSON record of string tables and int32 columns.
 
-    Each entity's groups are ``[token code, neighbour ids]`` in the codes of
-    ``KnowledgeGraph._assemble``. Entity metadata refers to the distinct
-    description-token tuples and type-token sets by index; records keep the
-    stores' order, so equal stores give equal records.
+    Each integer column is the base64 of its little-endian int32 bytes. The
+    graph's are the columns of ``KnowledgeGraph._assemble``. Entity metadata
+    refers to the distinct description-token tuples and type-token sets by
+    index; records keep the stores' order, so equal stores give equal records.
     """
-    tokens = {tok for groups in g._adj for tok in groups}
-    preds = sorted({tok.name for tok in tokens})
-    forward = {p: 2 * i for i, p in enumerate(preds)}
-    code = {tok: forward[tok.name] + tok.inverse for tok in tokens}
     descriptions: dict[tuple[str, ...], int] = {}
     type_sets: dict[frozenset[str], int] = {}
     # Each distinct value gets the next index.
     d_index, t_index = descriptions.setdefault, type_sets.setdefault
-    entities = [
-        (e, m.name, d_index(m.description, len(descriptions)),
-         t_index(m.notable_types, len(type_sets)), t_index(m.rdf_types, len(type_sets)))
-        for e, m in entity_meta._by_entity.items()
-    ]
-    predicate_types = [(name, t_index(tgt, len(type_sets))) for name, tgt in pred_meta._tgt.items()]
+    metas = [entity_meta.get(e) for e in entity_meta]
+    columns = dict(zip(("group_offsets", "token_codes", "neighbour_offsets", "neighbour_ids"),
+                       g._columns))
+    columns["meta_entities"] = list(entity_meta)
+    columns["meta_descriptions"] = [d_index(m.description, len(descriptions)) for m in metas]
+    for key in ("notable_types", "rdf_types"):
+        columns["meta_" + key] = [t_index(getattr(m, key), len(type_sets)) for m in metas]
+    columns["predicate_type_sets"] = [t_index(t, len(type_sets)) for t in pred_meta._tgt.values()]
     return {
         "mids": g._mids,
-        "predicates": preds,
-        "adjacency": [[(code[tok], nbrs) for tok, nbrs in groups.items()] for groups in g._adj],
+        "predicates": g._preds,
         "descriptions": list(descriptions),
         "type_sets": [sorted(t) for t in type_sets],
-        "entities": entities,
-        "predicate_types": predicate_types,
+        "names": [m.name for m in metas],
+        "typed_predicates": list(pred_meta._tgt),
+        **{
+            key: base64.b64encode(np.asarray(col, dtype="<i4").tobytes()).decode("ascii")
+            for key, col in columns.items()
+        },
     }
 
 
-def _check_ids(what: str, ids: Iterable, n: int) -> None:
-    """Raise ``ValueError`` unless every id is an int in ``range(n)``."""
-    ids = list(ids)
-    # A float makes the sum a float; any other non-int makes it raise.
-    if ids and (type(sum(ids)) is not int or min(ids) < 0 or max(ids) >= n):
-        raise ValueError(f"{what} id is not an entity of the graph")
+def _column(rec: dict, key: str, stop: int) -> np.ndarray:
+    """The int32 column ``key`` of a compiled KB; each value must lie in ``range(stop)``."""
+    col = np.frombuffer(base64.b64decode(rec[key], validate=True), "<i4")
+    col = col.astype(np.int32, copy=False)  # native order, so a memoryview can index it
+    if col.size and (col.min() < 0 or col.max() >= stop):
+        raise ValueError(f"{key} holds a value outside 0..{stop - 1}")
+    return col
+
+
+def _offsets(rec: dict, key: str, count: int, total: int) -> np.ndarray:
+    """The offsets column ``key``: ``count + 1`` values rising from 0 to ``total``."""
+    off = _column(rec, key, total + 1)
+    if len(off) != count + 1 or off[0] != 0 or off[-1] != total or (np.diff(off) < 0).any():
+        raise ValueError(f"{key} are not {count + 1} offsets rising from 0 to {total}")
+    return off
 
 
 def decode_kb(
-    rec: dict, path: str, meta: bool = True
-) -> tuple[KnowledgeGraph, EntityMetaStore | None, PredicateMetaStore | None]:
-    """The graph and, with ``meta``, the metadata stores ``encode_kb`` recorded.
+    rec: dict, path: str
+) -> tuple[KnowledgeGraph, EntityMetaStore, PredicateMetaStore]:
+    """The graph and the metadata stores ``encode_kb`` recorded.
 
-    Equal descriptions share one tuple and equal type sets one frozenset. A
-    missing field, a value of the wrong type or an id out of range is a
-    ``ParseError`` naming ``path``; without ``meta`` the metadata goes
-    unread and unchecked, and both stores are ``None``.
+    Every column is checked whole, but an entity's adjacency and metadata
+    are built on their first read. Equal descriptions share one tuple and
+    equal type sets one frozenset. A missing field, a value of the wrong
+    type or length, or an id out of range is a ``ParseError`` naming ``path``.
     """
     try:
         mids, preds = rec["mids"], rec["predicates"]
-        if not set(map(type, chain(mids, preds))) <= {str}:
-            raise ValueError("a mid or predicate name is not a string")
-        ids = {m: i for i, m in enumerate(mids)}
-        if len(ids) != len(mids) or len(rec["adjacency"]) != len(mids):
-            raise ValueError("mids repeat or differ in number from the adjacency lists")
-        g = KnowledgeGraph.__new__(KnowledgeGraph)
-        g._assemble(mids, ids, preds, rec["adjacency"])
-        nbrs = chain.from_iterable(chain.from_iterable(map(dict.values, g._adj)))
-        _check_ids("a neighbour", nbrs, len(mids))
-        if not meta:
-            return g, None, None
+        names, typed = rec["names"], rec["typed_predicates"]
         descriptions = [tuple(d) for d in rec["descriptions"]]
         type_sets = [frozenset(t) for t in rec["type_sets"]]
-        by_entity = {
-            e: EntityMeta(name, descriptions[d], type_sets[notable], type_sets[rdf])
-            for e, name, d, notable, rdf in rec["entities"]
-        }
-        tgt_by_name = {name: type_sets[t] for name, t in rec["predicate_types"]}
-        strings = chain(
-            chain.from_iterable(descriptions), chain.from_iterable(type_sets),
-            (m.name for m in by_entity.values()), tgt_by_name,
-        )
+        strings = chain(mids, preds, names, typed, *descriptions, *type_sets)
         if not set(map(type, strings)) <= {str}:
-            raise ValueError("a name or token is not a string")
-        _check_ids("an entity metadata", by_entity, len(mids))
+            raise ValueError("a mid, name or token is not a string")
+        codes = _column(rec, "token_codes", 2 * len(preds))
+        nbrs = _column(rec, "neighbour_ids", len(mids))
+        goff = _offsets(rec, "group_offsets", len(mids), len(codes))
+        noff = _offsets(rec, "neighbour_offsets", len(codes), len(nbrs))
+        # Within an entity, each group's code exceeds the one before.
+        rising = np.diff(codes) > 0
+        rising[goff[(goff > 0) & (goff < len(codes))] - 1] = True
+        if not rising.all():
+            raise ValueError("an entity's token codes repeat or fall")
+        g = KnowledgeGraph.__new__(KnowledgeGraph)
+        g._assemble(mids, preds, (goff, codes, noff, nbrs))
+        if len(g._ids) != len(mids):
+            raise ValueError("mids repeat")
+        stops = {"entities": len(mids), "descriptions": len(descriptions),
+                 "notable_types": len(type_sets), "rdf_types": len(type_sets)}
+        entities, d, notable, rdf = (
+            memoryview(_column(rec, "meta_" + key, stop)) for key, stop in stops.items()
+        )
+        tgt = _column(rec, "predicate_type_sets", len(type_sets))
+        row = dict(zip(entities, range(len(entities))))
+        if {len(row), len(d), len(notable), len(rdf)} != {len(names)} or len(tgt) != len(typed):
+            raise ValueError("metadata entities repeat or columns differ in length")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(path, 1, f"bad compiled KB: {exc!r}") from exc
-    return g, EntityMetaStore(by_entity), PredicateMetaStore(tgt_by_name)
+
+    def decode(entity: int) -> EntityMeta:
+        r = row.get(entity)
+        if r is None:
+            return EMPTY_ENTITY_META
+        return EntityMeta(names[r], descriptions[d[r]], type_sets[notable[r]], type_sets[rdf[r]])
+
+    tgt_by_name = dict(zip(typed, (type_sets[t] for t in tgt.tolist())))
+    return g, EntityMetaStore(decode=decode, entities=entities), PredicateMetaStore(tgt_by_name)

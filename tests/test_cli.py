@@ -1,7 +1,9 @@
+import base64
 import gc
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgtable import dataset as ds
@@ -32,6 +34,32 @@ def save_kb(dataset, graph, meta=None):
         "predicate_meta_path": "",
     }
     ds.save_kb(str(dataset), g, entity_meta, PredicateMetaStore(), sources)
+
+
+def b64bytes(text):
+    return base64.b64decode(text, validate=True)
+
+
+def b64(data):
+    return base64.b64encode(data).decode("ascii")
+
+
+def edit_column(key, change):
+    """An edit of a ``kb.json`` record: ``change(values, record)`` on the int32 column ``key``."""
+
+    def edit(rec):
+        values = np.frombuffer(b64bytes(rec[key]), dtype="<i4").tolist()
+        change(values, rec)
+        rec[key] = b64(np.asarray(values, dtype="<i4").tobytes())
+
+    return edit
+
+
+def repeat_a_token_code(codes, rec):
+    """Give the second group of the first entity with two groups the first one's code."""
+    offsets = np.frombuffer(b64bytes(rec["group_offsets"]), dtype="<i4").tolist()
+    first = next(a for a, b in zip(offsets, offsets[1:]) if b - a >= 2)
+    codes[first + 1] = codes[first]
 
 
 def write_query(cfg, path):
@@ -455,10 +483,9 @@ class TestCompiledKB:
     """Serving commands load the KB that build-dataset compiled, and only that one."""
 
     SERVING = ("train-selector", "train-ranker", "evaluate", "core-column-eval", "complete")
-    META_READERS = ("train-ranker", "evaluate", "complete")
 
-    def _serving_argvs(self, cfg_path, query, *flags, commands=SERVING):
-        for command in commands:
+    def _serving_argvs(self, cfg_path, query, *flags):
+        for command in self.SERVING:
             head = [command, str(query)] if command == "complete" else [command]
             yield [*head, "--config", str(cfg_path), *flags]
 
@@ -491,35 +518,56 @@ class TestCompiledKB:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "edit, message, commands",
+        "edit, message",
         [
-            (None, "kb.json is missing; rebuild the dataset with build-dataset", SERVING),
-            ("truncate", "kb.json:1: bad JSON", SERVING),
-            (lambda rec: rec.pop("mids"), "kb.json:1: bad compiled KB: KeyError('mids')", SERVING),
-            (lambda rec: rec["adjacency"][0][0][1].append(len(rec["mids"])),
-             "a neighbour id is not an entity of the graph", SERVING),
-            (lambda rec: rec["adjacency"][0][0][1].append(-1),
-             "a neighbour id is not an entity of the graph", SERVING),
-            (lambda rec: rec["adjacency"][0][0][1].append(0.5),
-             "a neighbour id is not an entity of the graph", SERVING),
-            (lambda rec: rec["adjacency"][0][0].__setitem__(0, 10**6),
-             "kb.json:1: bad compiled KB: KeyError(1000000)", SERVING),
-            (lambda rec: rec["adjacency"].pop(), "mids repeat or differ in number", SERVING),
-            (lambda rec: rec["sources"].clear(), "rebuild the dataset with build-dataset", SERVING),
-            # Only the commands that use the metadata read and check it.
-            (lambda rec: rec["entities"][0].__setitem__(0, len(rec["mids"])),
-             "an entity metadata id is not an entity of the graph", META_READERS),
-            (lambda rec: rec["entities"][0].__setitem__(1, 5),
-             "a name or token is not a string", META_READERS),
+            (None, "kb.json is missing; rebuild the dataset with build-dataset"),
+            ("truncate", "kb.json:1: bad JSON"),
+            (lambda rec: rec.pop("mids"), "kb.json:1: bad compiled KB: KeyError('mids')"),
+            (edit_column("neighbour_ids", lambda col, rec: col.__setitem__(0, len(rec["mids"]))),
+             "neighbour_ids holds a value outside 0.."),
+            (edit_column("neighbour_ids", lambda col, rec: col.__setitem__(0, -1)),
+             "neighbour_ids holds a value outside 0.."),
+            (lambda rec: rec.update(neighbour_ids=b64(b64bytes(rec["neighbour_ids"]) + b"\0")),
+             "buffer size must be a multiple of element size"),
+            (edit_column(
+                "token_codes", lambda col, rec: col.__setitem__(0, 2 * len(rec["predicates"]))
+            ), "token_codes holds a value outside 0.."),
+            (edit_column("group_offsets", lambda col, rec: col.pop()),
+             "group_offsets are not"),
+            (lambda rec: rec["sources"].clear(), "rebuild the dataset with build-dataset"),
+            (edit_column("meta_entities", lambda col, rec: col.__setitem__(0, len(rec["mids"]))),
+             "meta_entities holds a value outside 0.."),
+            (lambda rec: rec["names"].__setitem__(0, 5), "a mid, name or token is not a string"),
+            # Negative indices would pick the last description or type set.
+            (edit_column("meta_descriptions", lambda col, rec: col.__setitem__(0, -1)),
+             "meta_descriptions holds a value outside 0.."),
+            (edit_column("predicate_type_sets", lambda col, rec: col.__setitem__(0, -1)),
+             "predicate_type_sets holds a value outside 0.."),
+            (lambda rec: rec.update(token_codes="AAAA!"), "Only base64 data is allowed"),
+            (edit_column("neighbour_offsets", lambda col, rec: col.__setitem__(0, 1)),
+             "neighbour_offsets are not"),
+            (edit_column("neighbour_offsets", lambda col, rec: col.__setitem__(2, col[1] - 1)),
+             "neighbour_offsets are not"),
+            (edit_column("neighbour_offsets", lambda col, rec: col.__setitem__(-1, col[-1] - 1)),
+             "neighbour_offsets are not"),
+            (edit_column("token_codes", repeat_a_token_code),
+             "an entity's token codes repeat or fall"),
+            (edit_column("meta_rdf_types", lambda col, rec: col.pop()),
+             "metadata entities repeat or columns differ in length"),
+            (edit_column("meta_entities", lambda col, rec: col.__setitem__(1, col[0])),
+             "metadata entities repeat or columns differ in length"),
         ],
         ids=[
             "missing", "truncated", "no-mids", "neighbour-too-large", "neighbour-negative",
-            "neighbour-a-float", "unknown-token-code", "adjacency-short", "no-sources",
+            "neighbour-bytes-not-int32", "unknown-token-code", "adjacency-short", "no-sources",
             "metadata-entity-too-large", "metadata-name-a-number",
+            "metadata-description-negative", "predicate-type-set-negative", "bad-base64",
+            "offsets-not-from-0", "offsets-decrease", "offsets-end-short", "token-codes-repeat",
+            "metadata-columns-unequal", "metadata-entity-repeats",
         ],
     )
     def test_bad_compiled_kb_exits_2_naming_the_file(
-        self, workspace, tmp_path, capsys, edit, message, commands
+        self, workspace, tmp_path, capsys, edit, message
     ):
         _, cfg_path, cfg = workspace
         query = write_query(cfg, tmp_path / "query.json")
@@ -537,11 +585,24 @@ class TestCompiledKB:
             edit(rec)
             kb.write_text(json.dumps(rec))
         flags = ["--dataset-dir", str(dataset), "--output-dir", str(tmp_path / "out")]
-        for argv in self._serving_argvs(cfg_path, query, *flags, commands=commands):
+        for argv in self._serving_argvs(cfg_path, query, *flags):
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith(f"error: {kb}") and message in err, (argv[0], err)
             assert "Traceback" not in err
+
+    def test_complete_decodes_only_the_entities_it_reads(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+        loaded = []
+        load_kb = ds.load_kb
+        monkeypatch.setattr(ds, "load_kb", lambda *a: loaded.append(load_kb(*a)) or loaded[-1])
+        assert main(["complete", str(query), "--config", str(cfg_path)]) == 0
+        (g, entity_meta, _), = loaded
+        # The example row's neighbourhood, not the whole graph, was decoded.
+        assert 0 < len(g._adj) < len(g) and 0 < len(entity_meta._by_entity) < len(g)
 
 
 class TestRenderSparqlCommand:

@@ -377,22 +377,31 @@ class TestCompiledKB:
         assert cg._mids == g._mids and cg._ids == g._ids
         want = grouped_adjacency(triples)
         shared: dict[PredicateToken, PredicateToken] = {}
+        raw_shared: dict[PredicateToken, PredicateToken] = {}
+        descriptions: dict[tuple[str, ...], tuple[str, ...]] = {}
+        type_sets: dict[frozenset[str], frozenset[str]] = {}
+        records = set(entity_meta)
         for e in range(len(g)):
             assert list(cg.adjacency(e).items()) == list(g.adjacency(e).items())
             got = [((t.name, t.inverse), [cg.mid(n) for n in nbrs])
                    for t, nbrs in cg.adjacency(e).items()]
             assert got == want[cg.mid(e)]
+            assert all(type(nbrs) is tuple for nbrs in cg.adjacency(e).values())
             assert cg.degree(e) == g.degree(e)
-            for tok in cg.adjacency(e):
+            for tok, raw in zip(cg.adjacency(e), g.adjacency(e)):
                 assert shared.setdefault(tok, tok) is tok
+                assert raw_shared.setdefault(raw, raw) is raw
+            # Every entity, with a record or without, reads as the raw load,
+            # and the records share equal descriptions and type sets.
+            got = c_entity_meta.get(e)
+            assert got == entity_meta.get(e)
+            if e in records:
+                assert descriptions.setdefault(got.description, got.description) is got.description
+                for types in (got.notable_types, got.rdf_types):
+                    assert type_sets.setdefault(types, types) is types
         assert cg.triples() == g.triples() == tuple(sorted(set(triples)))
 
         assert list(c_entity_meta) == list(entity_meta)
-        descriptions: dict[tuple[str, ...], tuple[str, ...]] = {}
-        for e in entity_meta:
-            got = c_entity_meta.get(e)
-            assert got == entity_meta.get(e)
-            assert descriptions.setdefault(got.description, got.description) is got.description
         assert len(c_pred_meta) == len(pred_meta)
         for name in {p for _, p, _ in triples} | {r["name"] for r in preds}:
             assert c_pred_meta.get(name) == pred_meta.get(name)
