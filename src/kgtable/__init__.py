@@ -20,7 +20,6 @@ from .graph import (
 )
 from .paths import (
     DEFAULT_BANNED_PREFIXES,
-    CandidateChainSet,
     ChainPair,
     MetaPath,
     enumerate_simple_paths,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded",
-    "CandidateChainSet",
     "ChainPair",
     "DEFAULT_BANNED_PREFIXES",
     "EntityMeta",

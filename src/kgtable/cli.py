@@ -153,7 +153,7 @@ def cmd_train_selector(cfg: RunConfig) -> int:
     train_tables = [tables[tid] for tid in split.train]
     hp = cfg.selector_hp()
     if cfg.selector == "linear":
-        scorer = selector.train_linear(train_tables, tb_vocab, kb_vocab, hp, cfg.seed)
+        scorer = selector.train_linear(train_tables, tb_vocab, kb_vocab, hp)
     elif cfg.selector == "embedding":
         scorer = selector.train_embedding(train_tables, tb_vocab, kb_vocab, hp, cfg.seed)
     else:
@@ -296,7 +296,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     p2s = enumerate_simple_paths(g, er1, {er2}, *limits)
     memo = {}  # the selected chain is executed from the join's reaches
     candidates = join_chains(g, se, p1s, p2s, memo)
-    if not len(candidates):
+    if not candidates:
         print(
             f"no connecting chain within length {settings.max_path_len}",
             file=sys.stderr,
@@ -314,7 +314,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     hp = cfg.selector_hp()
     ctx = selector.context_for_table(query_table, tb_vocab, kb_vocab, hp)
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
-    best = candidates.chains[selector.select_top1(chain_selector, ctx, candidates, kb_vocab, hp)]
+    best = candidates[selector.select_top1(chain_selector, ctx, candidates, kb_vocab, hp)]
 
     result = execute_chain(g, se, best, cfg.budget(), memo)
     if isinstance(result, BudgetExceeded):

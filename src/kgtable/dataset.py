@@ -537,8 +537,16 @@ def _table_to_json(t: AnnotatedTable, g: KnowledgeGraph) -> dict:
     }
 
 
+def _strings(rec: dict, key: str) -> tuple[str, ...]:
+    """``rec[key]``, which must be a list of strings, as a tuple."""
+    items = rec[key]
+    if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
+        raise TypeError(f"{key!r} must be a list of strings")
+    return tuple(items)
+
+
 def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable:
-    """Rebuild one table.
+    """Rebuild one table; it must have chains, the first of them positive.
 
     ``memo`` maps each segment string already parsed to its path, each
     ``(p1, p2)`` string pair to its chain and each chain record to its
@@ -561,22 +569,27 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
                math.copysign(1, r), math.copysign(1, p), math.copysign(1, f))
         lc = memo.get(key)
         if lc is None:
+            if not isinstance(p1, str) or not isinstance(p2, str):
+                raise TypeError("chain 'p1' and 'p2' must be strings")
             pair = memo.get((p1, p2))
             if pair is None:
                 pair = memo[p1, p2] = ChainPair(segment(p1), segment(p2))
             lc = memo[key] = LabeledChain(pair, positive, r, p, f)
         return lc
 
+    chains = tuple(map(labeled, rec["chains"]))
+    if not chains or not chains[0].positive:
+        raise ValueError("a table needs chains, the first of them positive")
     return AnnotatedTable(
         table_id=rec["table_id"],
-        qis=tuple(rec["qis"]),
-        cn1=tuple(rec["cn1"]),
-        cn2=tuple(rec["cn2"]),
+        qis=_strings(rec, "qis"),
+        cn1=_strings(rec, "cn1"),
+        cn2=_strings(rec, "cn2"),
         se=g.entity_id(rec["se"]),
         se_name=rec["se_name"],
-        set_tokens=tuple(rec["set"]),
+        set_tokens=_strings(rec, "set"),
         rr=tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"]),
-        chains=tuple(map(labeled, rec["chains"])),
+        chains=chains,
     )
 
 
@@ -679,7 +692,9 @@ def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:
         path = str(Path(in_dir) / name)
         v = read_json(path)
         try:
-            vocabs.append(Vocabulary(v["kind"], tuple(v["tokens"]), v["oov_token"]))
+            if not isinstance(v["kind"], str) or not isinstance(v["oov_token"], str):
+                raise TypeError("'kind' and 'oov_token' must be strings")
+            vocabs.append(Vocabulary(v["kind"], _strings(v, "tokens"), v["oov_token"]))
         except (KeyError, TypeError) as exc:
             raise ParseError(path, 1, f"bad vocabulary record: {exc!r}") from exc
     return vocabs[0], vocabs[1]

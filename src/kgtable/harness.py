@@ -3,6 +3,8 @@
 For each (table, row) query the harness filters the chains that actually
 connect that row, scores them with the selector through ``select_top1``,
 executes the best one and scores tuple recall against the remaining rows.
+The queries of a table share one reach memo, so no segment is walked
+twice from one entity and a repeat is charged the steps of its walk.
 ``rank_retrieved`` is the one ranking step, shared with ``complete``: it
 drops the example row from the retrieved tuples, as training does, and
 ranks the rest for NDCG and precision at 1. Queries whose filtered chain
@@ -21,7 +23,7 @@ import numpy as np
 
 from .dataset import AnnotatedTable, LabeledChain, Vocabulary
 from .graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore, walk, write_json_lines
-from .paths import ChainPair
+from .paths import ChainPair, ReachMemo
 from .query import BudgetExceeded, QueryBudget, TupleSet, execute_chain, execute_prefix
 from .ranker import (
     PretrainedEmbeddings,
@@ -112,14 +114,6 @@ def tuple_recall(ct: TupleSet, err: Sequence[tuple[int, int]]) -> float:
     if not err:
         raise ValueError("expected result rows must be non-empty")
     return sum(1 for r in set(err) if r in ct) / len(err)
-
-
-def oracle_select(table: AnnotatedTable) -> ChainPair:
-    """First positive chain in annotation sort order."""
-    for lc in table.chains:
-        if lc.positive:
-            return lc.chain
-    raise ValueError(f"table {table.table_id} has no positive chain")
 
 
 # -- tuple rankers ----------------------------------------------------------------
@@ -225,6 +219,7 @@ def _run_one(
     kb_vocab: Vocabulary,
     hp: SelectorHyperParams,
     budget: QueryBudget,
+    memo: ReachMemo,
 ) -> QueryRun:
     err = tuple(r for r in table.rr if r != er)
     cc_er = filter_cc_er(table, er, g)
@@ -235,7 +230,7 @@ def _run_one(
         )
     chains = [lc.chain for lc in cc_er]
     selected = chains[select_top1(selector, ctx, chains, kb_vocab, hp, run_key)]
-    result = execute_chain(g, table.se, selected, budget)
+    result = execute_chain(g, table.se, selected, budget, memo)
     if isinstance(result, BudgetExceeded):
         return QueryRun(
             table.table_id, er, cc_er, selected, None, err,
@@ -263,15 +258,17 @@ def run_e2e(
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
 
-    Each table's context is encoded once. Each run derives all its
-    randomness from its position in the fixed job order.
+    Each table's context and reach memo are built once. Each run derives
+    all its randomness from its position in the fixed job order.
     """
     runs = []
     for table in sorted(tables, key=lambda t: t.table_id):
         ctx = context_for_table(table, tb_vocab, kb_vocab, hp)
+        memo: ReachMemo = {}
         for er in table.rr:
             runs.append(_run_one(
-                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, hp, budget
+                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, hp, budget,
+                memo,
             ))
     return runs, summarize(runs)
 
@@ -286,9 +283,11 @@ def ranker_training_groups(
 ) -> list[TrainingGroup]:
     """One ranker training group per table, over its oracle chain's tuples.
 
-    The example row is the first ground-truth row the chain retrieves; the
-    other ground-truth rows are the relevant candidates. Tables whose chain
-    runs over budget or retrieves nothing but the example row are skipped.
+    The oracle chain is the table's first, the pick of ``OracleScorer``,
+    which ``load_dataset`` checks is positive. The example row is the first
+    ground-truth row the chain retrieves; the other ground-truth rows are
+    the relevant candidates. Tables whose chain runs over budget or
+    retrieves nothing but the example row are skipped.
     """
     # Featurizing reads no model, so an empty one stands in.
     featurizer = FeatureTupleRanker(
@@ -296,7 +295,7 @@ def ranker_training_groups(
     )
     groups = []
     for table in tables:
-        chain = oracle_select(table)
+        chain = table.chains[0].chain
         result = execute_chain(g, table.se, chain, budget)
         if isinstance(result, BudgetExceeded):
             continue

@@ -6,13 +6,14 @@ column 1 to column 2. Enumeration is depth-first with hub pruning (nodes
 over the degree cap are never expanded), generic-prefix pruning on the
 first edge and a target-neighbour barrier (only a target's neighbours
 start the last hop). The chains of a table share their segments, so one
-memo of segment reaches serves their join and their execution.
+memo of segment reaches serves their join and every execution of them; a
+reach without a memo runs through a fresh one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .graph import DEFAULT_DEGREE_CAP, KnowledgeGraph, PredicateToken, walk
 from .graph import StepAllowance, StepsExhausted
@@ -87,24 +88,6 @@ class ChainPair:
         return self.canonical()
 
 
-@dataclass(frozen=True)
-class CandidateChainSet:
-    """Deduplicated chains in canonical-string order."""
-
-    chains: tuple[ChainPair, ...]
-
-    @classmethod
-    def of(cls, chains: Iterable[ChainPair]) -> "CandidateChainSet":
-        unique = {c.canonical(): c for c in chains}
-        return cls(tuple(unique[k] for k in sorted(unique)))
-
-    def __len__(self) -> int:
-        return len(self.chains)
-
-    def __iter__(self) -> Iterator[ChainPair]:
-        return iter(self.chains)
-
-
 def enumerate_simple_paths(
     g: KnowledgeGraph,
     src: int,
@@ -169,14 +152,13 @@ def segment_reach(
 ) -> Callable[[int], set[int]]:
     """Maps a start entity to the entities it reaches along ``tokens``, charged to ``steps``.
 
-    A memo (segment -> entity -> (reached, step charge)) walks each (entity,
+    The memo (segment -> entity -> (reached, step charge)) walks each (entity,
     segment) once and charges repeats the recorded charge, so queries run
-    out of steps as without it. A miss (no first-token edge) costs 1 step
-    and reaches nothing without a walk. Reached sets are shared: read only.
+    out of steps as a walk would; without one, a fresh memo is used. A miss
+    (no first-token edge) costs 1 step and reaches nothing without a walk.
+    Reached sets are shared: read only.
     """
-    if memo is None:
-        return lambda entity: walk(g, (entity,), tokens, steps)
-    seen = memo.setdefault(tokens, {})
+    seen = (memo if memo is not None else {}).setdefault(tokens, {})
 
     def reach(entity: int) -> set[int]:
         hit = seen.get(entity)
@@ -201,24 +183,25 @@ def join_chains(
     p1s: Iterable[MetaPath],
     p2s: Iterable[MetaPath],
     memo: ReachMemo | None = None,
-) -> CandidateChainSet:
+) -> tuple[ChainPair, ...]:
     """M x N join of P1 and P2 candidates, keeping chains that retrieve something.
 
     A pair (p1, p2) survives when the entities reached from ``se`` via p1
     intersect the entities that have at least one p2-successor, i.e. the
-    joined chain returns at least one (x, y) tuple when executed.
+    joined chain returns at least one (x, y) tuple when executed. The
+    survivors come deduplicated by canonical string, in canonical order.
     """
     g._check(se)
     p1_list = sorted(set(p1s), key=MetaPath.canonical)
     p2_list = sorted(set(p2s), key=MetaPath.canonical)
     if not p1_list or not p2_list:
-        return CandidateChainSet.of(())
+        return ()
 
     steps = StepAllowance()  # only measures the charges the memo records
     p1_reach = {p1: segment_reach(g, p1.tokens, steps, memo)(se) for p1 in p1_list}
     xs_union: set[int] = set().union(*p1_reach.values())
 
-    kept = []
+    kept: dict[str, ChainPair] = {}
     for p2 in p2_list:
         reach_p2 = segment_reach(g, p2.tokens, steps, memo)
         has_successor = {x for x in xs_union if reach_p2(x)}
@@ -226,5 +209,6 @@ def join_chains(
             continue
         for p1 in p1_list:
             if p1_reach[p1] & has_successor:
-                kept.append(ChainPair(p1, p2))
-    return CandidateChainSet.of(kept)
+                chain = ChainPair(p1, p2)
+                kept[chain.canonical()] = chain
+    return tuple(kept[k] for k in sorted(kept))

@@ -1,8 +1,9 @@
 """Chain execution as an in-memory path query, plus SPARQL text rendering.
 
 A chain runs as one ``paths.segment_reach`` along P1 from the subject
-entity plus one along P2 from each x it reached, through a memo when the
-chains of a table share one; its result stays factorized as ``{x: Y_x}``.
+entity plus one along P2 from each x it reached, through the memo its
+caller shares among a table's chains and queries, or a fresh one; its
+result stays factorized as ``{x: Y_x}``.
 A deterministic node-expansion budget, one step allowance shared by all
 walks of a query, stands in for a wall-clock timeout, and rows are counted
 as they come; exceeding either discards all partial results. This module

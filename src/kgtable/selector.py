@@ -112,9 +112,11 @@ def encode_chain(
 class OracleScorer:
     """Scores chains by their stored position, first highest.
 
-    Annotated tables store their positive chains first, and filtering keeps
-    that order, so the pick is the first positive when there is one and the
-    first chain otherwise. Serving-time candidates carry no labels.
+    Annotated tables store their positive chains first (``load_dataset``
+    rejects a table without chains or whose first chain is not positive),
+    and filtering keeps that order, so the pick is the first positive when
+    there is one and the first chain otherwise. Serving-time candidates
+    carry no labels.
     """
 
     def scores(self, ctx: QueryContext, chains: list[ChainEncoding], run_key: int) -> np.ndarray:
@@ -520,14 +522,11 @@ def train_linear(
     tb_vocab: Vocabulary,
     kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
-    seed: int = 0,
 ) -> LinearScorer:
     """L2-regularized logistic regression on +1/-1 labeled chain rows.
 
-    Optimized with L-BFGS, which is deterministic for fixed inputs; the
-    seed parameter exists for interface symmetry only.
+    Optimized with L-BFGS, which is deterministic for fixed inputs.
     """
-    del seed
     if not tables:
         raise ConfigurationError("empty training set")
     probe = LinearScorer(

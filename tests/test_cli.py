@@ -674,6 +674,43 @@ class TestConfig:
         assert main(argv) == 2
         assert f"{dataset / 'tables.jsonl'}:2: bad JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("tables.jsonl", lambda rec: rec.update(chains=[])),
+            ("tables.jsonl", lambda rec: rec["chains"][0].update(label="negative")),
+            ("tables.jsonl", lambda rec: rec["qis"].append(7)),
+            ("tables.jsonl", lambda rec: rec["cn1"].append(7)),
+            ("tables.jsonl", lambda rec: rec["cn2"].append(7)),
+            ("tables.jsonl", lambda rec: rec["set"].append(7)),
+            ("tables.jsonl", lambda rec: rec["chains"][0].update(p1=7)),
+            ("tables.jsonl", lambda rec: rec["chains"][0].update(p2=7)),
+            ("vocab_tb.json", lambda rec: rec["tokens"].append(7)),
+            ("vocab_kb.json", lambda rec: rec.update(oov_token=["<oov>"])),
+        ],
+        ids=["no-chains", "first-chain-negative", "int-in-qis", "int-in-cn1", "int-in-cn2",
+             "int-in-set", "int-p1", "int-p2", "int-vocab-token", "list-oov-token"],
+    )
+    def test_bad_dataset_record_exits_2_with_file_and_line(
+        self, workspace, tmp_path, capsys, name, edit
+    ):
+        _, cfg_path, cfg = workspace
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        for src in Path(cfg["dataset_dir"]).iterdir():
+            (dataset / src.name).write_bytes(src.read_bytes())
+        lines = (dataset / name).read_text().splitlines(keepends=True)
+        line_no = 2 if name == "tables.jsonl" else 1
+        rec = json.loads(lines[line_no - 1])
+        edit(rec)
+        lines[line_no - 1] = json.dumps(rec) + "\n"
+        (dataset / name).write_text("".join(lines))
+        for command in ("train-selector", "evaluate"):
+            argv = [command, "--config", str(cfg_path), "--dataset-dir", str(dataset)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{dataset / name}:{line_no}: " in err and "Traceback" not in err
+
     def test_bad_ranker_model_exits_2_with_file(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace
         payload = json.loads((Path(cfg["output_dir"]) / "ranker.json").read_text())

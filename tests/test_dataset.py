@@ -430,6 +430,34 @@ class TestRoundTrip:
                 ds.load_dataset(str(tmp_path), bundle.g)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec.update(chains=[]), "the first of them positive"),
+            (lambda rec: rec["chains"][0].update(label="negative"), "the first of them positive"),
+            (lambda rec: rec["qis"].append(7), "'qis' must be a list of strings"),
+            (lambda rec: rec.update(cn1="name"), "'cn1' must be a list of strings"),
+            (lambda rec: rec["cn2"].append(None), "'cn2' must be a list of strings"),
+            (lambda rec: rec["set"].append(["type"]), "'set' must be a list of strings"),
+            (lambda rec: rec["chains"][0].update(p1=3), "chain 'p1' and 'p2' must be strings"),
+            (lambda rec: rec["chains"][-1].update(p2=1.5), "chain 'p1' and 'p2' must be strings"),
+        ],
+        ids=["no-chains", "first-chain-negative", "int-in-qis", "string-cn1", "null-in-cn2",
+             "list-in-set", "int-p1", "float-p2"],
+    )
+    def test_bad_table_record_names_the_line(self, tmp_path, bundle, edit, message):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g, {},
+        )
+        path = tmp_path / "tables.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        edit(rec)
+        path.write_text(lines[0] + json.dumps(rec) + "\n" + "".join(lines[2:]))
+        with pytest.raises(ds.ParseError, match=rf"tables\.jsonl:2: .*{message}"):
+            ds.load_dataset(str(tmp_path), bundle.g)
+
+    @pytest.mark.parametrize(
         "name, text, message",
         [
             ("split.json", '{"seed": 1,\n', r"split\.json:2: bad JSON"),
@@ -437,8 +465,13 @@ class TestRoundTrip:
             ("vocab_tb.json", '{"kind": "TB_Vocab", "oov_token": "<oov>"}\n',
              r"vocab_tb\.json:1: bad vocabulary record: KeyError\('tokens'\)"),
             ("vocab_kb.json", "[]\n", r"vocab_kb\.json:1: expected a JSON object"),
+            ("vocab_tb.json", '{"kind": "TB_Vocab", "oov_token": "<oov>", "tokens": ["a", "b", 2]}',
+             r"vocab_tb\.json:1: bad vocabulary record: .*'tokens' must be a list of strings"),
+            ("vocab_kb.json", '{"kind": "KB_Vocab", "oov_token": ["<oov>"], "tokens": ["a"]}',
+             r"vocab_kb\.json:1: bad vocabulary record: .*'oov_token' must be strings"),
         ],
-        ids=["truncated-split", "split-without-fields", "vocab-without-tokens", "vocab-not-object"],
+        ids=["truncated-split", "split-without-fields", "vocab-without-tokens", "vocab-not-object",
+             "int-vocab-token", "list-oov-token"],
     )
     def test_bad_split_or_vocabulary_names_the_file(self, tmp_path, bundle, name, text, message):
         ds.save_dataset(

@@ -6,7 +6,7 @@ from kgtable import selector as sel
 from kgtable.dataset import AnnotatedTable, LabeledChain, Vocabulary
 from kgtable.graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore
 from kgtable.paths import ChainPair, MetaPath
-from kgtable.query import QueryBudget, TupleSet
+from kgtable.query import QueryBudget, TupleSet, execute_chain
 from kgtable.ranker import PretrainedEmbeddings
 
 
@@ -74,10 +74,22 @@ class TestTupleRecall:
             harness.tuple_recall(TupleSet({}), [])
 
 
+def oracle_pick(table):
+    """The chain ``OracleScorer`` selects among all of the table's chains."""
+    chains = [lc.chain for lc in table.chains]
+    ctx = sel.context_for_table(table, *NO_VOCABS)
+    return chains[sel.select_top1(sel.OracleScorer(), ctx, chains, NO_VOCABS[1])]
+
+
 class TestOracle:
     def test_first_positive_in_annotation_order(self, small_world):
-        _, table = small_world
-        assert harness.oracle_select(table).canonical() == "p / q"
+        g, table = small_world
+        assert oracle_pick(table).canonical() == "p / q"
+        # Ranker training groups execute the same chain: 'p/q' retrieves all three rows.
+        [group] = harness.ranker_training_groups(
+            [table], g, EntityMetaStore(), PredicateMetaStore(), PretrainedEmbeddings({}, 1),
+        )
+        assert group.relevance.tolist() == [1.0, 1.0]
 
     def test_two_positives_take_the_first(self):
         table_chains = (labeled("b", "x", True), labeled("a", "x", True))
@@ -85,7 +97,9 @@ class TestOracle:
             "t", ("q",), ("c",), ("d",), 0, "s", ("k",), ((1, 2), (3, 4), (5, 6)),
             table_chains,
         )
-        assert harness.oracle_select(table).canonical() == "b / x"
+        # The stored position wins over the canonical-string tie rule.
+        assert oracle_pick(table).canonical() == "b / x"
+        assert table.chains[0].chain is oracle_pick(table)
 
     def test_oracle_accuracy_is_always_one(self, bundle):
         acc = harness.accuracy_at_1(list(bundle.tables.values()), sel.OracleScorer(), *NO_VOCABS)
@@ -131,7 +145,8 @@ class TestRunE2e:
     def test_oracle_recall_dominates_every_selector_per_table(self, bundle):
         for table in bundle.heldout_tables():
             oracle_recall = max(lc.recall for lc in table.chains)
-            assert harness.oracle_select(table).canonical() in {
+            assert oracle_pick(table) is table.chains[0].chain
+            assert table.chains[0].chain.canonical() in {
                 lc.chain.canonical() for lc in table.chains if lc.recall == oracle_recall
             }
 
@@ -145,6 +160,33 @@ class TestRunE2e:
         runs_r, _ = harness.run_e2e([one_chain], g, sel.RandomScorer(1), ranker, *NO_VOCABS)
         runs_o, _ = harness.run_e2e([one_chain], g, sel.OracleScorer(), ranker, *NO_VOCABS)
         assert [r.tuple_recall for r in runs_r] == [r.tuple_recall for r in runs_o]
+
+    def test_rows_selecting_one_chain_walk_each_segment_start_once(self, small_world, monkeypatch):
+        # Work count, no wall clock: the queries of a table share one reach
+        # memo, so the rows that select 'p/q' walk p from the subject entity
+        # and q from each x once between them.
+        from collections import Counter
+
+        from kgtable import paths
+
+        g, table = small_world
+        walks = Counter()
+        original = paths.walk
+
+        def counting_walk(g, frontier, tokens, steps=None):
+            frontier = tuple(frontier)
+            walks[frontier, tuple(tokens)] += 1
+            return original(g, frontier, tokens, steps)
+
+        monkeypatch.setattr(paths, "walk", counting_walk)
+        runs, _ = harness.run_e2e(
+            [table], g, sel.OracleScorer(), harness.RandomTupleRanker(0), *NO_VOCABS
+        )
+        assert [r.selected.canonical() for r in runs] == ["p / q"] * 3
+        assert len(walks) == 4 and max(walks.values()) == 1, walks
+        monkeypatch.undo()
+        for run in runs:
+            assert run.ct == execute_chain(g, table.se, run.selected)
 
     def test_er_is_removed_from_ranking_but_not_retrieval(self, small_world):
         g, table = small_world

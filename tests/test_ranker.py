@@ -136,7 +136,7 @@ class TestFeaturizer:
         from kgtable.query import execute_chain
 
         table = bundle.heldout_tables()[0]
-        chain = harness.oracle_select(table)
+        chain = table.chains[0].chain  # the oracle chain
         result = execute_chain(bundle.g, table.se, chain)
         pairs = sorted(result.pairs)
         featurizer = harness.FeatureTupleRanker(
