@@ -546,7 +546,7 @@ def _strings(rec: dict, key: str) -> tuple[str, ...]:
 
 
 def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable:
-    """Rebuild one table; it must have chains, the first of them positive.
+    """Rebuild one table: a string id, result rows and chains, the first one positive.
 
     ``memo`` maps each segment string already parsed to its path, each
     ``(p1, p2)`` string pair to its chain and each chain record to its
@@ -577,9 +577,13 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
             lc = memo[key] = LabeledChain(pair, positive, r, p, f)
         return lc
 
+    if not isinstance(rec["table_id"], str):
+        raise TypeError("'table_id' must be a string")
     chains = tuple(map(labeled, rec["chains"]))
     if not chains or not chains[0].positive:
         raise ValueError("a table needs chains, the first of them positive")
+    if not rec["rr"]:
+        raise ValueError("a table needs result rows")
     return AnnotatedTable(
         table_id=rec["table_id"],
         qis=_strings(rec, "qis"),
@@ -722,8 +726,11 @@ def load_dataset(
             test=tuple(rec["test"]),
             seed=rec["seed"],
         )
+        unknown = [t for t in split.train + split.validation + split.test if t not in tables]
     except (KeyError, TypeError) as exc:
         raise ParseError(path, 1, f"bad split record: {exc!r}") from exc
+    if unknown:
+        raise ParseError(path, 1, f"table id {unknown[0]!r} names no table")
     return (tables, split, *load_vocabularies(in_dir))
 
 

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -273,8 +273,7 @@ def load_triples(path: str) -> KnowledgeGraph:
 # -- entity / predicate metadata ------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntityMeta:
+class EntityMeta(NamedTuple):
     """Textual metadata of one entity; missing fields are empty, never absent."""
 
     name: str = ""

@@ -26,6 +26,7 @@ from .graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore, walk, wr
 from .paths import ChainPair, ReachMemo
 from .query import BudgetExceeded, QueryBudget, TupleSet, execute_chain, execute_prefix
 from .ranker import (
+    ALL_FEATURES,
     PretrainedEmbeddings,
     RankContext,
     RankerModel,
@@ -139,7 +140,8 @@ class RandomTupleRanker:
 
 
 class FeatureTupleRanker:
-    """Featurizes retrieved tuples and ranks them with a trained model."""
+    """Ranks retrieved tuples with a trained model on their feature ``columns``,
+    by default the ones the model splits on."""
 
     def __init__(
         self,
@@ -147,11 +149,13 @@ class FeatureTupleRanker:
         entity_meta: EntityMetaStore,
         pred_meta: PredicateMetaStore,
         embeddings: PretrainedEmbeddings,
+        columns: Sequence[int] | None = None,
     ):
         self.model = model
         self.entity_meta = entity_meta
         self.pred_meta = pred_meta
         self.embeddings = embeddings
+        self.columns = model.split_features if columns is None else columns
 
     def features_for(
         self,
@@ -160,14 +164,10 @@ class FeatureTupleRanker:
         er: tuple[int, int],
         pairs: Sequence[tuple[int, int]],
     ) -> np.ndarray:
-        ctx = RankContext(
-            qis_tokens=table.qis,
-            cn1_tokens=table.cn1,
-            cn2_tokens=table.cn2,
-            chain=chain,
-            er=er,
+        ctx = RankContext(table.qis, table.cn1, table.cn2, chain, er)
+        return featurize(
+            ctx, pairs, self.entity_meta, self.pred_meta, self.embeddings, self.columns
         )
-        return featurize(ctx, pairs, self.entity_meta, self.pred_meta, self.embeddings)
 
     def order(
         self,
@@ -289,9 +289,10 @@ def ranker_training_groups(
     the relevant candidates. Tables whose chain runs over budget or
     retrieves nothing but the example row are skipped.
     """
-    # Featurizing reads no model, so an empty one stands in.
+    # Training fits trees on every feature, so it computes all 27 columns;
+    # featurizing reads no model, so an empty one stands in.
     featurizer = FeatureTupleRanker(
-        RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings
+        RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings, ALL_FEATURES
     )
     groups = []
     for table in tables:

@@ -8,7 +8,10 @@ types and the column names. Overlap comes in two flavours everywhere:
 Jaccard on token sets and cosine of mean pre-trained word vectors.
 ``featurize`` builds one query's whole candidate matrix: each distinct
 candidate entity is scored once per column, and each token set's mean
-vector once per ``PretrainedEmbeddings`` object.
+vector once per ``PretrainedEmbeddings`` object. Training featurizes all
+27 columns; serving computes only the columns the model splits on
+(``RankerModel.split_features``) and leaves the others NaN, which a tree
+never reads, so the scores are the same.
 
 The ranker is a from-scratch LambdaMART: small regression trees fit to
 pairwise lambda gradients weighted by the NDCG swap delta.
@@ -152,42 +155,46 @@ def chain_type_sets(
     return tgt(chain.p1.tokens[-1]), src(chain.p2.tokens[0]), tgt(chain.p2.tokens[-1])
 
 
-# Feature columns of a column-1 and a column-2 candidate entity, in the
-# order ``_column_features`` returns them.
-_COL1 = [1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 23, 20, 21, 25]
-_COL2 = [2, 4, 6, 8, 10, 12, 14, 16, 19, 24, 22, 26]
+# Feature positions of a column-1 and a column-2 candidate entity, in the
+# order ``_column_features`` numbers them.
+_COL1 = (1, 3, 5, 7, 9, 11, 13, 15, 17, 20, 18, 21, 23, 25)
+_COL2 = (2, 4, 6, 8, 10, 12, 14, 16, 19, 22, 24, 26)
+ALL_FEATURES = tuple(range(NUM_FEATURES))
 
 
 def _column_features(
     example: int,
-    entities: Iterable[int],
+    entities: set[int],
     qis: frozenset[str],
-    type_sets: Sequence[frozenset[str]],
+    type_sets: Sequence[frozenset[str] | None],
+    wanted: Sequence[int],
     entity_meta: EntityMetaStore,
     embeddings: PretrainedEmbeddings,
 ) -> dict[int, list[float]]:
-    """One column's features of each distinct candidate entity, by entity id.
+    """One column's ``wanted`` features of each candidate entity, by entity id.
 
-    The candidate's description, notable and rdf types against the example
-    entity's and against the query intent, then the example-minus-candidate
-    overlap of notable types with each of ``type_sets``.
+    Feature ``2k`` is the Jaccard and ``2k + 1`` the cosine of comparison ``k``
+    of ``sides``: the candidate's description against the example entity's
+    and the query intent, its notable and rdf types against the example's,
+    then the example-minus-candidate overlap of notable types with each of
+    ``type_sets`` (a type set is read only when one of its features is wanted).
     """
-    cos = embeddings.cosine
+    sims = (jaccard, embeddings.cosine)
     m = entity_meta.get(example)
-    ex_desc, ex_notable, ex_rdf = frozenset(m.description), m.notable_types, m.rdf_types
-    ex_jac = [jaccard(ex_notable, t) for t in type_sets]
-    ex_cos = [cos(ex_notable, t) for t in type_sets]
+    # (query side, candidate field as an index into (description, notable, rdf))
+    sides = ((frozenset(m.description), 0), (qis, 0), (m.notable_types, 1), (m.rdf_types, 2))
+    sides += tuple((t, 1) for t in type_sets)
+    terms = []  # (similarity, query side, candidate field, the example's overlap of a diff)
+    for k, s in (divmod(i, 2) for i in wanted):
+        sim, (side, f) = sims[s], sides[k]
+        terms.append((sim, side, f, sim(m.notable_types, side) if k >= 4 else None))
     rows = {}
-    for entity in set(entities):
+    for entity in entities:
         c = entity_meta.get(entity)
-        desc, notable, rdf = frozenset(c.description), c.notable_types, c.rdf_types
+        fields = (frozenset(c.description), c.notable_types, c.rdf_types)
         rows[entity] = [
-            jaccard(ex_desc, desc), cos(ex_desc, desc),
-            jaccard(qis, desc), cos(qis, desc),
-            jaccard(ex_notable, notable), cos(ex_notable, notable),
-            jaccard(ex_rdf, rdf), cos(ex_rdf, rdf),
-            *(e - jaccard(notable, t) for e, t in zip(ex_jac, type_sets)),
-            *(e - cos(notable, t) for e, t in zip(ex_cos, type_sets)),
+            sim(side, fields[f]) if ex is None else ex - sim(fields[f], side)
+            for sim, side, f, ex in terms
         ]
     return rows
 
@@ -198,27 +205,32 @@ def featurize(
     entity_meta: EntityMetaStore,
     pred_meta: PredicateMetaStore,
     embeddings: PretrainedEmbeddings,
+    columns: Iterable[int] = ALL_FEATURES,
 ) -> np.ndarray:
     """The (len(cands), 27) feature matrix of one query; missing metadata scores zero.
 
-    Every feature but the column-1 frequency compares the query with one
-    candidate entity, so each distinct entity of a column is scored once.
+    Only the feature positions in ``columns`` are computed; the others are
+    NaN. Every feature but the column-1 frequency compares the query with
+    one candidate entity, so each distinct entity of a column is scored once.
     """
-    tgt_p1, src_p2, tgt_p2 = chain_type_sets(ctx.chain, pred_meta)
+    wanted = frozenset(columns)
+    f = np.full((len(cands), NUM_FEATURES), np.nan)
+    if 0 in wanted:
+        c1_frequency = Counter(x for x, _ in cands)
+        f[:, 0] = [c1_frequency[x] for x, _ in cands]
+    tgt_p1, src_p2, tgt_p2 = (  # features 17-22 read the chain's types
+        chain_type_sets(ctx.chain, pred_meta) if wanted & set(range(17, 23)) else (None,) * 3
+    )
     qis = frozenset(ctx.qis_tokens)
-    cn1, cn2 = frozenset(ctx.cn1_tokens), frozenset(ctx.cn2_tokens)
-    c1_frequency = Counter(x for x, _ in cands)
-    col1 = _column_features(
-        ctx.er[0], c1_frequency, qis, (tgt_p1, src_p2, cn1), entity_meta, embeddings
-    )
-    col2 = _column_features(
-        ctx.er[1], (y for _, y in cands), qis, (tgt_p2, cn2), entity_meta, embeddings
-    )
-    f = np.empty((len(cands), NUM_FEATURES))
-    for i, (x, y) in enumerate(cands):
-        f[i, 0] = c1_frequency[x]
-        f[i, _COL1] = col1[x]
-        f[i, _COL2] = col2[y]
+    for side, positions, type_sets in (
+        (0, _COL1, (tgt_p1, src_p2, frozenset(ctx.cn1_tokens))),
+        (1, _COL2, (tgt_p2, frozenset(ctx.cn2_tokens))),
+    ):
+        local = [i for i, p in enumerate(positions) if p in wanted]
+        if local and cands:
+            rows = _column_features(ctx.er[side], {c[side] for c in cands}, qis, type_sets,
+                                    local, entity_meta, embeddings)
+            f[:, [positions[i] for i in local]] = [rows[c[side]] for c in cands]
     return f
 
 
@@ -410,9 +422,14 @@ class RankerModel:
         self.learning_rate = learning_rate
         self.sigma = sigma
         self._nodes = _tree_arrays(self.trees)
+        # The features ``predict`` routes on; it reads no other column.
+        self.split_features = tuple(sorted(set(self._nodes[0].tolist()) - {-1}))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Scores of the rows of X; NaN in a column the trees read is a ``ValueError``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if np.isnan(X[:, list(self.split_features)]).any():
+            raise ValueError("a feature the ranker reads is NaN")
         scores = np.zeros(X.shape[0])
         for leaf_values in _leaf_values(self._nodes, X).T:
             scores += leaf_values

@@ -279,12 +279,14 @@ def _mean_rows(mat: np.ndarray, indices: Sequence[int]) -> np.ndarray:
 def select_top1(
     scorer,
     ctx: QueryContext,
-    chains: Iterable[ChainPair],
+    chains: Sequence[ChainPair],
     kb_vocab: Vocabulary,
     hp: SelectorHyperParams = DEFAULT_HP,
     run_key: int = 0,
 ) -> int:
     """Index of the highest-scoring chain; ties go to the smallest canonical string."""
+    if len(chains) == 1:
+        return 0  # a lone chain needs no encoding and no score
     encodings = [encode_chain(chain, kb_vocab, hp) for chain in chains]
     if not encodings:
         raise ValueError("no candidate chains to select from")

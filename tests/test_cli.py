@@ -685,11 +685,15 @@ class TestConfig:
             ("tables.jsonl", lambda rec: rec["set"].append(7)),
             ("tables.jsonl", lambda rec: rec["chains"][0].update(p1=7)),
             ("tables.jsonl", lambda rec: rec["chains"][0].update(p2=7)),
+            ("tables.jsonl", lambda rec: rec.update(rr=[])),
+            ("tables.jsonl", lambda rec: rec.update(table_id=7)),
+            ("split.json", lambda rec: rec["train"].append("no-such-table")),
             ("vocab_tb.json", lambda rec: rec["tokens"].append(7)),
             ("vocab_kb.json", lambda rec: rec.update(oov_token=["<oov>"])),
         ],
         ids=["no-chains", "first-chain-negative", "int-in-qis", "int-in-cn1", "int-in-cn2",
-             "int-in-set", "int-p1", "int-p2", "int-vocab-token", "list-oov-token"],
+             "int-in-set", "int-p1", "int-p2", "no-rr", "int-table-id", "unknown-split-id",
+             "int-vocab-token", "list-oov-token"],
     )
     def test_bad_dataset_record_exits_2_with_file_and_line(
         self, workspace, tmp_path, capsys, name, edit
@@ -705,7 +709,7 @@ class TestConfig:
         edit(rec)
         lines[line_no - 1] = json.dumps(rec) + "\n"
         (dataset / name).write_text("".join(lines))
-        for command in ("train-selector", "evaluate"):
+        for command in ("train-selector", "train-ranker", "evaluate"):
             argv = [command, "--config", str(cfg_path), "--dataset-dir", str(dataset)]
             assert main(argv) == 2
             err = capsys.readouterr().err

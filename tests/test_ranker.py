@@ -131,18 +131,19 @@ class TestFeaturizer:
         assert feats[0] == 1.0
         np.testing.assert_allclose(feats[1:17], 0.0, atol=1e-12)
 
-    def test_value_ranges(self, bundle, trained):
-        from kgtable import harness
+    def test_value_ranges(self, bundle):
         from kgtable.query import execute_chain
 
         table = bundle.heldout_tables()[0]
         chain = table.chains[0].chain  # the oracle chain
         result = execute_chain(bundle.g, table.se, chain)
         pairs = sorted(result.pairs)
-        featurizer = harness.FeatureTupleRanker(
-            trained.ranker, bundle.entity_meta, bundle.pred_meta, bundle.embeddings
+        ctx = rk.RankContext(table.qis, table.cn1, table.cn2, chain, table.rr[0])
+        # All 27 columns, as training computes them.
+        feats = rk.featurize(
+            ctx, pairs, bundle.entity_meta, bundle.pred_meta, bundle.embeddings
         )
-        feats = featurizer.features_for(table, chain, table.rr[0], pairs)
+        assert feats.shape == (len(pairs), 27)
         assert np.all(feats[:, 0] >= 1)
         jac_cols = [1, 2, 5, 6, 9, 10, 13, 14]
         assert np.all(feats[:, jac_cols] >= 0) and np.all(feats[:, jac_cols] <= 1)
@@ -251,8 +252,9 @@ class TestFeaturizeWorkCount:
         chain = chain_of("a.b.p0/^c.d.p1", "e.f.p2")
         pairs = [(x, y) for x in range(2, 8) for y in range(8, 14)] + [(0, 1)]
         k = len({e for pair in pairs for e in pair})
+        # Every column, as training featurizes; the empty model splits on none.
         ranker = harness.FeatureTupleRanker(
-            rk.RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings
+            rk.RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings, rk.ALL_FEATURES
         )
         ranker.features_for(table, chain, (0, 1), pairs)
         assert 0 < len(calls) <= 12 + 3 * k
@@ -261,6 +263,86 @@ class TestFeaturizeWorkCount:
         first = len(calls)
         ranker.features_for(table, chain, (0, 1), pairs)
         assert len(calls) == first
+
+
+class TestMaskedFeaturize:
+    """Serving featurizes only the columns the model splits on."""
+
+    # The split features of the trained corpus ranker of bench seed 1.
+    CORPUS_SPLITS = (2, 3, 4, 7, 8, 11, 12)
+
+    def test_scores_equal_full_width_and_unread_columns_are_nan(self, bundle, trained):
+        from kgtable.query import execute_chain
+
+        model = trained.ranker
+        read = list(model.split_features)
+        unread = [i for i in range(rk.NUM_FEATURES) if i not in read]
+        assert read and unread
+        featurizer = harness.FeatureTupleRanker(
+            model, bundle.entity_meta, bundle.pred_meta, bundle.embeddings
+        )
+        checked = 0
+        for table in bundle.heldout_tables():
+            chain = table.chains[0].chain
+            er = table.rr[0]
+            pairs = harness.ranking_candidates(execute_chain(bundle.g, table.se, chain), er)
+            if not pairs:
+                continue
+            masked = featurizer.features_for(table, chain, er, pairs)
+            ctx = rk.RankContext(table.qis, table.cn1, table.cn2, chain, er)
+            full = rk.featurize(
+                ctx, pairs, bundle.entity_meta, bundle.pred_meta, bundle.embeddings
+            )
+            assert np.isnan(masked[:, unread]).all()
+            assert np.array_equal(masked[:, read], full[:, read])
+            assert np.array_equal(model.predict(masked), model.predict(full))
+            checked += 1
+        assert checked
+
+    def test_split_features_and_nan_in_a_read_column(self):
+        def split(feature, left, right):
+            return {"feature": feature, "threshold": 0.5, "left": left, "right": right}
+
+        up, down = {"value": 1.0}, {"value": -1.0}
+        model = rk.RankerModel([split(9, up, split(2, down, up)), split(9, down, up)], 0.1, 1.0)
+        assert model.split_features == (2, 9)
+        X = np.full((2, rk.NUM_FEATURES), np.nan)
+        X[:, [2, 9]] = [[0.0, 0.0], [1.0, 1.0]]
+        assert model.predict(X).tolist() == [0.0, 0.2]
+        X[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            model.predict(X)
+
+    def test_masked_featurize_counts_cosines_and_type_lookups(self, monkeypatch):
+        ctx, entity_meta, pred_meta, embeddings = golden_fixture()
+        cosines, lookups = [], []
+        cosine = rk.PretrainedEmbeddings.cosine
+        monkeypatch.setattr(
+            rk.PretrainedEmbeddings, "cosine",
+            lambda self, a, b: cosines.append(1) or cosine(self, a, b),
+        )
+        get = pred_meta.get
+        monkeypatch.setattr(pred_meta, "get", lambda name: lookups.append(name) or get(name))
+
+        def count(columns):
+            del cosines[:], lookups[:]
+            feats = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, embeddings, columns)
+            return feats[0], len(cosines), len(lookups)
+
+        # Each column: 4 cosines against the example and the intent, and two
+        # per type set, the example's and the candidate's (3 sets, then 2).
+        feats, n_cos, n_types = count(rk.ALL_FEATURES)
+        assert (n_cos, n_types) == (4 + 2 * 3 + 4 + 2 * 2, 3)
+        # Three cosine features a column, no type set.
+        feats, n_cos, n_types = count(self.CORPUS_SPLITS)
+        assert (n_cos, n_types) == (6, 0)
+        wanted = list(self.CORPUS_SPLITS)
+        np.testing.assert_allclose(feats[wanted], np.asarray(GOLDEN_27)[wanted], atol=1e-9)
+        assert np.isnan(np.delete(feats, wanted)).all()
+        # One chain-type diff: the example's cosine and the candidate's.
+        feats, n_cos, n_types = count([20])
+        assert (n_cos, n_types) == (2, 3)
+        assert feats[20] == pytest.approx(GOLDEN_27[20])
 
 
 class TestChainTypeSets:

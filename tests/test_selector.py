@@ -105,8 +105,11 @@ class TestSelectTop1:
         return sel.QueryContext((), (), (), ())
 
     def test_single_candidate(self):
-        c = chain_of("p", "q")
-        assert sel.select_top1(self.FixedScorer({}), self._ctx(), [c], self.KB) == 0
+        class Unscorable:
+            def scores(self, ctx, chains, run_key):
+                raise AssertionError("a single chain needs no scores")
+
+        assert sel.select_top1(Unscorable(), self._ctx(), [chain_of("p", "q")], self.KB) == 0
 
     def test_highest_score_wins(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
