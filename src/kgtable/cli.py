@@ -3,7 +3,10 @@
 Subcommands: build-dataset, train-selector, train-ranker, evaluate,
 core-column-eval, complete, render-sparql. Every config key is exposed as
 a flag (flags override the --config JSON file) and every subcommand is
-idempotent given identical inputs and seed.
+idempotent given identical inputs and seed. build-dataset parses the KB,
+word-embedding and type files once and compiles them into the dataset's
+kb.json; every later command reads that file, after checking the configured
+files are the ones it was compiled from, and parses none of them.
 """
 
 from __future__ import annotations
@@ -61,25 +64,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _kb_sources(cfg: RunConfig) -> dict[str, str]:
-    """The KB files a compiled KB records, by config key."""
+    """The input files a compiled KB records, by config key."""
     if not cfg.graph_path:
         raise ConfigurationError("graph_path is required")
     return {
         "graph_path": cfg.graph_path,
         "entity_meta_path": cfg.entity_meta_path,
         "predicate_meta_path": cfg.predicate_meta_path,
+        "embeddings_path": cfg.embeddings_path,
+        "mid2types_path": cfg.mid2types_path,
+        "fget_path": cfg.fget_path,
     }
 
 
-def _load_kb(cfg: RunConfig):
+def _load_kb(cfg: RunConfig) -> ds.CompiledKB:
     """The KB that build-dataset compiled into the dataset directory."""
     return ds.load_kb(cfg.dataset_dir, _kb_sources(cfg))
-
-
-def _load_embeddings(cfg: RunConfig) -> ranker.PretrainedEmbeddings:
-    if cfg.embeddings_path:
-        return ranker.PretrainedEmbeddings.load(cfg.embeddings_path)
-    return ranker.PretrainedEmbeddings({}, 1)
 
 
 def _selector_model_path(cfg: RunConfig) -> str:
@@ -127,6 +127,11 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
         if cfg.predicate_meta_path
         else PredicateMetaStore()
     )
+    embeddings = (
+        ranker.PretrainedEmbeddings.load(cfg.embeddings_path)
+        if cfg.embeddings_path
+        else ranker.PretrainedEmbeddings({}, 1)
+    )
     corpus = ds.read_corpus(cfg.corpus_path)
     url2mid = ds.read_tsv_map(cfg.url2mid_path)
     types_by_mid = ds.read_tsv_multimap(cfg.mid2types_path) if cfg.mid2types_path else {}
@@ -135,8 +140,10 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
         corpus, g, url2mid, entity_meta, types_by_mid, fget_map,
         cfg.build_settings(), cfg.seed, cfg.k_negatives,
     )
-    ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g, type_freq)
-    ds.save_kb(cfg.dataset_dir, g, entity_meta, pred_meta, sources)
+    ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g)
+    sets = ds.subject_set_column(g, types_by_mid, type_freq, fget_map)
+    kb = ds.CompiledKB(g, entity_meta, pred_meta, embeddings, *sets)
+    ds.save_kb(cfg.dataset_dir, kb, sources)
     print(
         f"annotated {len(tables)} tables "
         f"(train/val/test = {len(split.train)}/{len(split.validation)}/{len(split.test)}) "
@@ -148,7 +155,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 
 
 def cmd_train_selector(cfg: RunConfig) -> int:
-    g, _, _ = _load_kb(cfg)
+    g = _load_kb(cfg).graph
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     train_tables = [tables[tid] for tid in split.train]
     hp = cfg.selector_hp()
@@ -167,9 +174,8 @@ def cmd_train_selector(cfg: RunConfig) -> int:
 
 
 def cmd_train_ranker(cfg: RunConfig) -> int:
-    g, entity_meta, pred_meta = _load_kb(cfg)
+    g, entity_meta, pred_meta, embeddings, *_ = _load_kb(cfg)
     tables, split, _, _ = ds.load_dataset(cfg.dataset_dir, g)
-    embeddings = _load_embeddings(cfg)
     groups = harness.ranker_training_groups(
         [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
         cfg.budget(),
@@ -192,9 +198,8 @@ def _eval_tables(cfg: RunConfig, tables, split):
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    g, entity_meta, pred_meta = _load_kb(cfg)
+    g, entity_meta, pred_meta, embeddings, *_ = _load_kb(cfg)
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
-    embeddings = _load_embeddings(cfg)
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
     eval_tables = _eval_tables(cfg, tables, split)
@@ -215,7 +220,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_core_column_eval(cfg: RunConfig) -> int:
-    g, _, _ = _load_kb(cfg)
+    g = _load_kb(cfg).graph
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
     eval_tables = _eval_tables(cfg, tables, split)
@@ -236,29 +241,13 @@ def cmd_core_column_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _derive_set_tokens(cfg: RunConfig, query: dict, se_mid: str) -> tuple[str, ...]:
-    if query.get("set"):
-        return tuple(query["set"])
-    if cfg.mid2types_path:
-        # Rank the subject's types by the build's frequencies, as build-dataset did.
-        type_freq = ds.load_type_freq(cfg.dataset_dir)
-        types_by_mid = ds.read_tsv_multimap(cfg.mid2types_path)
-        fget_map = ds.read_tsv_map(cfg.fget_path) if cfg.fget_path else {}
-        try:
-            return ds.build_set(types_by_mid.get(se_mid, ()), type_freq, fget_map)
-        except ValueError:
-            pass
-    return (ds.EMPTY_TOKEN,)
-
-
 def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     if cfg.selector == "oracle":
         raise ConfigurationError(
             "the oracle selector needs labelled chains and complete's candidates have "
             "none; use jacsim, linear, embedding or random"
         )
-    g, entity_meta, pred_meta = _load_kb(cfg)
-    embeddings = _load_embeddings(cfg)
+    g, entity_meta, pred_meta, embeddings, subject_sets, subject_set_ids = _load_kb(cfg)
     query = read_json(query_path)
     for key in ("se", "er1", "er2", "cn1", "cn2"):
         if key not in query:
@@ -287,7 +276,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         raise ParseError(query_path, 1, f"'cn1'/'cn2': {exc}") from exc
     # A random pick reads no tokens: it needs no SET and no vocabularies.
     reads_tokens = cfg.selector != "random"
-    set_tokens = _derive_set_tokens(cfg, query, query["se"]) if reads_tokens else ()
+    set_tokens = (tuple(given_set) or subject_sets[subject_set_ids[se]]) if reads_tokens else ()
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
 
     settings = cfg.build_settings()

@@ -6,30 +6,38 @@ and join candidate chains, execute every chain to score it against the
 ground-truth rows, and label positives. Tables failing any constraint are
 rejected with a reason. The corpus is then split 80/10/10, training tables
 are padded with sampled negatives, and two vocabularies are built from the
-training+validation portions.
+training+validation portions. ``save_kb`` compiles what serving reads
+besides the dataset files: the KB, the word embeddings and each entity's SET
+tokens.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .graph import (
     DEFAULT_DEGREE_CAP,
+    EMPTY_ENTITY_META,
     GENERIC_TYPE_PREFIXES,
+    EntityMeta,
     EntityMetaStore,
     KnowledgeGraph,
     ParseError,
     PredicateMetaStore,
     _json_lines,
     _tsv_rows,
-    decode_kb,
-    encode_kb,
+    encode_column,
+    float_column,
+    int_column,
     read_json,
     write_json_lines,
 )
@@ -42,10 +50,10 @@ from .paths import (
     join_chains,
 )
 from .query import BudgetExceeded, QueryBudget, execute_chain
+from .ranker import PretrainedEmbeddings
 from .text import EMPTY_TOKEN, NUM_TOKEN, is_numeric, tokenize
 
 OOV_TOKEN = "<oov>"
-TYPE_FREQ_FILE = "type_freq.json"
 KB_FILE = "kb.json"
 REBUILD = "rebuild the dataset with build-dataset"
 MIN_LINKED_ROWS = 3
@@ -604,10 +612,8 @@ def save_dataset(
     tb_vocab: Vocabulary,
     kb_vocab: Vocabulary,
     g: KnowledgeGraph,
-    type_freq: Mapping[str, int],
 ) -> None:
-    """Write tables.jsonl, split.json, the two vocabulary files and the
-    subject type frequencies ``build_set`` ranked by (``TYPE_FREQ_FILE``).
+    """Write tables.jsonl, split.json and the two vocabulary files.
 
     All output is byte-deterministic: tables are ordered by id.
     """
@@ -631,19 +637,6 @@ def save_dataset(
             out / name,
             [{"kind": vocab.kind, "oov_token": vocab.oov_token, "tokens": list(vocab.tokens)}],
         )
-    write_json_lines(out / TYPE_FREQ_FILE, [dict(type_freq)])
-
-
-def load_type_freq(in_dir: str) -> dict[str, int]:
-    """The subject type frequencies ``save_dataset`` wrote, for serving-time SET."""
-    path = Path(in_dir) / TYPE_FREQ_FILE
-    try:
-        freq = read_json(str(path))
-    except FileNotFoundError:
-        raise ConfigurationError(f"{path} is missing; {REBUILD}") from None
-    if not all(isinstance(v, int) for v in freq.values()):
-        raise ParseError(str(path), 1, "expected an object of type counts")
-    return freq
 
 
 def _source_hashes(sources: Mapping[str, str]) -> dict[str, str | None]:
@@ -654,25 +647,173 @@ def _source_hashes(sources: Mapping[str, str]) -> dict[str, str | None]:
     }
 
 
-def save_kb(
-    out_dir: str,
+class CompiledKB(NamedTuple):
+    """What serving reads of the input files, compiled once into ``KB_FILE``.
+
+    Entity e's SET tokens are ``subject_sets[subject_set_ids[e]]``: those
+    ``build_set`` derives for a table subject, or ``subject_sets[0]``,
+    ``(EMPTY_TOKEN,)``, where no specific type survives pruning.
+    """
+
+    graph: KnowledgeGraph
+    entity_meta: EntityMetaStore
+    pred_meta: PredicateMetaStore
+    embeddings: PretrainedEmbeddings
+    subject_sets: Sequence[tuple[str, ...]]
+    subject_set_ids: Sequence[int]
+
+
+def subject_set_column(
     g: KnowledgeGraph,
-    entity_meta: EntityMetaStore,
-    pred_meta: PredicateMetaStore,
-    sources: Mapping[str, str],
-) -> None:
-    """Write ``KB_FILE``: the loaded KB compiled by ``encode_kb``, plus the
-    sha256 of each file in ``sources`` (config key -> path, empty when unset)."""
-    record = encode_kb(g, entity_meta, pred_meta)
-    record["sources"] = _source_hashes(sources)
+    types_by_mid: Mapping[str, tuple[str, ...]],
+    type_freq: Mapping[str, int],
+    fget_map: Mapping[str, str],
+) -> tuple[list[tuple[str, ...]], list[int]]:
+    """``CompiledKB.subject_sets`` and ``subject_set_ids`` over the build's
+    type files and frequencies."""
+    sets = {(EMPTY_TOKEN,): 0}
+    by_types: dict[tuple[str, ...], int] = {}  # most entities share a type list
+    ids = []
+    for e in range(len(g)):
+        types = types_by_mid.get(g.mid(e), ())
+        i = by_types.get(types)
+        if i is None:
+            try:
+                tokens = build_set(types, type_freq, fget_map)
+            except ValueError:
+                tokens = (EMPTY_TOKEN,)
+            i = by_types[types] = sets.setdefault(tokens, len(sets))
+        ids.append(i)
+    return list(sets), ids
+
+
+def save_kb(out_dir: str, kb: CompiledKB, sources: Mapping[str, str]) -> None:
+    """Write ``KB_FILE``: ``kb`` as one JSON record of string tables and
+    base64 little-endian columns, plus the sha256 of each file in ``sources``
+    (config key -> path, empty when unset).
+
+    The graph's int32 columns are those of ``KnowledgeGraph._assemble``.
+    Entity metadata refers to the distinct description-token tuples and
+    type-token sets by index; records keep the stores' order, so equal
+    stores give equal records. The embeddings are their token list and one
+    float64 column of the vectors in token order; the SET tokens are the
+    distinct token lists and one int32 column indexing them per entity.
+    """
+    g, entity_meta, pred_meta, embeddings = kb.graph, kb.entity_meta, kb.pred_meta, kb.embeddings
+    descriptions: dict[tuple[str, ...], int] = {}
+    type_sets: dict[frozenset[str], int] = {}
+    # Each distinct value gets the next index.
+    d_index, t_index = descriptions.setdefault, type_sets.setdefault
+    metas = [entity_meta.get(e) for e in entity_meta]
+    columns = dict(zip(("group_offsets", "token_codes", "neighbour_offsets", "neighbour_ids"),
+                       g._columns))
+    columns["meta_entities"] = list(entity_meta)
+    columns["meta_descriptions"] = [d_index(m.description, len(descriptions)) for m in metas]
+    for key in ("notable_types", "rdf_types"):
+        columns["meta_" + key] = [t_index(getattr(m, key), len(type_sets)) for m in metas]
+    columns["predicate_type_sets"] = [t_index(t, len(type_sets)) for t in pred_meta._tgt.values()]
+    columns["subject_set_ids"] = kb.subject_set_ids
+    record = {
+        "mids": g._mids,
+        "predicates": g._preds,
+        "descriptions": list(descriptions),
+        "type_sets": [sorted(t) for t in type_sets],
+        "names": [m.name for m in metas],
+        "typed_predicates": list(pred_meta._tgt),
+        "embedding_tokens": list(embeddings._vectors),
+        "embedding_dim": embeddings.dim,
+        "embedding_vectors": encode_column(list(embeddings._vectors.values()), "<f8"),
+        "subject_sets": [list(t) for t in kb.subject_sets],
+        "sources": _source_hashes(sources),
+        **{key: encode_column(col, "<i4") for key, col in columns.items()},
+    }
     write_json_lines(Path(out_dir) / KB_FILE, [record])
 
 
-def load_kb(
-    in_dir: str, sources: Mapping[str, str]
-) -> tuple[KnowledgeGraph, EntityMetaStore, PredicateMetaStore]:
-    """The KB that ``save_kb`` compiled, decoded by ``decode_kb``, once the
-    configured ``sources`` are checked to be the files it was compiled from."""
+def _offsets(rec: dict, key: str, count: int, total: int) -> np.ndarray:
+    """The offsets column ``key``: ``count + 1`` values rising from 0 to ``total``."""
+    off = int_column(rec, key, total + 1)
+    if len(off) != count + 1 or off[0] != 0 or off[-1] != total or (np.diff(off) < 0).any():
+        raise ValueError(f"{key} are not {count + 1} offsets rising from 0 to {total}")
+    return off
+
+
+def _decode_kb(rec: dict) -> CompiledKB:
+    """The ``CompiledKB`` of a ``save_kb`` record, every column checked whole."""
+    mids, preds = rec["mids"], rec["predicates"]
+    names, typed = rec["names"], rec["typed_predicates"]
+    descriptions = [tuple(d) for d in rec["descriptions"]]
+    type_sets = [frozenset(t) for t in rec["type_sets"]]
+    if not all(type(v) is list for v in (mids, preds, names, typed)):
+        raise TypeError("mids, predicates, names and typed predicates must be lists")
+    strings = itertools.chain(mids, preds, names, typed, *descriptions, *type_sets)
+    if not set(map(type, strings)) <= {str}:
+        raise ValueError("a mid, name or token is not a string")
+    codes = int_column(rec, "token_codes", 2 * len(preds))
+    nbrs = int_column(rec, "neighbour_ids", len(mids))
+    goff = _offsets(rec, "group_offsets", len(mids), len(codes))
+    noff = _offsets(rec, "neighbour_offsets", len(codes), len(nbrs))
+    # Within an entity, each group's code exceeds the one before.
+    rising = np.diff(codes) > 0
+    rising[goff[(goff > 0) & (goff < len(codes))] - 1] = True
+    if not rising.all():
+        raise ValueError("an entity's token codes repeat or fall")
+    g = KnowledgeGraph.__new__(KnowledgeGraph)
+    g._assemble(mids, preds, (goff, codes, noff, nbrs))
+    if len(g._ids) != len(mids):
+        raise ValueError("mids repeat")
+    stops = {"entities": len(mids), "descriptions": len(descriptions),
+             "notable_types": len(type_sets), "rdf_types": len(type_sets)}
+    entities, d, notable, rdf = (
+        memoryview(int_column(rec, "meta_" + key, stop)) for key, stop in stops.items()
+    )
+    tgt = int_column(rec, "predicate_type_sets", len(type_sets))
+    row = dict(zip(entities, range(len(entities))))
+    if {len(row), len(d), len(notable), len(rdf)} != {len(names)} or len(tgt) != len(typed):
+        raise ValueError("metadata entities repeat or columns differ in length")
+
+    tokens, dim = rec["embedding_tokens"], rec["embedding_dim"]
+    if type(tokens) is not list or not set(map(type, tokens)) <= {str}:
+        raise TypeError("'embedding_tokens' must be a list of strings")
+    if len(set(tokens)) != len(tokens) or type(dim) is not int or dim < 0:
+        raise ValueError("embedding tokens repeat or 'embedding_dim' is not a count")
+    vectors = float_column(rec, "embedding_vectors", len(tokens) * dim)
+    sets = rec["subject_sets"]
+    if type(sets) is not list or not all(
+        type(t) is list and set(map(type, t)) <= {str} for t in sets
+    ):
+        raise TypeError("'subject_sets' must be lists of strings")
+    set_ids = int_column(rec, "subject_set_ids", len(sets))
+    if len(set_ids) != len(mids):
+        raise ValueError(f"subject_set_ids holds {len(set_ids)} values, not {len(mids)}")
+
+    def decode(entity: int) -> EntityMeta:
+        r = row.get(entity)
+        if r is None:
+            return EMPTY_ENTITY_META
+        return EntityMeta(names[r], descriptions[d[r]], type_sets[notable[r]], type_sets[rdf[r]])
+
+    tgt_by_name = dict(zip(typed, (type_sets[t] for t in tgt.tolist())))
+    return CompiledKB(
+        g,
+        EntityMetaStore(decode=decode, entities=entities),
+        PredicateMetaStore(tgt_by_name),
+        PretrainedEmbeddings(dict(zip(tokens, vectors.reshape(len(tokens), dim))), dim),
+        [tuple(t) for t in sets],
+        set_ids,
+    )
+
+
+def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
+    """The ``CompiledKB`` that ``save_kb`` wrote, once the configured
+    ``sources`` are checked to be the files it was compiled from.
+
+    Every column is checked whole, but an entity's adjacency and metadata
+    are built on their first read. Equal descriptions share one tuple and
+    equal type sets one frozenset. A missing field, a value of the wrong
+    type or length, an id out of range or a non-finite vector value is a
+    ``ParseError`` naming the file.
+    """
     path = Path(in_dir) / KB_FILE
     hashes = _source_hashes(sources)
     try:
@@ -686,7 +827,10 @@ def load_kb(
             raise ConfigurationError(
                 f"{path} was not compiled from {name} = {given}; {REBUILD}"
             )
-    return decode_kb(rec, str(path))
+    try:
+        return _decode_kb(rec)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(str(path), 1, f"bad compiled KB: {exc!r}") from exc
 
 
 def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:

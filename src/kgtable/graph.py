@@ -15,7 +15,6 @@ import base64
 import json
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -464,47 +463,16 @@ def load_predicate_meta(path: str) -> PredicateMetaStore:
     return PredicateMetaStore(tgt_by_name)
 
 
-# -- compiled KB -------------------------------------------------------------
+# -- binary columns in JSON records -----------------------------------------
 
 
-def encode_kb(
-    g: KnowledgeGraph, entity_meta: EntityMetaStore, pred_meta: PredicateMetaStore
-) -> dict:
-    """A loaded KB as one JSON record of string tables and int32 columns.
-
-    Each integer column is the base64 of its little-endian int32 bytes. The
-    graph's are the columns of ``KnowledgeGraph._assemble``. Entity metadata
-    refers to the distinct description-token tuples and type-token sets by
-    index; records keep the stores' order, so equal stores give equal records.
-    """
-    descriptions: dict[tuple[str, ...], int] = {}
-    type_sets: dict[frozenset[str], int] = {}
-    # Each distinct value gets the next index.
-    d_index, t_index = descriptions.setdefault, type_sets.setdefault
-    metas = [entity_meta.get(e) for e in entity_meta]
-    columns = dict(zip(("group_offsets", "token_codes", "neighbour_offsets", "neighbour_ids"),
-                       g._columns))
-    columns["meta_entities"] = list(entity_meta)
-    columns["meta_descriptions"] = [d_index(m.description, len(descriptions)) for m in metas]
-    for key in ("notable_types", "rdf_types"):
-        columns["meta_" + key] = [t_index(getattr(m, key), len(type_sets)) for m in metas]
-    columns["predicate_type_sets"] = [t_index(t, len(type_sets)) for t in pred_meta._tgt.values()]
-    return {
-        "mids": g._mids,
-        "predicates": g._preds,
-        "descriptions": list(descriptions),
-        "type_sets": [sorted(t) for t in type_sets],
-        "names": [m.name for m in metas],
-        "typed_predicates": list(pred_meta._tgt),
-        **{
-            key: base64.b64encode(np.asarray(col, dtype="<i4").tobytes()).decode("ascii")
-            for key, col in columns.items()
-        },
-    }
+def encode_column(values, dtype: str) -> str:
+    """``values`` as the base64 of their little-endian bytes: ``"<i4"`` or ``"<f8"``."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _column(rec: dict, key: str, stop: int) -> np.ndarray:
-    """The int32 column ``key`` of a compiled KB; each value must lie in ``range(stop)``."""
+def int_column(rec: dict, key: str, stop: int) -> np.ndarray:
+    """The int32 column ``key`` of a record; each value must lie in ``range(stop)``."""
     col = np.frombuffer(base64.b64decode(rec[key], validate=True), "<i4")
     col = col.astype(np.int32, copy=False)  # native order, so a memoryview can index it
     if col.size and (col.min() < 0 or col.max() >= stop):
@@ -512,62 +480,9 @@ def _column(rec: dict, key: str, stop: int) -> np.ndarray:
     return col
 
 
-def _offsets(rec: dict, key: str, count: int, total: int) -> np.ndarray:
-    """The offsets column ``key``: ``count + 1`` values rising from 0 to ``total``."""
-    off = _column(rec, key, total + 1)
-    if len(off) != count + 1 or off[0] != 0 or off[-1] != total or (np.diff(off) < 0).any():
-        raise ValueError(f"{key} are not {count + 1} offsets rising from 0 to {total}")
-    return off
-
-
-def decode_kb(
-    rec: dict, path: str
-) -> tuple[KnowledgeGraph, EntityMetaStore, PredicateMetaStore]:
-    """The graph and the metadata stores ``encode_kb`` recorded.
-
-    Every column is checked whole, but an entity's adjacency and metadata
-    are built on their first read. Equal descriptions share one tuple and
-    equal type sets one frozenset. A missing field, a value of the wrong
-    type or length, or an id out of range is a ``ParseError`` naming ``path``.
-    """
-    try:
-        mids, preds = rec["mids"], rec["predicates"]
-        names, typed = rec["names"], rec["typed_predicates"]
-        descriptions = [tuple(d) for d in rec["descriptions"]]
-        type_sets = [frozenset(t) for t in rec["type_sets"]]
-        strings = chain(mids, preds, names, typed, *descriptions, *type_sets)
-        if not set(map(type, strings)) <= {str}:
-            raise ValueError("a mid, name or token is not a string")
-        codes = _column(rec, "token_codes", 2 * len(preds))
-        nbrs = _column(rec, "neighbour_ids", len(mids))
-        goff = _offsets(rec, "group_offsets", len(mids), len(codes))
-        noff = _offsets(rec, "neighbour_offsets", len(codes), len(nbrs))
-        # Within an entity, each group's code exceeds the one before.
-        rising = np.diff(codes) > 0
-        rising[goff[(goff > 0) & (goff < len(codes))] - 1] = True
-        if not rising.all():
-            raise ValueError("an entity's token codes repeat or fall")
-        g = KnowledgeGraph.__new__(KnowledgeGraph)
-        g._assemble(mids, preds, (goff, codes, noff, nbrs))
-        if len(g._ids) != len(mids):
-            raise ValueError("mids repeat")
-        stops = {"entities": len(mids), "descriptions": len(descriptions),
-                 "notable_types": len(type_sets), "rdf_types": len(type_sets)}
-        entities, d, notable, rdf = (
-            memoryview(_column(rec, "meta_" + key, stop)) for key, stop in stops.items()
-        )
-        tgt = _column(rec, "predicate_type_sets", len(type_sets))
-        row = dict(zip(entities, range(len(entities))))
-        if {len(row), len(d), len(notable), len(rdf)} != {len(names)} or len(tgt) != len(typed):
-            raise ValueError("metadata entities repeat or columns differ in length")
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ParseError(path, 1, f"bad compiled KB: {exc!r}") from exc
-
-    def decode(entity: int) -> EntityMeta:
-        r = row.get(entity)
-        if r is None:
-            return EMPTY_ENTITY_META
-        return EntityMeta(names[r], descriptions[d[r]], type_sets[notable[r]], type_sets[rdf[r]])
-
-    tgt_by_name = dict(zip(typed, (type_sets[t] for t in tgt.tolist())))
-    return g, EntityMetaStore(decode=decode, entities=entities), PredicateMetaStore(tgt_by_name)
+def float_column(rec: dict, key: str, count: int) -> np.ndarray:
+    """The float64 column ``key`` of a record: exactly ``count`` finite values."""
+    col = np.frombuffer(base64.b64decode(rec[key], validate=True), "<f8")
+    if len(col) != count or not np.isfinite(col).all():
+        raise ValueError(f"{key} is not {count} finite float64 values")
+    return col.astype(np.float64, copy=False)

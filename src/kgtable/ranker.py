@@ -63,11 +63,15 @@ NUM_FEATURES = len(FEATURE_NAMES)
 
 
 class PretrainedEmbeddings:
-    """Word vectors loaded from a ``token v1 v2 .. vD`` text file.
+    """Word vectors: token -> float64 vector of ``dim`` values.
 
-    Cosines memoize each token set's (mean vector, norm) for the lifetime of
-    the object, which is one command; a set is keyed by its frozenset, which
-    loses nothing because the mean de-duplicates and sorts the tokens anyway.
+    ``load`` parses a ``token v1 v2 .. vD`` text file. Only build-dataset
+    calls it: it compiles the vectors into the dataset's ``kb.json``, and
+    every later command reads them from there (``dataset.load_kb``), bit for
+    bit. Cosines memoize each token set's (mean vector, norm) for the lifetime
+    of the object, which is one command; a set is keyed by its frozenset,
+    which loses nothing because the mean de-duplicates and sorts the tokens
+    anyway.
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray], dim: int):

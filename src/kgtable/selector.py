@@ -20,6 +20,7 @@ products rather than one pass per triple.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +30,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dataset import AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
-from .graph import ParseError, read_json, write_json_lines
+from .graph import ParseError, encode_column, float_column, read_json, write_json_lines
 from .paths import ChainPair
 
 
@@ -573,53 +574,62 @@ def train_linear(
 # -- model files --------------------------------------------------------------------
 
 
+def _matrix_record(m: np.ndarray) -> dict:
+    return {"shape": list(m.shape), "data": encode_column(m, "<f8")}
+
+
 def save_scorer(path: str, scorer) -> None:
+    """Write a trained scorer: each matrix as its shape and its base64 float64 bytes."""
     if isinstance(scorer, EmbeddingScorer):
         payload = {
-            "version": 1,
             "type": "embedding",
-            "tb_vocab_hash": scorer.tb_vocab_hash,
-            "kb_vocab_hash": scorer.kb_vocab_hash,
             "margin": scorer.margin,
-            "dims": {
-                "qis": scorer.qis_emb.shape[1],
-                "cn": scorer.cn_emb.shape[1],
-                "set": scorer.set_emb.shape[1],
-                "chain": scorer.chain_emb.shape[1],
-            },
-            "params": {k: m.tolist() for k, m in scorer.matrices().items()},
+            "params": {k: _matrix_record(m) for k, m in scorer.matrices().items()},
         }
     elif isinstance(scorer, LinearScorer):
         payload = {
-            "version": 1,
             "type": "linear",
-            "tb_vocab_hash": scorer.tb_vocab_hash,
-            "kb_vocab_hash": scorer.kb_vocab_hash,
             "tb_size": scorer.tb_size,
             "kb_size": scorer.kb_size,
-            "weights": scorer.weights.tolist(),
+            "weights": _matrix_record(scorer.weights),
             "bias": scorer.bias,
         }
     else:
         raise ConfigurationError(f"cannot serialize scorer of type {type(scorer).__name__}")
+    payload.update(
+        version=2,
+        tb_vocab_hash=scorer.tb_vocab_hash,
+        kb_vocab_hash=scorer.kb_vocab_hash,
+    )
     write_json_lines(path, [payload])
 
 
-def _array(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as a numeric array of ``shape``, where ``None`` matches any length."""
-    arr = np.asarray(value)  # a ragged list raises ValueError
-    if arr.dtype.kind not in "fi" or arr.ndim != len(shape) or any(
-        want not in (None, got) for want, got in zip(shape, arr.shape)
+def _matrix(rec: dict, name: str, shape: tuple) -> np.ndarray:
+    """The matrix ``_matrix_record`` wrote, of ``shape``; ``None`` matches any length."""
+    got = rec["shape"]
+    if (
+        type(got) is not list
+        or len(got) != len(shape)
+        or not all(type(n) is int and n >= 0 for n in got)
+        or any(want not in (None, n) for want, n in zip(shape, got))
     ):
-        raise ValueError(f"{name!r} must be a numeric array of shape {shape}")
-    return arr
+        raise ValueError(f"{name!r} must be a matrix of shape {shape}")
+    return float_column(rec, "data", math.prod(got)).reshape(got)
+
+
+def _number(value, name: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name!r} must be a finite number")
+    return float(value)
 
 
 def load_scorer(path: str, tb_vocab: Vocabulary, kb_vocab: Vocabulary):
     """The scorer ``save_scorer`` wrote; a malformed file is a ``ParseError`` naming it."""
     payload = read_json(path)
     kind = payload.get("type")
-    if payload.get("version") != 1 or kind not in ("embedding", "linear"):
+    if payload.get("version") == 1:
+        raise ParseError(path, 1, "a version-1 selector model; retrain it with train-selector")
+    if payload.get("version") != 2 or kind not in ("embedding", "linear"):
         raise ParseError(path, 1, "not a selector model file")
     hashes = payload.get("tb_vocab_hash"), payload.get("kb_vocab_hash")
     if not all(isinstance(h, str) for h in hashes):
@@ -634,13 +644,13 @@ def load_scorer(path: str, tb_vocab: Vocabulary, kb_vocab: Vocabulary):
             params = payload["params"]
             rows = {"qis": tb, "cn": tb, "set": kb, "chain": kb}
             return EmbeddingScorer(
-                *(_array(params[k], k, (n, None)) for k, n in rows.items()),
-                float(_array(payload["margin"], "margin", ())),
+                *(_matrix(params[k], k, (n, None)) for k, n in rows.items()),
+                _number(payload["margin"], "margin"),
                 *hashes,
             )
         if (payload["tb_size"], payload["kb_size"]) != (tb, kb):
             raise ValueError("'tb_size' and 'kb_size' must be the vocabulary sizes")
-        weights = _array(payload["weights"], "weights", (3 * tb + 2 * kb,))
-        return LinearScorer(weights, _array(payload["bias"], "bias", ()), tb, kb, *hashes)
+        weights = _matrix(payload["weights"], "weights", (3 * tb + 2 * kb,))
+        return LinearScorer(weights, _number(payload["bias"], "bias"), tb, kb, *hashes)
     except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
         raise ParseError(path, 1, f"bad selector model: {exc!r}") from None

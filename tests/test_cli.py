@@ -1,14 +1,20 @@
 import base64
+import contextlib
 import gc
+import io
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgtable import dataset as ds
-from kgtable import harness, selector, synth
-from kgtable.cli import _derive_set_tokens, main
+from kgtable import cli, harness, ranker, selector, synth
+from kgtable.cli import _kb_sources, main
 from kgtable.config import RunConfig, config_defaults, load_config
 from kgtable.dataset import BuildSettings, ConfigurationError
 from kgtable.graph import (
@@ -24,16 +30,24 @@ from kgtable.ranker import PretrainedEmbeddings, RankerConfig, RankerModel, save
 from kgtable.selector import SelectorHyperParams
 
 
-def save_kb(dataset, graph, meta=None):
-    """Compile a graph file (and an entity metadata file) into ``dataset`` as build-dataset does."""
+def save_kb(dataset, graph, meta=None, mid2types=None, type_freq=None):
+    """Compile a graph file (an entity metadata file and a mid2types file, whose
+    types rank by ``type_freq``) into ``dataset`` as build-dataset does."""
     g = load_triples(str(graph))
     entity_meta = load_entity_meta(str(meta), g) if meta else EntityMetaStore()
+    types_by_mid = ds.read_tsv_multimap(str(mid2types)) if mid2types else {}
     sources = {
         "graph_path": str(graph),
         "entity_meta_path": str(meta) if meta else "",
         "predicate_meta_path": "",
+        "embeddings_path": "",
+        "mid2types_path": str(mid2types) if mid2types else "",
+        "fget_path": "",
     }
-    ds.save_kb(str(dataset), g, entity_meta, PredicateMetaStore(), sources)
+    sets = ds.subject_set_column(g, types_by_mid, type_freq or {}, {})
+    empty = PretrainedEmbeddings({}, 1)
+    kb = ds.CompiledKB(g, entity_meta, PredicateMetaStore(), empty, *sets)
+    ds.save_kb(str(dataset), kb, sources)
 
 
 def b64bytes(text):
@@ -55,11 +69,29 @@ def edit_column(key, change):
     return edit
 
 
+def edit_floats(key, change):
+    """An edit of a record: ``change(values)`` on the float64 column ``key``."""
+
+    def edit(rec):
+        values = np.frombuffer(b64bytes(rec[key]), dtype="<f8").tolist()
+        change(values)
+        rec[key] = b64(np.asarray(values, dtype="<f8").tobytes())
+
+    return edit
+
+
 def repeat_a_token_code(codes, rec):
     """Give the second group of the first entity with two groups the first one's code."""
     offsets = np.frombuffer(b64bytes(rec["group_offsets"]), dtype="<i4").tolist()
     first = next(a for a, b in zip(offsets, offsets[1:]) if b - a >= 2)
     codes[first + 1] = codes[first]
+
+
+def model_flags(cfg):
+    """Flags that keep the workspace's models when ``--output-dir`` moves."""
+    out = Path(cfg["output_dir"])
+    return ["--selector-model-path", str(out / "selector.json"),
+            "--ranker-model-path", str(out / "ranker.json")]
 
 
 def write_query(cfg, path):
@@ -158,7 +190,7 @@ class TestPipelineCommands:
         dataset = tmp_path / "dataset"
         ds.save_dataset(
             str(dataset), {"wide": table}, ds.DatasetSplit((), (), ("wide",), 0),
-            ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g, {},
+            ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g,
         )
         save_kb(dataset, graph)
         out = tmp_path / "out"
@@ -385,7 +417,7 @@ class TestTrainServeParity:
         dataset = tmp_path / "dataset"
         no_vocabs = (ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()))
         ds.save_dataset(
-            str(dataset), {"w": table}, ds.DatasetSplit(("w",), (), ("w",), 0), *no_vocabs, g, {}
+            str(dataset), {"w": table}, ds.DatasetSplit(("w",), (), ("w",), 0), *no_vocabs, g
         )
         save_kb(dataset, graph)
         model = RankerModel([], 0.1, 1.0)
@@ -420,7 +452,7 @@ class TestTrainServeParity:
 
 
 class TestSubjectTypes:
-    """``complete`` ranks the subject's types by the build's frequencies."""
+    """``complete`` reads the subject's SET that the build compiled from its types."""
 
     @pytest.fixture()
     def typed_world(self, tmp_path):
@@ -431,7 +463,7 @@ class TestSubjectTypes:
         rows += [(f"o{i}", "x.rare") for i in range(5)]
         types.write_text("".join(f"{m}\t{t}\n" for m, t in rows))
         graph = tmp_path / "graph.tsv"
-        graph.write_text("s1\tp\ts2\ns2\tp\ts3\n")
+        graph.write_text("s1\tp\ts2\ns2\tp\ts3\ns3\tq\tbase.thing\n")
         g = load_triples(str(graph))
         corpus = [
             ds.RawTable(f"t{i}", "", "", ("a", "b"), (), se_mid=mid)
@@ -440,43 +472,70 @@ class TestSubjectTypes:
         type_freq = ds.subject_type_freq(corpus, g, ds.read_tsv_multimap(str(types)))
         assert type_freq == {"x.rare": 1, "x.common": 3}
         dataset = tmp_path / "dataset"
-        ds.save_dataset(
-            str(dataset), {}, ds.DatasetSplit((), (), (), 0),
-            ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()), g, type_freq,
-        )
-        save_kb(dataset, graph)
+        save_kb(dataset, graph, mid2types=types, type_freq=type_freq)
         return RunConfig(
             graph_path=str(graph), mid2types_path=str(types), dataset_dir=str(dataset)
         )
 
     def test_set_comes_from_the_saved_build_frequencies(self, typed_world):
-        assert _derive_set_tokens(typed_world, {}, "s1") == ("x", "rare")
-        assert _derive_set_tokens(typed_world, {"set": ["given"]}, "s1") == ("given",)
+        kb = ds.load_kb(typed_world.dataset_dir, _kb_sources(typed_world))
+        sets = {
+            kb.graph.mid(e): kb.subject_sets[kb.subject_set_ids[e]] for e in range(len(kb.graph))
+        }
+        # An entity without a specific type reads as the empty token.
+        assert sets == {
+            "s1": ("x", "rare"), "s2": ("x", "common"), "s3": ("x", "common"),
+            "base.thing": (ds.EMPTY_TOKEN,),
+        }
 
-    def test_missing_frequency_file_exits_2(self, typed_world, tmp_path, capsys):
-        (Path(typed_world.dataset_dir) / ds.TYPE_FREQ_FILE).unlink()
-        query = tmp_path / "query.json"
-        query.write_text(json.dumps(
-            {"qis": "x", "se": "s1", "er1": "s2", "er2": "s3", "cn1": "a", "cn2": "b"}
-        ))
-        argv = [
-            "complete", str(query), "--graph-path", typed_world.graph_path,
-            "--mid2types-path", typed_world.mid2types_path,
-            "--dataset-dir", typed_world.dataset_dir, "--ranker", "random",
-            "--output-dir", str(tmp_path / "out"),
-        ]
-        assert main([*argv, "--selector", "jacsim"]) == 2
-        assert "rebuild the dataset" in capsys.readouterr().err
-        # A random pick needs no SET, so it reads no type frequencies.
-        assert main([*argv, "--selector", "random"]) == 0
-
-    def test_built_tables_agree_with_serving_time_set(self, workspace):
+    def test_a_query_set_overrides_the_compiled_one(self, workspace, tmp_path, monkeypatch):
         _, cfg_path, cfg = workspace
-        run_cfg = load_config(str(cfg_path))
-        g = load_triples(cfg["graph_path"])
+        seen = []
+        context_for_table = selector.context_for_table
+        monkeypatch.setattr(
+            selector, "context_for_table",
+            lambda table, *a: seen.append(table.set_tokens) or context_for_table(table, *a),
+        )
+        query = write_query(cfg, tmp_path / "query.json")
+        flags = ["--config", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                 *model_flags(cfg)]
+        assert main(["complete", str(query), *flags]) == 0
+        given = {**json.loads(query.read_text()), "set": ["given"]}
+        query.write_text(json.dumps(given))
+        assert main(["complete", str(query), *flags]) == 0
+        kb = ds.load_kb(cfg["dataset_dir"], _kb_sources(load_config(str(cfg_path))))
+        compiled = kb.subject_sets[kb.subject_set_ids[kb.graph.entity_id(given["se"])]]
+        assert seen == [compiled, ("given",)] and compiled != ("given",)
+
+    def test_built_tables_agree_with_serving_time_set(self, workspace, tmp_path, monkeypatch):
+        _, cfg_path, cfg = workspace
+        kb = ds.load_kb(cfg["dataset_dir"], _kb_sources(load_config(str(cfg_path))))
+        g = kb.graph
         tables, *_ = ds.load_dataset(cfg["dataset_dir"], g)
         for table in tables.values():
-            assert _derive_set_tokens(run_cfg, {}, g.mid(table.se)) == table.set_tokens
+            assert kb.subject_sets[kb.subject_set_ids[table.se]] == table.set_tokens
+        # And through complete: the query table it builds for one connected
+        # row of each table carries the SET the build gave that table.
+        seen = []
+        context_for_table = selector.context_for_table
+        monkeypatch.setattr(
+            selector, "context_for_table",
+            lambda table, *a: seen.append(table.set_tokens) or context_for_table(table, *a),
+        )
+        query = tmp_path / "query.json"
+        want = []
+        for table in tables.values():
+            er = next((r for r in table.rr if harness.filter_cc_er(table, r, g)), None)
+            if er is None:
+                continue
+            query.write_text(json.dumps({
+                "se": g.mid(table.se), "er1": g.mid(er[0]), "er2": g.mid(er[1]),
+                "qis": " ".join(table.qis), "cn1": " ".join(table.cn1), "cn2": " ".join(table.cn2),
+            }))
+            flags = ["--output-dir", str(tmp_path / "out"), *model_flags(cfg)]
+            assert main(["complete", str(query), "--config", str(cfg_path), *flags]) == 0
+            want.append(table.set_tokens)
+        assert len(want) > len(tables) // 2 and seen == want
 
 
 class TestCompiledKB:
@@ -496,8 +555,14 @@ class TestCompiledKB:
             ("entity_meta_path", lambda text: text.replace('"name"', '"name" ', 1)),
             ("predicate_meta_path", lambda text: "\n" + text),
             ("entity_meta_path", None),
+            ("embeddings_path", lambda text: text.replace(" ", "  ", 1)),
+            ("mid2types_path", lambda text: "\n" + text),
+            ("fget_path", lambda text: "\n" + text),
+            # Without the types it was built with, serving would read every SET as empty.
+            ("mid2types_path", None),
         ],
-        ids=["graph", "entity-meta", "predicate-meta", "entity-meta-unset"],
+        ids=["graph", "entity-meta", "predicate-meta", "entity-meta-unset", "embeddings",
+             "mid2types", "fget", "mid2types-unset"],
     )
     def test_changed_kb_files_make_every_serving_command_ask_for_a_rebuild(
         self, workspace, tmp_path, capsys, key, edit
@@ -510,10 +575,11 @@ class TestCompiledKB:
             Path(edited).write_text(edit(Path(cfg[key]).read_text()))
         flag = "--" + key.replace("_", "-")
         out = ["--output-dir", str(tmp_path / "out")]
+        kb = Path(cfg["dataset_dir"]) / ds.KB_FILE
         for argv in self._serving_argvs(cfg_path, query, flag, edited, *out):
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
-            assert f"was not compiled from {key} = {edited or 'no file'}" in err, argv[0]
+            assert f"{kb} was not compiled from {key} = {edited or 'no file'}" in err, argv[0]
             assert "rebuild the dataset with build-dataset" in err
         assert not (tmp_path / "out").exists()
 
@@ -538,6 +604,9 @@ class TestCompiledKB:
             (edit_column("meta_entities", lambda col, rec: col.__setitem__(0, len(rec["mids"]))),
              "meta_entities holds a value outside 0.."),
             (lambda rec: rec["names"].__setitem__(0, 5), "a mid, name or token is not a string"),
+            # An object of names would pass the length checks and fail at a lookup.
+            (lambda rec: rec.update(names=dict(enumerate(rec["names"]))),
+             "names and typed predicates must be lists"),
             # Negative indices would pick the last description or type set.
             (edit_column("meta_descriptions", lambda col, rec: col.__setitem__(0, -1)),
              "meta_descriptions holds a value outside 0.."),
@@ -556,14 +625,32 @@ class TestCompiledKB:
              "metadata entities repeat or columns differ in length"),
             (edit_column("meta_entities", lambda col, rec: col.__setitem__(1, col[0])),
              "metadata entities repeat or columns differ in length"),
+            (lambda rec: rec.update(
+                embedding_vectors=b64(b64bytes(rec["embedding_vectors"])[:-8])
+            ), "embedding_vectors is not"),
+            (edit_floats("embedding_vectors", lambda col: col.__setitem__(3, float("nan"))),
+             "embedding_vectors is not"),
+            (lambda rec: rec["embedding_tokens"].__setitem__(0, 7),
+             "'embedding_tokens' must be a list of strings"),
+            (lambda rec: rec["embedding_tokens"].__setitem__(1, rec["embedding_tokens"][0]),
+             "embedding tokens repeat"),
+            (edit_column("subject_set_ids",
+                         lambda col, rec: col.__setitem__(0, len(rec["subject_sets"]))),
+             "subject_set_ids holds a value outside 0.."),
+            (edit_column("subject_set_ids", lambda col, rec: col.pop()),
+             "subject_set_ids holds"),
+            (lambda rec: rec["subject_sets"][0].append(7),
+             "'subject_sets' must be lists of strings"),
         ],
         ids=[
             "missing", "truncated", "no-mids", "neighbour-too-large", "neighbour-negative",
             "neighbour-bytes-not-int32", "unknown-token-code", "adjacency-short", "no-sources",
-            "metadata-entity-too-large", "metadata-name-a-number",
+            "metadata-entity-too-large", "metadata-name-a-number", "metadata-names-an-object",
             "metadata-description-negative", "predicate-type-set-negative", "bad-base64",
             "offsets-not-from-0", "offsets-decrease", "offsets-end-short", "token-codes-repeat",
-            "metadata-columns-unequal", "metadata-entity-repeats",
+            "metadata-columns-unequal", "metadata-entity-repeats", "embedding-vectors-short",
+            "embedding-vector-nan", "embedding-token-a-number", "embedding-tokens-repeat",
+            "subject-set-id-too-large", "subject-set-ids-short", "subject-set-token-a-number",
         ],
     )
     def test_bad_compiled_kb_exits_2_naming_the_file(
@@ -600,9 +687,47 @@ class TestCompiledKB:
         load_kb = ds.load_kb
         monkeypatch.setattr(ds, "load_kb", lambda *a: loaded.append(load_kb(*a)) or loaded[-1])
         assert main(["complete", str(query), "--config", str(cfg_path)]) == 0
-        (g, entity_meta, _), = loaded
+        (g, entity_meta, *_), = loaded
         # The example row's neighbourhood, not the whole graph, was decoded.
         assert 0 < len(g._adj) < len(g) and 0 < len(entity_meta._by_entity) < len(g)
+
+    def test_complete_parses_no_raw_input(self, workspace, tmp_path, monkeypatch):
+        """complete reads only compiled inputs: it hashes the source files, parses none."""
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+
+        def completed(out):
+            assert main(["complete", str(query), "--config", str(cfg_path),
+                         *model_flags(cfg), "--output-dir", str(out)]) == 0
+            return (out / "completed.tsv").read_bytes()
+
+        want = completed(tmp_path / "plain")
+
+        def refuse(*args):
+            raise AssertionError(f"complete parsed {args[-1]}")
+
+        monkeypatch.setattr(ranker.PretrainedEmbeddings, "load", refuse)
+        for module, name in ((ds, "read_tsv_multimap"), (ds, "read_tsv_map"),
+                             (cli, "load_triples"), (cli, "load_entity_meta"),
+                             (cli, "load_predicate_meta")):
+            monkeypatch.setattr(module, name, refuse)
+        assert completed(tmp_path / "guarded") == want
+
+    def test_compiled_embeddings_equal_the_text_parse(self, workspace, tmp_path):
+        _, cfg_path, cfg = workspace
+        kb = ds.load_kb(cfg["dataset_dir"], _kb_sources(load_config(str(cfg_path))))
+        text = PretrainedEmbeddings.load(cfg["embeddings_path"])
+        assert kb.embeddings.dim == text.dim and text.dim > 1
+        assert list(kb.embeddings._vectors) == list(text._vectors)
+        for token, vec in text._vectors.items():
+            got = kb.embeddings._vectors[token]
+            assert got.dtype == vec.dtype and got.tobytes() == vec.tobytes(), token
+        # Without an embeddings file, serving reads the empty embeddings.
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("a\tp\tb\n")
+        save_kb(tmp_path, graph)
+        empty = ds.load_kb(str(tmp_path), _kb_sources(RunConfig(graph_path=str(graph))))
+        assert (empty.embeddings.dim, empty.embeddings._vectors) == (1, {})
 
 
 class TestRenderSparqlCommand:
@@ -726,6 +851,19 @@ class TestConfig:
         assert main(argv) == 2
         assert f"{bad}:1: a split 'feature' must be an int in 0..26" in capsys.readouterr().err
 
+    def test_version_1_selector_file_exits_2_asking_to_retrain(
+        self, workspace, tmp_path, capsys
+    ):
+        _, cfg_path, cfg = workspace
+        payload = json.loads((Path(cfg["output_dir"]) / "selector.json").read_text())
+        old = tmp_path / "selector.json"
+        old.write_text(json.dumps({**payload, "version": 1}))
+        query = write_query(cfg, tmp_path / "query.json")
+        for head in (["evaluate"], ["complete", str(query)]):
+            assert main([*head, "--config", str(cfg_path), "--selector-model-path", str(old)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {old}:1: " in err and "retrain" in err, err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["evaluate", "--graph-path", "/nope/missing.tsv"]) == 2
 
@@ -741,3 +879,125 @@ class TestConfig:
             assert "hash" in capsys.readouterr().err
         finally:
             vocab_path.write_text(original)
+
+
+# -- mutations of the compiled files serving reads ---------------------------------
+
+SERVED_FILES = ("kb.json", "selector-linear.json", "selector-embedding.json")
+
+
+def json_paths(value, path=()):
+    """Paths to every node of a JSON value; a list contributes its first two
+    items and its last."""
+    yield path
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from json_paths(value[key], (*path, key))
+    elif isinstance(value, list):
+        for i in sorted({0, 1, len(value) - 1} & set(range(len(value)))):
+            yield from json_paths(value[i], (*path, i))
+
+
+def edit_bytes(text, kind):
+    """A base64 column with its bytes edited, or ``text`` when it is no column."""
+    try:
+        data = bytearray(base64.b64decode(text, validate=True))
+    except (TypeError, ValueError):
+        return text
+    if kind == "cut8":
+        data = data[:-8]
+    elif kind == "cut3":
+        data = data[:-3]
+    elif kind == "add8":
+        data += bytes(8)
+    elif kind in ("nan", "inf") and len(data) >= 8:
+        data[:8] = np.array([float(kind)], "<f8").tobytes()
+    elif kind == "int-max" and len(data) >= 4:
+        data[:4] = np.array([2**31 - 1], "<i4").tobytes()
+    elif kind == "flip" and data:
+        data[len(data) // 2] ^= 0xFF
+    return b64(bytes(data))
+
+
+def mutate(rec, path, op):
+    """Apply one edit to the node at ``path``: set, delete, reverse, or edit bytes."""
+    *head, last = path
+    parent = rec
+    for key in head:
+        parent = parent[key]
+    kind, *arg = op
+    if kind == "delete":
+        del parent[last]
+    elif kind == "reverse" and isinstance(parent[last], list):
+        parent[last].reverse()
+    elif kind == "bytes":
+        parent[last] = edit_bytes(parent[last], arg[0])
+    elif kind == "set":
+        parent[last] = arg[0]
+
+
+MUTATION_OPS = [
+    ("delete",), ("reverse",),
+    *[("bytes", k) for k in ("cut8", "cut3", "add8", "nan", "inf", "int-max", "flip")],
+    *[("set", v) for v in (None, True, -1, 0, 3, 2**40, 1.5, float("nan"), "x", "", [], {},
+                           ["x"], [7])],
+]
+
+
+class TestServedFileMutations:
+    """One edit anywhere in ``kb.json`` or ``selector.json`` makes ``complete``
+    exit 0, 1 or 2 without a traceback, and an exit of 2 names the file."""
+
+    @pytest.fixture(scope="class")
+    def served(self, workspace, tmp_path_factory):
+        _, cfg_path, cfg = workspace
+        root = tmp_path_factory.mktemp("served")
+        shutil.copytree(cfg["dataset_dir"], root / "dataset")
+        shutil.copy(Path(cfg["output_dir"]) / "selector.json", root / "selector-linear.json")
+        argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding",
+                "--epochs", "1", "--selector-model-path", str(root / "selector-embedding.json")]
+        assert main(argv) == 0
+        query = write_query(cfg, root / "query.json")
+        files = {"kb.json": root / "dataset" / ds.KB_FILE}
+        files.update({name: root / name for name in SERVED_FILES[1:]})
+        return cfg_path, cfg, root, query, files
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(st.tuples(st.sampled_from(SERVED_FILES), st.integers(0, 10**4),
+                     st.sampled_from(MUTATION_OPS)))
+    @example(("kb.json", ("embedding_vectors",), ("bytes", "cut8")))
+    @example(("kb.json", ("embedding_vectors",), ("bytes", "nan")))
+    @example(("kb.json", ("embedding_vectors",), ("bytes", "inf")))
+    @example(("kb.json", ("embedding_tokens", 0), ("set", 7)))
+    @example(("kb.json", ("subject_set_ids",), ("bytes", "int-max")))
+    @example(("selector-embedding.json", ("params", "qis", "shape"), ("reverse",)))
+    @example(("selector-linear.json", ("weights", "data"), ("bytes", "cut3")))
+    def test_mutated_file_exits_0_1_or_2_naming_it(self, served, mutation):
+        cfg_path, cfg, root, query, files = served
+        name, where, op = mutation
+        target = files[name]
+        original = target.read_bytes()
+        rec = json.loads(original)
+        if isinstance(where, int):
+            paths = list(json_paths(rec))[1:]  # not the record itself
+            where = paths[where % len(paths)]
+        mutate(rec, where, op)
+        selector_kind = "embedding" if name == "selector-embedding.json" else "linear"
+        argv = [
+            "complete", str(query), "--config", str(cfg_path),
+            "--dataset-dir", str(root / "dataset"), "--selector", selector_kind,
+            "--selector-model-path", str(files[f"selector-{selector_kind}.json"]),
+            "--ranker-model-path", str(Path(cfg["output_dir"]) / "ranker.json"),
+        ]
+        err = io.StringIO()
+        try:
+            target.write_text(json.dumps(rec))
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                rc = main([*argv, "--output-dir", out])
+        finally:
+            target.write_bytes(original)
+        assert rc in (0, 1, 2), (where, op)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert str(target) in err.getvalue(), (where, op, err.getvalue())

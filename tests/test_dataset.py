@@ -326,16 +326,11 @@ class TestCorpusIo:
 class TestRoundTrip:
     def test_save_load_is_identity_and_deterministic(self, tmp_path, bundle):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
-        type_freq = ds.subject_type_freq(
-            ds.read_corpus(bundle.paths.corpus), bundle.g,
-            ds.read_tsv_multimap(bundle.paths.mid2types),
-        )
         for out in (out1, out2):
             ds.save_dataset(
-                str(out), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-                bundle.g, type_freq,
+                str(out), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab, bundle.g
             )
-        names = ("tables.jsonl", "split.json", "vocab_tb.json", "vocab_kb.json", ds.TYPE_FREQ_FILE)
+        names = ("tables.jsonl", "split.json", "vocab_tb.json", "vocab_kb.json")
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         tables, split, tb, kb = ds.load_dataset(str(out1), bundle.g)
@@ -343,13 +338,11 @@ class TestRoundTrip:
         assert tb.tokens == bundle.tb_vocab.tokens
         assert kb.tokens == bundle.kb_vocab.tokens
         assert tables == bundle.tables
-        assert ds.load_type_freq(str(out1)) == type_freq
-        assert type_freq and all(c > 0 for c in type_freq.values())
 
     def test_loaded_segments_are_parsed_once_and_equal_a_fresh_parse(self, tmp_path, bundle):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-            bundle.g, {},
+            bundle.g,
         )
         tables, *_ = ds.load_dataset(str(tmp_path), bundle.g)
         by_text: dict[str, MetaPath] = {}
@@ -367,7 +360,7 @@ class TestRoundTrip:
     def test_equal_loaded_chains_are_one_object(self, tmp_path, bundle):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-            bundle.g, {},
+            bundle.g,
         )
         tables, *_ = ds.load_dataset(str(tmp_path), bundle.g)
         by_text: dict[str, ChainPair] = {}
@@ -381,7 +374,7 @@ class TestRoundTrip:
     def test_equal_chain_records_are_one_object_and_save_as_read(self, tmp_path, bundle):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-            bundle.g, {},
+            bundle.g,
         )
         # Spellings of one metric value that JSON keeps apart: 1 and 1.0, 0.0 and -0.0.
         path = tmp_path / "tables.jsonl"
@@ -412,13 +405,13 @@ class TestRoundTrip:
         assert [repr(lc.recall) for lc in spelled[:3]] == ["1", "1.0", "1.0"]
 
         out = tmp_path / "resaved"
-        ds.save_dataset(str(out), tables, split, tb, kb, bundle.g, {})
+        ds.save_dataset(str(out), tables, split, tb, kb, bundle.g)
         assert (out / "tables.jsonl").read_bytes() == path.read_bytes()
 
     def test_corrupt_table_line_names_the_file_and_line(self, tmp_path, bundle):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-            bundle.g, {},
+            bundle.g,
         )
         path = tmp_path / "tables.jsonl"
         lines = path.read_text().splitlines(keepends=True)
@@ -447,7 +440,7 @@ class TestRoundTrip:
     def test_bad_table_record_names_the_line(self, tmp_path, bundle, edit, message):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-            bundle.g, {},
+            bundle.g,
         )
         path = tmp_path / "tables.jsonl"
         lines = path.read_text().splitlines(keepends=True)
@@ -476,15 +469,11 @@ class TestRoundTrip:
     def test_bad_split_or_vocabulary_names_the_file(self, tmp_path, bundle, name, text, message):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
-            bundle.g, {},
+            bundle.g,
         )
         (tmp_path / name).write_text(text)
         with pytest.raises(ds.ParseError, match=message):
             ds.load_dataset(str(tmp_path), bundle.g)
-
-    def test_missing_type_frequencies_ask_for_a_rebuild(self, tmp_path):
-        with pytest.raises(ds.ConfigurationError, match="rebuild the dataset"):
-            ds.load_type_freq(str(tmp_path))
 
 
 class TestCorpusInvariants:

@@ -12,6 +12,7 @@ from oracles import build_adjacency, grouped_adjacency, naive_entity_meta
 
 from kgtable import dataset as ds
 from kgtable import synth
+from kgtable.ranker import PretrainedEmbeddings
 from kgtable.graph import (
     EntityMeta,
     EntityMetaStore,
@@ -357,6 +358,8 @@ class TestCompiledKB:
         [{"name": "p", "expected_target_types": ["tv.actor"]}],
     )
     def test_reloaded_kb_equals_the_raw_load(self, triples, meta, preds):
+        subject_sets = [(ds.EMPTY_TOKEN,), ("x", "0"), ("x", "1")]
+
         with tempfile.TemporaryDirectory() as tmp:
             names = ("g.tsv", "m.jsonl", "p.jsonl")
             graph, meta_path, preds_path = (Path(tmp, name) for name in names)
@@ -371,8 +374,11 @@ class TestCompiledKB:
             g = load_triples(str(graph))
             entity_meta = load_entity_meta(str(meta_path), g)
             pred_meta = load_predicate_meta(str(preds_path))
-            ds.save_kb(tmp, g, entity_meta, pred_meta, sources)
-            cg, c_entity_meta, c_pred_meta = ds.load_kb(tmp, sources)
+            set_ids = [0 if e % 3 == 0 else 1 + e % 2 for e in range(len(g))]
+            empty = PretrainedEmbeddings({}, 1)
+            kb = ds.CompiledKB(g, entity_meta, pred_meta, empty, subject_sets, set_ids)
+            ds.save_kb(tmp, kb, sources)
+            cg, c_entity_meta, c_pred_meta, _, c_sets, c_set_ids = ds.load_kb(tmp, sources)
 
         assert cg._mids == g._mids and cg._ids == g._ids
         want = grouped_adjacency(triples)
@@ -399,6 +405,7 @@ class TestCompiledKB:
                 assert descriptions.setdefault(got.description, got.description) is got.description
                 for types in (got.notable_types, got.rdf_types):
                     assert type_sets.setdefault(types, types) is types
+            assert c_sets[c_set_ids[e]] == subject_sets[set_ids[e]]
         assert cg.triples() == g.triples() == tuple(sorted(set(triples)))
 
         assert list(c_entity_meta) == list(entity_meta)

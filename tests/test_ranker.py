@@ -6,10 +6,17 @@ import re
 import numpy as np
 import pytest
 
+from kgtable import dataset as ds
 from kgtable import harness
 from kgtable import ranker as rk
 from kgtable.dataset import AnnotatedTable
-from kgtable.graph import EntityMeta, EntityMetaStore, ParseError, PredicateMetaStore
+from kgtable.graph import (
+    EntityMeta,
+    EntityMetaStore,
+    ParseError,
+    PredicateMetaStore,
+    load_triples,
+)
 from kgtable.paths import ChainPair, MetaPath
 from oracles import naive_featurize, naive_fit_tree
 
@@ -104,6 +111,23 @@ class TestFeaturizer:
         feats = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, embeddings)
         assert feats.shape == (1, 27)
         np.testing.assert_allclose(feats[0], GOLDEN_27, atol=1e-9)
+
+    def test_golden_vector_from_the_compiled_kb(self, tmp_path):
+        """The golden inputs saved into kb.json and loaded back featurize bit-identically."""
+        ctx, entity_meta, pred_meta, embeddings = golden_fixture()
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("A\tp\tB\nC\tp\tB\n")  # entity ids 0, 1, 2, as in the fixture
+        sources = {"graph_path": str(graph)}
+        kb = ds.CompiledKB(
+            load_triples(str(graph)), entity_meta, pred_meta, embeddings,
+            [(ds.EMPTY_TOKEN,)], [0, 0, 0],
+        )
+        ds.save_kb(str(tmp_path), kb, sources)
+        _, c_entity_meta, c_pred_meta, c_embeddings, *_ = ds.load_kb(str(tmp_path), sources)
+        want = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, embeddings)
+        got = rk.featurize(ctx, [(2, 1)], c_entity_meta, c_pred_meta, c_embeddings)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got[0], GOLDEN_27, atol=1e-9)
 
     def test_feature_name_order_is_frozen(self):
         assert len(rk.FEATURE_NAMES) == 27

@@ -1,3 +1,4 @@
+import base64
 import json
 import random
 import re
@@ -409,6 +410,20 @@ class TestTraining:
             assert accuracy >= 0.95
 
 
+def edit_matrix(rec, change=None, cut_bytes=0):
+    """Replace a stored matrix by ``change(matrix)``, or drop its last ``cut_bytes``."""
+    data = base64.b64decode(rec["data"])
+    if change is not None:
+        m = change(np.frombuffer(data, "<f8").reshape(rec["shape"]).copy())
+        rec["shape"], data = list(m.shape), m.astype("<f8").tobytes()
+    rec["data"] = base64.b64encode(data[:len(data) - cut_bytes]).decode("ascii")
+
+
+def nan_first(m):
+    m[0] = float("nan")
+    return m
+
+
 class TestSerialization:
     def test_roundtrip_embedding(self, bundle, trained, tmp_path):
         path = tmp_path / "emb.json"
@@ -448,12 +463,23 @@ class TestSerialization:
         "no-weights": ("linear", lambda p: p.pop("weights")),
         "no-bias": ("linear", lambda p: p.pop("bias")),
         "bias-a-bool": ("linear", lambda p: p.update(bias=True)),
-        "ragged-matrix": ("embedding", lambda p: p["params"]["qis"][0].pop()),
-        "non-numeric-entry": ("embedding", lambda p: p["params"]["set"][1].__setitem__(0, "x")),
-        "missing-row": ("embedding", lambda p: p["params"]["cn"].pop()),
-        "narrow-chain-matrix": ("embedding", lambda p: [r.pop() for r in p["params"]["chain"]]),
-        "short-weights": ("linear", lambda p: p["weights"].pop()),
+        "ragged-matrix": ("embedding", lambda p: edit_matrix(p["params"]["qis"], cut_bytes=3)),
+        "non-numeric-entry": (
+            "embedding", lambda p: p["params"]["set"]["shape"].__setitem__(0, "x")
+        ),
+        "missing-row": ("embedding", lambda p: edit_matrix(p["params"]["cn"], lambda m: m[:-1])),
+        "narrow-chain-matrix": (
+            "embedding", lambda p: edit_matrix(p["params"]["chain"], lambda m: m[:, :-1])
+        ),
+        "short-weights": ("linear", lambda p: edit_matrix(p["weights"], lambda m: m[:-1])),
         "wrong-tb-size": ("linear", lambda p: p.update(tb_size=p["tb_size"] + 1)),
+        "version-1": ("linear", lambda p: p.update(version=1)),
+        "nan-weight": ("linear", lambda p: edit_matrix(p["weights"], nan_first)),
+        "shape-too-long": ("linear", lambda p: p["weights"]["shape"].append(1)),
+        "data-not-base64": ("embedding", lambda p: p["params"]["qis"].update(data="AAA!")),
+        "data-a-number": ("embedding", lambda p: p["params"]["qis"].update(data=7)),
+        "matrix-a-list": ("embedding", lambda p: p["params"].update(set=[[0.0]])),
+        "nan-bias": ("linear", lambda p: p.update(bias=float("nan"))),
     }
 
     @pytest.mark.parametrize("case", BAD_FILES)
@@ -466,3 +492,19 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=re.escape(f"{path}:1: ")):
             sel.load_scorer(str(path), bundle.tb_vocab, bundle.kb_vocab)
+
+    def test_file_stores_shapes_and_float64_bytes_and_loads_bit_exact(
+        self, bundle, trained, tmp_path
+    ):
+        path = tmp_path / "selector.json"
+        for scorer in (trained.embedding, trained.linear):
+            sel.save_scorer(str(path), scorer)
+            payload = json.loads(path.read_text())
+            assert payload["version"] == 2 and "dims" not in payload
+            loaded = sel.load_scorer(str(path), bundle.tb_vocab, bundle.kb_vocab)
+            pairs = (
+                [(loaded.weights, scorer.weights)] if scorer is trained.linear
+                else zip(loaded.matrices().values(), scorer.matrices().values())
+            )
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
