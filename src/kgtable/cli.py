@@ -22,12 +22,14 @@ from .config import RunConfig, config_defaults, load_config
 from .dataset import ConfigurationError
 from .graph import (
     EntityMetaStore,
-    ParseError,
     PredicateMetaStore,
+    checked,
     load_entity_meta,
     load_predicate_meta,
     load_triples,
     read_json,
+    string,
+    strings,
     write_json_lines,
 )
 from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
@@ -41,13 +43,11 @@ def _config_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON config file; flags override it")
     for name, default in config_defaults().items():
-        flag = "--" + name.replace("_", "-")
-        kwargs: dict = {"dest": f"cfg_{name}", "help": f"config key (default: {default!r})"}
-        if isinstance(default, int):
-            kwargs["type"] = int
-        elif isinstance(default, float):
-            kwargs["type"] = float
-        parser.add_argument(flag, **kwargs)
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=f"cfg_{name}",
+            type=type(default) if isinstance(default, (int, float)) else None,
+            help=f"config key (default: {default!r})",
+        )
     return parser
 
 
@@ -249,34 +249,29 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         )
     g, entity_meta, pred_meta, embeddings, subject_sets, subject_set_ids = _load_kb(cfg)
     query = read_json(query_path)
-    for key in ("se", "er1", "er2", "cn1", "cn2"):
-        if key not in query:
-            raise ParseError(query_path, 1, f"missing {key!r}")
-    for key in ("se", "er1", "er2"):
-        mid = query[key]
-        if not isinstance(mid, str) or mid not in g:
-            raise ParseError(query_path, 1, f"{key!r} {mid!r} is not an entity of the graph")
-    se, er1, er2 = (g.entity_id(query[key]) for key in ("se", "er1", "er2"))
-    given_set = query.get("set") or []
-    if not isinstance(given_set, list) or not all(isinstance(t, str) for t in given_set):
-        raise ParseError(query_path, 1, "'set' must be a list of strings")
-    se_name = query.get("se_name")
-    if not isinstance(se_name, str | None):
-        raise ParseError(query_path, 1, "'se_name' must be a string")
-    se_name = se_name or entity_meta.get(se).name
-    if query.get("qis"):
-        qis = ds.normalize_text(str(query["qis"]))
-    elif query.get("qd"):
-        qis = ds.build_qis(str(query["qd"]), "", se_name or str(query["qd"]))
-    else:
-        raise ParseError(query_path, 1, "needs either 'qis' or 'qd'")
-    try:
-        cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
-    except ValueError as exc:
-        raise ParseError(query_path, 1, f"'cn1'/'cn2': {exc}") from exc
+    with checked(query_path, 1):
+        for key in ("se", "er1", "er2", "cn1", "cn2"):
+            if key not in query:
+                raise ValueError(f"missing {key!r}")
+        for key in ("se", "er1", "er2"):
+            if not isinstance(query[key], str) or query[key] not in g:
+                raise ValueError(f"{key!r} {query[key]!r} is not an entity of the graph")
+        se, er1, er2 = (g.entity_id(query[key]) for key in ("se", "er1", "er2"))
+        given_set = strings(query.get("set") or [], "set")
+        se_name = string(query.get("se_name"), "se_name", "") or entity_meta.get(se).name
+        if query.get("qis"):
+            qis = ds.normalize_text(str(query["qis"]))
+        elif query.get("qd"):
+            qis = ds.build_qis(str(query["qd"]), "", se_name or str(query["qd"]))
+        else:
+            raise ValueError("needs either 'qis' or 'qd'")
+        try:
+            cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
+        except ValueError as exc:
+            raise ValueError(f"'cn1'/'cn2': {exc}") from None
     # A random pick reads no tokens: it needs no SET and no vocabularies.
     reads_tokens = cfg.selector != "random"
-    set_tokens = (tuple(given_set) or subject_sets[subject_set_ids[se]]) if reads_tokens else ()
+    set_tokens = (given_set or subject_sets[subject_set_ids[se]]) if reads_tokens else ()
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
 
     settings = cfg.build_settings()
@@ -382,7 +377,7 @@ def main(argv=None) -> int:
         if args.command == "render-sparql":
             return cmd_render_sparql(cfg, args.se, args.p1, args.p2)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Run configuration: one flat dataclass, a JSON file, and flag overrides.
 
 Flags win over the file, the file wins over defaults. Unknown keys in the
-file are rejected so stale experiment manifests fail loudly.
+file are rejected so stale experiment manifests fail loudly, and each value
+must have its default's type.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .dataset import BuildSettings, ConfigurationError
-from .graph import read_json
+from .graph import checked, integer, number, read_json, string, strings
 from .query import QueryBudget
 from .ranker import RankerConfig
 from .selector import SelectorHyperParams
@@ -96,36 +97,32 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_DEFAULTS = vars(RunConfig())
+_READERS = {int: integer, float: number, str: string, tuple: strings}
 
 
 def _coerce(name: str, value):
-    default = getattr(RunConfig(), name)
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(default, tuple):
-        if isinstance(value, str):
-            return tuple(v for v in value.split(",") if v)
-        return tuple(value)
-    return str(value)
+    """``value`` read as key ``name``'s default's type; a tuple also from "a,b"."""
+    default = _DEFAULTS[name]
+    if isinstance(default, tuple) and isinstance(value, str):
+        return tuple(v for v in value.split(",") if v)
+    return _READERS[type(default)](value, name)
 
 
 def load_config(
     config_path: str | None = None, overrides: dict | None = None
 ) -> RunConfig:
-    """Defaults, then the JSON file, then flag overrides; unknown keys fail."""
+    """Defaults, then the JSON file, then flag overrides; unknown keys fail, and
+    a file value of another type than its default is a ``ParseError``."""
     values = {}
     if config_path:
         for name, value in read_json(config_path).items():
-            if name not in _FIELD_TYPES:
+            if name not in _DEFAULTS:
                 raise ConfigurationError(f"{config_path}: unknown config key {name!r}")
-            values[name] = _coerce(name, value)
+            with checked(config_path, 1):
+                values[name] = _coerce(name, value)
     for name, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if name not in _FIELD_TYPES:
+        if name not in _DEFAULTS:
             raise ConfigurationError(f"unknown config key {name!r}")
         values[name] = _coerce(name, value)
     return RunConfig(**values)
@@ -133,4 +130,4 @@ def load_config(
 
 def config_defaults() -> dict:
     """Field name to default value, for help text and documentation."""
-    return {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
+    return dict(_DEFAULTS)

@@ -35,10 +35,14 @@ from .graph import (
     PredicateMetaStore,
     _json_lines,
     _tsv_rows,
+    checked,
     encode_column,
     float_column,
     int_column,
+    integer,
     read_json,
+    string,
+    strings,
     write_json_lines,
 )
 from .paths import (
@@ -58,6 +62,7 @@ KB_FILE = "kb.json"
 REBUILD = "rebuild the dataset with build-dataset"
 MIN_LINKED_ROWS = 3
 MIN_CHAIN_HITS = 2  # a retained chain must retrieve at least this many ground-truth rows
+K_NEGATIVES = 10  # chains per training triple: one positive and k - 1 negatives
 
 
 class TableRejected(Exception):
@@ -105,31 +110,23 @@ def read_corpus(path: str) -> list[RawTable]:
 
     A record without ``table_id`` takes its line number as its id.
     """
-    tables = []
-    seen: set[str] = set()
+    tables: dict[str, RawTable] = {}
     for line_no, rec in _json_lines(path):
-        try:
+        with checked(path, line_no, "table record"):
             headers = tuple(str(h) for h in rec["headers"])
             rows = tuple(tuple(_parse_cell(c) for c in row) for row in rec["rows"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(path, line_no, f"bad table record: {exc}") from exc
-        if any(len(row) != len(headers) for row in rows):
-            raise ParseError(path, line_no, "row width differs from header count")
-        table_id = str(rec.get("table_id", line_no))
-        if table_id in seen:
-            raise ParseError(path, line_no, f"duplicate table_id {table_id!r}")
-        seen.add(table_id)
-        tables.append(
-            RawTable(
-                table_id=table_id,
-                page_title=str(rec.get("page_title", "")),
-                caption=str(rec.get("caption", "")),
-                headers=headers,
-                rows=rows,
-                se_mid=str(rec.get("se_mid", "")),
-            )
+        with checked(path, line_no):
+            if any(len(row) != len(headers) for row in rows):
+                raise ValueError("row width differs from header count")
+            table_id = str(rec.get("table_id", line_no))
+            if table_id in tables:
+                raise ValueError(f"duplicate table_id {table_id!r}")
+        tables[table_id] = RawTable(
+            table_id=table_id, page_title=str(rec.get("page_title", "")),
+            caption=str(rec.get("caption", "")), headers=headers, rows=rows,
+            se_mid=str(rec.get("se_mid", "")),
         )
-    return tables
+    return list(tables.values())
 
 
 def read_tsv_map(path: str) -> dict[str, str]:
@@ -483,7 +480,7 @@ def build_vocab(tables: Sequence[AnnotatedTable]) -> tuple[Vocabulary, Vocabular
 def pad_negatives(
     tables: Mapping[str, AnnotatedTable],
     split: DatasetSplit,
-    k: int = 10,
+    k: int = K_NEGATIVES,
     seed: int = 0,
 ) -> dict[str, AnnotatedTable]:
     """Pad every training table to at least k-1 negative chains.
@@ -545,14 +542,6 @@ def _table_to_json(t: AnnotatedTable, g: KnowledgeGraph) -> dict:
     }
 
 
-def _strings(rec: dict, key: str) -> tuple[str, ...]:
-    """``rec[key]``, which must be a list of strings, as a tuple."""
-    items = rec[key]
-    if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
-        raise TypeError(f"{key!r} must be a list of strings")
-    return tuple(items)
-
-
 def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable:
     """Rebuild one table: a string id, result rows and chains, the first one positive.
 
@@ -585,21 +574,20 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
             lc = memo[key] = LabeledChain(pair, positive, r, p, f)
         return lc
 
-    if not isinstance(rec["table_id"], str):
-        raise TypeError("'table_id' must be a string")
+    table_id = string(rec["table_id"], "table_id")
     chains = tuple(map(labeled, rec["chains"]))
     if not chains or not chains[0].positive:
         raise ValueError("a table needs chains, the first of them positive")
     if not rec["rr"]:
         raise ValueError("a table needs result rows")
     return AnnotatedTable(
-        table_id=rec["table_id"],
-        qis=_strings(rec, "qis"),
-        cn1=_strings(rec, "cn1"),
-        cn2=_strings(rec, "cn2"),
+        table_id=table_id,
+        qis=strings(rec["qis"], "qis"),
+        cn1=strings(rec["cn1"], "cn1"),
+        cn2=strings(rec["cn2"], "cn2"),
         se=g.entity_id(rec["se"]),
-        se_name=rec["se_name"],
-        set_tokens=_strings(rec, "set"),
+        se_name=string(rec["se_name"], "se_name"),
+        set_tokens=strings(rec["set"], "set"),
         rr=tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"]),
         chains=chains,
     )
@@ -746,8 +734,8 @@ def _decode_kb(rec: dict) -> CompiledKB:
     type_sets = [frozenset(t) for t in rec["type_sets"]]
     if not all(type(v) is list for v in (mids, preds, names, typed)):
         raise TypeError("mids, predicates, names and typed predicates must be lists")
-    strings = itertools.chain(mids, preds, names, typed, *descriptions, *type_sets)
-    if not set(map(type, strings)) <= {str}:
+    texts = itertools.chain(mids, preds, names, typed, *descriptions, *type_sets)
+    if not set(map(type, texts)) <= {str}:
         raise ValueError("a mid, name or token is not a string")
     codes = int_column(rec, "token_codes", 2 * len(preds))
     nbrs = int_column(rec, "neighbour_ids", len(mids))
@@ -772,11 +760,10 @@ def _decode_kb(rec: dict) -> CompiledKB:
     if {len(row), len(d), len(notable), len(rdf)} != {len(names)} or len(tgt) != len(typed):
         raise ValueError("metadata entities repeat or columns differ in length")
 
-    tokens, dim = rec["embedding_tokens"], rec["embedding_dim"]
-    if type(tokens) is not list or not set(map(type, tokens)) <= {str}:
-        raise TypeError("'embedding_tokens' must be a list of strings")
-    if len(set(tokens)) != len(tokens) or type(dim) is not int or dim < 0:
-        raise ValueError("embedding tokens repeat or 'embedding_dim' is not a count")
+    tokens = strings(rec["embedding_tokens"], "embedding_tokens")
+    dim = integer(rec["embedding_dim"], "embedding_dim")
+    if len(set(tokens)) != len(tokens) or dim < 0:
+        raise ValueError("embedding tokens repeat or 'embedding_dim' is negative")
     vectors = float_column(rec, "embedding_vectors", len(tokens) * dim)
     sets = rec["subject_sets"]
     if type(sets) is not list or not all(
@@ -816,10 +803,9 @@ def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
     """
     path = Path(in_dir) / KB_FILE
     hashes = _source_hashes(sources)
-    try:
-        rec = read_json(str(path))
-    except FileNotFoundError:
-        raise ConfigurationError(f"{path} is missing; {REBUILD}") from None
+    if not path.is_file():
+        raise ConfigurationError(f"{path} is missing; {REBUILD}")
+    rec = read_json(str(path))
     recorded = rec.get("sources")
     for name, digest in hashes.items():
         if not isinstance(recorded, dict) or recorded.get(name) != digest:
@@ -827,10 +813,8 @@ def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
             raise ConfigurationError(
                 f"{path} was not compiled from {name} = {given}; {REBUILD}"
             )
-    try:
+    with checked(str(path), 1, "compiled KB"):
         return _decode_kb(rec)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), 1, f"bad compiled KB: {exc!r}") from exc
 
 
 def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:
@@ -839,12 +823,10 @@ def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:
     for name in ("vocab_tb.json", "vocab_kb.json"):
         path = str(Path(in_dir) / name)
         v = read_json(path)
-        try:
+        with checked(path, 1, "vocabulary record"):
             if not isinstance(v["kind"], str) or not isinstance(v["oov_token"], str):
                 raise TypeError("'kind' and 'oov_token' must be strings")
-            vocabs.append(Vocabulary(v["kind"], _strings(v, "tokens"), v["oov_token"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(path, 1, f"bad vocabulary record: {exc!r}") from exc
+            vocabs.append(Vocabulary(v["kind"], strings(v["tokens"], "tokens"), v["oov_token"]))
     return vocabs[0], vocabs[1]
 
 
@@ -854,27 +836,18 @@ def load_dataset(
     base = Path(in_dir)
     tables: dict[str, AnnotatedTable] = {}
     memo: dict = {}  # tables repeat a few segments and chains many times
-    path = str(base / "tables.jsonl")
-    for line_no, rec in _json_lines(path):
-        try:
+    tables_path = str(base / "tables.jsonl")
+    with checked(tables_path, 0, "table record") as at:
+        for at.line_no, rec in _json_lines(tables_path):
             t = _table_from_json(rec, g, memo)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(path, line_no, f"bad table record: {exc!r}") from exc
-        tables[t.table_id] = t
+            tables[t.table_id] = t
     path = str(base / "split.json")
     rec = read_json(path)
-    try:
-        split = DatasetSplit(
-            train=tuple(rec["train"]),
-            validation=tuple(rec["validation"]),
-            test=tuple(rec["test"]),
-            seed=rec["seed"],
-        )
+    with checked(path, 1, "split record"):
+        split = DatasetSplit(*(tuple(rec[k]) for k in ("train", "validation", "test")), rec["seed"])
         unknown = [t for t in split.train + split.validation + split.test if t not in tables]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(path, 1, f"bad split record: {exc!r}") from exc
-    if unknown:
-        raise ParseError(path, 1, f"table id {unknown[0]!r} names no table")
+        if unknown:
+            raise ValueError(f"table id {unknown[0]!r} names no table of {tables_path}")
     return (tables, split, *load_vocabularies(in_dir))
 
 
@@ -900,7 +873,7 @@ def build_corpus_dataset(
     fget_map: Mapping[str, str],
     settings: BuildSettings,
     seed: int,
-    k_negatives: int = 10,
+    k_negatives: int = K_NEGATIVES,
 ) -> tuple[
     dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, Counter[str], dict[str, int]
 ]:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import base64
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -36,8 +37,58 @@ class ParseError(ValueError):
 
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
+
+
+class checked:
+    """The one rule for malformed input: a ``KeyError``, ``IndexError``,
+    ``TypeError`` or ``ValueError`` raised in the block that decodes
+    ``path:line_no`` becomes a ``ParseError`` naming it, with the message ``bad
+    <what>: <repr of the error>``, or without ``what`` the error's own text; a
+    ``ParseError`` passes unchanged. A file of records may move ``line_no``."""
+
+    MALFORMED = (KeyError, IndexError, TypeError, ValueError)
+
+    def __init__(self, path: str, line_no: int, what: str = ""):
+        self.path, self.line_no, self.what = path, line_no, what
+
+    def __enter__(self) -> "checked":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, self.MALFORMED) and not isinstance(exc, ParseError):
+            message = f"bad {self.what}: {exc!r}" if self.what else str(exc)
+            raise ParseError(self.path, self.line_no, message) from exc
+
+
+def string(value, name: str, default: str | None = None) -> str:
+    """``value``, which must be a string; else a ``TypeError`` naming ``name``.
+    With a ``default``, ``None`` (an absent or ``null`` field) reads as it."""
+    if value is None and default is not None:
+        return default
+    if not isinstance(value, str):
+        raise TypeError(f"{name!r} must be a string")
+    return value
+
+
+def strings(value, name: str) -> tuple[str, ...]:
+    """``value``, which must be a list of strings, as a tuple."""
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise TypeError(f"{name!r} must be a list of strings")
+    return tuple(value)
+
+
+def number(value, name: str) -> float:
+    """``value``, which must be a finite int or float (not a bool), as a float."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name!r} must be a finite number")
+    return float(value)
+
+
+def integer(value, name: str) -> int:
+    """``value``, which must be an int (not a bool)."""
+    if type(value) is not int:
+        raise TypeError(f"{name!r} must be an integer")
+    return value
 
 
 class UnknownEntityError(KeyError):
@@ -248,7 +299,7 @@ def _tsv_rows(path: str, width: int, expected: str) -> Iterator[list[str]]:
     exactly ``width`` non-empty fields is a ``ParseError`` saying what was
     ``expected``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -343,31 +394,43 @@ class PredicateMetaStore:
         return len(self._tgt)
 
 
-def _json_lines(path: str) -> Iterator[tuple[int, dict]]:
+@contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a byte that is not UTF-8 is a ``ParseError`` naming its line."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()  # decoded whole, so the error holds the byte's offset
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(path, line_no, "expected a JSON object")
-            yield line_no, record
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
+            raise
+
+
+def _json_object(path: str, line_no: int, text: str) -> dict:
+    """The JSON object ``text``, which starts at line ``line_no`` of ``path``."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line_no + exc.lineno - 1, f"bad JSON: {exc.msg}") from exc
+    if not isinstance(value, dict):
+        raise ParseError(path, line_no, "expected a JSON object")
+    return value
+
+
+def _json_lines(path: str) -> Iterator[tuple[int, dict]]:
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if text := line.strip():  # one line, so JSON reports no line of its own
+                yield line_no, _json_object(path, line_no, text)
 
 
 def read_json(path: str) -> dict:
     """The JSON object that makes up the whole file; anything else is a ``ParseError``."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"bad JSON: {exc.msg}") from exc
-    if not isinstance(value, dict):
-        raise ParseError(path, 1, "expected a JSON object")
-    return value
+    with open_text(path) as fh:
+        return _json_object(path, 1, fh.read())
 
 
 def write_json_lines(path: str | Path, records: Iterable) -> None:
@@ -384,44 +447,25 @@ def write_json_lines(path: str | Path, records: Iterable) -> None:
             fh.write(text + "\n")
 
 
-def _text_field(rec: dict, key: str, path: str, line_no: int) -> str:
-    """A string field; absent or ``null`` is empty."""
-    value = rec.get(key)
-    if value is None:
-        return ""
-    if not isinstance(value, str):
-        raise ParseError(path, line_no, f"{key!r} must be a string")
-    return value
-
-
 def _type_field(
-    rec: dict, key: str, path: str, line_no: int, memo: dict[tuple[str, ...], frozenset[str]]
+    rec: dict, key: str, memo: dict[tuple[str, ...], frozenset[str]]
 ) -> frozenset[str]:
     """Tokens of a list-of-strings field; absent or ``null`` is empty.
 
-    ``memo`` maps each distinct list to its tokens, so a file tokenizes each
-    distinct list once and equal lists share one frozenset.
+    ``memo`` maps each distinct list, checked once, to its tokens, so a file
+    tokenizes each distinct list once and equal lists share one frozenset.
     """
     values = rec.get(key)
     if values is None:
         return frozenset()
-    if isinstance(values, list):
-        types = tuple(values)
-        try:
-            tokens = memo.get(types)  # holds lists of strings only
-        except TypeError:  # an unhashable item
-            tokens = None
-        if tokens is not None:
-            return tokens
-        out: set[str] = set()
-        for v in types:
-            if not isinstance(v, str):
-                break
-            out.update(tokenize(v))
-        else:
-            tokens = memo[types] = frozenset(out)
-            return tokens
-    raise ParseError(path, line_no, f"{key!r} must be a list of strings")
+    try:
+        tokens = memo.get(tuple(values)) if type(values) is list else None
+    except TypeError:  # an unhashable item, which ``strings`` rejects
+        tokens = None
+    if tokens is None:
+        types = strings(values, key)
+        tokens = memo[types] = frozenset(t for v in types for t in tokenize(v))
+    return tokens
 
 
 def load_entity_meta(path: str, g: KnowledgeGraph) -> EntityMetaStore:
@@ -435,19 +479,20 @@ def load_entity_meta(path: str, g: KnowledgeGraph) -> EntityMetaStore:
     by_entity: dict[int, EntityMeta] = {}
     types: dict[tuple[str, ...], frozenset[str]] = {}
     descriptions: dict[str, tuple[str, ...]] = {}  # equal descriptions share one token tuple
-    for line_no, rec in _json_lines(path):
-        mid = rec.get("mid")
-        if not isinstance(mid, str) or not mid:
-            raise ParseError(path, line_no, "missing 'mid'")
-        name = _text_field(rec, "name", path, line_no)
-        description = _text_field(rec, "description", path, line_no)
-        notable_types = _type_field(rec, "notable_types", path, line_no, types)
-        rdf_types = _type_field(rec, "rdf_types", path, line_no, types)
-        if mid in g:
-            tokens = descriptions.get(description)
-            if tokens is None:
-                tokens = descriptions[description] = tokenize(description)
-            by_entity[g.entity_id(mid)] = EntityMeta(name, tokens, notable_types, rdf_types)
+    with checked(path, 0) as at:
+        for at.line_no, rec in _json_lines(path):
+            mid = rec.get("mid")
+            if not isinstance(mid, str) or not mid:
+                raise ValueError("missing 'mid'")
+            name = string(rec.get("name"), "name", "")
+            description = string(rec.get("description"), "description", "")
+            notable_types = _type_field(rec, "notable_types", types)
+            rdf_types = _type_field(rec, "rdf_types", types)
+            if mid in g:
+                tokens = descriptions.get(description)
+                if tokens is None:
+                    tokens = descriptions[description] = tokenize(description)
+                by_entity[g.entity_id(mid)] = EntityMeta(name, tokens, notable_types, rdf_types)
     return EntityMetaStore(by_entity)
 
 
@@ -455,11 +500,12 @@ def load_predicate_meta(path: str) -> PredicateMetaStore:
     """Load line-delimited JSON ``{name, expected_target_types}`` records."""
     tgt_by_name: dict[str, frozenset[str]] = {}
     types: dict[tuple[str, ...], frozenset[str]] = {}
-    for line_no, rec in _json_lines(path):
-        name = rec.get("name")
-        if not isinstance(name, str) or not name:
-            raise ParseError(path, line_no, "missing 'name'")
-        tgt_by_name[name] = _type_field(rec, "expected_target_types", path, line_no, types)
+    with checked(path, 0) as at:
+        for at.line_no, rec in _json_lines(path):
+            name = rec.get("name")
+            if not isinstance(name, str) or not name:
+                raise ValueError("missing 'name'")
+            tgt_by_name[name] = _type_field(rec, "expected_target_types", types)
     return PredicateMetaStore(tgt_by_name)
 
 

@@ -26,7 +26,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EntityMetaStore, ParseError, PredicateMetaStore, read_json, write_json_lines
+from .graph import (
+    EntityMetaStore,
+    PredicateMetaStore,
+    checked,
+    number,
+    open_text,
+    read_json,
+    write_json_lines,
+)
 from .paths import ChainPair
 from .text import jaccard
 
@@ -83,23 +91,21 @@ class PretrainedEmbeddings:
     def load(cls, path: str) -> "PretrainedEmbeddings":
         vectors: dict[str, np.ndarray] = {}
         dim = 0
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
+        with checked(path, 0) as at, open_text(path) as fh:
+            for at.line_no, line in enumerate(fh, start=1):
                 parts = line.split()
                 if len(parts) < 2:
                     continue
                 try:
                     vec = np.asarray([float(v) for v in parts[1:]])
                 except ValueError as exc:
-                    raise ParseError(path, line_no, f"{parts[0]!r}: {exc}") from None
+                    raise ValueError(f"{parts[0]!r}: {exc}") from None
                 if not np.isfinite(vec).all():
-                    raise ParseError(path, line_no, f"{parts[0]!r}: non-finite value")
-                if dim == 0:
-                    dim = vec.shape[0]
-                elif vec.shape[0] != dim:
-                    raise ParseError(
-                        path, line_no,
-                        f"vector for {parts[0]!r} has {vec.shape[0]} values, expected {dim}",
+                    raise ValueError(f"{parts[0]!r}: non-finite value")
+                dim = dim or len(vec)
+                if len(vec) != dim:
+                    raise ValueError(
+                        f"vector for {parts[0]!r} has {len(vec)} values, expected {dim}"
                     )
                 vectors[parts[0]] = vec
         return cls(vectors, dim)
@@ -339,10 +345,6 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> dict
     }
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
 def _tree_arrays(trees: Sequence[dict]) -> tuple:
     """Nodes of the trees as arrays: (feature, threshold, left, right, value, roots, depth).
 
@@ -359,19 +361,17 @@ def _tree_arrays(trees: Sequence[dict]) -> tuple:
         left.append(i)
         right.append(i)
         if "value" in node:
-            if not _is_number(node["value"]):
-                raise ValueError("a leaf 'value' must be a number")
             feature.append(-1)
             threshold.append(0.0)
-            value.append(node["value"])
+            value.append(number(node["value"], "value"))
             return i, 0
         f = node.get("feature")
         if type(f) is not int or not 0 <= f < NUM_FEATURES:
             raise ValueError(f"a split 'feature' must be an int in 0..{NUM_FEATURES - 1}")
-        if not (_is_number(node.get("threshold")) and "left" in node and "right" in node):
-            raise ValueError("a split needs a numeric 'threshold', a 'left' and a 'right'")
+        if "left" not in node or "right" not in node:
+            raise ValueError("a split needs a 'left' and a 'right'")
         feature.append(f)
-        threshold.append(node["threshold"])
+        threshold.append(number(node.get("threshold"), "threshold"))
         value.append(0.0)
         left[i], depth_left = add(node["left"])
         right[i], depth_right = add(node["right"])
@@ -518,15 +518,10 @@ def save_ranker(path: str, model: RankerModel) -> None:
 def load_ranker(path: str) -> RankerModel:
     """The model ``save_ranker`` wrote; a malformed file is a ``ParseError`` naming it."""
     payload = read_json(path)
-    if payload.get("type") != "lambdamart" or payload.get("version") != 1:
-        raise ParseError(path, 1, "not a ranker model file")
-    trees = payload.get("trees")
-    if not isinstance(trees, list):
-        raise ParseError(path, 1, "'trees' must be a list")
-    for key in ("learning_rate", "sigma"):
-        if not _is_number(payload.get(key)):
-            raise ParseError(path, 1, f"{key!r} must be a number")
-    try:
-        return RankerModel(trees, payload["learning_rate"], payload["sigma"])
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    with checked(path, 1):
+        if payload.get("type") != "lambdamart" or payload.get("version") != 1:
+            raise ValueError("not a ranker model file")
+        trees = payload.get("trees")
+        if not isinstance(trees, list):
+            raise TypeError("'trees' must be a list")
+        return RankerModel(trees, *(number(payload.get(k), k) for k in ("learning_rate", "sigma")))

@@ -29,8 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize
 
-from .dataset import AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
-from .graph import ParseError, encode_column, float_column, read_json, write_json_lines
+from .dataset import K_NEGATIVES, AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
+from .graph import checked, encode_column, float_column, number, read_json, string, write_json_lines
 from .paths import ChainPair
 
 
@@ -41,7 +41,7 @@ class SelectorHyperParams:
     learning_rate: float = 1e-5
     batch_size: int = 250
     epochs: int = 2000
-    k_negatives: int = 10
+    k_negatives: int = K_NEGATIVES
     dim_qis: int = 100
     dim_cn: int = 25
     dim_set: int = 100
@@ -60,7 +60,7 @@ class SelectorHyperParams:
                 )
         if self.dim_qis + 2 * self.dim_cn + self.dim_set != self.dim_chain:
             raise ConfigurationError(
-                "query and chain vector dimensions must match: "
+                "dim_qis + 2*dim_cn + dim_set must equal dim_chain: "
                 f"{self.dim_qis} + 2*{self.dim_cn} + {self.dim_set} != {self.dim_chain}"
             )
 
@@ -617,40 +617,30 @@ def _matrix(rec: dict, name: str, shape: tuple) -> np.ndarray:
     return float_column(rec, "data", math.prod(got)).reshape(got)
 
 
-def _number(value, name: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{name!r} must be a finite number")
-    return float(value)
-
-
 def load_scorer(path: str, tb_vocab: Vocabulary, kb_vocab: Vocabulary):
     """The scorer ``save_scorer`` wrote; a malformed file is a ``ParseError`` naming it."""
     payload = read_json(path)
-    kind = payload.get("type")
-    if payload.get("version") == 1:
-        raise ParseError(path, 1, "a version-1 selector model; retrain it with train-selector")
-    if payload.get("version") != 2 or kind not in ("embedding", "linear"):
-        raise ParseError(path, 1, "not a selector model file")
-    hashes = payload.get("tb_vocab_hash"), payload.get("kb_vocab_hash")
-    if not all(isinstance(h, str) for h in hashes):
-        raise ParseError(path, 1, "'tb_vocab_hash' and 'kb_vocab_hash' must be strings")
+    with checked(path, 1):
+        if payload.get("version") == 1:
+            raise ValueError("a version-1 selector model; retrain it with train-selector")
+        if payload.get("version") != 2 or payload.get("type") not in ("embedding", "linear"):
+            raise ValueError("not a selector model file")
+        hashes = tuple(string(payload.get(k), k) for k in ("tb_vocab_hash", "kb_vocab_hash"))
     if hashes != (tb_vocab.content_hash(), kb_vocab.content_hash()):
         raise ConfigurationError(
             f"vocabulary hash mismatch between the model file {path} and the loaded dataset"
         )
     tb, kb = tb_vocab.size, kb_vocab.size
-    try:
-        if kind == "embedding":
+    with checked(path, 1, "selector model"):  # a ConfigurationError is a ValueError too
+        if payload["type"] == "embedding":
             params = payload["params"]
             rows = {"qis": tb, "cn": tb, "set": kb, "chain": kb}
             return EmbeddingScorer(
                 *(_matrix(params[k], k, (n, None)) for k, n in rows.items()),
-                _number(payload["margin"], "margin"),
+                number(payload["margin"], "margin"),
                 *hashes,
             )
         if (payload["tb_size"], payload["kb_size"]) != (tb, kb):
             raise ValueError("'tb_size' and 'kb_size' must be the vocabulary sizes")
         weights = _matrix(payload["weights"], "weights", (3 * tb + 2 * kb,))
-        return LinearScorer(weights, _number(payload["bias"], "bias"), tb, kb, *hashes)
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
-        raise ParseError(path, 1, f"bad selector model: {exc!r}") from None
+        return LinearScorer(weights, number(payload["bias"], "bias"), tb, kb, *hashes)

@@ -765,11 +765,66 @@ class TestConfig:
             for key in config_defaults():
                 assert "--" + key.replace("_", "-") in text, (command, key)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"seed": [1]}, "'seed' must be an integer"),
+            ({"seed": {}}, "'seed' must be an integer"),
+            ({"banned_prefixes": 0}, "'banned_prefixes' must be a list of strings"),
+            ({"banned_prefixes": ["a", 1]}, "'banned_prefixes' must be a list of strings"),
+            ({"tree_depth": ""}, "'tree_depth' must be an integer"),
+            ({"tree_depth": "abc"}, "'tree_depth' must be an integer"),
+            ({"epochs": 1.5}, "'epochs' must be an integer"),
+            ({"epochs": True}, "'epochs' must be an integer"),
+            ({"learning_rate": ["x"]}, "'learning_rate' must be a finite number"),
+            ({"learning_rate": "0.1"}, "'learning_rate' must be a finite number"),
+            ({"selector": 5}, "'selector' must be a string"),
+            ({"graph_path": None}, "'graph_path' must be a string"),
+        ],
+        ids=["int-a-list", "int-an-object", "prefixes-a-number", "prefix-a-number",
+             "int-empty", "int-a-word", "int-a-float", "int-a-bool", "float-a-list",
+             "float-a-string", "string-a-number", "string-null"],
+    )
+    def test_bad_value_exits_2_naming_the_file_and_key(self, tmp_path, capsys, value, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(value))
+        assert main(["render-sparql", "--config", str(cfg), "--se", "m.1", "--p1", "a.b",
+                     "--p2", "c.d"]) == 2
+        assert f"error: {cfg}:1: {message}" in capsys.readouterr().err
+
+    def test_well_typed_values_load_as_before(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"banned_prefixes": "a,,b", "learning_rate": 1, "seed": 3,
+                                   "dataset_dir": "d", "pairwise_sigma": 2.5}))
+        loaded = load_config(str(cfg))
+        assert loaded == RunConfig(banned_prefixes=("a", "b"), learning_rate=1.0, seed=3,
+                                   dataset_dir="d", pairwise_sigma=2.5)
+        assert type(loaded.learning_rate) is float
+        cfg.write_text(json.dumps({"banned_prefixes": ["a", "b"]}))
+        assert load_config(str(cfg)).banned_prefixes == ("a", "b")
+
     def test_cli_error_paths_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"bogus": true}')
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+        # A directory where a file belongs, and a byte that is not UTF-8.
+        render = ["render-sparql", "--se", "m.1", "--p1", "a.b", "--p2", "c.d"]
+        assert main([*render, "--config", str(tmp_path)]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        cfg.write_bytes(b'{"seed": 1,\n "selector": "\xff"}\n')
+        assert main([*render, "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        graph = tmp_path / "graph.tsv"
+        graph.write_bytes(b"m.1\tp\tm.2\nm.2\tp\tm.\xff\n")
+        assert main(["build-dataset", "--graph-path", str(graph)]) == 2
+        assert f"error: {graph}:2: 'utf-8' codec" in capsys.readouterr().err
+        graph.write_bytes(b"m.1\tp\tm.2\n")
+        meta = tmp_path / "meta.jsonl"
+        meta.write_bytes(b'{"mid": "m.1"}\n{"mid": "m.2"}\n{"mid": "\xfe"}\n')
+        assert main(["build-dataset", "--graph-path", str(graph),
+                     "--entity-meta-path", str(meta)]) == 2
+        assert f"error: {meta}:3: 'utf-8' codec" in capsys.readouterr().err
 
     def test_bad_training_sizes_exit_2(self, workspace, capsys):
         _, cfg_path, _ = workspace
@@ -881,9 +936,15 @@ class TestConfig:
             vocab_path.write_text(original)
 
 
-# -- mutations of the compiled files serving reads ---------------------------------
+# -- mutations of the files serving reads ------------------------------------------
 
-SERVED_FILES = ("kb.json", "selector-linear.json", "selector-embedding.json")
+# Each file a serving command reads, and the command that reads it.
+SERVED_FILES = {
+    "kb.json": "complete", "selector-linear.json": "complete",
+    "selector-embedding.json": "complete", "config.json": "complete", "query.json": "complete",
+    "ranker.json": "complete", "vocab_tb.json": "complete", "vocab_kb.json": "complete",
+    "tables.jsonl": "evaluate", "split.json": "evaluate",
+}
 
 
 def json_paths(value, path=()):
@@ -945,8 +1006,9 @@ MUTATION_OPS = [
 
 
 class TestServedFileMutations:
-    """One edit anywhere in ``kb.json`` or ``selector.json`` makes ``complete``
-    exit 0, 1 or 2 without a traceback, and an exit of 2 names the file."""
+    """One edit anywhere in a file that ``complete`` or ``evaluate`` reads makes
+    the command exit 0, 1 or 2 without a traceback, and an exit of 2 names the
+    file."""
 
     @pytest.fixture(scope="class")
     def served(self, workspace, tmp_path_factory):
@@ -954,16 +1016,18 @@ class TestServedFileMutations:
         root = tmp_path_factory.mktemp("served")
         shutil.copytree(cfg["dataset_dir"], root / "dataset")
         shutil.copy(Path(cfg["output_dir"]) / "selector.json", root / "selector-linear.json")
+        shutil.copy(Path(cfg["output_dir"]) / "ranker.json", root / "ranker.json")
+        shutil.copy(cfg_path, root / "config.json")
         argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding",
                 "--epochs", "1", "--selector-model-path", str(root / "selector-embedding.json")]
         assert main(argv) == 0
-        query = write_query(cfg, root / "query.json")
-        files = {"kb.json": root / "dataset" / ds.KB_FILE}
-        files.update({name: root / name for name in SERVED_FILES[1:]})
-        return cfg_path, cfg, root, query, files
+        write_query(cfg, root / "query.json")
+        in_dataset = ("kb.json", "vocab_tb.json", "vocab_kb.json", "tables.jsonl", "split.json")
+        return root, {name: root / ("dataset" if name in in_dataset else "") / name
+                      for name in SERVED_FILES}
 
-    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
-    @given(st.tuples(st.sampled_from(SERVED_FILES), st.integers(0, 10**4),
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.tuples(st.sampled_from(sorted(SERVED_FILES)), st.integers(0, 10**4),
                      st.sampled_from(MUTATION_OPS)))
     @example(("kb.json", ("embedding_vectors",), ("bytes", "cut8")))
     @example(("kb.json", ("embedding_vectors",), ("bytes", "nan")))
@@ -972,26 +1036,39 @@ class TestServedFileMutations:
     @example(("kb.json", ("subject_set_ids",), ("bytes", "int-max")))
     @example(("selector-embedding.json", ("params", "qis", "shape"), ("reverse",)))
     @example(("selector-linear.json", ("weights", "data"), ("bytes", "cut3")))
+    @example(("config.json", ("tree_depth",), ("set", [])))
+    @example(("config.json", ("dim_qis",), ("set", "")))
+    @example(("config.json", ("epochs",), ("set", 1.5)))
+    @example(("config.json", ("graph_path",), ("set", "x")))
+    @example(("ranker.json", ("learning_rate",), ("set", float("nan"))))
+    @example(("tables.jsonl", (1,), ("delete",)))
+    @example(("vocab_kb.json", ("oov_token",), ("set", "x")))
     def test_mutated_file_exits_0_1_or_2_naming_it(self, served, mutation):
-        cfg_path, cfg, root, query, files = served
+        root, files = served
         name, where, op = mutation
         target = files[name]
         original = target.read_bytes()
-        rec = json.loads(original)
+        by_line = name.endswith(".jsonl")  # a list of the records of its lines
+        lines = original.splitlines()
+        rec = [json.loads(line) for line in lines] if by_line else json.loads(original)
         if isinstance(where, int):
             paths = list(json_paths(rec))[1:]  # not the record itself
             where = paths[where % len(paths)]
         mutate(rec, where, op)
         selector_kind = "embedding" if name == "selector-embedding.json" else "linear"
+        head = ["complete", str(files["query.json"])]
+        if SERVED_FILES[name] == "evaluate":
+            head = ["evaluate"]
         argv = [
-            "complete", str(query), "--config", str(cfg_path),
+            *head, "--config", str(files["config.json"]),
             "--dataset-dir", str(root / "dataset"), "--selector", selector_kind,
             "--selector-model-path", str(files[f"selector-{selector_kind}.json"]),
-            "--ranker-model-path", str(Path(cfg["output_dir"]) / "ranker.json"),
+            "--ranker-model-path", str(files["ranker.json"]),
         ]
         err = io.StringIO()
         try:
-            target.write_text(json.dumps(rec))
+            target.write_text("".join(json.dumps(r) + "\n" for r in rec) if by_line
+                              else json.dumps(rec))
             with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 rc = main([*argv, "--output-dir", out])
@@ -999,5 +1076,13 @@ class TestServedFileMutations:
             target.write_bytes(original)
         assert rc in (0, 1, 2), (where, op)
         assert "Traceback" not in err.getvalue()
+        names = [str(target)]
+        if name.startswith("vocab_"):  # checked against the model trained on it
+            names.append(str(files["selector-linear.json"]))
+        if name == "config.json":
+            # A well-typed value is reported by its key, or as the file it names.
+            names.append(where[0])
+            if op[0] == "set" and isinstance(op[1], str):
+                names.append(f"No such file or directory: {op[1]!r}")
         if rc == 2:
-            assert str(target) in err.getvalue(), (where, op, err.getvalue())
+            assert any(n in err.getvalue() for n in names), (where, op, err.getvalue())

@@ -590,6 +590,30 @@ class TestModelFiles:
         with pytest.raises(ParseError, match=re.escape(f"{path}:1: ")):
             rk.load_ranker(str(path))
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda p: p.update(learning_rate=float("nan")), "learning_rate"),
+            (lambda p: p.update(sigma=float("inf")), "sigma"),
+            (lambda p: p["trees"][-1].update(threshold=float("nan")), "threshold"),
+            (lambda p: p["trees"][-1]["left"].update(value=float("inf")), "value"),
+            (lambda p: p["trees"][-1]["right"].update(value=-(10**400)), "value"),
+        ],
+        ids=["learning-rate-nan", "sigma-inf", "threshold-nan", "leaf-inf", "leaf-huge-int"],
+    )
+    def test_non_finite_number_is_a_parse_error_naming_the_file(self, tmp_path, edit, key):
+        # Loaded, a NaN or infinite number makes every score NaN or infinite.
+        model = rk.train_ranker(separable_groups(3), rk.RankerConfig(tree_count=2, tree_depth=2))
+        path = tmp_path / "model.json"
+        rk.save_ranker(str(path), model)
+        payload = json.loads(path.read_text())
+        payload["trees"].append({"feature": 0, "threshold": 0.5, "left": {"value": 1.0},
+                                 "right": {"value": 1.0}})
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: {key!r} must be a finite")):
+            rk.load_ranker(str(path))
+
 
 class TestEmbeddingsFile:
     def test_load_and_conventions(self, tmp_path):
