@@ -5,7 +5,7 @@ core-column-eval, complete, render-sparql. Every config key is exposed as
 a flag (flags override the --config JSON file) and every subcommand is
 idempotent given identical inputs and seed. build-dataset parses the KB,
 word-embedding and type files once and compiles them into the dataset's
-kb.json; every later command reads that file, after checking the configured
+kb.bin; every later command opens that file, after checking the configured
 files are the ones it was compiled from, and parses none of them.
 """
 

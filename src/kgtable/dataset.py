@@ -14,7 +14,7 @@ tokens.
 from __future__ import annotations
 
 import hashlib
-import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -33,12 +33,11 @@ from .graph import (
     KnowledgeGraph,
     ParseError,
     PredicateMetaStore,
+    _Memo,
     _json_lines,
+    _json_object,
     _tsv_rows,
     checked,
-    encode_column,
-    float_column,
-    int_column,
     integer,
     read_json,
     string,
@@ -58,7 +57,9 @@ from .ranker import PretrainedEmbeddings
 from .text import EMPTY_TOKEN, NUM_TOKEN, is_numeric, tokenize
 
 OOV_TOKEN = "<oov>"
-KB_FILE = "kb.json"
+KB_FILE = "kb.bin"
+# The dtype of each column of KB_FILE that is not int32.
+KB_DTYPES = {"embedding_vectors": "<f8", "mids": "|u1", "names": "|u1", "description_tokens": "|u1"}
 REBUILD = "rebuild the dataset with build-dataset"
 MIN_LINKED_ROWS = 3
 MIN_CHAIN_HITS = 2  # a retained chain must retrieve at least this many ground-truth rows
@@ -102,30 +103,29 @@ def _parse_cell(obj) -> RawCell:
     if urls is None:
         url = obj.get("url")
         urls = [url] if url else []
-    return RawCell(text=str(obj.get("text", "")), urls=tuple(str(u) for u in urls))
+    return RawCell(text=string(obj.get("text"), "text", ""), urls=tuple(str(u) for u in urls))
 
 
 def read_corpus(path: str) -> list[RawTable]:
     """Read line-delimited JSON table records, validating row widths and id uniqueness.
 
-    A record without ``table_id`` takes its line number as its id.
+    A record without ``table_id`` takes its line number as its id; an absent or
+    ``null`` title, caption, subject mid, header or cell text reads as empty.
     """
     tables: dict[str, RawTable] = {}
     for line_no, rec in _json_lines(path):
         with checked(path, line_no, "table record"):
-            headers = tuple(str(h) for h in rec["headers"])
+            headers = tuple(string(h, "headers", "") for h in rec["headers"])
             rows = tuple(tuple(_parse_cell(c) for c in row) for row in rec["rows"])
+            title, caption, se_mid = (
+                string(rec.get(k), k, "") for k in ("page_title", "caption", "se_mid"))
         with checked(path, line_no):
             if any(len(row) != len(headers) for row in rows):
                 raise ValueError("row width differs from header count")
             table_id = str(rec.get("table_id", line_no))
             if table_id in tables:
                 raise ValueError(f"duplicate table_id {table_id!r}")
-        tables[table_id] = RawTable(
-            table_id=table_id, page_title=str(rec.get("page_title", "")),
-            caption=str(rec.get("caption", "")), headers=headers, rows=rows,
-            se_mid=str(rec.get("se_mid", "")),
-        )
+        tables[table_id] = RawTable(table_id, title, caption, headers, rows, se_mid)
     return list(tables.values())
 
 
@@ -628,11 +628,15 @@ def save_dataset(
 
 
 def _source_hashes(sources: Mapping[str, str]) -> dict[str, str | None]:
-    """The sha256 of each configured source file; ``None`` where none is configured."""
-    return {
-        name: hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
-        for name, path in sources.items()
-    }
+    """The sha256 of each configured source file; ``None`` where none is configured.
+    A file that cannot be read is a ``ConfigurationError`` naming its config key."""
+    hashes = dict.fromkeys(sources)
+    for name, path in sources.items():
+        try:
+            hashes[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+        except OSError as exc:
+            raise ConfigurationError(f"{name} = {path}: {exc.strerror}") from None
+    return hashes
 
 
 class CompiledKB(NamedTuple):
@@ -676,16 +680,13 @@ def subject_set_column(
 
 
 def save_kb(out_dir: str, kb: CompiledKB, sources: Mapping[str, str]) -> None:
-    """Write ``KB_FILE``: ``kb`` as one JSON record of string tables and
-    base64 little-endian columns, plus the sha256 of each file in ``sources``
-    (config key -> path, empty when unset).
-
-    The graph's int32 columns are those of ``KnowledgeGraph._assemble``.
-    Entity metadata refers to the distinct description-token tuples and
-    type-token sets by index; records keep the stores' order, so equal
-    stores give equal records. The embeddings are their token list and one
-    float64 column of the vectors in token order; the SET tokens are the
-    distinct token lists and one int32 column indexing them per entity.
+    """Write ``KB_FILE``: a JSON header line, space-padded to a multiple of 8
+    bytes, then little-endian columns at 8-byte-aligned offsets of the body.
+    The header holds the small tables, the sha256 of each file in ``sources``
+    (config key -> path, empty when unset) and the column table, name ->
+    ``[dtype, offset, count]``. Metadata records, in the store's order, index
+    the distinct descriptions and type sets, so equal stores give equal bytes.
+    A string table is a UTF-8 blob ``key`` cut at character offsets ``key_offsets``.
     """
     g, entity_meta, pred_meta, embeddings = kb.graph, kb.entity_meta, kb.pred_meta, kb.embeddings
     descriptions: dict[tuple[str, ...], int] = {}
@@ -701,46 +702,70 @@ def save_kb(out_dir: str, kb: CompiledKB, sources: Mapping[str, str]) -> None:
         columns["meta_" + key] = [t_index(getattr(m, key), len(type_sets)) for m in metas]
     columns["predicate_type_sets"] = [t_index(t, len(type_sets)) for t in pred_meta._tgt.values()]
     columns["subject_set_ids"] = kb.subject_set_ids
-    record = {
-        "mids": g._mids,
-        "predicates": g._preds,
-        "descriptions": list(descriptions),
-        "type_sets": [sorted(t) for t in type_sets],
-        "names": [m.name for m in metas],
-        "typed_predicates": list(pred_meta._tgt),
-        "embedding_tokens": list(embeddings._vectors),
-        "embedding_dim": embeddings.dim,
-        "embedding_vectors": encode_column(list(embeddings._vectors.values()), "<f8"),
-        "subject_sets": [list(t) for t in kb.subject_sets],
-        "sources": _source_hashes(sources),
-        **{key: encode_column(col, "<i4") for key, col in columns.items()},
-    }
-    write_json_lines(Path(out_dir) / KB_FILE, [record])
+    columns["description_offsets"] = np.cumsum([0, *map(len, descriptions)])  # into the tokens
+    texts = {"mids": g._mids, "names": [m.name for m in metas],
+             "description_tokens": [t for d in descriptions for t in d]}
+    for key, values in texts.items():
+        columns[key + "_offsets"] = np.cumsum([0, *map(len, values)])
+        columns[key] = np.frombuffer("".join(values).encode("utf-8"), np.uint8)
+    columns["embedding_vectors"] = list(embeddings._vectors.values())
+    table, body = {}, bytearray()
+    for key, col in columns.items():
+        col = np.asarray(col, KB_DTYPES.get(key, "<i4")).ravel()
+        table[key] = [col.dtype.str, len(body), col.size]
+        body += col.tobytes() + bytes(-col.nbytes % 8)
+    header = json.dumps({
+        "predicates": g._preds, "typed_predicates": list(pred_meta._tgt),
+        "type_sets": [sorted(t) for t in type_sets], "subject_sets": kb.subject_sets,
+        "embedding_tokens": list(embeddings._vectors), "embedding_dim": embeddings.dim,
+        "sources": _source_hashes(sources), "columns": table,
+    }, sort_keys=True, separators=(",", ":"))
+    header += " " * (-(len(header) + 1) % 8) + "\n"  # ASCII, so one byte a character
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(out_dir) / KB_FILE).write_bytes(header.encode("ascii") + body)
 
 
-def _offsets(rec: dict, key: str, count: int, total: int) -> np.ndarray:
-    """The offsets column ``key``: ``count + 1`` values rising from 0 to ``total``."""
-    off = int_column(rec, key, total + 1)
-    if len(off) != count + 1 or off[0] != 0 or off[-1] != total or (np.diff(off) < 0).any():
-        raise ValueError(f"{key} are not {count + 1} offsets rising from 0 to {total}")
-    return off
+def _decode_kb(header: dict, body: memoryview, start: int) -> CompiledKB:
+    """The ``CompiledKB`` of a header and the body at byte ``start`` of the file, checked whole."""
+    views, end = {}, 0
+    # In offset order, an empty column before a full one at the same offset.
+    for key, (dtype, offset, count) in sorted(dict(header["columns"]).items(),
+                                              key=lambda item: item[1][1:]):
+        if dtype != KB_DTYPES.get(key, "<i4"):
+            raise TypeError(f"column {key} is not {KB_DTYPES.get(key, '<i4')}")
+        stop = integer(offset, key) + integer(count, key) * np.dtype(dtype).itemsize
+        if (start + offset) % 8 or offset < end or count < 0 or stop > len(body):
+            raise ValueError(f"column {key} is misaligned, overlaps another or runs past the end")
+        views[key], end = np.frombuffer(body, dtype, count, offset), stop
+    if len(body) != end + -end % 8:
+        raise ValueError(f"the columns end at byte {end} of a {len(body)}-byte body")
 
+    def ints(key: str, stop: int) -> np.ndarray:  # each value in range(stop)
+        col = views[key].astype(np.int32, copy=False)  # native order, for a memoryview
+        if col.size and (col.min() < 0 or col.max() >= stop):
+            raise ValueError(f"{key} holds a value outside 0..{stop - 1}")
+        return col
 
-def _decode_kb(rec: dict) -> CompiledKB:
-    """The ``CompiledKB`` of a ``save_kb`` record, every column checked whole."""
-    mids, preds = rec["mids"], rec["predicates"]
-    names, typed = rec["names"], rec["typed_predicates"]
-    descriptions = [tuple(d) for d in rec["descriptions"]]
-    type_sets = [frozenset(t) for t in rec["type_sets"]]
-    if not all(type(v) is list for v in (mids, preds, names, typed)):
-        raise TypeError("mids, predicates, names and typed predicates must be lists")
-    texts = itertools.chain(mids, preds, names, typed, *descriptions, *type_sets)
-    if not set(map(type, texts)) <= {str}:
-        raise ValueError("a mid, name or token is not a string")
-    codes = int_column(rec, "token_codes", 2 * len(preds))
-    nbrs = int_column(rec, "neighbour_ids", len(mids))
-    goff = _offsets(rec, "group_offsets", len(mids), len(codes))
-    noff = _offsets(rec, "neighbour_offsets", len(codes), len(nbrs))
+    def offsets(key: str, count: int, total: int) -> np.ndarray:  # count + 1 of 0..total
+        off = ints(key, total + 1)
+        if len(off) != count + 1 or off[0] != 0 or off[-1] != total or (np.diff(off) < 0).any():
+            raise ValueError(f"{key} are not {count + 1} offsets rising from 0 to {total}")
+        return off
+
+    def texts(key: str) -> tuple[str, memoryview]:  # a blob decoded once, and its offsets
+        text = str(views[key], "utf-8")
+        at = offsets(key + "_offsets", len(views[key + "_offsets"]) - 1, len(text))
+        return text, memoryview(at)
+
+    preds = strings(header["predicates"], "predicates")
+    typed = strings(header["typed_predicates"], "typed_predicates")
+    type_sets = [frozenset(strings(t, "type_sets")) for t in header["type_sets"]]
+    text, at = texts("mids")
+    mids = [text[a:b] for a, b in zip(at.tolist(), at[1:].tolist())]
+    codes = ints("token_codes", 2 * len(preds))
+    nbrs = ints("neighbour_ids", len(mids))
+    goff = offsets("group_offsets", len(mids), len(codes))
+    noff = offsets("neighbour_offsets", len(codes), len(nbrs))
     # Within an entity, each group's code exceeds the one before.
     rising = np.diff(codes) > 0
     rising[goff[(goff > 0) & (goff < len(codes))] - 1] = True
@@ -750,71 +775,73 @@ def _decode_kb(rec: dict) -> CompiledKB:
     g._assemble(mids, preds, (goff, codes, noff, nbrs))
     if len(g._ids) != len(mids):
         raise ValueError("mids repeat")
-    stops = {"entities": len(mids), "descriptions": len(descriptions),
-             "notable_types": len(type_sets), "rdf_types": len(type_sets)}
-    entities, d, notable, rdf = (
-        memoryview(int_column(rec, "meta_" + key, stop)) for key, stop in stops.items()
-    )
-    tgt = int_column(rec, "predicate_type_sets", len(type_sets))
-    row = dict(zip(entities, range(len(entities))))
-    if {len(row), len(d), len(notable), len(rdf)} != {len(names)} or len(tgt) != len(typed):
-        raise ValueError("metadata entities repeat or columns differ in length")
 
-    tokens = strings(rec["embedding_tokens"], "embedding_tokens")
-    dim = integer(rec["embedding_dim"], "embedding_dim")
-    if len(set(tokens)) != len(tokens) or dim < 0:
-        raise ValueError("embedding tokens repeat or 'embedding_dim' is negative")
-    vectors = float_column(rec, "embedding_vectors", len(tokens) * dim)
-    sets = rec["subject_sets"]
-    if type(sets) is not list or not all(
-        type(t) is list and set(map(type, t)) <= {str} for t in sets
-    ):
-        raise TypeError("'subject_sets' must be lists of strings")
-    set_ids = int_column(rec, "subject_set_ids", len(sets))
-    if len(set_ids) != len(mids):
-        raise ValueError(f"subject_set_ids holds {len(set_ids)} values, not {len(mids)}")
+    names, name_at = texts("names")
+    tokens, token_at = texts("description_tokens")
+    d_at = memoryview(offsets("description_offsets", len(views["description_offsets"]) - 1,
+                              len(token_at) - 1))
+    stops = {"entities": len(mids), "descriptions": len(d_at) - 1,
+             "notable_types": len(type_sets), "rdf_types": len(type_sets)}
+    entities, d, notable, rdf = (ints("meta_" + key, stop) for key, stop in stops.items())
+    tgt = ints("predicate_type_sets", len(type_sets))
+    row = np.full(len(mids), -1, np.int32)  # each entity's metadata record, or -1
+    row[entities] = np.arange(len(entities), dtype=np.int32)
+    lengths = {int((row >= 0).sum()), len(d), len(notable), len(rdf), len(name_at) - 1}
+    if lengths != {len(entities)} or len(tgt) != len(typed):
+        raise ValueError("metadata entities repeat or columns differ in length")
+    row, d, notable, rdf = map(memoryview, (row, d, notable, rdf))
+    descriptions = _Memo(lambda i: tuple(
+        tokens[token_at[j]:token_at[j + 1]] for j in range(d_at[i], d_at[i + 1])))
 
     def decode(entity: int) -> EntityMeta:
-        r = row.get(entity)
-        if r is None:
-            return EMPTY_ENTITY_META
-        return EntityMeta(names[r], descriptions[d[r]], type_sets[notable[r]], type_sets[rdf[r]])
+        r = row[entity] if 0 <= entity < len(row) else -1
+        return EMPTY_ENTITY_META if r < 0 else EntityMeta(
+            names[name_at[r]:name_at[r + 1]], descriptions[d[r]],
+            type_sets[notable[r]], type_sets[rdf[r]])
 
-    tgt_by_name = dict(zip(typed, (type_sets[t] for t in tgt.tolist())))
+    vocab = strings(header["embedding_tokens"], "embedding_tokens")
+    dim = integer(header["embedding_dim"], "embedding_dim")
+    if len(set(vocab)) != len(vocab) or dim < 0:
+        raise ValueError("embedding tokens repeat or 'embedding_dim' is negative")
+    vectors = views["embedding_vectors"].astype(np.float64, copy=False)
+    if len(vectors) != len(vocab) * dim or not np.isfinite(vectors).all():
+        raise ValueError(f"embedding_vectors is not {len(vocab) * dim} finite float64 values")
+    sets = [strings(t, "subject_sets") for t in header["subject_sets"]]
+    set_ids = ints("subject_set_ids", len(sets))
+    if len(set_ids) != len(mids):
+        raise ValueError(f"subject_set_ids holds {len(set_ids)} values, not {len(mids)}")
     return CompiledKB(
-        g,
-        EntityMetaStore(decode=decode, entities=entities),
-        PredicateMetaStore(tgt_by_name),
-        PretrainedEmbeddings(dict(zip(tokens, vectors.reshape(len(tokens), dim))), dim),
-        [tuple(t) for t in sets],
-        set_ids,
-    )
+        g, EntityMetaStore(decode=decode, entities=memoryview(entities)),
+        PredicateMetaStore(dict(zip(typed, (type_sets[t] for t in tgt.tolist())))),
+        PretrainedEmbeddings(dict(zip(vocab, vectors.reshape(len(vocab), dim))), dim),
+        sets, set_ids)
 
 
 def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
     """The ``CompiledKB`` that ``save_kb`` wrote, once the configured
     ``sources`` are checked to be the files it was compiled from.
 
-    Every column is checked whole, but an entity's adjacency and metadata
-    are built on their first read. Equal descriptions share one tuple and
-    equal type sets one frozenset. A missing field, a value of the wrong
-    type or length, an id out of range or a non-finite vector value is a
-    ``ParseError`` naming the file.
+    The file is read once and its columns viewed in place. Each is checked
+    whole, and each string table's UTF-8 once, but an entity's adjacency,
+    name and description are built on their first read; equal descriptions
+    share one tuple. Any malformed field, column or text, or a non-finite
+    vector value, is a ``ParseError`` naming the file.
     """
     path = Path(in_dir) / KB_FILE
     hashes = _source_hashes(sources)
     if not path.is_file():
         raise ConfigurationError(f"{path} is missing; {REBUILD}")
-    rec = read_json(str(path))
-    recorded = rec.get("sources")
+    data = path.read_bytes()
+    start = data.find(b"\n") + 1 or len(data)  # where the body starts
+    with checked(str(path), 1):
+        header = _json_object(str(path), 1, data[:start].decode("utf-8"))
+    recorded = header.get("sources")
     for name, digest in hashes.items():
         if not isinstance(recorded, dict) or recorded.get(name) != digest:
             given = sources[name] or "no file"
-            raise ConfigurationError(
-                f"{path} was not compiled from {name} = {given}; {REBUILD}"
-            )
+            raise ConfigurationError(f"{path} was not compiled from {name} = {given}; {REBUILD}")
     with checked(str(path), 1, "compiled KB"):
-        return _decode_kb(rec)
+        return _decode_kb(header, memoryview(data)[start:], start)
 
 
 def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:

@@ -43,8 +43,9 @@ class checked:
     """The one rule for malformed input: a ``KeyError``, ``IndexError``,
     ``TypeError`` or ``ValueError`` raised in the block that decodes
     ``path:line_no`` becomes a ``ParseError`` naming it, with the message ``bad
-    <what>: <repr of the error>``, or without ``what`` the error's own text; a
-    ``ParseError`` passes unchanged. A file of records may move ``line_no``."""
+    <what>: <repr of the error>``, or without ``what`` (or for a decode error,
+    whose repr holds its whole input) the error's own text; a ``ParseError``
+    passes unchanged. A file of records may move ``line_no``."""
 
     MALFORMED = (KeyError, IndexError, TypeError, ValueError)
 
@@ -56,7 +57,8 @@ class checked:
 
     def __exit__(self, kind, exc, tb) -> None:
         if isinstance(exc, self.MALFORMED) and not isinstance(exc, ParseError):
-            message = f"bad {self.what}: {exc!r}" if self.what else str(exc)
+            plain = not self.what or isinstance(exc, UnicodeError)
+            message = str(exc) if plain else f"bad {self.what}: {exc!r}"
             raise ParseError(self.path, self.line_no, message) from exc
 
 
@@ -515,15 +517,6 @@ def load_predicate_meta(path: str) -> PredicateMetaStore:
 def encode_column(values, dtype: str) -> str:
     """``values`` as the base64 of their little-endian bytes: ``"<i4"`` or ``"<f8"``."""
     return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
-
-
-def int_column(rec: dict, key: str, stop: int) -> np.ndarray:
-    """The int32 column ``key`` of a record; each value must lie in ``range(stop)``."""
-    col = np.frombuffer(base64.b64decode(rec[key], validate=True), "<i4")
-    col = col.astype(np.int32, copy=False)  # native order, so a memoryview can index it
-    if col.size and (col.min() < 0 or col.max() >= stop):
-        raise ValueError(f"{key} holds a value outside 0..{stop - 1}")
-    return col
 
 
 def float_column(rec: dict, key: str, count: int) -> np.ndarray:

@@ -74,7 +74,7 @@ class PretrainedEmbeddings:
     """Word vectors: token -> float64 vector of ``dim`` values.
 
     ``load`` parses a ``token v1 v2 .. vD`` text file. Only build-dataset
-    calls it: it compiles the vectors into the dataset's ``kb.json``, and
+    calls it: it compiles the vectors into the dataset's ``kb.bin``, and
     every later command reads them from there (``dataset.load_kb``), bit for
     bit. Cosines memoize each token set's (mean vector, norm) for the lifetime
     of the object, which is one command; a set is keyed by its frozenset,

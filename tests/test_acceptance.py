@@ -321,7 +321,7 @@ def test_criterion_12_full_pipeline_is_byte_deterministic(tmp_path):
                 "dataset/split.json",
                 "dataset/vocab_tb.json",
                 "dataset/vocab_kb.json",
-                "dataset/kb.json",
+                "dataset/kb.bin",
                 "out/selector.json",
                 "out/ranker.json",
                 "out/runs.jsonl",

@@ -50,41 +50,70 @@ def save_kb(dataset, graph, meta=None, mid2types=None, type_freq=None):
     ds.save_kb(str(dataset), kb, sources)
 
 
-def b64bytes(text):
-    return base64.b64decode(text, validate=True)
-
-
 def b64(data):
     return base64.b64encode(data).decode("ascii")
 
 
+def write_kb(path, header, body):
+    """``header`` as one JSON line padded to 8 bytes, as save_kb writes it, then ``body``."""
+    head = json.dumps(header)
+    path.write_bytes((head + " " * (-(len(head) + 1) % 8) + "\n").encode() + bytes(body))
+
+
+def edit_kb(change):
+    """An edit of a ``kb.bin``: ``change(header, body)`` on its header and the body's bytes."""
+
+    def edit(path):
+        head, _, body = path.read_bytes().partition(b"\n")
+        header, body = json.loads(head), bytearray(body)
+        change(header, body)
+        write_kb(path, header, body)
+
+    return edit
+
+
 def edit_column(key, change):
-    """An edit of a ``kb.json`` record: ``change(values, record)`` on the int32 column ``key``."""
+    """An edit of a ``kb.bin``: ``change(values, kb)`` on the values of column
+    ``key``, where ``kb`` maps each header field and column name to its value;
+    the columns are then laid out again as save_kb lays them out."""
 
-    def edit(rec):
-        values = np.frombuffer(b64bytes(rec[key]), dtype="<i4").tolist()
-        change(values, rec)
-        rec[key] = b64(np.asarray(values, dtype="<i4").tobytes())
+    def edit(path):
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        columns = {k: np.frombuffer(body, dtype, count, offset)
+                   for k, (dtype, offset, count) in header["columns"].items()}
+        values = columns[key].tolist()
+        change(values, {**header, **columns})
+        columns[key] = np.asarray(values, columns[key].dtype)
+        table, body = header["columns"], bytearray()
+        for k, col in columns.items():
+            table[k] = [col.dtype.str, len(body), col.size]
+            body += col.tobytes() + bytes(-col.nbytes % 8)
+        write_kb(path, header, body)
 
     return edit
 
 
-def edit_floats(key, change):
-    """An edit of a record: ``change(values)`` on the float64 column ``key``."""
-
-    def edit(rec):
-        values = np.frombuffer(b64bytes(rec[key]), dtype="<f8").tolist()
-        change(values)
-        rec[key] = b64(np.asarray(values, dtype="<f8").tobytes())
-
-    return edit
+def mid_count(kb):
+    return len(kb["mids_offsets"]) - 1
 
 
-def repeat_a_token_code(codes, rec):
+def repeat_a_token_code(codes, kb):
     """Give the second group of the first entity with two groups the first one's code."""
-    offsets = np.frombuffer(b64bytes(rec["group_offsets"]), dtype="<i4").tolist()
+    offsets = kb["group_offsets"].tolist()
     first = next(a for a, b in zip(offsets, offsets[1:]) if b - a >= 2)
     codes[first + 1] = codes[first]
+
+
+def retype(key, dtype):
+    """An edit of a ``kb.bin``'s column table: column ``key`` read as ``dtype``, same bytes."""
+
+    def change(header, body):
+        old, offset, count = header["columns"][key]
+        size = count * np.dtype(old).itemsize
+        header["columns"][key] = [dtype, offset, size // np.dtype(dtype).itemsize]
+
+    return edit_kb(change)
 
 
 def model_flags(cfg):
@@ -583,74 +612,102 @@ class TestCompiledKB:
             assert "rebuild the dataset with build-dataset" in err
         assert not (tmp_path / "out").exists()
 
+    PAST_THE_END = "is misaligned, overlaps another or runs past the end"
+
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (None, "kb.json is missing; rebuild the dataset with build-dataset"),
-            ("truncate", "kb.json:1: bad JSON"),
-            (lambda rec: rec.pop("mids"), "kb.json:1: bad compiled KB: KeyError('mids')"),
-            (edit_column("neighbour_ids", lambda col, rec: col.__setitem__(0, len(rec["mids"]))),
+            (None, "kb.bin is missing; rebuild the dataset with build-dataset"),
+            ("truncate", "kb.bin:1: bad JSON"),
+            (edit_kb(lambda h, body: h["columns"].pop("mids")),
+             "kb.bin:1: bad compiled KB: KeyError('mids')"),
+            (edit_column("neighbour_ids", lambda col, kb: col.__setitem__(0, mid_count(kb))),
              "neighbour_ids holds a value outside 0.."),
-            (edit_column("neighbour_ids", lambda col, rec: col.__setitem__(0, -1)),
+            (edit_column("neighbour_ids", lambda col, kb: col.__setitem__(0, -1)),
              "neighbour_ids holds a value outside 0.."),
-            (lambda rec: rec.update(neighbour_ids=b64(b64bytes(rec["neighbour_ids"]) + b"\0")),
-             "buffer size must be a multiple of element size"),
+            (retype("neighbour_ids", "|u1"), "column neighbour_ids is not <i4"),
             (edit_column(
-                "token_codes", lambda col, rec: col.__setitem__(0, 2 * len(rec["predicates"]))
+                "token_codes", lambda col, kb: col.__setitem__(0, 2 * len(kb["predicates"]))
             ), "token_codes holds a value outside 0.."),
-            (edit_column("group_offsets", lambda col, rec: col.pop()),
+            (edit_column("group_offsets", lambda col, kb: col.pop()),
              "group_offsets are not"),
-            (lambda rec: rec["sources"].clear(), "rebuild the dataset with build-dataset"),
-            (edit_column("meta_entities", lambda col, rec: col.__setitem__(0, len(rec["mids"]))),
+            (edit_kb(lambda h, body: h["sources"].clear()),
+             "rebuild the dataset with build-dataset"),
+            (edit_column("meta_entities", lambda col, kb: col.__setitem__(0, mid_count(kb))),
              "meta_entities holds a value outside 0.."),
-            (lambda rec: rec["names"].__setitem__(0, 5), "a mid, name or token is not a string"),
-            # An object of names would pass the length checks and fail at a lookup.
-            (lambda rec: rec.update(names=dict(enumerate(rec["names"]))),
-             "names and typed predicates must be lists"),
+            (retype("names", "<i4"), "column names is not |u1"),
+            # A column table entry of another shape than [dtype, offset, count].
+            (edit_kb(lambda h, body: h["columns"].update(
+                names=dict(zip(("dtype", "offset", "count"), h["columns"]["names"]))
+            )), "kb.bin:1: bad compiled KB: TypeError"),
             # Negative indices would pick the last description or type set.
-            (edit_column("meta_descriptions", lambda col, rec: col.__setitem__(0, -1)),
+            (edit_column("meta_descriptions", lambda col, kb: col.__setitem__(0, -1)),
              "meta_descriptions holds a value outside 0.."),
-            (edit_column("predicate_type_sets", lambda col, rec: col.__setitem__(0, -1)),
+            (edit_column("predicate_type_sets", lambda col, kb: col.__setitem__(0, -1)),
              "predicate_type_sets holds a value outside 0.."),
-            (lambda rec: rec.update(token_codes="AAAA!"), "Only base64 data is allowed"),
-            (edit_column("neighbour_offsets", lambda col, rec: col.__setitem__(0, 1)),
+            (edit_kb(lambda h, body: body.__setitem__(h["columns"]["names"][1], 0xFF)),
+             "'utf-8' codec can't decode byte 0xff"),
+            (edit_column("neighbour_offsets", lambda col, kb: col.__setitem__(0, 1)),
              "neighbour_offsets are not"),
-            (edit_column("neighbour_offsets", lambda col, rec: col.__setitem__(2, col[1] - 1)),
+            (edit_column("neighbour_offsets", lambda col, kb: col.__setitem__(2, col[1] - 1)),
              "neighbour_offsets are not"),
-            (edit_column("neighbour_offsets", lambda col, rec: col.__setitem__(-1, col[-1] - 1)),
+            (edit_column("neighbour_offsets", lambda col, kb: col.__setitem__(-1, col[-1] - 1)),
              "neighbour_offsets are not"),
             (edit_column("token_codes", repeat_a_token_code),
              "an entity's token codes repeat or fall"),
-            (edit_column("meta_rdf_types", lambda col, rec: col.pop()),
+            (edit_column("meta_rdf_types", lambda col, kb: col.pop()),
              "metadata entities repeat or columns differ in length"),
-            (edit_column("meta_entities", lambda col, rec: col.__setitem__(1, col[0])),
+            (edit_column("meta_entities", lambda col, kb: col.__setitem__(1, col[0])),
              "metadata entities repeat or columns differ in length"),
-            (lambda rec: rec.update(
-                embedding_vectors=b64(b64bytes(rec["embedding_vectors"])[:-8])
-            ), "embedding_vectors is not"),
-            (edit_floats("embedding_vectors", lambda col: col.__setitem__(3, float("nan"))),
+            (edit_column("names_offsets", lambda col, kb: col.append(col[-1])),
+             "metadata entities repeat or columns differ in length"),
+            (edit_column("embedding_vectors", lambda col, kb: col.pop()),
              "embedding_vectors is not"),
-            (lambda rec: rec["embedding_tokens"].__setitem__(0, 7),
+            (edit_column("embedding_vectors", lambda col, kb: col.__setitem__(3, float("nan"))),
+             "embedding_vectors is not"),
+            (edit_kb(lambda h, body: h["embedding_tokens"].__setitem__(0, 7)),
              "'embedding_tokens' must be a list of strings"),
-            (lambda rec: rec["embedding_tokens"].__setitem__(1, rec["embedding_tokens"][0]),
-             "embedding tokens repeat"),
+            (edit_kb(lambda h, body: h["embedding_tokens"].__setitem__(
+                1, h["embedding_tokens"][0])), "embedding tokens repeat"),
             (edit_column("subject_set_ids",
-                         lambda col, rec: col.__setitem__(0, len(rec["subject_sets"]))),
+                         lambda col, kb: col.__setitem__(0, len(kb["subject_sets"]))),
              "subject_set_ids holds a value outside 0.."),
-            (edit_column("subject_set_ids", lambda col, rec: col.pop()),
+            (edit_column("subject_set_ids", lambda col, kb: col.pop()),
              "subject_set_ids holds"),
-            (lambda rec: rec["subject_sets"][0].append(7),
-             "'subject_sets' must be lists of strings"),
+            (edit_kb(lambda h, body: h["subject_sets"][0].append(7)),
+             "'subject_sets' must be a list of strings"),
+            # The body's layout: every column lies whole in the body, in order,
+            # at an 8-byte-aligned offset, and the body ends with the last one.
+            (edit_kb(lambda h, body: h["columns"]["token_codes"].__setitem__(1, 8 * 10**6)),
+             "column token_codes " + PAST_THE_END),
+            (edit_kb(lambda h, body: h["columns"]["token_codes"].__setitem__(
+                1, h["columns"]["token_codes"][1] + 4)), "column token_codes " + PAST_THE_END),
+            (edit_kb(lambda h, body: h["columns"]["neighbour_ids"].__setitem__(
+                1, h["columns"]["neighbour_offsets"][1])), PAST_THE_END),
+            (edit_kb(lambda h, body: body.__delitem__(slice(len(body) // 2, None))),
+             PAST_THE_END),
+            (edit_kb(lambda h, body: body.extend(bytes(8))), "the columns end at byte"),
+            (edit_kb(lambda h, body: body.__setitem__(
+                slice(h["columns"]["mids"][1], h["columns"]["mids"][1] + 2), "é".encode())),
+             "kb.bin:1: bad compiled KB: ValueError('mids_offsets holds a value outside"),
+            (lambda path: path.write_bytes(path.read_bytes().replace(b"\n", b" \n", 1)),
+             PAST_THE_END),
+            (edit_kb(lambda h, body: h.update(columns=[])), "bad compiled KB"),
+            (lambda path: path.write_bytes(b'{"x": "\xff"}' + path.read_bytes()),
+             "kb.bin:1: 'utf-8' codec can't decode byte 0xff"),
         ],
         ids=[
             "missing", "truncated", "no-mids", "neighbour-too-large", "neighbour-negative",
             "neighbour-bytes-not-int32", "unknown-token-code", "adjacency-short", "no-sources",
             "metadata-entity-too-large", "metadata-name-a-number", "metadata-names-an-object",
-            "metadata-description-negative", "predicate-type-set-negative", "bad-base64",
+            "metadata-description-negative", "predicate-type-set-negative", "blob-not-utf8",
             "offsets-not-from-0", "offsets-decrease", "offsets-end-short", "token-codes-repeat",
-            "metadata-columns-unequal", "metadata-entity-repeats", "embedding-vectors-short",
-            "embedding-vector-nan", "embedding-token-a-number", "embedding-tokens-repeat",
-            "subject-set-id-too-large", "subject-set-ids-short", "subject-set-token-a-number",
+            "metadata-columns-unequal", "metadata-entity-repeats", "names-short",
+            "embedding-vectors-short", "embedding-vector-nan", "embedding-token-a-number",
+            "embedding-tokens-repeat", "subject-set-id-too-large", "subject-set-ids-short",
+            "subject-set-token-a-number", "column-past-the-end", "column-misaligned",
+            "columns-overlap", "body-cut", "body-too-long", "mids-change-length",
+            "header-misaligned", "column-table-a-list", "header-not-utf8",
         ],
     )
     def test_bad_compiled_kb_exits_2_naming_the_file(
@@ -665,18 +722,31 @@ class TestCompiledKB:
         kb = dataset / ds.KB_FILE
         if edit is None:
             kb.unlink()
-        elif edit == "truncate":
-            kb.write_text(kb.read_text()[: kb.stat().st_size // 2])
+        elif edit == "truncate":  # within the header line
+            data = kb.read_bytes()
+            kb.write_bytes(data[: data.index(b"\n") // 2])
         else:
-            rec = json.loads(kb.read_text())
-            edit(rec)
-            kb.write_text(json.dumps(rec))
+            edit(kb)
         flags = ["--dataset-dir", str(dataset), "--output-dir", str(tmp_path / "out")]
         for argv in self._serving_argvs(cfg_path, query, *flags):
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith(f"error: {kb}") and message in err, (argv[0], err)
             assert "Traceback" not in err
+
+    def test_missing_source_file_exits_2_naming_its_key(self, workspace, tmp_path, capsys):
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+        missing = tmp_path / "x"
+        for head in (["complete", str(query)], ["evaluate"], ["train-ranker"]):
+            for key in ("graph_path", "embeddings_path"):
+                flag = "--" + key.replace("_", "-")
+                argv = [*head, "--config", str(cfg_path), flag, str(missing),
+                        "--output-dir", str(tmp_path / "out")]
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err == f"error: {key} = {missing}: No such file or directory\n", err
+        assert not (tmp_path / "out").exists()
 
     def test_complete_decodes_only_the_entities_it_reads(
         self, workspace, tmp_path, monkeypatch
@@ -940,7 +1010,7 @@ class TestConfig:
 
 # Each file a serving command reads, and the command that reads it.
 SERVED_FILES = {
-    "kb.json": "complete", "selector-linear.json": "complete",
+    "kb.bin": "complete", "selector-linear.json": "complete",
     "selector-embedding.json": "complete", "config.json": "complete", "query.json": "complete",
     "ranker.json": "complete", "vocab_tb.json": "complete", "vocab_kb.json": "complete",
     "tables.jsonl": "evaluate", "split.json": "evaluate",
@@ -965,6 +1035,11 @@ def edit_bytes(text, kind):
         data = bytearray(base64.b64decode(text, validate=True))
     except (TypeError, ValueError):
         return text
+    return b64(bytes(edit_raw(data, kind)))
+
+
+def edit_raw(data, kind):
+    """``data``, a bytearray, with one kind of edit."""
     if kind == "cut8":
         data = data[:-8]
     elif kind == "cut3":
@@ -977,11 +1052,20 @@ def edit_bytes(text, kind):
         data[:4] = np.array([2**31 - 1], "<i4").tobytes()
     elif kind == "flip" and data:
         data[len(data) // 2] ^= 0xFF
-    return b64(bytes(data))
+    return data
 
 
-def mutate(rec, path, op):
-    """Apply one edit to the node at ``path``: set, delete, reverse, or edit bytes."""
+def mutate(rec, path, op, body=None):
+    """Apply one edit to the node at ``path``: set, delete, reverse, or edit bytes.
+
+    With the ``body`` of a ``kb.bin``, whose header is ``rec``, a bytes edit of
+    a column table entry edits that column's bytes in the body, in place.
+    """
+    if body is not None and op[0] == "bytes" and path[:1] == ("columns",) and len(path) == 2:
+        dtype, offset, count = rec["columns"][path[1]]
+        stop = offset + count * np.dtype(dtype).itemsize
+        body[offset:stop] = edit_raw(body[offset:stop], op[1])
+        return
     *head, last = path
     parent = rec
     for key in head:
@@ -1022,18 +1106,20 @@ class TestServedFileMutations:
                 "--epochs", "1", "--selector-model-path", str(root / "selector-embedding.json")]
         assert main(argv) == 0
         write_query(cfg, root / "query.json")
-        in_dataset = ("kb.json", "vocab_tb.json", "vocab_kb.json", "tables.jsonl", "split.json")
+        in_dataset = ("kb.bin", "vocab_tb.json", "vocab_kb.json", "tables.jsonl", "split.json")
         return root, {name: root / ("dataset" if name in in_dataset else "") / name
                       for name in SERVED_FILES}
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.tuples(st.sampled_from(sorted(SERVED_FILES)), st.integers(0, 10**4),
                      st.sampled_from(MUTATION_OPS)))
-    @example(("kb.json", ("embedding_vectors",), ("bytes", "cut8")))
-    @example(("kb.json", ("embedding_vectors",), ("bytes", "nan")))
-    @example(("kb.json", ("embedding_vectors",), ("bytes", "inf")))
-    @example(("kb.json", ("embedding_tokens", 0), ("set", 7)))
-    @example(("kb.json", ("subject_set_ids",), ("bytes", "int-max")))
+    @example(("kb.bin", ("columns", "embedding_vectors"), ("bytes", "cut8")))
+    @example(("kb.bin", ("columns", "embedding_vectors"), ("bytes", "nan")))
+    @example(("kb.bin", ("columns", "embedding_vectors"), ("bytes", "inf")))
+    @example(("kb.bin", ("embedding_tokens", 0), ("set", 7)))
+    @example(("kb.bin", ("columns", "subject_set_ids"), ("bytes", "int-max")))
+    @example(("kb.bin", ("columns", "names"), ("bytes", "flip")))
+    @example(("kb.bin", ("columns", "mids", 1), ("set", 3)))
     @example(("selector-embedding.json", ("params", "qis", "shape"), ("reverse",)))
     @example(("selector-linear.json", ("weights", "data"), ("bytes", "cut3")))
     @example(("config.json", ("tree_depth",), ("set", [])))
@@ -1049,12 +1135,17 @@ class TestServedFileMutations:
         target = files[name]
         original = target.read_bytes()
         by_line = name.endswith(".jsonl")  # a list of the records of its lines
-        lines = original.splitlines()
-        rec = [json.loads(line) for line in lines] if by_line else json.loads(original)
+        body = None  # of a kb.bin, whose header line is the record
+        if name == "kb.bin":
+            head, _, body = original.partition(b"\n")
+            rec, body = json.loads(head), bytearray(body)
+        else:
+            lines = original.splitlines()
+            rec = [json.loads(line) for line in lines] if by_line else json.loads(original)
         if isinstance(where, int):
             paths = list(json_paths(rec))[1:]  # not the record itself
             where = paths[where % len(paths)]
-        mutate(rec, where, op)
+        mutate(rec, where, op, body)
         selector_kind = "embedding" if name == "selector-embedding.json" else "linear"
         head = ["complete", str(files["query.json"])]
         if SERVED_FILES[name] == "evaluate":
@@ -1067,8 +1158,11 @@ class TestServedFileMutations:
         ]
         err = io.StringIO()
         try:
-            target.write_text("".join(json.dumps(r) + "\n" for r in rec) if by_line
-                              else json.dumps(rec))
+            if body is not None:
+                write_kb(target, rec, body)
+            else:
+                target.write_text("".join(json.dumps(r) + "\n" for r in rec) if by_line
+                                  else json.dumps(rec))
             with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 rc = main([*argv, "--output-dir", out])

@@ -292,12 +292,33 @@ class TestPadNegatives:
 
 class TestCorpusIo:
     def test_read_corpus_validates_row_width(self, tmp_path):
+        """Rows are as wide as the headers, and every text field is a string:
+        absent or null reads as empty, any other value names its line."""
         path = tmp_path / "corpus.jsonl"
         rec = {"table_id": "t", "page_title": "x", "caption": "", "headers": ["a", "b"],
                "rows": [[{"text": "only one cell"}]]}
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ds.ParseError):
             ds.read_corpus(str(path))
+        # No caption or subject mid, and a null title, header and cell text.
+        good = {"table_id": "t", "page_title": None, "headers": ["a", None],
+                "rows": [[{"text": None, "url": "u"}, {}]]}
+        path.write_text(json.dumps(good) + "\n")
+        (table,) = ds.read_corpus(str(path))
+        assert (table.page_title, table.caption, table.se_mid) == ("", "", "")
+        assert table.headers == ("a", "") and [c.text for c in table.rows[0]] == ["", ""]
+        assert ds.build_qis(table.page_title, table.caption, "Ann") == (ds.EMPTY_TOKEN,)
+        for key, value in (("page_title", 5), ("caption", ["x"]), ("se_mid", 3),
+                           ("headers", ["a", 7]), ("text", 1.5), ("text", ["x"])):
+            bad = json.loads(json.dumps({**good, "table_id": "u"}))
+            if key == "text":
+                bad["rows"][0][0]["text"] = value
+            else:
+                bad[key] = value
+            path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            message = rf"corpus\.jsonl:2: .*'{key}' must be a string"
+            with pytest.raises(ds.ParseError, match=message):
+                ds.read_corpus(str(path))
 
     @pytest.mark.parametrize(
         "ids", [("t1", "t2", "t1"), ("3", "t2", None)], ids=["repeated", "line-number"]

@@ -4,9 +4,11 @@ import json
 import pickle
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import build_adjacency, grouped_adjacency, naive_entity_meta
 
@@ -18,6 +20,7 @@ from kgtable.graph import (
     EntityMetaStore,
     KnowledgeGraph,
     ParseError,
+    PredicateMetaStore,
     PredicateToken,
     UnknownEntityError,
     load_entity_meta,
@@ -412,3 +415,71 @@ class TestCompiledKB:
         assert len(c_pred_meta) == len(pred_meta)
         for name in {p for _, p, _ in triples} | {r["name"] for r in preds}:
             assert c_pred_meta.get(name) == pred_meta.get(name)
+
+
+# Texts a compiled KB must carry through unchanged: empty, non-ASCII, and
+# holding the newline and tab that separate the lines and fields of the inputs.
+KB_TEXT = st.one_of(st.sampled_from(["", "Ann", "Zoë", "日本", "a\nb", "a\tb", "\x00"]),
+                    st.text(max_size=5))
+KB_TYPES = st.frozensets(KB_TEXT, max_size=3)
+
+
+@st.composite
+def small_kbs(draw):
+    """A ``CompiledKB`` of a random small graph, with metadata for some of its
+    entities, target types for some of its predicates, and random embeddings."""
+    mids = st.sampled_from(["a", "b", "é", "日本", "m.1"])
+    preds = st.sampled_from(["p", "q.r", "ü.v"])
+    triples = draw(st.lists(st.tuples(mids, preds, mids), min_size=1, max_size=10))
+    g = KnowledgeGraph(triples)
+    metas = st.builds(EntityMeta, KB_TEXT, st.lists(KB_TEXT, max_size=3).map(tuple),
+                      KB_TYPES, KB_TYPES)
+    records = draw(st.dictionaries(st.sampled_from(range(len(g))), metas))
+    typed = draw(st.dictionaries(st.sampled_from(["p", "q.r", "x.y"]), KB_TYPES))
+    dim = draw(st.integers(0, 3))
+    tokens = draw(st.lists(KB_TEXT, unique=True, max_size=4))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    vectors = {t: np.array(draw(st.lists(floats, min_size=dim, max_size=dim))) for t in tokens}
+    sets = draw(st.lists(st.lists(KB_TEXT, max_size=2).map(tuple), min_size=1, max_size=3))
+    set_ids = draw(st.lists(st.integers(0, len(sets) - 1), min_size=len(g), max_size=len(g)))
+    return ds.CompiledKB(g, EntityMetaStore(records), PredicateMetaStore(typed),
+                         PretrainedEmbeddings(vectors, dim), sets, set_ids)
+
+
+class TestCompiledKBRoundTrip:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(small_kbs())
+    @example(ds.CompiledKB(  # one entity, no metadata, no typed predicate, no vectors
+        KnowledgeGraph([("a", "p", "a")]), EntityMetaStore(), PredicateMetaStore(),
+        PretrainedEmbeddings({"t": np.zeros(0)}, 0), [("x",)], [0]))
+    def test_save_then_load_gives_back_every_part(self, kb):
+        memos = []
+
+        class Memo(ds._Memo):  # every lazily decoded table the load makes
+            def __init__(self, build):
+                super().__init__(build)
+                memos.append(self)
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ds, "_Memo", Memo):
+            ds.save_kb(tmp, kb, {})
+            got = ds.load_kb(tmp, {})
+        # Opening the KB decodes no entity: no adjacency, metadata or description.
+        assert memos and not any(memos)
+        assert not got.graph._adj and not got.entity_meta._by_entity
+
+        g = kb.graph
+        assert got.graph._mids == g._mids and got.graph._preds == g._preds
+        for e in range(len(g)):
+            assert list(got.graph.adjacency(e).items()) == list(g.adjacency(e).items())
+            assert got.entity_meta.get(e) == kb.entity_meta.get(e)
+        assert list(got.entity_meta) == list(kb.entity_meta)
+        assert got.entity_meta.get(len(g)) == got.entity_meta.get(-1) == EntityMeta()
+        assert got.pred_meta._tgt == kb.pred_meta._tgt
+        for name in ("p", "q.r", "ü.v", "x.y"):
+            assert got.pred_meta.get(name) == kb.pred_meta.get(name)
+        assert got.embeddings.dim == kb.embeddings.dim
+        assert list(got.embeddings._vectors) == list(kb.embeddings._vectors)
+        for token, vec in kb.embeddings._vectors.items():
+            assert got.embeddings._vectors[token].tobytes() == vec.astype("<f8").tobytes()
+        assert list(got.subject_sets) == list(kb.subject_sets)
+        assert list(got.subject_set_ids) == list(kb.subject_set_ids)
