@@ -12,6 +12,7 @@ files are the ones it was compiled from, and parses none of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from pathlib import Path
@@ -174,13 +175,14 @@ def cmd_train_selector(cfg: RunConfig) -> int:
 
 
 def cmd_train_ranker(cfg: RunConfig) -> int:
+    ranker_cfg = cfg.ranker_cfg()  # a bad setting fails before any loading
     g, entity_meta, pred_meta, embeddings, *_ = _load_kb(cfg)
     tables, split, _, _ = ds.load_dataset(cfg.dataset_dir, g)
     groups = harness.ranker_training_groups(
         [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
         cfg.budget(),
     )
-    model = ranker.train_ranker(groups, cfg.ranker_cfg())
+    model = ranker.train_ranker(groups, ranker_cfg)
     path = _ranker_model_path(cfg)
     ranker.save_ranker(path, model)
     print(f"trained ranker on {len(groups)} query groups -> {path}")
@@ -331,6 +333,7 @@ def cmd_render_sparql(cfg: RunConfig, se_mid: str, p1: str, p2: str) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+@functools.cache  # one per process: each parse_args starts from a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgtable",

@@ -69,8 +69,8 @@ class RunConfig:
     # ranker training
     tree_count: int = _RANKER.tree_count
     tree_depth: int = _RANKER.tree_depth
-    tree_learning_rate: float = _RANKER.learning_rate
-    pairwise_sigma: float = _RANKER.sigma
+    tree_learning_rate: float = _RANKER.tree_learning_rate
+    pairwise_sigma: float = _RANKER.pairwise_sigma
 
     def budget(self) -> QueryBudget:
         return QueryBudget(max_rows=self.max_rows, max_steps=self.max_steps)
@@ -89,12 +89,7 @@ class RunConfig:
         )
 
     def ranker_cfg(self) -> RankerConfig:
-        return RankerConfig(
-            tree_count=self.tree_count,
-            tree_depth=self.tree_depth,
-            learning_rate=self.tree_learning_rate,
-            sigma=self.pairwise_sigma,
-        )
+        return RankerConfig(**{f.name: getattr(self, f.name) for f in fields(RankerConfig)})
 
 
 _DEFAULTS = vars(RunConfig())

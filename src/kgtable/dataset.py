@@ -101,22 +101,31 @@ def _parse_cell(obj) -> RawCell:
         raise ValueError("cell must be an object")
     urls = obj.get("urls")
     if urls is None:
-        url = obj.get("url")
+        url = string(obj.get("url"), "url", "")
         urls = [url] if url else []
-    return RawCell(text=string(obj.get("text"), "text", ""), urls=tuple(str(u) for u in urls))
+    return RawCell(text=string(obj.get("text"), "text", ""), urls=strings(urls, "urls"))
+
+
+def _items(value, name: str) -> list:
+    """``value``, which must be a list; else a ``TypeError`` naming ``name``."""
+    if type(value) is not list:
+        raise TypeError(f"{name!r} must be a list")
+    return value
 
 
 def read_corpus(path: str) -> list[RawTable]:
     """Read line-delimited JSON table records, validating row widths and id uniqueness.
 
     A record without ``table_id`` takes its line number as its id; an absent or
-    ``null`` title, caption, subject mid, header or cell text reads as empty.
+    ``null`` title, caption, subject mid, header, cell text or cell url reads as
+    empty, and an empty url is none. ``headers``, ``rows``, rows and ``urls`` are lists.
     """
     tables: dict[str, RawTable] = {}
     for line_no, rec in _json_lines(path):
         with checked(path, line_no, "table record"):
-            headers = tuple(string(h, "headers", "") for h in rec["headers"])
-            rows = tuple(tuple(_parse_cell(c) for c in row) for row in rec["rows"])
+            headers = tuple(string(h, "headers", "") for h in _items(rec["headers"], "headers"))
+            rows = tuple(
+                tuple(map(_parse_cell, _items(row, "row"))) for row in _items(rec["rows"], "rows"))
             title, caption, se_mid = (
                 string(rec.get(k), k, "") for k in ("page_title", "caption", "se_mid"))
         with checked(path, line_no):

@@ -296,22 +296,25 @@ def _last_accepted(gains: np.ndarray) -> int:
         r = nxt
 
 
-def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, np.ndarray, int] | None:
-    """Best split of (X, y), or None: (feature, threshold, rows by feature value, left size).
+def _feature_sort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's rows in stable value order, and their sorted values (features x rows)."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    return order, np.take_along_axis(X.T, order, axis=1)
 
-    All split points of all features are scored at once from the
-    cumulative sums of the targets sorted by each feature. A split must
-    beat the best gain so far by more than 1e-12, so the first of equally
-    good splits, by feature and then by position, wins. The (features x
-    rows) arrays live only in this call, not across the recursion of
-    ``_fit_tree``.
+
+def _best_split(presorted: tuple, y: np.ndarray) -> tuple[int, float, np.ndarray, int] | None:
+    """Best split of the rows, or None: (feature, threshold, rows by feature value, left size).
+
+    ``presorted`` is ``_feature_sort`` of the rows' features and ``y`` their targets.
+    All split points of all features are scored at once from the cumulative sums of
+    the targets sorted by each feature. A split must beat the best gain so far by
+    more than 1e-12, so the first of equally good splits, by feature then position, wins.
     """
+    order, sv = presorted
     total = float(np.sum(y))
     n = len(y)
     base_sse_term = total * total / n
     # One row per feature, so the gains read feature by feature when flattened.
-    order = np.argsort(X.T, axis=1, kind="stable")
-    sv = np.take_along_axis(X.T, order, axis=1)
     left_sum = np.cumsum(y[order], axis=1)[:, :-1]
     nl = np.arange(1, n)
     gain = left_sum * left_sum / nl + (total - left_sum) ** 2 / (n - nl) - base_sse_term
@@ -324,16 +327,17 @@ def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, np.ndarray, i
     return feat, (sv[feat, i] + sv[feat, i + 1]) / 2.0, order[feat].copy(), i + 1
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> dict:
+def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, presorted=None) -> dict:
     """Exact greedy regression tree on the rows ``idx``, in the form ``ranker.json`` stores.
 
     A leaf is ``{"value": v}`` and a split ``{"feature", "threshold", "left",
-    "right"}``; a row goes left when its feature value is at most the threshold.
+    "right"}``; a row goes left when its feature value is at most the threshold. A given
+    ``presorted`` is ``_feature_sort(X[idx])``; a child sorts its own rows (ties follow the split).
     """
     y_idx = y[idx]
     if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
         return {"value": float(np.mean(y_idx))}
-    split = _best_split(X[idx], y_idx)
+    split = _best_split(presorted or _feature_sort(X[idx]), y_idx)
     if split is None:
         return {"value": float(np.mean(y_idx))}
     feat, thr, rows, n_left = split
@@ -401,8 +405,16 @@ def _leaf_values(arrays: tuple, X: np.ndarray) -> np.ndarray:
 class RankerConfig:
     tree_count: int = 100
     tree_depth: int = 4
-    learning_rate: float = 0.1
-    sigma: float = 1.0
+    tree_learning_rate: float = 0.1
+    pairwise_sigma: float = 1.0
+
+    def __post_init__(self):
+        for key in ("tree_count", "tree_depth"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be at least 0, got {getattr(self, key)}")
+        for key in ("tree_learning_rate", "pairwise_sigma"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be above 0, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -440,34 +452,43 @@ class RankerModel:
         return self.learning_rate * scores
 
 
-def pairwise_lambdas(
-    scores: np.ndarray, relevance: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Per-item lambda gradients for one group.
-
-    For each (relevant i, irrelevant j) pair the contribution is
-    sigma / (1 + exp(sigma * (s_i - s_j))) * |delta NDCG of swapping i, j|,
-    added to i and subtracted from j. Groups lacking one of the classes
-    contribute zero.
+def _shape_batches(relevances: Sequence[np.ndarray]) -> list[tuple]:
+    """Groups of consecutive rows with both classes, batched by (size, relevant positions):
+    (the (k, size) row numbers of a batch's k groups, the relevant and the
+    irrelevant positions, the ideal DCG). One-class groups get no lambda.
     """
-    n = len(scores)
-    lambdas = np.zeros(n)
-    rel_idx = np.flatnonzero(relevance > 0)
-    irr_idx = np.flatnonzero(relevance <= 0)
-    if len(rel_idx) == 0 or len(irr_idx) == 0:
-        return lambdas
-    # Current 1-based ranks under descending score, ties broken by index.
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(n)
-    ranks[order] = np.arange(1, n + 1)
-    idcg = sum(1.0 / math.log2(i + 2) for i in range(len(rel_idx)))
-    inv_log = 1.0 / np.log2(1.0 + ranks)
-    diff = scores[rel_idx][:, None] - scores[irr_idx][None, :]
-    coef = sigma / (1.0 + np.exp(sigma * diff))
-    delta = np.abs(inv_log[rel_idx][:, None] - inv_log[irr_idx][None, :]) / idcg
-    pair = coef * delta
-    np.add.at(lambdas, rel_idx, pair.sum(axis=1))
-    np.add.at(lambdas, irr_idx, -pair.sum(axis=0))
+    starts: dict[tuple[bool, ...], list[int]] = {}
+    for lo, rel in zip(np.cumsum([0, *map(len, relevances)]).tolist(), relevances):
+        if 0 < np.count_nonzero(rel > 0) < len(rel):
+            starts.setdefault(tuple((rel > 0).tolist()), []).append(lo)
+    batches = []
+    for shape, firsts in starts.items():
+        relevant = np.array(shape)
+        idcg = sum(1.0 / math.log2(i + 2) for i in range(np.count_nonzero(relevant)))
+        rows = np.add.outer(firsts, np.arange(len(shape)))
+        batches.append((rows, np.flatnonzero(relevant), np.flatnonzero(~relevant), idcg))
+    return batches
+
+
+def _lambdas(scores: np.ndarray, batches: Sequence[tuple], sigma: float) -> np.ndarray:
+    """LambdaMART's lambda gradient of each row, one array pass per ``_shape_batches`` batch.
+
+    A group's (relevant i, irrelevant j) pair adds sigma / (1 + exp(sigma * (s_i - s_j)))
+    * |delta NDCG of swapping i, j| to i and subtracts it from j. Each row sums in the
+    order and layout of one group's (relevant x irrelevant) matrix: batching changes no bit.
+    """
+    lambdas = np.zeros(len(scores))
+    for rows, rel, irr, idcg in batches:
+        s = scores[rows]
+        # 1 / log2(1 + rank), rank = 1 + position by descending score, ties by row.
+        inv_log = 1.0 / np.log2(2.0 + np.argsort(np.argsort(-s, axis=1, kind="stable"), axis=1))
+        coef = sigma / (1.0 + np.exp(sigma * (s[:, rel][:, :, None] - s[:, irr][:, None, :])))
+        delta = np.abs(inv_log[:, rel][:, :, None] - inv_log[:, irr][:, None, :]) / idcg
+        # C order makes each group's (r, c) slab sum as a one-group matrix does:
+        # rows pairwise, columns down the rows in order (pairwise when c == 1).
+        pair = np.ascontiguousarray(coef * delta)
+        lambdas[rows[:, rel]] += pair.sum(axis=2)
+        lambdas[rows[:, irr]] -= pair.sum(axis=1)
     return lambdas
 
 
@@ -476,24 +497,23 @@ def train_ranker(
 ) -> RankerModel:
     """Boost regression trees on accumulated lambda gradients.
 
-    Fully deterministic: splits are exact greedy over all features.
+    Fully deterministic: splits are exact greedy over all features. The groups
+    are batched by shape once, and every tree's root reuses one feature sort.
     """
     usable = [g for g in groups if len(g.relevance)]
     if not usable:
-        return RankerModel([], cfg.learning_rate, cfg.sigma)
+        return RankerModel([], cfg.tree_learning_rate, cfg.pairwise_sigma)
     X = np.vstack([g.features for g in usable])
-    bounds = np.cumsum([0] + [len(g.relevance) for g in usable])
+    batches = _shape_batches([g.relevance for g in usable])
+    rows, root = np.arange(X.shape[0]), _feature_sort(X)
     scores = np.zeros(X.shape[0])
     trees = []
     for _ in range(cfg.tree_count):
-        lambdas = np.zeros(X.shape[0])
-        for gi, g in enumerate(usable):
-            lo, hi = bounds[gi], bounds[gi + 1]
-            lambdas[lo:hi] = pairwise_lambdas(scores[lo:hi], g.relevance, cfg.sigma)
-        tree = _fit_tree(X, lambdas, np.arange(X.shape[0]), cfg.tree_depth)
+        lambdas = _lambdas(scores, batches, cfg.pairwise_sigma)
+        tree = _fit_tree(X, lambdas, rows, cfg.tree_depth, root)
         trees.append(tree)
-        scores += cfg.learning_rate * _leaf_values(_tree_arrays([tree]), X)[:, 0]
-    return RankerModel(trees, cfg.learning_rate, cfg.sigma)
+        scores += cfg.tree_learning_rate * _leaf_values(_tree_arrays([tree]), X)[:, 0]
+    return RankerModel(trees, cfg.tree_learning_rate, cfg.pairwise_sigma)
 
 
 def rank(scores: Sequence[float], cands: Sequence[tuple[int, int]]) -> list[int]:

@@ -6,11 +6,13 @@ walk recursively, so agreement with the production code is meaningful.
 The featurizer oracle scores one candidate at a time and caches nothing.
 The selector's gradient oracle takes one (context, positive, negative)
 triple at a time, its scoring oracles score one (context, chain) pair at a
-time, and the tree oracle scans split points one by one.
+time, and the tree oracle scans split points one by one. The lambda oracle
+takes one group at a time, and the trainer oracle fits with both.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -301,6 +303,61 @@ def naive_fit_tree(X, y, idx, depth):
         "left": naive_fit_tree(X, y, left_idx, depth - 1),
         "right": naive_fit_tree(X, y, right_idx, depth - 1),
     }
+
+
+def naive_pairwise_lambdas(scores, relevance, sigma):
+    """LambdaMART's per-item lambda gradients for one group.
+
+    For each (relevant i, irrelevant j) pair the contribution is
+    sigma / (1 + exp(sigma * (s_i - s_j))) * |delta NDCG of swapping i, j|,
+    added to i and subtracted from j. Groups lacking one of the classes
+    contribute zero.
+    """
+    n = len(scores)
+    lambdas = np.zeros(n)
+    rel_idx = np.flatnonzero(relevance > 0)
+    irr_idx = np.flatnonzero(relevance <= 0)
+    if len(rel_idx) == 0 or len(irr_idx) == 0:
+        return lambdas
+    # Current 1-based ranks under descending score, ties broken by index.
+    order = np.argsort(-scores, kind="stable")
+    ranks = np.empty(n)
+    ranks[order] = np.arange(1, n + 1)
+    idcg = sum(1.0 / math.log2(i + 2) for i in range(len(rel_idx)))
+    inv_log = 1.0 / np.log2(1.0 + ranks)
+    diff = scores[rel_idx][:, None] - scores[irr_idx][None, :]
+    coef = sigma / (1.0 + np.exp(sigma * diff))
+    delta = np.abs(inv_log[rel_idx][:, None] - inv_log[irr_idx][None, :]) / idcg
+    pair = coef * delta
+    np.add.at(lambdas, rel_idx, pair.sum(axis=1))
+    np.add.at(lambdas, irr_idx, -pair.sum(axis=0))
+    return lambdas
+
+
+def naive_train_ranker(groups, tree_count, tree_depth, learning_rate, sigma):
+    """LambdaMART's trees, one group's lambdas and one row's leaf at a time."""
+    groups = [g for g in groups if len(g.relevance)]
+    if not groups:
+        return []
+    X = np.vstack([g.features for g in groups])
+    bounds = np.cumsum([0] + [len(g.relevance) for g in groups])
+    scores = np.zeros(len(X))
+    trees = []
+    for _ in range(tree_count):
+        lambdas = np.concatenate([
+            naive_pairwise_lambdas(scores[lo:hi], g.relevance, sigma)
+            for g, lo, hi in zip(groups, bounds, bounds[1:])
+        ])
+        tree = naive_fit_tree(X, lambdas, np.arange(len(X)), tree_depth)
+        leaves = []
+        for x in X:
+            node = tree
+            while "value" not in node:
+                node = node["left" if x[node["feature"]] <= node["threshold"] else "right"]
+            leaves.append(node["value"])
+        scores += learning_rate * np.array(leaves)
+        trees.append(tree)
+    return trees
 
 
 def embedding_objective(scorer, tables, tb_vocab, kb_vocab, hp, rng_seed=0) -> float:

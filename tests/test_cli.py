@@ -835,6 +835,27 @@ class TestConfig:
             for key in config_defaults():
                 assert "--" + key.replace("_", "-") in text, (command, key)
 
+    def test_successive_calls_leak_no_flag_value(self, tmp_path, monkeypatch):
+        depths = []
+        monkeypatch.setattr(cli, "cmd_train_ranker", lambda cfg: depths.append(cfg.tree_depth) or 0)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"tree_depth": 3}')
+        for argv in (["--tree-depth", "2"], [], ["--tree-depth", "5"]):
+            assert main(["train-ranker", "--config", str(cfg), *argv]) == 0
+        assert main(["train-ranker"]) == 0
+        assert depths == [2, 3, 5, RankerConfig().tree_depth]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_parses_as_a_fresh_one(self):
+        render = ["render-sparql", "--se", "m.1", "--p1", "a.b", "--p2", "c.d"]
+        argvs = (["build-dataset", "--seed", "3"], ["train-selector", "--config", "c.json"],
+                 ["train-ranker", "--tree-depth", "2"], ["evaluate", "--eval-split", "test"],
+                 ["core-column-eval", "--banned-prefixes", "a,b"],
+                 ["complete", "q.json", "--max-rows", "5"], render)
+        for argv in argvs + argvs:
+            fresh = cli.build_parser.__wrapped__()
+            assert cli.build_parser().parse_args(argv) == fresh.parse_args(argv)
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -896,12 +917,23 @@ class TestConfig:
                      "--entity-meta-path", str(meta)]) == 2
         assert f"error: {meta}:3: 'utf-8' codec" in capsys.readouterr().err
 
-    def test_bad_training_sizes_exit_2(self, workspace, capsys):
+    def test_bad_training_sizes_exit_2(self, workspace, tmp_path, capsys):
         _, cfg_path, _ = workspace
         for flag, bad in (("--batch-size", "0"), ("--epochs", "-1"), ("--k-negatives", "0")):
             argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding"]
             assert main([*argv, flag, bad]) == 2
             assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        # A missing dataset shows that train-ranker checks its settings before loading.
+        missing = str(tmp_path / "no-dataset")
+        for flag, bad, must in (
+            ("--tree-count", "-3", "at least 0"), ("--tree-depth", "-1", "at least 0"),
+            ("--tree-learning-rate", "0", "above 0"), ("--tree-learning-rate", "nan", "finite"),
+            ("--pairwise-sigma", "-1", "above 0"), ("--pairwise-sigma", "0", "above 0"),
+        ):
+            argv = ["train-ranker", "--config", str(cfg_path), "--dataset-dir", missing]
+            assert main([*argv, flag, bad]) == 2
+            err = capsys.readouterr().err
+            assert flag[2:].replace("-", "_") in err and must in err and missing not in err, err
 
     def test_bad_metadata_field_exits_2_with_file_and_line(self, tmp_path, capsys):
         graph = tmp_path / "graph.tsv"

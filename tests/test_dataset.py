@@ -292,31 +292,44 @@ class TestPadNegatives:
 
 class TestCorpusIo:
     def test_read_corpus_validates_row_width(self, tmp_path):
-        """Rows are as wide as the headers, and every text field is a string:
-        absent or null reads as empty, any other value names its line."""
+        """Rows are as wide as the headers, every container is a list and every
+        text field is a string: absent or null reads as empty, any other value
+        names its line."""
         path = tmp_path / "corpus.jsonl"
         rec = {"table_id": "t", "page_title": "x", "caption": "", "headers": ["a", "b"],
                "rows": [[{"text": "only one cell"}]]}
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ds.ParseError):
             ds.read_corpus(str(path))
-        # No caption or subject mid, and a null title, header and cell text.
+        # No caption or subject mid, a null title, header and cell text, and
+        # an absent, null or empty URL.
         good = {"table_id": "t", "page_title": None, "headers": ["a", None],
-                "rows": [[{"text": None, "url": "u"}, {}]]}
+                "rows": [[{"text": None, "url": "u"}, {"url": "", "urls": None}],
+                         [{"url": None}, {}]]}
         path.write_text(json.dumps(good) + "\n")
         (table,) = ds.read_corpus(str(path))
         assert (table.page_title, table.caption, table.se_mid) == ("", "", "")
         assert table.headers == ("a", "") and [c.text for c in table.rows[0]] == ["", ""]
+        assert [c.urls for row in table.rows for c in row] == [("u",), (), (), ()]
         assert ds.build_qis(table.page_title, table.caption, "Ann") == (ds.EMPTY_TOKEN,)
-        for key, value in (("page_title", 5), ("caption", ["x"]), ("se_mid", 3),
-                           ("headers", ["a", 7]), ("text", 1.5), ("text", ["x"])):
+        cell_keys = ("text", "url", "urls")
+        for key, value, must in (
+            ("page_title", 5, "a string"), ("caption", ["x"], "a string"),
+            ("se_mid", 3, "a string"), ("headers", ["a", 7], "a string"),
+            ("text", 1.5, "a string"), ("text", ["x"], "a string"),
+            ("headers", "ab", "a list"), ("rows", {"0": []}, "a list"),
+            ("rows", [{"a": {}, "b": {}}], "a list"), ("url", 5, "a string"),
+            ("url", ["u"], "a string"), ("urls", "http://x", "a list of strings"),
+            ("urls", [None], "a list of strings"),
+        ):
             bad = json.loads(json.dumps({**good, "table_id": "u"}))
-            if key == "text":
-                bad["rows"][0][0]["text"] = value
+            if key in cell_keys:
+                bad["rows"][0][0][key] = value
             else:
                 bad[key] = value
             path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-            message = rf"corpus\.jsonl:2: .*'{key}' must be a string"
+            name = "row" if key == "rows" and isinstance(value, list) else key
+            message = rf"corpus\.jsonl:2: .*'{name}' must be {must}"
             with pytest.raises(ds.ParseError, match=message):
                 ds.read_corpus(str(path))
 

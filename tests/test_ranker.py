@@ -18,7 +18,8 @@ from kgtable.graph import (
     load_triples,
 )
 from kgtable.paths import ChainPair, MetaPath
-from oracles import naive_featurize, naive_fit_tree
+from kgtable.query import QueryBudget
+from oracles import naive_featurize, naive_fit_tree, naive_pairwise_lambdas, naive_train_ranker
 
 SQ2 = math.sqrt(0.5)  # cosine of a 45 degree angle, appears all over the golden vector
 
@@ -421,21 +422,102 @@ class TestPrecisionAt1:
         assert rk.precision_at_1([], {(1, 2)}) == 0
 
 
+def batched_lambdas(scores, relevance, sigma):
+    """One group's lambdas through the batched step."""
+    return rk._lambdas(np.asarray(scores, dtype=float), rk._shape_batches([relevance]), sigma)
+
+
 class TestPairwiseLambdas:
     def test_antisymmetric_for_a_single_pair(self):
-        lambdas = rk.pairwise_lambdas(np.array([0.2, 0.7]), np.array([1.0, 0.0]), 1.0)
+        lambdas = batched_lambdas([0.2, 0.7], np.array([1.0, 0.0]), 1.0)
         assert lambdas[0] == pytest.approx(-lambdas[1])
         assert lambdas[0] > 0
 
     def test_tied_scores_give_half_sigma_magnitude(self):
         sigma = 1.0
-        lambdas = rk.pairwise_lambdas(np.zeros(2), np.array([1.0, 0.0]), sigma)
+        lambdas = batched_lambdas(np.zeros(2), np.array([1.0, 0.0]), sigma)
         delta = abs(1 / math.log2(2) - 1 / math.log2(3))  # idcg is 1
         assert lambdas[0] == pytest.approx(sigma / 2 * delta)
 
     def test_single_class_groups_contribute_nothing(self):
-        assert np.all(rk.pairwise_lambdas(np.zeros(3), np.ones(3), 1.0) == 0)
-        assert np.all(rk.pairwise_lambdas(np.zeros(3), np.zeros(3), 1.0) == 0)
+        assert np.all(batched_lambdas(np.zeros(3), np.ones(3), 1.0) == 0)
+        assert np.all(batched_lambdas(np.zeros(3), np.zeros(3), 1.0) == 0)
+
+
+def lambda_cases(seed, count=400):
+    """(scores, relevances, sigma): groups of mixed shapes, each shape 1-5 times.
+
+    Sizes run 1-300, so a row or column sum can be long enough (8, 128) for
+    numpy's pairwise summation to change blocks; relevance is random or has
+    a lone relevant or lone irrelevant row. Scores are tied, rounded (some
+    equal), small, or spread far enough that ``exp`` overflows.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        relevances = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.choice([1, 2, 3, 8, 9, 17, 129, 300]) if case % 2 else rng.integers(1, 301))
+            rel = (rng.random(n) < rng.random()).astype(float)
+            lone = int(rng.integers(n))
+            if case % 3 == 1:
+                rel = np.eye(n)[lone]
+            elif case % 3 == 2:
+                rel = 1.0 - np.eye(n)[lone]
+            relevances += [rel] * int(rng.integers(1, 6))
+        order = rng.permutation(len(relevances))
+        relevances = [relevances[i] for i in order]
+        size = sum(map(len, relevances))
+        scale = (0.0, 1e-3, 1.0, 1e3)[case % 4]
+        scores = np.round(rng.normal(size=size) * scale, int(rng.integers(0, 3)))
+        yield scores, relevances, (0.5, 1.0, 2.0)[case // 12 % 3]
+
+
+class TestBatchedLambdaOracleParity:
+    def test_every_group_matches_the_one_group_oracle_bitwise(self):
+        with np.errstate(over="ignore"):
+            for scores, relevances, sigma in lambda_cases(0):
+                got = rk._lambdas(scores, rk._shape_batches(relevances), sigma)
+                bounds = np.cumsum([0] + [len(r) for r in relevances])
+                for rel, lo, hi in zip(relevances, bounds, bounds[1:]):
+                    want = naive_pairwise_lambdas(scores[lo:hi], rel, sigma)
+                    assert got[lo:hi].tobytes() == want.tobytes()
+
+    def test_one_batch_per_shape_and_none_for_one_class(self):
+        rels = [np.array([1.0, 0.0]), np.ones(2), np.array([1.0, 0.0]), np.zeros(3),
+                np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
+        shapes = [(rows.tolist(), rel.tolist(), irr.tolist())
+                  for rows, rel, irr, _ in rk._shape_batches(rels)]
+        assert shapes == [([[0, 1], [4, 5]], [0], [1]), ([[9, 10]], [1], [0]),
+                          ([[11, 12, 13]], [0], [1, 2])]
+
+
+def mixed_groups(seed, n_groups=40):
+    """Groups of 1-9 rows with random relevance and features, ties included."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for _ in range(n_groups):
+        n = int(rng.integers(1, 10))
+        feats = rng.integers(0, 3, size=(n, 27)).astype(float)
+        feats[:, ::2] = rng.normal(size=(n, 14))
+        groups.append(rk.TrainingGroup(feats, (rng.random(n) < 0.3).astype(float)))
+    return groups
+
+
+class TestTrainerOracleParity:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_mixed_shape_groups(self, seed):
+        cfg = rk.RankerConfig(tree_count=6, tree_depth=3, pairwise_sigma=(0.5, 1.0, 2.0)[seed - 1])
+        groups = mixed_groups(seed)
+        assert rk.train_ranker(groups, cfg).trees == naive_train_ranker(
+            groups, cfg.tree_count, cfg.tree_depth, cfg.tree_learning_rate, cfg.pairwise_sigma)
+
+    def test_bundle_training_groups(self, bundle, trained):
+        groups = harness.ranker_training_groups(
+            bundle.train_tables(), bundle.g, bundle.entity_meta, bundle.pred_meta,
+            bundle.embeddings, QueryBudget(),
+        )
+        # The session model is trained on these groups with 30 trees of depth 3.
+        assert trained.ranker.trees == naive_train_ranker(groups, 30, 3, 0.1, 1.0)
 
 
 def separable_groups(seed, n_groups=12, n_items=8):
