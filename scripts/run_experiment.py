@@ -78,7 +78,7 @@ def main() -> None:
     eval_ids = split.test if cfg.eval_split == "test" else split.validation
     heldout = [tables[tid] for tid in eval_ids]
 
-    linear = selector.train_linear(train, tb_vocab, kb_vocab, hp)
+    linear = selector.train_linear(train, tb_vocab, kb_vocab)
     embedding = selector.train_embedding(train, tb_vocab, kb_vocab, hp, seed=cfg.train_seed)
     groups = harness.ranker_training_groups(
         train, g, entity_meta, pred_meta, embeddings, QueryBudget()
@@ -102,14 +102,14 @@ def main() -> None:
 
     print(f"\nchain selection Accuracy@1 ({cfg.eval_split} tables with negatives):")
     for name, s in selectors.items():
-        print(f"  {name:10s} {harness.accuracy_at_1(heldout, s, tb_vocab, kb_vocab, hp):.4f}")
+        print(f"  {name:10s} {harness.accuracy_at_1(heldout, s, tb_vocab, kb_vocab):.4f}")
 
     print("\nend-to-end scenarios [25-ile, 50-ile, mean, 75-ile]:")
     budget = QueryBudget()
     runs_by_selector = {}
     for sname, s in selectors.items():
         for rname, r in rankers.items():
-            runs, summary = harness.run_e2e(heldout, g, s, r, tb_vocab, kb_vocab, hp, budget)
+            runs, summary = harness.run_e2e(heldout, g, s, r, tb_vocab, kb_vocab, budget)
             runs_by_selector[sname] = runs
             m = summary.metrics
             print(

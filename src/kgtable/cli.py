@@ -159,11 +159,12 @@ def cmd_train_selector(cfg: RunConfig) -> int:
     g = _load_kb(cfg).graph
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     train_tables = [tables[tid] for tid in split.train]
-    hp = cfg.selector_hp()
     if cfg.selector == "linear":
-        scorer = selector.train_linear(train_tables, tb_vocab, kb_vocab, hp)
+        scorer = selector.train_linear(train_tables, tb_vocab, kb_vocab)
     elif cfg.selector == "embedding":
-        scorer = selector.train_embedding(train_tables, tb_vocab, kb_vocab, hp, cfg.seed)
+        scorer = selector.train_embedding(
+            train_tables, tb_vocab, kb_vocab, cfg.selector_hp(), cfg.seed
+        )
     else:
         raise ConfigurationError(
             f"selector {cfg.selector!r} is not trainable (use linear or embedding)"
@@ -175,14 +176,13 @@ def cmd_train_selector(cfg: RunConfig) -> int:
 
 
 def cmd_train_ranker(cfg: RunConfig) -> int:
-    ranker_cfg = cfg.ranker_cfg()  # a bad setting fails before any loading
     g, entity_meta, pred_meta, embeddings, *_ = _load_kb(cfg)
     tables, split, _, _ = ds.load_dataset(cfg.dataset_dir, g)
     groups = harness.ranker_training_groups(
         [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
         cfg.budget(),
     )
-    model = ranker.train_ranker(groups, ranker_cfg)
+    model = ranker.train_ranker(groups, cfg.ranker_cfg())
     path = _ranker_model_path(cfg)
     ranker.save_ranker(path, model)
     print(f"trained ranker on {len(groups)} query groups -> {path}")
@@ -206,8 +206,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
     eval_tables = _eval_tables(cfg, tables, split)
     runs, summary = harness.run_e2e(
-        eval_tables, g, chain_selector, tuple_ranker, tb_vocab, kb_vocab,
-        cfg.selector_hp(), cfg.budget(),
+        eval_tables, g, chain_selector, tuple_ranker, tb_vocab, kb_vocab, cfg.budget()
     )
     out = Path(cfg.output_dir)
     harness.write_runs(str(out / "runs.jsonl"), runs, g)
@@ -228,7 +227,7 @@ def cmd_core_column_eval(cfg: RunConfig) -> int:
     eval_tables = _eval_tables(cfg, tables, split)
     runs, _ = harness.run_e2e(
         eval_tables, g, chain_selector, harness.RandomTupleRanker(cfg.seed),
-        tb_vocab, kb_vocab, cfg.selector_hp(), cfg.budget(),
+        tb_vocab, kb_vocab, cfg.budget(),
     )
     payload = {}
     for mode in ("p1", "full"):
@@ -261,14 +260,16 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         se, er1, er2 = (g.entity_id(query[key]) for key in ("se", "er1", "er2"))
         given_set = strings(query.get("set") or [], "set")
         se_name = string(query.get("se_name"), "se_name", "") or entity_meta.get(se).name
-        if query.get("qis"):
-            qis = ds.normalize_text(str(query["qis"]))
-        elif query.get("qd"):
-            qis = ds.build_qis(str(query["qd"]), "", se_name or str(query["qd"]))
+        qis_text, qd = (string(query.get(key), key, "") for key in ("qis", "qd"))
+        if qis_text:
+            qis = ds.normalize_text(qis_text)
+        elif qd:
+            qis = ds.build_qis(qd, "", se_name or qd)
         else:
             raise ValueError("needs either 'qis' or 'qd'")
+        names = [string(query[key], key) for key in ("cn1", "cn2")]
         try:
-            cn1, cn2 = ds.normalize_column_names([str(query["cn1"]), str(query["cn2"])])
+            cn1, cn2 = ds.normalize_column_names(names)
         except ValueError as exc:
             raise ValueError(f"'cn1'/'cn2': {exc}") from None
     # A random pick reads no tokens: it needs no SET and no vocabularies.
@@ -297,10 +298,9 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
         ds.load_vocabularies(cfg.dataset_dir) if reads_tokens
         else (ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()))
     )
-    hp = cfg.selector_hp()
-    ctx = selector.context_for_table(query_table, tb_vocab, kb_vocab, hp)
+    ctx = selector.context_for_table(query_table, tb_vocab, kb_vocab)
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
-    best = candidates[selector.select_top1(chain_selector, ctx, candidates, kb_vocab, hp)]
+    best = candidates[selector.select_top1(chain_selector, ctx, candidates, kb_vocab)]
 
     result = execute_chain(g, se, best, cfg.budget(), memo)
     if isinstance(result, BudgetExceeded):

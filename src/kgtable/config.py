@@ -1,12 +1,14 @@
 """Run configuration: one flat dataclass, a JSON file, and flag overrides.
 
 Flags win over the file, the file wins over defaults. Unknown keys in the
-file are rejected so stale experiment manifests fail loudly, and each value
-must have its default's type.
+file are rejected so stale experiment manifests fail loudly, each value
+must have its default's type, and the merged values must make valid
+settings.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 from .dataset import BuildSettings, ConfigurationError
@@ -53,7 +55,6 @@ class RunConfig:
     k_negatives: int = _HP.k_negatives
     # selector training
     margin: float = _HP.margin
-    l2_weight: float = _HP.l2_weight
     learning_rate: float = _HP.learning_rate
     batch_size: int = _HP.batch_size
     epochs: int = _HP.epochs
@@ -61,11 +62,6 @@ class RunConfig:
     dim_cn: int = _HP.dim_cn
     dim_set: int = _HP.dim_set
     dim_chain: int = _HP.dim_chain
-    max_qis_tokens: int = _HP.max_qis_tokens
-    max_cn_tokens: int = _HP.max_cn_tokens
-    max_set_tokens: int = _HP.max_set_tokens
-    max_chain_tokens: int = _HP.max_chain_tokens
-    linear_l2: float = _HP.linear_l2
     # ranker training
     tree_count: int = _RANKER.tree_count
     tree_depth: int = _RANKER.tree_depth
@@ -108,7 +104,9 @@ def load_config(
     config_path: str | None = None, overrides: dict | None = None
 ) -> RunConfig:
     """Defaults, then the JSON file, then flag overrides; unknown keys fail, and
-    a file value of another type than its default is a ``ParseError``."""
+    a file value of another type than its default is a ``ParseError``. The merged
+    values build every settings class, so a value out of range or at odds with
+    another fails here, naming the config file when there is one."""
     values = {}
     if config_path:
         for name, value in read_json(config_path).items():
@@ -120,7 +118,12 @@ def load_config(
         if name not in _DEFAULTS:
             raise ConfigurationError(f"unknown config key {name!r}")
         values[name] = _coerce(name, value)
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    with checked(config_path, 1) if config_path else nullcontext():
+        cfg.build_settings()  # and its budget
+        cfg.selector_hp()
+        cfg.ranker_cfg()
+    return cfg
 
 
 def config_defaults() -> dict:

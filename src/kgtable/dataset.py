@@ -116,8 +116,8 @@ def _items(value, name: str) -> list:
 def read_corpus(path: str) -> list[RawTable]:
     """Read line-delimited JSON table records, validating row widths and id uniqueness.
 
-    A record without ``table_id`` takes its line number as its id; an absent or
-    ``null`` title, caption, subject mid, header, cell text or cell url reads as
+    An absent or ``null`` ``table_id`` reads as the record's line number; an absent
+    or ``null`` title, caption, subject mid, header, cell text or cell url reads as
     empty, and an empty url is none. ``headers``, ``rows``, rows and ``urls`` are lists.
     """
     tables: dict[str, RawTable] = {}
@@ -128,10 +128,10 @@ def read_corpus(path: str) -> list[RawTable]:
                 tuple(map(_parse_cell, _items(row, "row"))) for row in _items(rec["rows"], "rows"))
             title, caption, se_mid = (
                 string(rec.get(k), k, "") for k in ("page_title", "caption", "se_mid"))
+            table_id = string(rec.get("table_id"), "table_id", str(line_no))
         with checked(path, line_no):
             if any(len(row) != len(headers) for row in rows):
                 raise ValueError("row width differs from header count")
-            table_id = str(rec.get("table_id", line_no))
             if table_id in tables:
                 raise ValueError(f"duplicate table_id {table_id!r}")
         tables[table_id] = RawTable(table_id, title, caption, headers, rows, se_mid)
@@ -334,6 +334,12 @@ class BuildSettings:
     degree_cap: int = DEFAULT_DEGREE_CAP
     banned_prefixes: tuple[str, ...] = DEFAULT_BANNED_PREFIXES
     budget: QueryBudget = field(default_factory=QueryBudget)
+
+    def __post_init__(self):
+        if not 1 <= self.max_path_len <= MAX_SEGMENT_LENGTH:
+            raise ConfigurationError(
+                f"max_path_len must be in 1..{MAX_SEGMENT_LENGTH}, got {self.max_path_len}"
+            )
 
 
 def annotate_table(

@@ -36,7 +36,7 @@ from .ranker import (
     precision_at_1,
     rank,
 )
-from .selector import DEFAULT_HP, QueryContext, SelectorHyperParams, context_for_table, select_top1
+from .selector import QueryContext, context_for_table, select_top1
 
 STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped_empty_cc"
@@ -217,7 +217,6 @@ def _run_one(
     selector,
     tuple_ranker,
     kb_vocab: Vocabulary,
-    hp: SelectorHyperParams,
     budget: QueryBudget,
     memo: ReachMemo,
 ) -> QueryRun:
@@ -229,7 +228,7 @@ def _run_one(
             None, None, None, STATUS_SKIPPED,
         )
     chains = [lc.chain for lc in cc_er]
-    selected = chains[select_top1(selector, ctx, chains, kb_vocab, hp, run_key)]
+    selected = chains[select_top1(selector, ctx, chains, kb_vocab, run_key)]
     result = execute_chain(g, table.se, selected, budget, memo)
     if isinstance(result, BudgetExceeded):
         return QueryRun(
@@ -253,7 +252,6 @@ def run_e2e(
     tuple_ranker,
     tb_vocab: Vocabulary,
     kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
     budget: QueryBudget = QueryBudget(),
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
@@ -263,12 +261,11 @@ def run_e2e(
     """
     runs = []
     for table in sorted(tables, key=lambda t: t.table_id):
-        ctx = context_for_table(table, tb_vocab, kb_vocab, hp)
+        ctx = context_for_table(table, tb_vocab, kb_vocab)
         memo: ReachMemo = {}
         for er in table.rr:
             runs.append(_run_one(
-                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, hp, budget,
-                memo,
+                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, budget, memo
             ))
     return runs, summarize(runs)
 
@@ -312,11 +309,7 @@ def ranker_training_groups(
 
 
 def accuracy_at_1(
-    tables: Sequence[AnnotatedTable],
-    selector,
-    tb_vocab: Vocabulary,
-    kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
+    tables: Sequence[AnnotatedTable], selector, tb_vocab: Vocabulary, kb_vocab: Vocabulary
 ) -> float:
     """Fraction of tables whose top-1 chain over all candidates is positive.
 
@@ -328,8 +321,8 @@ def accuracy_at_1(
         raise ValueError("no table has a negative chain")
     correct = 0
     for key, table in enumerate(eligible):
-        ctx = context_for_table(table, tb_vocab, kb_vocab, hp)
-        idx = select_top1(selector, ctx, [lc.chain for lc in table.chains], kb_vocab, hp, key)
+        ctx = context_for_table(table, tb_vocab, kb_vocab)
+        idx = select_top1(selector, ctx, [lc.chain for lc in table.chains], kb_vocab, key)
         correct += 1 if table.chains[idx].positive else 0
     return correct / len(eligible)
 

@@ -29,8 +29,9 @@ class QueryBudget:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_rows <= 0 or self.max_steps <= 0:
-            raise ValueError("budget limits must be positive")
+        for key in ("max_rows", "max_steps"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

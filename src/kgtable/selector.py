@@ -33,11 +33,9 @@ from .dataset import K_NEGATIVES, AnnotatedTable, ConfigurationError, Vocabulary
 from .graph import checked, encode_column, float_column, number, read_json, string, write_json_lines
 from .paths import ChainPair
 
-
 @dataclass(frozen=True)
 class SelectorHyperParams:
     margin: float = 0.25
-    l2_weight: float = 5e-6
     learning_rate: float = 1e-5
     batch_size: int = 250
     epochs: int = 2000
@@ -46,11 +44,6 @@ class SelectorHyperParams:
     dim_cn: int = 25
     dim_set: int = 100
     dim_chain: int = 250
-    max_qis_tokens: int = 100
-    max_cn_tokens: int = 10
-    max_set_tokens: int = 100
-    max_chain_tokens: int = 200
-    linear_l2: float = 1e-3
 
     def __post_init__(self):
         for key, least in (("batch_size", 1), ("epochs", 0), ("k_negatives", 1)):
@@ -84,26 +77,27 @@ class ChainEncoding:
     canonical: str
 
 
+# Tokens kept of each context field (each column name alike) and of a chain.
+# They are part of the trained model, so training and serving share them.
+MAX_QIS_TOKENS = 100
+MAX_CN_TOKENS = 10
+MAX_SET_TOKENS = 100
+MAX_CHAIN_TOKENS = 200
+
+
 def context_for_table(
-    table: AnnotatedTable,
-    tb_vocab: Vocabulary,
-    kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
+    table: AnnotatedTable, tb_vocab: Vocabulary, kb_vocab: Vocabulary
 ) -> QueryContext:
     return QueryContext(
-        qis=tb_vocab.encode(table.qis[: hp.max_qis_tokens]),
-        cn1=tb_vocab.encode(table.cn1[: hp.max_cn_tokens]),
-        cn2=tb_vocab.encode(table.cn2[: hp.max_cn_tokens]),
-        set_tokens=kb_vocab.encode(table.set_tokens[: hp.max_set_tokens]),
+        qis=tb_vocab.encode(table.qis[:MAX_QIS_TOKENS]),
+        cn1=tb_vocab.encode(table.cn1[:MAX_CN_TOKENS]),
+        cn2=tb_vocab.encode(table.cn2[:MAX_CN_TOKENS]),
+        set_tokens=kb_vocab.encode(table.set_tokens[:MAX_SET_TOKENS]),
     )
 
 
-def encode_chain(
-    chain: ChainPair,
-    kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
-) -> ChainEncoding:
-    tokens = chain_tokens(chain)[: hp.max_chain_tokens]
+def encode_chain(chain: ChainPair, kb_vocab: Vocabulary) -> ChainEncoding:
+    tokens = chain_tokens(chain)[:MAX_CHAIN_TOKENS]
     return ChainEncoding(indices=kb_vocab.encode(tokens), canonical=chain.canonical())
 
 
@@ -282,13 +276,12 @@ def select_top1(
     ctx: QueryContext,
     chains: Sequence[ChainPair],
     kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
     run_key: int = 0,
 ) -> int:
     """Index of the highest-scoring chain; ties go to the smallest canonical string."""
     if len(chains) == 1:
         return 0  # a lone chain needs no encoding and no score
-    encodings = [encode_chain(chain, kb_vocab, hp) for chain in chains]
+    encodings = [encode_chain(chain, kb_vocab) for chain in chains]
     if not encodings:
         raise ValueError("no candidate chains to select from")
     scores = scorer.scores(ctx, encodings, run_key)
@@ -300,6 +293,8 @@ def select_top1(
 # Rows of the query and chain vectors gathered at once to dot them pair by
 # pair, so a batch never holds a (pairs x dim) copy of either.
 _GATHER_ELEMENTS = 1 << 16
+# Weight of the penalty on the global L2 norm of the embedding matrices.
+L2_WEIGHT = 5e-6
 
 
 def _distinct(keys: Sequence) -> tuple[list, np.ndarray]:
@@ -429,19 +424,16 @@ class _TrainExample:
 
 
 def _prepare_examples(
-    tables: Sequence[AnnotatedTable],
-    tb_vocab: Vocabulary,
-    kb_vocab: Vocabulary,
-    hp: SelectorHyperParams,
+    tables: Sequence[AnnotatedTable], tb_vocab: Vocabulary, kb_vocab: Vocabulary
 ) -> list[_TrainExample]:
     examples = []
     for table in sorted(tables, key=lambda t: t.table_id):
-        negatives = (encode_chain(lc.chain, kb_vocab, hp) for lc in table.negatives())
+        negatives = (encode_chain(lc.chain, kb_vocab) for lc in table.negatives())
         examples.append(
             _TrainExample(
-                ctx=context_for_table(table, tb_vocab, kb_vocab, hp),
+                ctx=context_for_table(table, tb_vocab, kb_vocab),
                 positives=tuple(
-                    encode_chain(lc.chain, kb_vocab, hp) for lc in table.positives()
+                    encode_chain(lc.chain, kb_vocab) for lc in table.positives()
                 ),
                 negatives=tuple(sorted(negatives, key=lambda e: e.canonical)),
             )
@@ -500,7 +492,7 @@ def train_embedding(
         tb_vocab_hash=tb_vocab.content_hash(),
         kb_vocab_hash=kb_vocab.content_hash(),
     )
-    examples = _prepare_examples(tables, tb_vocab, kb_vocab, hp)
+    examples = _prepare_examples(tables, tb_vocab, kb_vocab)
     for _ in range(hp.epochs):
         order = rng.permutation(len(examples))
         for start in range(0, len(order), hp.batch_size):
@@ -511,7 +503,7 @@ def train_embedding(
             norm = _global_norm(mats)
             if norm > 0:
                 for k in grads:
-                    grads[k] += hp.l2_weight * mats[k] / norm
+                    grads[k] += L2_WEIGHT * mats[k] / norm
             for k in mats:
                 mats[k] -= hp.learning_rate * grads[k]
     return scorer
@@ -519,12 +511,12 @@ def train_embedding(
 
 # -- linear training -------------------------------------------------------------
 
+# Weight of the penalty on the squared linear weights.
+LINEAR_L2 = 1e-3
+
 
 def train_linear(
-    tables: Sequence[AnnotatedTable],
-    tb_vocab: Vocabulary,
-    kb_vocab: Vocabulary,
-    hp: SelectorHyperParams = DEFAULT_HP,
+    tables: Sequence[AnnotatedTable], tb_vocab: Vocabulary, kb_vocab: Vocabulary
 ) -> LinearScorer:
     """L2-regularized logistic regression on +1/-1 labeled chain rows.
 
@@ -539,9 +531,9 @@ def train_linear(
     )
     rows, labels = [], []
     for table in sorted(tables, key=lambda t: t.table_id):
-        context = probe.context_vector(context_for_table(table, tb_vocab, kb_vocab, hp))
+        context = probe.context_vector(context_for_table(table, tb_vocab, kb_vocab))
         for lc in table.chains:
-            rows.append(probe.feature_vector(context, encode_chain(lc.chain, kb_vocab, hp)))
+            rows.append(probe.feature_vector(context, encode_chain(lc.chain, kb_vocab)))
             labels.append(1.0 if lc.positive else -1.0)
     X = np.asarray(rows)
     y = np.asarray(labels)
@@ -550,9 +542,9 @@ def train_linear(
     def objective(theta):
         w, b = theta[:dim], theta[dim]
         z = y * (X @ w + b)
-        loss = float(np.sum(np.logaddexp(0.0, -z))) + hp.linear_l2 * float(w @ w)
+        loss = float(np.sum(np.logaddexp(0.0, -z))) + LINEAR_L2 * float(w @ w)
         s = 1.0 / (1.0 + np.exp(z))  # sigmoid(-z)
-        grad_w = -(X.T @ (y * s)) + 2.0 * hp.linear_l2 * w
+        grad_w = -(X.T @ (y * s)) + 2.0 * LINEAR_L2 * w
         grad_b = -float(np.sum(y * s))
         return loss, np.concatenate([grad_w, [grad_b]])
 

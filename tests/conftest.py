@@ -85,7 +85,7 @@ class TrainedModels:
 @pytest.fixture(scope="session")
 def trained(bundle) -> TrainedModels:
     train = bundle.train_tables()
-    lin = selector.train_linear(train, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
+    lin = selector.train_linear(train, bundle.tb_vocab, bundle.kb_vocab)
     emb = selector.train_embedding(train, bundle.tb_vocab, bundle.kb_vocab, TEST_HP, seed=3)
     groups = harness.ranker_training_groups(
         train, bundle.g, bundle.entity_meta, bundle.pred_meta, bundle.embeddings,

@@ -370,7 +370,7 @@ def embedding_objective(scorer, tables, tb_vocab, kb_vocab, hp, rng_seed=0) -> f
     from kgtable import selector as sel
 
     rng = np.random.default_rng(rng_seed)
-    examples = sel._prepare_examples(tables, tb_vocab, kb_vocab, hp)
+    examples = sel._prepare_examples(tables, tb_vocab, kb_vocab)
     mats = scorer.matrices()
     loss = sum(
         hinge_loss(
@@ -382,7 +382,7 @@ def embedding_objective(scorer, tables, tb_vocab, kb_vocab, hp, rng_seed=0) -> f
         for ctx, pos, neg in zip(*sel._triples(examples, hp.k_negatives - 1, rng))
     )
     norm = np.sqrt(sum(float(np.sum(m * m)) for m in mats.values()))
-    return loss + hp.l2_weight * norm
+    return loss + sel.L2_WEIGHT * norm
 
 
 def naive_entity_meta(path: str) -> dict[str, tuple[str, tuple[str, ...], frozenset, frozenset]]:

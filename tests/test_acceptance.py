@@ -24,7 +24,6 @@ from kgtable.graph import KnowledgeGraph
 from kgtable.paths import ChainPair, enumerate_simple_paths
 from kgtable.query import QueryBudget, execute_chain, render_sparql
 
-from conftest import TEST_HP
 from oracles import brute_simple_paths, naive_chain_eval
 from test_ranker import GOLDEN_27, golden_fixture, separable_groups
 
@@ -117,7 +116,7 @@ def test_criterion_04_selector_ordering_on_separable_corpus(bundle, trained):
     heldout = bundle.heldout_tables()
 
     def accuracy(scorer):
-        return harness.accuracy_at_1(heldout, scorer, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
+        return harness.accuracy_at_1(heldout, scorer, bundle.tb_vocab, bundle.kb_vocab)
 
     assert accuracy(trained.linear) >= 0.95
     assert accuracy(trained.embedding) >= 0.95
@@ -222,8 +221,7 @@ def test_criterion_09_end_to_end_tuple_recall_ordering(bundle, trained):
 
     def mean_recall(selector):
         _, summary = harness.run_e2e(
-            heldout, bundle.g, selector, tuple_ranker, bundle.tb_vocab, bundle.kb_vocab,
-            TEST_HP, budget,
+            heldout, bundle.g, selector, tuple_ranker, bundle.tb_vocab, bundle.kb_vocab, budget
         )
         return summary.metrics["tuple_recall"][2]
 
@@ -247,7 +245,7 @@ def test_criterion_10_core_column_p1_dominates_full_per_query(bundle, trained):
     heldout = bundle.heldout_tables()
     runs, _ = harness.run_e2e(
         heldout, bundle.g, trained.embedding, harness.RandomTupleRanker(0),
-        bundle.tb_vocab, bundle.kb_vocab, TEST_HP, QueryBudget(),
+        bundle.tb_vocab, bundle.kb_vocab, QueryBudget(),
     )
     p1, _ = harness.core_column_eval(runs, bundle.tables, bundle.g, "p1")
     full, _ = harness.core_column_eval(runs, bundle.tables, bundle.g, "full")

@@ -373,10 +373,15 @@ class TestCompleteCommand:
             ({"set": ["tv", 1]}, "'set' must be a list of strings"),
             ({"se_name": 5}, "'se_name' must be a string"),
             ({"cn2": ""}, "'cn1'/'cn2': empty column name after normalization"),
+            ({"cn1": None}, "'cn1' must be a string"),
+            ({"cn2": ["a", "b"]}, "'cn2' must be a string"),
+            ({"qis": 7}, "'qis' must be a string"),
+            ({"qd": 7}, "'qd' must be a string"),
         ],
         ids=[
             "unknown-entity", "entity-a-list", "entity-null", "missing-key", "set-a-number",
-            "set-item-a-number", "se-name-a-number", "column-name-empty",
+            "set-item-a-number", "se-name-a-number", "column-name-empty", "column-name-null",
+            "column-name-a-list", "qis-a-number", "qd-a-number",
         ],
     )
     def test_bad_query_exits_2_naming_the_query_file(self, tv_world, capsys, edit, message):
@@ -809,11 +814,21 @@ class TestRenderSparqlCommand:
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # The selector's truncation lengths and L2 weights are constants, not keys.
+        removed = ("max_qis_tokens", "max_cn_tokens", "max_set_tokens", "max_chain_tokens",
+                   "l2_weight", "linear_l2")
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"no_such_key": 1}')
-        with pytest.raises(ConfigurationError):
-            load_config(str(cfg))
+        for key in ("no_such_key", *removed):
+            cfg.write_text(json.dumps({key: 1}))
+            with pytest.raises(ConfigurationError, match=key):
+                load_config(str(cfg))
+            assert main(["evaluate", "--config", str(cfg)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exited:
+                main(["evaluate", "--" + key.replace("_", "-"), "1"])
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_defaults_come_from_the_settings_classes(self):
         cfg = RunConfig()
@@ -882,6 +897,39 @@ class TestConfig:
         assert main(["render-sparql", "--config", str(cfg), "--se", "m.1", "--p1", "a.b",
                      "--p2", "c.d"]) == 2
         assert f"error: {cfg}:1: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"dim_set": 3}, "dim_qis + 2*dim_cn + dim_set must equal dim_chain: "
+                             "100 + 2*25 + 3 != 250"),
+            ({"epochs": -1}, "epochs must be at least 0, got -1"),
+            ({"max_rows": 0}, "max_rows must be positive, got 0"),
+            ({"max_steps": -5}, "max_steps must be positive, got -5"),
+            ({"max_path_len": 4}, "max_path_len must be in 1..3, got 4"),
+            ({"max_path_len": 0}, "max_path_len must be in 1..3, got 0"),
+            ({"tree_depth": -1}, "tree_depth must be at least 0, got -1"),
+        ],
+        ids=["dims-mismatch", "epochs-negative", "rows-zero", "steps-negative",
+             "path-too-long", "path-zero", "depth-negative"],
+    )
+    def test_out_of_range_value_exits_2_naming_the_file_and_key(
+        self, tmp_path, capsys, value, message
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(value))
+        assert main(["render-sparql", "--config", str(cfg), "--se", "m.1", "--p1", "a.b",
+                     "--p2", "c.d"]) == 2
+        assert f"error: {cfg}:1: {message}" in capsys.readouterr().err
+
+    def test_flags_may_make_a_file_consistent(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dim_qis": 32, "dim_cn": 8, "dim_set": 32, "max_rows": 0}))
+        with pytest.raises(ds.ParseError, match="dim_chain"):
+            load_config(str(cfg), {"max_rows": 5})
+        loaded = load_config(str(cfg), {"dim_chain": 80, "max_rows": 5})
+        assert (loaded.dim_chain, loaded.max_rows) == (80, 5)
+        assert loaded.selector_hp().dim_chain == 80 and loaded.budget().max_rows == 5
 
     def test_well_typed_values_load_as_before(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -320,7 +320,7 @@ class TestCorpusIo:
             ("headers", "ab", "a list"), ("rows", {"0": []}, "a list"),
             ("rows", [{"a": {}, "b": {}}], "a list"), ("url", 5, "a string"),
             ("url", ["u"], "a string"), ("urls", "http://x", "a list of strings"),
-            ("urls", [None], "a list of strings"),
+            ("urls", [None], "a list of strings"), ("table_id", 7, "a string"),
         ):
             bad = json.loads(json.dumps({**good, "table_id": "u"}))
             if key in cell_keys:
@@ -332,6 +332,10 @@ class TestCorpusIo:
             message = rf"corpus\.jsonl:2: .*'{name}' must be {must}"
             with pytest.raises(ds.ParseError, match=message):
                 ds.read_corpus(str(path))
+        # A null id reads as absent: the record's line number.
+        path.write_text(json.dumps({**good, "table_id": None}) + "\n"
+                        + json.dumps({k: v for k, v in good.items() if k != "table_id"}) + "\n")
+        assert [t.table_id for t in ds.read_corpus(str(path))] == ["1", "2"]
 
     @pytest.mark.parametrize(
         "ids", [("t1", "t2", "t1"), ("3", "t2", None)], ids=["repeated", "line-number"]

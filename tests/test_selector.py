@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kgtable import selector as sel
-from kgtable.dataset import ConfigurationError, Vocabulary
+from kgtable.dataset import AnnotatedTable, ConfigurationError, Vocabulary
 from kgtable.graph import ParseError
 from kgtable.paths import ChainPair, MetaPath
 
@@ -92,6 +92,24 @@ class TestJaccardScorer:
         assert scorer.scores(ctx, [enc], 0).tolist() == [0.0]
 
 
+class TestTruncation:
+    def test_context_and_chain_keep_their_first_tokens(self):
+        # 300 distinct tokens in sorted order, so token i encodes as index i + 1.
+        words = tuple(f"w{i:03d}" for i in range(300))
+        tb, kb = Vocabulary("TB_Vocab", words), Vocabulary("KB_Vocab", words)
+        table = AnnotatedTable(
+            table_id="t", qis=words[:150], cn1=words[:20], cn2=words[100:120], se=0,
+            se_name="", set_tokens=words[50:200], rr=(), chains=(),
+        )
+        ctx = sel.context_for_table(table, tb, kb)
+        assert ctx.qis == tuple(range(1, 101))
+        assert ctx.cn1 == tuple(range(1, 11))
+        assert ctx.cn2 == tuple(range(101, 111))
+        assert ctx.set_tokens == tuple(range(51, 151))
+        chain = chain_of(".".join(words[:150]), ".".join(words[150:]))
+        assert sel.encode_chain(chain, kb).indices == tuple(range(1, 201))
+
+
 class TestSelectTop1:
     class FixedScorer:
         def __init__(self, by_canonical):
@@ -135,12 +153,12 @@ class TestSelectTop1:
                 return self.c * self.inner.scores(ctx, chains, run_key)
 
         table = bundle.heldout_tables()[0]
-        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
+        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab)
         chains = [lc.chain for lc in table.chains]
-        base = sel.select_top1(trained.linear, ctx, chains, bundle.kb_vocab, TEST_HP)
+        base = sel.select_top1(trained.linear, ctx, chains, bundle.kb_vocab)
         for c in (0.25, 3.0):
             scaled = sel.select_top1(
-                Scaled(trained.linear, c), ctx, chains, bundle.kb_vocab, TEST_HP
+                Scaled(trained.linear, c), ctx, chains, bundle.kb_vocab
             )
             assert scaled == base
 
@@ -175,9 +193,9 @@ class TestBatchedScoringOracleParity:
                 (trained.embedding, partial(embedding_chain_score, trained.embedding), 1e-12),
             )
             for table in bundle.heldout_tables():
-                ctx = sel.context_for_table(table, tb, kb, TEST_HP)
+                ctx = sel.context_for_table(table, tb, kb)
                 chains = [lc.chain for lc in table.chains]
-                encodings = [sel.encode_chain(c, kb, TEST_HP) for c in chains]
+                encodings = [sel.encode_chain(c, kb) for c in chains]
                 oov += (*ctx.qis, *ctx.set_tokens, *encodings[0].indices).count(0)
                 for scorer, oracle, tolerance in scorers:
                     name = type(scorer).__name__
@@ -185,15 +203,15 @@ class TestBatchedScoringOracleParity:
                     got = scorer.scores(ctx, encodings, 0)
                     assert np.max(np.abs(got - want)) <= tolerance, (name, table.table_id)
                     best = min(range(len(chains)), key=lambda i: (-want[i], encodings[i].canonical))
-                    assert sel.select_top1(scorer, ctx, chains, kb, TEST_HP) == best, name
+                    assert sel.select_top1(scorer, ctx, chains, kb) == best, name
         assert oov > 0
 
 
 class TestEmbeddingScorer:
     def test_score_is_bounded(self, bundle, trained):
         table = bundle.heldout_tables()[0]
-        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
-        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab, TEST_HP) for lc in table.chains]
+        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab)
+        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab) for lc in table.chains]
         scores = trained.embedding.scores(ctx, encodings, 0)
         assert np.all((-1.0 <= scores) & (scores <= 1.0))
 
@@ -205,7 +223,7 @@ class TestEmbeddingScorer:
             bundle.train_tables()[:3], bundle.tb_vocab, bundle.kb_vocab, hp, seed=0
         )
         table = bundle.train_tables()[0]
-        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, hp)
+        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab)
         all_oov = sel.ChainEncoding(indices=(0, 0, 0), canonical="oov chain")
         assert scorer.scores(ctx, [all_oov], 0).tolist() == [0.0]
 
@@ -397,7 +415,7 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             sel.train_embedding([], bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
         with pytest.raises(ConfigurationError):
-            sel.train_linear([], bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
+            sel.train_linear([], bundle.tb_vocab, bundle.kb_vocab)
 
     def test_trained_scorers_separate_heldout_tables(self, bundle, trained):
         from kgtable import harness
@@ -405,7 +423,7 @@ class TestTraining:
         heldout = bundle.heldout_tables()
         for scorer in (trained.linear, trained.embedding):
             accuracy = harness.accuracy_at_1(
-                heldout, scorer, bundle.tb_vocab, bundle.kb_vocab, TEST_HP
+                heldout, scorer, bundle.tb_vocab, bundle.kb_vocab
             )
             assert accuracy >= 0.95
 
@@ -430,8 +448,8 @@ class TestSerialization:
         sel.save_scorer(str(path), trained.embedding)
         loaded = sel.load_scorer(str(path), bundle.tb_vocab, bundle.kb_vocab)
         table = bundle.heldout_tables()[0]
-        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab, TEST_HP)
-        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab, TEST_HP) for lc in table.chains]
+        ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab)
+        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab) for lc in table.chains]
         assert loaded.scores(ctx, encodings, 0) == pytest.approx(
             trained.embedding.scores(ctx, encodings, 0)
         )
