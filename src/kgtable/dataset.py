@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -61,6 +62,7 @@ KB_FILE = "kb.bin"
 # The dtype of each column of KB_FILE that is not int32.
 KB_DTYPES = {"embedding_vectors": "<f8", "mids": "|u1", "names": "|u1", "description_tokens": "|u1"}
 REBUILD = "rebuild the dataset with build-dataset"
+RACY_NS = 2 * 10**9  # the coarsest common file timestamp granularity
 MIN_LINKED_ROWS = 3
 MIN_CHAIN_HITS = 2  # a retained chain must retrieve at least this many ground-truth rows
 K_NEGATIVES = 10  # chains per training triple: one positive and k - 1 negatives
@@ -340,6 +342,8 @@ class BuildSettings:
             raise ConfigurationError(
                 f"max_path_len must be in 1..{MAX_SEGMENT_LENGTH}, got {self.max_path_len}"
             )
+        if self.degree_cap < 0:
+            raise ConfigurationError(f"degree_cap must be at least 0, got {self.degree_cap}")
 
 
 def annotate_table(
@@ -642,16 +646,23 @@ def save_dataset(
         )
 
 
-def _source_hashes(sources: Mapping[str, str]) -> dict[str, str | None]:
-    """The sha256 of each configured source file; ``None`` where none is configured.
-    A file that cannot be read is a ``ConfigurationError`` naming its config key."""
-    hashes = dict.fromkeys(sources)
-    for name, path in sources.items():
+def _sources(sources: Mapping[str, str], recorded: dict | None = None, built_ns: int = 0) -> dict:
+    """Each configured source's ``[sha256, [size, mtime_ns, ctime_ns, ino, dev]]``
+    (``None`` if unset), naming its config key if unreadable. A source whose
+    signature is the one ``recorded`` in a KB file of mtime ``built_ns`` is not
+    read, unless it changed within ``RACY_NS`` before that file (git's racy-git rule)."""
+    entries = dict.fromkeys(sources)
+    for name, path in filter(lambda item: item[1], sources.items()):
         try:
-            hashes[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+            st = os.stat(path)
+            sig = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
+            old = (recorded or {}).get(name)
+            fresh = old and old[1:] == [sig] and built_ns - max(sig[1:3]) >= RACY_NS
+            entries[name] = old if fresh else [
+                hashlib.sha256(Path(path).read_bytes()).hexdigest(), sig]
         except OSError as exc:
             raise ConfigurationError(f"{name} = {path}: {exc.strerror}") from None
-    return hashes
+    return entries
 
 
 class CompiledKB(NamedTuple):
@@ -697,11 +708,11 @@ def subject_set_column(
 def save_kb(out_dir: str, kb: CompiledKB, sources: Mapping[str, str]) -> None:
     """Write ``KB_FILE``: a JSON header line, space-padded to a multiple of 8
     bytes, then little-endian columns at 8-byte-aligned offsets of the body.
-    The header holds the small tables, the sha256 of each file in ``sources``
+    The header holds the small tables, the ``_sources`` entries of ``sources``
     (config key -> path, empty when unset) and the column table, name ->
     ``[dtype, offset, count]``. Metadata records, in the store's order, index
     the distinct descriptions and type sets, so equal stores give equal bytes.
-    A string table is a UTF-8 blob ``key`` cut at character offsets ``key_offsets``.
+    A string table is a UTF-8 blob ``key`` cut at ``key_offsets``, the mids at newlines.
     """
     g, entity_meta, pred_meta, embeddings = kb.graph, kb.entity_meta, kb.pred_meta, kb.embeddings
     descriptions: dict[tuple[str, ...], int] = {}
@@ -718,7 +729,10 @@ def save_kb(out_dir: str, kb: CompiledKB, sources: Mapping[str, str]) -> None:
     columns["predicate_type_sets"] = [t_index(t, len(type_sets)) for t in pred_meta._tgt.values()]
     columns["subject_set_ids"] = kb.subject_set_ids
     columns["description_offsets"] = np.cumsum([0, *map(len, descriptions)])  # into the tokens
-    texts = {"mids": g._mids, "names": [m.name for m in metas],
+    if any("\n" in m or not m for m in g._mids):
+        raise ValueError("a mid is empty or holds a newline")
+    columns["mids"] = np.frombuffer("\n".join(g._mids).encode("utf-8"), np.uint8)
+    texts = {"names": [m.name for m in metas],
              "description_tokens": [t for d in descriptions for t in d]}
     for key, values in texts.items():
         columns[key + "_offsets"] = np.cumsum([0, *map(len, values)])
@@ -733,7 +747,7 @@ def save_kb(out_dir: str, kb: CompiledKB, sources: Mapping[str, str]) -> None:
         "predicates": g._preds, "typed_predicates": list(pred_meta._tgt),
         "type_sets": [sorted(t) for t in type_sets], "subject_sets": kb.subject_sets,
         "embedding_tokens": list(embeddings._vectors), "embedding_dim": embeddings.dim,
-        "sources": _source_hashes(sources), "columns": table,
+        "sources": _sources(sources), "columns": table,
     }, sort_keys=True, separators=(",", ":"))
     header += " " * (-(len(header) + 1) % 8) + "\n"  # ASCII, so one byte a character
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -775,8 +789,8 @@ def _decode_kb(header: dict, body: memoryview, start: int) -> CompiledKB:
     preds = strings(header["predicates"], "predicates")
     typed = strings(header["typed_predicates"], "typed_predicates")
     type_sets = [frozenset(strings(t, "type_sets")) for t in header["type_sets"]]
-    text, at = texts("mids")
-    mids = [text[a:b] for a, b in zip(at.tolist(), at[1:].tolist())]
+    text = str(views["mids"], "utf-8")
+    mids = text.split("\n") if text else []
     codes = ints("token_codes", 2 * len(preds))
     nbrs = ints("neighbour_ids", len(mids))
     goff = offsets("group_offsets", len(mids), len(codes))
@@ -788,8 +802,8 @@ def _decode_kb(header: dict, body: memoryview, start: int) -> CompiledKB:
         raise ValueError("an entity's token codes repeat or fall")
     g = KnowledgeGraph.__new__(KnowledgeGraph)
     g._assemble(mids, preds, (goff, codes, noff, nbrs))
-    if len(g._ids) != len(mids):
-        raise ValueError("mids repeat")
+    if len(g._ids) != len(mids) or "" in g._ids or sorted(mids) != mids:
+        raise ValueError("mids are not distinct, non-empty and sorted, as entity ids are")
 
     names, name_at = texts("names")
     tokens, token_at = texts("description_tokens")
@@ -834,7 +848,7 @@ def _decode_kb(header: dict, body: memoryview, start: int) -> CompiledKB:
 
 def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
     """The ``CompiledKB`` that ``save_kb`` wrote, once the configured
-    ``sources`` are checked to be the files it was compiled from.
+    ``sources`` are checked to be the files it was compiled from (``_sources``).
 
     The file is read once and its columns viewed in place. Each is checked
     whole, and each string table's UTF-8 once, but an entity's adjacency,
@@ -843,16 +857,17 @@ def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
     vector value, is a ``ParseError`` naming the file.
     """
     path = Path(in_dir) / KB_FILE
-    hashes = _source_hashes(sources)
     if not path.is_file():
         raise ConfigurationError(f"{path} is missing; {REBUILD}")
-    data = path.read_bytes()
+    data, built_ns = path.read_bytes(), path.stat().st_mtime_ns
     start = data.find(b"\n") + 1 or len(data)  # where the body starts
     with checked(str(path), 1):
         header = _json_object(str(path), 1, data[:start].decode("utf-8"))
-    recorded = header.get("sources")
-    for name, digest in hashes.items():
-        if not isinstance(recorded, dict) or recorded.get(name) != digest:
+    recorded = header.get("sources") if isinstance(header.get("sources"), dict) else {}
+    # An entry not of the form [sha256, ...] records no file.
+    recorded = {k: e for k, e in recorded.items() if type(e) is list and e and type(e[0]) is str}
+    for name, entry in _sources(sources, recorded, built_ns).items():
+        if (entry or [None])[0] != (recorded.get(name) or [None])[0]:
             given = sources[name] or "no file"
             raise ConfigurationError(f"{path} was not compiled from {name} = {given}; {REBUILD}")
     with checked(str(path), 1, "compiled KB"):

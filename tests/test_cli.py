@@ -1,8 +1,10 @@
 import base64
 import contextlib
 import gc
+import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -95,7 +97,7 @@ def edit_column(key, change):
 
 
 def mid_count(kb):
-    return len(kb["mids_offsets"]) - 1
+    return len(kb["group_offsets"]) - 1
 
 
 def repeat_a_token_code(codes, kb):
@@ -638,6 +640,11 @@ class TestCompiledKB:
              "group_offsets are not"),
             (edit_kb(lambda h, body: h["sources"].clear()),
              "rebuild the dataset with build-dataset"),
+            # A sources entry that is not [sha256, signature], such as a bare sha256.
+            (edit_kb(lambda h, body: h["sources"].update(graph_path=h["sources"]["graph_path"][0])),
+             "was not compiled from graph_path"),
+            (edit_kb(lambda h, body: h["sources"].update(graph_path=7)),
+             "was not compiled from graph_path"),
             (edit_column("meta_entities", lambda col, kb: col.__setitem__(0, mid_count(kb))),
              "meta_entities holds a value outside 0.."),
             (retype("names", "<i4"), "column names is not |u1"),
@@ -694,7 +701,7 @@ class TestCompiledKB:
             (edit_kb(lambda h, body: body.extend(bytes(8))), "the columns end at byte"),
             (edit_kb(lambda h, body: body.__setitem__(
                 slice(h["columns"]["mids"][1], h["columns"]["mids"][1] + 2), "é".encode())),
-             "kb.bin:1: bad compiled KB: ValueError('mids_offsets holds a value outside"),
+             "kb.bin:1: bad compiled KB: ValueError('mids are not distinct, non-empty and sorted"),
             (lambda path: path.write_bytes(path.read_bytes().replace(b"\n", b" \n", 1)),
              PAST_THE_END),
             (edit_kb(lambda h, body: h.update(columns=[])), "bad compiled KB"),
@@ -704,6 +711,7 @@ class TestCompiledKB:
         ids=[
             "missing", "truncated", "no-mids", "neighbour-too-large", "neighbour-negative",
             "neighbour-bytes-not-int32", "unknown-token-code", "adjacency-short", "no-sources",
+            "source-entry-a-string", "source-entry-a-number",
             "metadata-entity-too-large", "metadata-name-a-number", "metadata-names-an-object",
             "metadata-description-negative", "predicate-type-set-negative", "blob-not-utf8",
             "offsets-not-from-0", "offsets-decrease", "offsets-end-short", "token-codes-repeat",
@@ -738,6 +746,66 @@ class TestCompiledKB:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {kb}") and message in err, (argv[0], err)
             assert "Traceback" not in err
+
+    def _built_from_a_copy(self, cfg_path, tmp_path):
+        """A dataset built from a copy of the config's graph, and the flags that serve it."""
+        graph = tmp_path / "graph.tsv"
+        shutil.copy(load_config(str(cfg_path)).graph_path, graph)
+        flags = ["--graph-path", str(graph), "--dataset-dir", str(tmp_path / "dataset")]
+        assert main(["build-dataset", "--config", str(cfg_path), *flags]) == 0
+        return graph, flags
+
+    @pytest.mark.parametrize("restore", [None, "in-place", "replaced"],
+                             ids=["racy", "mtime-restored", "mtime-restored-new-inode"])
+    def test_equal_size_rewrite_makes_every_serving_command_ask_for_a_rebuild(
+        self, workspace, tmp_path, capsys, restore
+    ):
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+        graph, flags = self._built_from_a_copy(cfg_path, tmp_path)
+        kb = tmp_path / "dataset" / ds.KB_FILE
+        before, built = graph.stat(), kb.stat()
+        data = bytearray(graph.read_bytes())
+        data[-2] ^= 1  # a character of the last line
+        if restore == "replaced":
+            (tmp_path / "graph.new").write_bytes(data)
+            os.replace(tmp_path / "graph.new", graph)
+        else:
+            with open(graph, "r+b") as fh:
+                fh.write(data)
+        if restore:
+            # The old size and mtime, and a KB built well after them: only the
+            # ctime and, for a new file, the inode tell the rewrite apart.
+            os.utime(graph, ns=(before.st_atime_ns, before.st_mtime_ns))
+            os.utime(kb, ns=(built.st_atime_ns, built.st_mtime_ns + 3 * 10**9))
+        after = graph.stat()
+        assert after.st_size == before.st_size
+        assert after.st_mtime_ns == before.st_mtime_ns or not restore
+        for argv in self._serving_argvs(cfg_path, query, *flags,
+                                        "--output-dir", str(tmp_path / "out")):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"{kb} was not compiled from graph_path = {graph}; rebuild" in err, argv[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_clean_load_reads_no_source(self, workspace, tmp_path, monkeypatch):
+        """Unchanged sources are hashed only while racily clean: changed less
+        than 2 s before kb.bin's mtime."""
+        _, cfg_path, cfg = workspace
+        shutil.copytree(cfg["dataset_dir"], tmp_path / "dataset")
+        kb = tmp_path / "dataset" / ds.KB_FILE
+        sources = _kb_sources(load_config(str(cfg_path)))
+        changed = [max(st.st_mtime_ns, st.st_ctime_ns) for st in map(os.stat, sources.values())]
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
+        # Within 2 s of every source, then 3 s after the last one.
+        for built_ns, reads in ((min(changed) + 10**9, len(sources)),
+                                (max(changed) + 3 * 10**9, 0)):
+            os.utime(kb, ns=(built_ns, built_ns))
+            hashed.clear()
+            ds.load_kb(str(tmp_path / "dataset"), sources)
+            assert len(hashed) == reads
 
     def test_missing_source_file_exits_2_naming_its_key(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace
@@ -909,9 +977,10 @@ class TestConfig:
             ({"max_path_len": 4}, "max_path_len must be in 1..3, got 4"),
             ({"max_path_len": 0}, "max_path_len must be in 1..3, got 0"),
             ({"tree_depth": -1}, "tree_depth must be at least 0, got -1"),
+            ({"degree_cap": -1}, "degree_cap must be at least 0, got -1"),
         ],
         ids=["dims-mismatch", "epochs-negative", "rows-zero", "steps-negative",
-             "path-too-long", "path-zero", "depth-negative"],
+             "path-too-long", "path-zero", "depth-negative", "degree-cap-negative"],
     )
     def test_out_of_range_value_exits_2_naming_the_file_and_key(
         self, tmp_path, capsys, value, message
