@@ -13,15 +13,10 @@ from pathlib import Path
 from kgtable import synth
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs/toy", help="output directory")
-    parser.add_argument("--tables", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    root = Path(args.out)
-    paths = synth.make_corpus(str(root / "data"), n_tables=args.tables, seed=args.seed)
+def write_toy_data(out: str, n_tables: int, seed: int) -> Path:
+    """Write the corpus under ``out/data`` and its config; return the config's path."""
+    root = Path(out)
+    paths = synth.make_corpus(str(root / "data"), n_tables=n_tables, seed=seed)
     config = {
         "graph_path": paths.graph,
         "entity_meta_path": paths.entity_meta,
@@ -45,7 +40,18 @@ def main() -> None:
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2) + "\n")
-    print(f"corpus with {args.tables} tables -> {paths.root}")
+    return cfg_path
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="runs/toy", help="output directory")
+    parser.add_argument("--tables", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+
+    cfg_path = write_toy_data(args.out, args.tables, args.seed)
+    print(f"corpus with {args.tables} tables -> {Path(args.out) / 'data'}")
     print(f"config -> {cfg_path}")
 
 

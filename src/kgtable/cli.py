@@ -139,7 +139,7 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     fget_map = ds.read_tsv_map(cfg.fget_path) if cfg.fget_path else {}
     tables, split, tb_vocab, kb_vocab, type_freq, rejects = ds.build_corpus_dataset(
         corpus, g, url2mid, entity_meta, types_by_mid, fget_map,
-        cfg.build_settings(), cfg.seed, cfg.k_negatives,
+        cfg.build_settings(), cfg.seed,
     )
     ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g)
     sets = ds.subject_set_column(g, types_by_mid, type_freq, fget_map)

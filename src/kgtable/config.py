@@ -51,12 +51,8 @@ class RunConfig:
     banned_prefixes: tuple[str, ...] = _BUILD.banned_prefixes
     max_rows: int = _BUDGET.max_rows
     max_steps: int = _BUDGET.max_steps
-    # dataset construction
-    k_negatives: int = _HP.k_negatives
     # selector training
-    margin: float = _HP.margin
     learning_rate: float = _HP.learning_rate
-    batch_size: int = _HP.batch_size
     epochs: int = _HP.epochs
     dim_qis: int = _HP.dim_qis
     dim_cn: int = _HP.dim_cn
@@ -65,8 +61,6 @@ class RunConfig:
     # ranker training
     tree_count: int = _RANKER.tree_count
     tree_depth: int = _RANKER.tree_depth
-    tree_learning_rate: float = _RANKER.tree_learning_rate
-    pairwise_sigma: float = _RANKER.pairwise_sigma
 
     def budget(self) -> QueryBudget:
         return QueryBudget(max_rows=self.max_rows, max_steps=self.max_steps)

@@ -18,7 +18,9 @@ import json
 import math
 import os
 import random
+import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -499,10 +501,9 @@ def build_vocab(tables: Sequence[AnnotatedTable]) -> tuple[Vocabulary, Vocabular
 def pad_negatives(
     tables: Mapping[str, AnnotatedTable],
     split: DatasetSplit,
-    k: int = K_NEGATIVES,
     seed: int = 0,
 ) -> dict[str, AnnotatedTable]:
-    """Pad every training table to at least k-1 negative chains.
+    """Pad every training table to at least K_NEGATIVES - 1 negative chains.
 
     Extra negatives are sampled without replacement from the global pool of
     chains appearing as negatives anywhere in the dataset, excluding the
@@ -517,8 +518,7 @@ def pad_negatives(
     out = dict(tables)
     for tid in split.train:
         table = tables[tid]
-        have = len(table.negatives())
-        need = (k - 1) - have
+        need = K_NEGATIVES - 1 - len(table.negatives())
         if need <= 0:
             continue
         if not pool:
@@ -597,8 +597,9 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
     chains = tuple(map(labeled, rec["chains"]))
     if not chains or not chains[0].positive:
         raise ValueError("a table needs chains, the first of them positive")
-    if not rec["rr"]:
-        raise ValueError("a table needs result rows")
+    rr = tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"])
+    if len(set(rr)) < max(2, len(rr)):
+        raise ValueError("a table needs two or more result rows, none repeated")
     return AnnotatedTable(
         table_id=table_id,
         qis=strings(rec["qis"], "qis"),
@@ -607,7 +608,7 @@ def _table_from_json(rec: dict, g: KnowledgeGraph, memo: dict) -> AnnotatedTable
         se=g.entity_id(rec["se"]),
         se_name=string(rec["se_name"], "se_name"),
         set_tokens=strings(rec["set"], "set"),
-        rr=tuple((g.entity_id(a), g.entity_id(b)) for a, b in rec["rr"]),
+        rr=rr,
         chains=chains,
     )
 
@@ -866,10 +867,17 @@ def load_kb(in_dir: str, sources: Mapping[str, str]) -> CompiledKB:
     recorded = header.get("sources") if isinstance(header.get("sources"), dict) else {}
     # An entry not of the form [sha256, ...] records no file.
     recorded = {k: e for k, e in recorded.items() if type(e) is list and e and type(e[0]) is str}
-    for name, entry in _sources(sources, recorded, built_ns).items():
+    entries = _sources(sources, recorded, built_ns)
+    for name, entry in entries.items():
         if (entry or [None])[0] != (recorded.get(name) or [None])[0]:
             given = sources[name] or "no file"
             raise ConfigurationError(f"{path} was not compiled from {name} = {given}; {REBUILD}")
+    # Sources hashed equal and out of the racy window make kb.bin clean (git's index refresh).
+    hashed = [e for name, e in entries.items() if e and e is not recorded.get(name)]
+    if hashed and all(time.time_ns() - max(e[1][1:3]) >= RACY_NS for e in hashed):
+        with suppress(OSError):  # a read-only dataset stays racy
+            if path.stat().st_mtime_ns == built_ns:  # not rebuilt since it was read
+                os.utime(path)
     with checked(str(path), 1, "compiled KB"):
         return _decode_kb(header, memoryview(data)[start:], start)
 
@@ -897,14 +905,21 @@ def load_dataset(
     with checked(tables_path, 0, "table record") as at:
         for at.line_no, rec in _json_lines(tables_path):
             t = _table_from_json(rec, g, memo)
+            if t.table_id in tables:
+                raise ValueError(f"table id {t.table_id!r} repeats an earlier record")
             tables[t.table_id] = t
     path = str(base / "split.json")
     rec = read_json(path)
     with checked(path, 1, "split record"):
-        split = DatasetSplit(*(tuple(rec[k]) for k in ("train", "validation", "test")), rec["seed"])
-        unknown = [t for t in split.train + split.validation + split.test if t not in tables]
+        parts = (strings(rec[k], k) for k in ("train", "validation", "test"))
+        split = DatasetSplit(*parts, integer(rec["seed"], "seed"))
+        ids = split.train + split.validation + split.test
+        unknown = [t for t in ids if t not in tables]
         if unknown:
             raise ValueError(f"table id {unknown[0]!r} names no table of {tables_path}")
+        repeated = [t for t, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"table id {repeated[0]!r} appears more than once in the split")
     return (tables, split, *load_vocabularies(in_dir))
 
 
@@ -930,7 +945,6 @@ def build_corpus_dataset(
     fget_map: Mapping[str, str],
     settings: BuildSettings,
     seed: int,
-    k_negatives: int = K_NEGATIVES,
 ) -> tuple[
     dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, Counter[str], dict[str, int]
 ]:
@@ -952,7 +966,7 @@ def build_corpus_dataset(
         raise ConfigurationError("no table survived annotation")
 
     split = split_dataset(tables.keys(), seed)
-    tables = pad_negatives(tables, split, k=k_negatives, seed=seed)
+    tables = pad_negatives(tables, split, seed=seed)
     trainval = [tables[tid] for tid in sorted(split.train + split.validation)]
     tb_vocab, kb_vocab = build_vocab(trainval)
     return tables, split, tb_vocab, kb_vocab, type_freq, dict(rejects)

@@ -11,7 +11,6 @@ race decodes an entry twice into equal values.
 
 from __future__ import annotations
 
-import base64
 import json
 import sys
 from contextlib import contextmanager
@@ -510,18 +509,3 @@ def load_predicate_meta(path: str) -> PredicateMetaStore:
             tgt_by_name[name] = _type_field(rec, "expected_target_types", types)
     return PredicateMetaStore(tgt_by_name)
 
-
-# -- binary columns in JSON records -----------------------------------------
-
-
-def encode_column(values, dtype: str) -> str:
-    """``values`` as the base64 of their little-endian bytes: ``"<i4"`` or ``"<f8"``."""
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
-
-
-def float_column(rec: dict, key: str, count: int) -> np.ndarray:
-    """The float64 column ``key`` of a record: exactly ``count`` finite values."""
-    col = np.frombuffer(base64.b64decode(rec[key], validate=True), "<f8")
-    if len(col) != count or not np.isfinite(col).all():
-        raise ValueError(f"{key} is not {count} finite float64 values")
-    return col.astype(np.float64, copy=False)

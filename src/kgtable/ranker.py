@@ -401,20 +401,20 @@ def _leaf_values(arrays: tuple, X: np.ndarray) -> np.ndarray:
     return value[node]
 
 
+# The shrinkage of each tree's output, and the steepness of the pairwise logistic loss.
+TREE_LEARNING_RATE = 0.1
+PAIRWISE_SIGMA = 1.0
+
+
 @dataclass(frozen=True)
 class RankerConfig:
     tree_count: int = 100
     tree_depth: int = 4
-    tree_learning_rate: float = 0.1
-    pairwise_sigma: float = 1.0
 
     def __post_init__(self):
         for key in ("tree_count", "tree_depth"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be at least 0, got {getattr(self, key)}")
-        for key in ("tree_learning_rate", "pairwise_sigma"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be above 0, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -502,18 +502,18 @@ def train_ranker(
     """
     usable = [g for g in groups if len(g.relevance)]
     if not usable:
-        return RankerModel([], cfg.tree_learning_rate, cfg.pairwise_sigma)
+        return RankerModel([], TREE_LEARNING_RATE, PAIRWISE_SIGMA)
     X = np.vstack([g.features for g in usable])
     batches = _shape_batches([g.relevance for g in usable])
     rows, root = np.arange(X.shape[0]), _feature_sort(X)
     scores = np.zeros(X.shape[0])
     trees = []
     for _ in range(cfg.tree_count):
-        lambdas = _lambdas(scores, batches, cfg.pairwise_sigma)
+        lambdas = _lambdas(scores, batches, PAIRWISE_SIGMA)
         tree = _fit_tree(X, lambdas, rows, cfg.tree_depth, root)
         trees.append(tree)
-        scores += cfg.tree_learning_rate * _leaf_values(_tree_arrays([tree]), X)[:, 0]
-    return RankerModel(trees, cfg.tree_learning_rate, cfg.pairwise_sigma)
+        scores += TREE_LEARNING_RATE * _leaf_values(_tree_arrays([tree]), X)[:, 0]
+    return RankerModel(trees, TREE_LEARNING_RATE, PAIRWISE_SIGMA)
 
 
 def rank(scores: Sequence[float], cands: Sequence[tuple[int, int]]) -> list[int]:

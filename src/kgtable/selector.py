@@ -19,38 +19,36 @@ products rather than one pass per triple.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize
+import numpy as np  # scipy is imported by the trainers alone: serving never loads it
 
 from .dataset import K_NEGATIVES, AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
-from .graph import checked, encode_column, float_column, number, read_json, string, write_json_lines
+from .graph import checked, number, read_json, string, write_json_lines
 from .paths import ChainPair
+
+# The hinge margin of embedding training, and the examples of one gradient step.
+MARGIN = 0.25
+BATCH_SIZE = 250
+
 
 @dataclass(frozen=True)
 class SelectorHyperParams:
-    margin: float = 0.25
     learning_rate: float = 1e-5
-    batch_size: int = 250
     epochs: int = 2000
-    k_negatives: int = K_NEGATIVES
     dim_qis: int = 100
     dim_cn: int = 25
     dim_set: int = 100
     dim_chain: int = 250
 
     def __post_init__(self):
-        for key, least in (("batch_size", 1), ("epochs", 0), ("k_negatives", 1)):
-            if getattr(self, key) < least:
-                raise ConfigurationError(
-                    f"{key} must be at least {least}, got {getattr(self, key)}"
-                )
+        if self.epochs < 0:
+            raise ConfigurationError(f"epochs must be at least 0, got {self.epochs}")
         if self.dim_qis + 2 * self.dim_cn + self.dim_set != self.dim_chain:
             raise ConfigurationError(
                 "dim_qis + 2*dim_cn + dim_set must equal dim_chain: "
@@ -306,8 +304,10 @@ def _distinct(keys: Sequence) -> tuple[list, np.ndarray]:
     return list(ids), where
 
 
-def _averaging_matrix(fields: Sequence[Sequence[int]], vocab_size: int) -> sparse.csr_matrix:
+def _averaging_matrix(fields: Sequence[Sequence[int]], vocab_size: int):
     """Row r averages the embedding rows listed in ``fields[r]``; an empty field is a zero row."""
+    from scipy import sparse
+
     lengths = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     indices = np.fromiter(
@@ -350,6 +350,8 @@ def triple_hinge_gradients(
     are sparse-dense products of those weights with the vectors. They are
     zero where no triple is active.
     """
+    from scipy import sparse
+
     contexts, ctx_of = _distinct(ctxs)
     chains, chain_of = _distinct([c.indices for c in (*positives, *negatives)])
     n_ctx, n_chain = len(contexts), len(chains)
@@ -488,18 +490,16 @@ def train_embedding(
         m[0, :] = 0.0  # OOV rows start at zero
     scorer = EmbeddingScorer(
         mats["qis"], mats["cn"], mats["set"], mats["chain"],
-        margin=hp.margin,
+        margin=MARGIN,
         tb_vocab_hash=tb_vocab.content_hash(),
         kb_vocab_hash=kb_vocab.content_hash(),
     )
     examples = _prepare_examples(tables, tb_vocab, kb_vocab)
     for _ in range(hp.epochs):
         order = rng.permutation(len(examples))
-        for start in range(0, len(order), hp.batch_size):
-            batch = [examples[ei] for ei in order[start:start + hp.batch_size]]
-            _, grads = triple_hinge_gradients(
-                scorer, *_triples(batch, hp.k_negatives - 1, rng)
-            )
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = [examples[ei] for ei in order[start:start + BATCH_SIZE]]
+            _, grads = triple_hinge_gradients(scorer, *_triples(batch, K_NEGATIVES - 1, rng))
             norm = _global_norm(mats)
             if norm > 0:
                 for k in grads:
@@ -522,6 +522,8 @@ def train_linear(
 
     Optimized with L-BFGS, which is deterministic for fixed inputs.
     """
+    from scipy.optimize import minimize
+
     if not tables:
         raise ConfigurationError("empty training set")
     probe = LinearScorer(
@@ -567,7 +569,8 @@ def train_linear(
 
 
 def _matrix_record(m: np.ndarray) -> dict:
-    return {"shape": list(m.shape), "data": encode_column(m, "<f8")}
+    data = base64.b64encode(np.asarray(m, dtype="<f8").tobytes()).decode("ascii")
+    return {"shape": list(m.shape), "data": data}
 
 
 def save_scorer(path: str, scorer) -> None:
@@ -606,7 +609,11 @@ def _matrix(rec: dict, name: str, shape: tuple) -> np.ndarray:
         or any(want not in (None, n) for want, n in zip(shape, got))
     ):
         raise ValueError(f"{name!r} must be a matrix of shape {shape}")
-    return float_column(rec, "data", math.prod(got)).reshape(got)
+    count = math.prod(got)
+    col = np.frombuffer(base64.b64decode(rec["data"], validate=True), "<f8")
+    if len(col) != count or not np.isfinite(col).all():
+        raise ValueError(f"data is not {count} finite float64 values")
+    return col.astype(np.float64, copy=False).reshape(got)
 
 
 def load_scorer(path: str, tb_vocab: Vocabulary, kb_vocab: Vocabulary):

@@ -29,7 +29,6 @@ TEST_HP = selector.SelectorHyperParams(
     dim_chain=80,
     learning_rate=0.05,
     epochs=60,
-    batch_size=250,
 )
 
 

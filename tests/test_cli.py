@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -807,6 +808,29 @@ class TestCompiledKB:
             ds.load_kb(str(tmp_path / "dataset"), sources)
             assert len(hashed) == reads
 
+    def test_a_racy_load_out_of_the_window_makes_kb_clean(self, workspace, tmp_path, monkeypatch):
+        """A load that hashes its sources equal, once they are older than the racy
+        window, moves kb.bin's mtime to now, so later loads read none of them."""
+        _, cfg_path, cfg = workspace
+        shutil.copytree(cfg["dataset_dir"], tmp_path / "dataset")
+        kb = tmp_path / "dataset" / ds.KB_FILE
+        sources = _kb_sources(load_config(str(cfg_path)))
+        changed = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in map(os.stat, sources.values()))
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
+        age, n = time.time_ns() - changed, len(sources)
+        # A window longer than the sources' age keeps kb.bin racy; a shorter one ends it.
+        for window, reads in ((10 * age, [n, n]), (age // 2, [n, 0])):
+            monkeypatch.setattr(ds, "RACY_NS", window)
+            os.utime(kb, ns=(changed, changed))
+            counts = []
+            for _ in range(2):
+                hashed.clear()
+                ds.load_kb(str(tmp_path / "dataset"), sources)
+                counts.append(len(hashed))
+            assert counts == reads, window
+
     def test_missing_source_file_exits_2_naming_its_key(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace
         query = write_query(cfg, tmp_path / "query.json")
@@ -883,9 +907,11 @@ class TestRenderSparqlCommand:
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # The selector's truncation lengths and L2 weights are constants, not keys.
+        # The selector's truncation lengths, L2 weights, margin, batch size and
+        # negatives, and the ranker's tree rate and sigma are constants, not keys.
         removed = ("max_qis_tokens", "max_cn_tokens", "max_set_tokens", "max_chain_tokens",
-                   "l2_weight", "linear_l2")
+                   "l2_weight", "linear_l2", "margin", "batch_size", "k_negatives",
+                   "tree_learning_rate", "pairwise_sigma")
         cfg = tmp_path / "c.json"
         for key in ("no_such_key", *removed):
             cfg.write_text(json.dumps({key: 1}))
@@ -1003,10 +1029,10 @@ class TestConfig:
     def test_well_typed_values_load_as_before(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"banned_prefixes": "a,,b", "learning_rate": 1, "seed": 3,
-                                   "dataset_dir": "d", "pairwise_sigma": 2.5}))
+                                   "dataset_dir": "d", "max_rows": 7}))
         loaded = load_config(str(cfg))
         assert loaded == RunConfig(banned_prefixes=("a", "b"), learning_rate=1.0, seed=3,
-                                   dataset_dir="d", pairwise_sigma=2.5)
+                                   dataset_dir="d", max_rows=7)
         assert type(loaded.learning_rate) is float
         cfg.write_text(json.dumps({"banned_prefixes": ["a", "b"]}))
         assert load_config(str(cfg)).banned_prefixes == ("a", "b")
@@ -1036,16 +1062,14 @@ class TestConfig:
 
     def test_bad_training_sizes_exit_2(self, workspace, tmp_path, capsys):
         _, cfg_path, _ = workspace
-        for flag, bad in (("--batch-size", "0"), ("--epochs", "-1"), ("--k-negatives", "0")):
-            argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding"]
-            assert main([*argv, flag, bad]) == 2
-            assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding"]
+        assert main([*argv, "--epochs", "-1"]) == 2
+        assert "epochs" in capsys.readouterr().err
         # A missing dataset shows that train-ranker checks its settings before loading.
         missing = str(tmp_path / "no-dataset")
         for flag, bad, must in (
             ("--tree-count", "-3", "at least 0"), ("--tree-depth", "-1", "at least 0"),
-            ("--tree-learning-rate", "0", "above 0"), ("--tree-learning-rate", "nan", "finite"),
-            ("--pairwise-sigma", "-1", "above 0"), ("--pairwise-sigma", "0", "above 0"),
+            ("--learning-rate", "nan", "finite"),
         ):
             argv = ["train-ranker", "--config", str(cfg_path), "--dataset-dir", missing]
             assert main([*argv, flag, bad]) == 2
@@ -1085,14 +1109,21 @@ class TestConfig:
             ("tables.jsonl", lambda rec: rec["chains"][0].update(p1=7)),
             ("tables.jsonl", lambda rec: rec["chains"][0].update(p2=7)),
             ("tables.jsonl", lambda rec: rec.update(rr=[])),
+            ("tables.jsonl", lambda rec: rec.update(rr=rec["rr"][:1])),
+            ("tables.jsonl", lambda rec: rec["rr"].append(rec["rr"][-1])),
             ("tables.jsonl", lambda rec: rec.update(table_id=7)),
             ("split.json", lambda rec: rec["train"].append("no-such-table")),
+            ("split.json", lambda rec: rec["train"].append(rec["test"][0])),
+            ("split.json", lambda rec: rec["test"].append(rec["test"][0])),
+            ("split.json", lambda rec: rec.update(test=rec["test"][0])),
+            ("split.json", lambda rec: rec.update(seed=str(rec["seed"]))),
             ("vocab_tb.json", lambda rec: rec["tokens"].append(7)),
             ("vocab_kb.json", lambda rec: rec.update(oov_token=["<oov>"])),
         ],
         ids=["no-chains", "first-chain-negative", "int-in-qis", "int-in-cn1", "int-in-cn2",
-             "int-in-set", "int-p1", "int-p2", "no-rr", "int-table-id", "unknown-split-id",
-             "int-vocab-token", "list-oov-token"],
+             "int-in-set", "int-p1", "int-p2", "no-rr", "one-rr", "repeated-rr", "int-table-id",
+             "unknown-split-id", "test-id-in-train", "test-id-twice", "string-test-split",
+             "string-split-seed", "int-vocab-token", "list-oov-token"],
     )
     def test_bad_dataset_record_exits_2_with_file_and_line(
         self, workspace, tmp_path, capsys, name, edit
@@ -1113,6 +1144,19 @@ class TestConfig:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert f"{dataset / name}:{line_no}: " in err and "Traceback" not in err
+
+    def test_repeated_table_id_exits_2_with_file_and_line(self, workspace, tmp_path, capsys):
+        _, cfg_path, cfg = workspace
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        for src in Path(cfg["dataset_dir"]).iterdir():
+            (dataset / src.name).write_bytes(src.read_bytes())
+        lines = (dataset / "tables.jsonl").read_text().splitlines(keepends=True)
+        (dataset / "tables.jsonl").write_text("".join(lines) + lines[0])
+        argv = ["evaluate", "--config", str(cfg_path), "--dataset-dir", str(dataset)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{dataset / 'tables.jsonl'}:{len(lines) + 1}: " in err and "repeats" in err
 
     def test_bad_ranker_model_exits_2_with_file(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace

@@ -263,7 +263,7 @@ class TestPadNegatives:
     def test_train_table_padded_to_nine(self):
         tables = self._tables()
         split = ds.DatasetSplit(train=("t0",), validation=("t1",), test=(), seed=0)
-        out = ds.pad_negatives(tables, split, k=10, seed=1)
+        out = ds.pad_negatives(tables, split, seed=1)
         assert len(out["t0"].negatives()) == 9
         # Padded chains never duplicate what the table already had.
         canons = [lc.chain.canonical() for lc in out["t0"].chains]
@@ -272,13 +272,13 @@ class TestPadNegatives:
     def test_validation_tables_untouched(self):
         tables = self._tables()
         split = ds.DatasetSplit(train=("t0",), validation=("t1",), test=(), seed=0)
-        out = ds.pad_negatives(tables, split, k=10, seed=1)
+        out = ds.pad_negatives(tables, split, seed=1)
         assert out["t1"] == tables["t1"]
 
     def test_table_positives_excluded_from_padding(self):
         tables = self._tables()
         split = ds.DatasetSplit(train=("t0",), validation=("t1",), test=(), seed=0)
-        out = ds.pad_negatives(tables, split, k=10, seed=1)
+        out = ds.pad_negatives(tables, split, seed=1)
         positives = {lc.chain.canonical() for lc in out["t0"].positives()}
         padded_negs = {lc.chain.canonical() for lc in out["t0"].negatives()}
         assert not positives & padded_negs
@@ -287,7 +287,7 @@ class TestPadNegatives:
         tables = {"t0": make_table("t0", (labeled("p.a", "q.a", True, 1.0),))}
         split = ds.DatasetSplit(train=("t0",), validation=(), test=(), seed=0)
         with pytest.raises(ds.ConfigurationError):
-            ds.pad_negatives(tables, split, k=10, seed=1)
+            ds.pad_negatives(tables, split, seed=1)
 
 
 class TestCorpusIo:
@@ -471,9 +471,11 @@ class TestRoundTrip:
             (lambda rec: rec["set"].append(["type"]), "'set' must be a list of strings"),
             (lambda rec: rec["chains"][0].update(p1=3), "chain 'p1' and 'p2' must be strings"),
             (lambda rec: rec["chains"][-1].update(p2=1.5), "chain 'p1' and 'p2' must be strings"),
+            (lambda rec: rec.update(rr=rec["rr"][:1]), "two or more result rows"),
+            (lambda rec: rec["rr"].insert(0, rec["rr"][-1]), "none repeated"),
         ],
         ids=["no-chains", "first-chain-negative", "int-in-qis", "string-cn1", "null-in-cn2",
-             "list-in-set", "int-p1", "float-p2"],
+             "list-in-set", "int-p1", "float-p2", "one-row", "repeated-row"],
     )
     def test_bad_table_record_names_the_line(self, tmp_path, bundle, edit, message):
         ds.save_dataset(
@@ -511,6 +513,28 @@ class TestRoundTrip:
         )
         (tmp_path / name).write_text(text)
         with pytest.raises(ds.ParseError, match=message):
+            ds.load_dataset(str(tmp_path), bundle.g)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec["train"].append(rec["test"][0]), "appears more than once"),
+            (lambda rec: rec["test"].append(rec["test"][0]), "appears more than once"),
+            (lambda rec: rec.update(test=rec["test"][0]), "'test' must be a list of strings"),
+            (lambda rec: rec.update(seed=1.0), "'seed' must be an integer"),
+        ],
+        ids=["test-id-in-train", "test-id-twice", "string-test", "float-seed"],
+    )
+    def test_bad_split_ids_name_the_file(self, tmp_path, bundle, edit, message):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g,
+        )
+        path = tmp_path / "split.json"
+        rec = json.loads(path.read_text())
+        edit(rec)
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ds.ParseError, match=rf"split\.json:1: bad split record: .*{message}"):
             ds.load_dataset(str(tmp_path), bundle.g)
 
 

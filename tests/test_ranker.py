@@ -505,11 +505,12 @@ def mixed_groups(seed, n_groups=40):
 
 class TestTrainerOracleParity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_mixed_shape_groups(self, seed):
-        cfg = rk.RankerConfig(tree_count=6, tree_depth=3, pairwise_sigma=(0.5, 1.0, 2.0)[seed - 1])
+    def test_random_mixed_shape_groups(self, seed, monkeypatch):
+        sigma = (0.5, 1.0, 2.0)[seed - 1]
+        monkeypatch.setattr(rk, "PAIRWISE_SIGMA", sigma)
         groups = mixed_groups(seed)
-        assert rk.train_ranker(groups, cfg).trees == naive_train_ranker(
-            groups, cfg.tree_count, cfg.tree_depth, cfg.tree_learning_rate, cfg.pairwise_sigma)
+        assert rk.train_ranker(groups, rk.RankerConfig(tree_count=6, tree_depth=3)).trees == (
+            naive_train_ranker(groups, 6, 3, rk.TREE_LEARNING_RATE, sigma))
 
     def test_bundle_training_groups(self, bundle, trained):
         groups = harness.ranker_training_groups(

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,3 +22,8 @@ def test_run_experiment_runs_every_stage(tmp_path, monkeypatch, capsys):
     assert "chain selection Accuracy@1" in out
     assert "[embedding,fr  ]" in out
     assert "core-column C1 recall" in out
+    # The grid prints what evaluate wrote: the mean tuple recall of one cell.
+    line = next(line for line in out.splitlines() if "[embedding,fr  ]" in line)
+    printed = re.search(r"recall \[[^,]+, [^,]+, ([^,]+),", line).group(1)
+    summary = json.loads((tmp_path / "eval" / "embedding-fr" / "summary.json").read_text())
+    assert float(printed) == round(summary["metrics"]["tuple_recall"]["mean"], 4)

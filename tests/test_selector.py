@@ -231,20 +231,10 @@ class TestEmbeddingScorer:
         with pytest.raises(ConfigurationError):
             sel.SelectorHyperParams(dim_qis=10, dim_cn=10, dim_set=10, dim_chain=10)
 
-    def test_batch_size_below_one_rejected(self):
-        for bad in (0, -1):
-            with pytest.raises(ConfigurationError, match="batch_size"):
-                sel.SelectorHyperParams(batch_size=bad)
-
     def test_negative_epochs_rejected(self):
         sel.SelectorHyperParams(epochs=0)
         with pytest.raises(ConfigurationError, match="epochs"):
             sel.SelectorHyperParams(epochs=-1)
-
-    def test_k_negatives_below_one_rejected(self):
-        sel.SelectorHyperParams(k_negatives=1)
-        with pytest.raises(ConfigurationError, match="k_negatives"):
-            sel.SelectorHyperParams(k_negatives=0)
 
     def test_zero_epochs_returns_initialization(self, bundle):
         hp = sel.SelectorHyperParams(
@@ -402,7 +392,7 @@ class TestTraining:
         # One generator drives training, so e epochs equal the start of a longer run.
         history = [
             embedding_objective(
-                sel.train_embedding(*args, replace(hp, epochs=e), seed=2), *args, hp
+                sel.train_embedding(*args, replace(hp, epochs=e), seed=2), *args
             )
             for e in range(13)
         ]
