@@ -137,13 +137,13 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     url2mid = ds.read_tsv_map(cfg.url2mid_path)
     types_by_mid = ds.read_tsv_multimap(cfg.mid2types_path) if cfg.mid2types_path else {}
     fget_map = ds.read_tsv_map(cfg.fget_path) if cfg.fget_path else {}
-    tables, split, tb_vocab, kb_vocab, type_freq, rejects = ds.build_corpus_dataset(
-        corpus, g, url2mid, entity_meta, types_by_mid, fget_map,
-        cfg.build_settings(), cfg.seed,
-    )
-    ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g)
+    type_freq = ds.subject_type_freq(corpus, g, types_by_mid)
     sets = ds.subject_set_column(g, types_by_mid, type_freq, fget_map)
     kb = ds.CompiledKB(g, entity_meta, pred_meta, embeddings, *sets)
+    tables, split, tb_vocab, kb_vocab, rejects = ds.build_corpus_dataset(
+        corpus, kb, url2mid, cfg.build_settings(), cfg.seed
+    )
+    ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g)
     ds.save_kb(cfg.dataset_dir, kb, sources)
     print(
         f"annotated {len(tables)} tables "
@@ -156,18 +156,15 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 
 
 def cmd_train_selector(cfg: RunConfig) -> int:
+    selector.import_trainer(cfg.selector)
     g = _load_kb(cfg).graph
     tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
     train_tables = [tables[tid] for tid in split.train]
     if cfg.selector == "linear":
         scorer = selector.train_linear(train_tables, tb_vocab, kb_vocab)
-    elif cfg.selector == "embedding":
+    else:
         scorer = selector.train_embedding(
             train_tables, tb_vocab, kb_vocab, cfg.selector_hp(), cfg.seed
-        )
-    else:
-        raise ConfigurationError(
-            f"selector {cfg.selector!r} is not trainable (use linear or embedding)"
         )
     path = _selector_model_path(cfg)
     selector.save_scorer(path, scorer)

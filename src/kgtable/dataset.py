@@ -1,14 +1,14 @@
 """Turn a raw table corpus plus linking files into annotated training data.
 
-Pipeline per table: link cells to graph entities, build the query intent
-string and normalized column names, derive subject entity types, enumerate
-and join candidate chains, execute every chain to score it against the
-ground-truth rows, and label positives. Tables failing any constraint are
-rejected with a reason. The corpus is then split 80/10/10, training tables
-are padded with sampled negatives, and two vocabularies are built from the
-training+validation portions. ``save_kb`` compiles what serving reads
-besides the dataset files: the KB, the word embeddings and each entity's SET
-tokens.
+The KB, the word embeddings and each entity's SET tokens are compiled first
+(``CompiledKB``); ``save_kb`` writes them as what serving reads besides the
+dataset files. Pipeline per table, on that KB: link cells to graph entities,
+build the query intent string and normalized column names, read the
+subject's SET, enumerate and join candidate chains, execute every chain to
+score it against the ground-truth rows, and label positives. Tables failing
+any constraint are rejected with a reason. The corpus is then split
+80/10/10, training tables are padded with sampled negatives, and two
+vocabularies are built from the training+validation portions.
 """
 
 from __future__ import annotations
@@ -269,11 +269,11 @@ def build_set(
 
     Prunes generic types, then picks the corpus-least-frequent surviving
     type (ties lexicographic) and appends its fine-grained mapping when one
-    exists.
+    exists; ``(EMPTY_TOKEN,)`` when none survives.
     """
     surviving = [t for t in types if not t.startswith(GENERIC_TYPE_PREFIXES)]
     if not surviving:
-        raise ValueError("no specific entity type survives pruning")
+        return (EMPTY_TOKEN,)
     best = min(surviving, key=lambda t: (type_freq.get(t, 0), t))
     tokens = list(tokenize(best))
     fine = fget_map.get(best)
@@ -349,17 +349,13 @@ class BuildSettings:
 
 
 def annotate_table(
-    raw: RawTable,
-    g: KnowledgeGraph,
-    url2eid: Mapping[str, int],
-    entity_meta: EntityMetaStore,
-    types_by_mid: Mapping[str, tuple[str, ...]],
-    type_freq: Mapping[str, int],
-    fget_map: Mapping[str, str],
-    settings: BuildSettings,
+    raw: RawTable, kb: CompiledKB, url2eid: Mapping[str, int], settings: BuildSettings
 ) -> AnnotatedTable:
-    """Run every per-table step; raises TableRejected on any failed constraint."""
-    tid = raw.table_id
+    """Run every per-table step; raises TableRejected on any failed constraint.
+
+    The subject's SET is the one ``kb`` compiled for it, the one serving reads.
+    """
+    tid, g = raw.table_id, kb.graph
     if len(raw.headers) < 2:
         raise TableRejected(tid, "fewer than two columns")
     try:
@@ -377,15 +373,14 @@ def annotate_table(
     if not raw.se_mid or raw.se_mid not in g:
         raise TableRejected(tid, "subject entity not linked to the graph")
     se = g.entity_id(raw.se_mid)
-    se_name = entity_meta.get(se).name
+    se_name = kb.entity_meta.get(se).name
     if not se_name:
         raise TableRejected(tid, "subject entity has no name")
     qis = build_qis(raw.page_title, raw.caption, se_name)
 
-    try:
-        set_tokens = build_set(types_by_mid.get(raw.se_mid, ()), type_freq, fget_map)
-    except ValueError as exc:
-        raise TableRejected(tid, str(exc)) from None
+    set_tokens = kb.subject_sets[kb.subject_set_ids[se]]
+    if set_tokens == (EMPTY_TOKEN,):
+        raise TableRejected(tid, "no specific entity type survives pruning")
 
     limits = (settings.max_path_len, settings.degree_cap, settings.banned_prefixes)
     p1s = enumerate_simple_paths(g, se, c1_entities, *limits)
@@ -670,7 +665,7 @@ class CompiledKB(NamedTuple):
     """What serving reads of the input files, compiled once into ``KB_FILE``.
 
     Entity e's SET tokens are ``subject_sets[subject_set_ids[e]]``: those
-    ``build_set`` derives for a table subject, or ``subject_sets[0]``,
+    ``build_set`` derives from its types, ``subject_sets[0]``,
     ``(EMPTY_TOKEN,)``, where no specific type survives pruning.
     """
 
@@ -689,7 +684,8 @@ def subject_set_column(
     fget_map: Mapping[str, str],
 ) -> tuple[list[tuple[str, ...]], list[int]]:
     """``CompiledKB.subject_sets`` and ``subject_set_ids`` over the build's
-    type files and frequencies."""
+    type files and frequencies: the one SET of each entity, which
+    ``annotate_table`` gives a table of that subject and ``complete`` reads."""
     sets = {(EMPTY_TOKEN,): 0}
     by_types: dict[tuple[str, ...], int] = {}  # most entities share a type list
     ids = []
@@ -697,10 +693,7 @@ def subject_set_column(
         types = types_by_mid.get(g.mid(e), ())
         i = by_types.get(types)
         if i is None:
-            try:
-                tokens = build_set(types, type_freq, fget_map)
-            except ValueError:
-                tokens = (EMPTY_TOKEN,)
+            tokens = build_set(types, type_freq, fget_map)
             i = by_types[types] = sets.setdefault(tokens, len(sets))
         ids.append(i)
     return list(sets), ids
@@ -938,26 +931,19 @@ def subject_type_freq(
 
 def build_corpus_dataset(
     corpus: Sequence[RawTable],
-    g: KnowledgeGraph,
+    kb: CompiledKB,
     url2mid: Mapping[str, str],
-    entity_meta: EntityMetaStore,
-    types_by_mid: Mapping[str, tuple[str, ...]],
-    fget_map: Mapping[str, str],
     settings: BuildSettings,
     seed: int,
-) -> tuple[
-    dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, Counter[str], dict[str, int]
-]:
-    """Annotate a corpus: tables, split, vocabularies, SET's type frequencies, reject counts."""
+) -> tuple[dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary, dict[str, int]]:
+    """Annotate a corpus on its compiled KB: tables, split, vocabularies, reject counts."""
+    g = kb.graph
     url2eid = {u: g.entity_id(m) for u, m in url2mid.items() if m in g}
-    type_freq = subject_type_freq(corpus, g, types_by_mid)
     tables: dict[str, AnnotatedTable] = {}
     rejects: Counter[str] = Counter()
     for raw in corpus:
         try:
-            table = annotate_table(
-                raw, g, url2eid, entity_meta, types_by_mid, type_freq, fget_map, settings
-            )
+            table = annotate_table(raw, kb, url2eid, settings)
         except TableRejected as exc:
             rejects[exc.reason] += 1
             continue
@@ -969,4 +955,4 @@ def build_corpus_dataset(
     tables = pad_negatives(tables, split, seed=seed)
     trainval = [tables[tid] for tid in sorted(split.train + split.validation)]
     tb_vocab, kb_vocab = build_vocab(trainval)
-    return tables, split, tb_vocab, kb_vocab, type_freq, dict(rejects)
+    return tables, split, tb_vocab, kb_vocab, dict(rejects)

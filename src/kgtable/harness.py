@@ -141,11 +141,12 @@ class RandomTupleRanker:
 
 class FeatureTupleRanker:
     """Ranks retrieved tuples with a trained model on their feature ``columns``,
-    by default the ones the model splits on."""
+    by default the ones the model splits on. Given ``columns``, only ``order``
+    reads the model, so a featurizer alone takes ``None``."""
 
     def __init__(
         self,
-        model: RankerModel,
+        model: RankerModel | None,
         entity_meta: EntityMetaStore,
         pred_meta: PredicateMetaStore,
         embeddings: PretrainedEmbeddings,
@@ -287,10 +288,8 @@ def ranker_training_groups(
     retrieves nothing but the example row are skipped.
     """
     # Training fits trees on every feature, so it computes all 27 columns;
-    # featurizing reads no model, so an empty one stands in.
-    featurizer = FeatureTupleRanker(
-        RankerModel([], 0.1, 1.0), entity_meta, pred_meta, embeddings, ALL_FEATURES
-    )
+    # featurizing given its columns reads no model.
+    featurizer = FeatureTupleRanker(None, entity_meta, pred_meta, embeddings, ALL_FEATURES)
     groups = []
     for table in tables:
         chain = table.chains[0].chain

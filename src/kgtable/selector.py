@@ -20,6 +20,9 @@ products rather than one pass per triple.
 from __future__ import annotations
 
 import base64
+import functools
+import gc
+import importlib
 import itertools
 import math
 import random
@@ -288,6 +291,25 @@ def select_top1(
 
 # -- embedding training ---------------------------------------------------------
 
+# The scipy module each trainer imports; serving imports none.
+_TRAINER_MODULES = {"linear": "scipy.optimize", "embedding": "scipy.sparse"}
+
+
+@functools.cache
+def import_trainer(kind: str) -> None:
+    """Import the scipy module of the ``kind`` trainer, then collect and freeze.
+
+    Once per process and module, as ``cli`` freezes its own imports, so no
+    later full collection rescans the module's objects. Called before the
+    training data loads, the freeze holds the import and not that data.
+    """
+    if kind not in _TRAINER_MODULES:
+        raise ConfigurationError(f"selector {kind!r} is not trainable (use linear or embedding)")
+    importlib.import_module(_TRAINER_MODULES[kind])
+    gc.collect()
+    gc.freeze()
+
+
 # Rows of the query and chain vectors gathered at once to dot them pair by
 # pair, so a batch never holds a (pairs x dim) copy of either.
 _GATHER_ELEMENTS = 1 << 16
@@ -406,28 +428,18 @@ def _global_norm(mats: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.sum(m * m)) for m in mats.values())))
 
 
-def _pick_negatives(
-    ordered: Sequence[ChainEncoding], k_minus_1: int, rng: np.random.Generator
-) -> Sequence[ChainEncoding]:
-    """First k-1 of the canonically ordered negatives, topped up by seeded resampling."""
-    if len(ordered) >= k_minus_1:
-        return ordered[:k_minus_1]
-    if not ordered:
-        return ()
-    fill = [ordered[int(rng.integers(len(ordered)))] for _ in range(k_minus_1 - len(ordered))]
-    return (*ordered, *fill)
-
-
 @dataclass(frozen=True)
 class _TrainExample:
     ctx: QueryContext
     positives: tuple[ChainEncoding, ...]
-    negatives: tuple[ChainEncoding, ...]  # in canonical order
+    negatives: tuple[ChainEncoding, ...]  # the first K_NEGATIVES - 1, in canonical order
 
 
 def _prepare_examples(
     tables: Sequence[AnnotatedTable], tb_vocab: Vocabulary, kb_vocab: Vocabulary
 ) -> list[_TrainExample]:
+    """One example per table, by table id. ``build-dataset`` pads each training
+    table to ``K_NEGATIVES - 1`` negatives; a table with fewer trains on those."""
     examples = []
     for table in sorted(tables, key=lambda t: t.table_id):
         negatives = (encode_chain(lc.chain, kb_vocab) for lc in table.negatives())
@@ -437,27 +449,22 @@ def _prepare_examples(
                 positives=tuple(
                     encode_chain(lc.chain, kb_vocab) for lc in table.positives()
                 ),
-                negatives=tuple(sorted(negatives, key=lambda e: e.canonical)),
+                negatives=tuple(sorted(negatives, key=lambda e: e.canonical))[:K_NEGATIVES - 1],
             )
         )
     return examples
 
 
 def _triples(
-    examples: Iterable[_TrainExample], k_minus_1: int, rng: np.random.Generator
+    examples: Iterable[_TrainExample],
 ) -> tuple[list[QueryContext], list[ChainEncoding], list[ChainEncoding]]:
-    """Parallel (context, positive, negative) lists: every positive against k-1 negatives.
-
-    Negatives are picked per example in the order given, so the generator's
-    draws follow the example order.
-    """
+    """Parallel (context, positive, negative) lists: every positive against each negative."""
     ctxs, positives, negatives = [], [], []
     for ex in examples:
-        negs = _pick_negatives(ex.negatives, k_minus_1, rng)
         for pos in ex.positives:
-            ctxs += [ex.ctx] * len(negs)
-            positives += [pos] * len(negs)
-            negatives += negs
+            ctxs += [ex.ctx] * len(ex.negatives)
+            positives += [pos] * len(ex.negatives)
+            negatives += ex.negatives
     return ctxs, positives, negatives
 
 
@@ -471,10 +478,10 @@ def train_embedding(
     """Mini-batch gradient descent on the hinge objective.
 
     Each batch of examples makes one ``triple_hinge_gradients`` call over
-    all of its triples (every positive against k-1 negatives), then one
-    step on the summed gradients plus the gradient of the L2 norm penalty.
-    Deterministic given the seed: initialization, per-epoch shuffling and
-    negative fill all come from one generator, so the first e epochs of a
+    all of its triples (every positive against each of its table's first
+    k-1 negatives), then one step on the summed gradients plus the gradient
+    of the L2 norm penalty. Deterministic given the seed: initialization and
+    per-epoch shuffling come from one generator, so the first e epochs of a
     longer run give the same parameters as a run of e epochs.
     """
     if not tables:
@@ -499,7 +506,7 @@ def train_embedding(
         order = rng.permutation(len(examples))
         for start in range(0, len(order), BATCH_SIZE):
             batch = [examples[ei] for ei in order[start:start + BATCH_SIZE]]
-            _, grads = triple_hinge_gradients(scorer, *_triples(batch, K_NEGATIVES - 1, rng))
+            _, grads = triple_hinge_gradients(scorer, *_triples(batch))
             norm = _global_norm(mats)
             if norm > 0:
                 for k in grads:

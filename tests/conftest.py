@@ -39,6 +39,7 @@ class SynthBundle:
     entity_meta: EntityMetaStore
     pred_meta: PredicateMetaStore
     embeddings: ranker.PretrainedEmbeddings
+    kb: ds.CompiledKB
     tables: dict[str, ds.AnnotatedTable]
     split: ds.DatasetSplit
     tb_vocab: ds.Vocabulary
@@ -58,19 +59,17 @@ def bundle(tmp_path_factory) -> SynthBundle:
     entity_meta = load_entity_meta(paths.entity_meta, g)
     pred_meta = load_predicate_meta(paths.predicate_meta)
     embeddings = ranker.PretrainedEmbeddings.load(paths.embeddings)
-    tables, split, tb_vocab, kb_vocab, _, rejects = ds.build_corpus_dataset(
-        ds.read_corpus(paths.corpus),
-        g,
-        ds.read_tsv_map(paths.url2mid),
-        entity_meta,
-        ds.read_tsv_multimap(paths.mid2types),
-        ds.read_tsv_map(paths.fget),
-        ds.BuildSettings(banned_prefixes=()),
-        seed=13,
+    corpus = ds.read_corpus(paths.corpus)
+    types_by_mid = ds.read_tsv_multimap(paths.mid2types)
+    type_freq = ds.subject_type_freq(corpus, g, types_by_mid)
+    sets = ds.subject_set_column(g, types_by_mid, type_freq, ds.read_tsv_map(paths.fget))
+    kb = ds.CompiledKB(g, entity_meta, pred_meta, embeddings, *sets)
+    tables, split, tb_vocab, kb_vocab, rejects = ds.build_corpus_dataset(
+        corpus, kb, ds.read_tsv_map(paths.url2mid), ds.BuildSettings(banned_prefixes=()), seed=13
     )
     assert not rejects, f"synthetic corpus should annotate cleanly: {rejects}"
     return SynthBundle(
-        paths, g, entity_meta, pred_meta, embeddings, tables, split, tb_vocab, kb_vocab
+        paths, g, entity_meta, pred_meta, embeddings, kb, tables, split, tb_vocab, kb_vocab
     )
 
 

@@ -360,17 +360,14 @@ def naive_train_ranker(groups, tree_count, tree_depth, learning_rate, sigma):
     return trees
 
 
-def embedding_objective(scorer, tables, tb_vocab, kb_vocab, rng_seed=0) -> float:
+def embedding_objective(scorer, tables, tb_vocab, kb_vocab) -> float:
     """Full training objective of ``train_embedding``: summed hinge losses plus the L2 norm penalty.
 
-    The triples are those training draws (every positive against k-1
-    negatives), with the negative fill drawn from a generator of its own
-    seed; each triple's loss is computed on its own.
+    The triples are those training takes (every positive against each of
+    its table's first k-1 negatives); each triple's loss is computed on its own.
     """
     from kgtable import selector as sel
-    from kgtable.dataset import K_NEGATIVES
 
-    rng = np.random.default_rng(rng_seed)
     examples = sel._prepare_examples(tables, tb_vocab, kb_vocab)
     mats = scorer.matrices()
     loss = sum(
@@ -380,7 +377,7 @@ def embedding_objective(scorer, tables, tb_vocab, kb_vocab, rng_seed=0) -> float
             _mean_rows(mats["chain"], neg.indices),
             scorer.margin,
         )
-        for ctx, pos, neg in zip(*sel._triples(examples, K_NEGATIVES - 1, rng))
+        for ctx, pos, neg in zip(*sel._triples(examples))
     )
     norm = np.sqrt(sum(float(np.sum(m * m)) for m in mats.values()))
     return loss + sel.L2_WEIGHT * norm

@@ -514,6 +514,28 @@ class TestSubjectTypes:
             graph_path=str(graph), mid2types_path=str(types), dataset_dir=str(dataset)
         )
 
+    def test_build_counts_subjects_without_a_specific_type_as_rejects(self, tmp_path, capsys):
+        data = synth.make_corpus(str(tmp_path / "data"), n_tables=14, seed=5)
+        subjects = [raw.se_mid for raw in ds.read_corpus(data.corpus)]
+        generic, untyped = subjects[:2]
+        types = Path(data.mid2types)
+        rows = [line.split("\t") for line in types.read_text().splitlines()]
+        rows = [(m, t) for m, t in rows if m not in (generic, untyped)]
+        rows += [(generic, "base.thing"), (generic, "common.topic"), (generic, "type.object")]
+        types.write_text("".join(f"{m}\t{t}\n" for m, t in rows))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "graph_path": data.graph, "entity_meta_path": data.entity_meta,
+            "corpus_path": data.corpus, "url2mid_path": data.url2mid,
+            "mid2types_path": data.mid2types, "dataset_dir": str(tmp_path / "dataset"),
+            "banned_prefixes": [],
+        }))
+        assert main(["build-dataset", "--config", str(cfg)]) == 0
+        rejected = subjects.count(generic) + subjects.count(untyped)
+        out = capsys.readouterr().out
+        assert f"  rejected {rejected}: no specific entity type survives pruning\n" in out
+        assert f"annotated {len(subjects) - rejected} tables" in out
+
     def test_set_comes_from_the_saved_build_frequencies(self, typed_world):
         kb = ds.load_kb(typed_world.dataset_dir, _kb_sources(typed_world))
         sets = {

@@ -97,8 +97,8 @@ class TestBuildSet:
         )
 
     def test_only_generic_types_rejected(self):
-        with pytest.raises(ValueError):
-            ds.build_set(["common.topic"], {"common.topic": 3}, {})
+        # The empty token is the SET that annotate_table rejects.
+        assert ds.build_set(["common.topic"], {"common.topic": 3}, {}) == (ds.EMPTY_TOKEN,)
 
     def test_no_fine_grained_entry(self):
         tokens = ds.build_set(["tv.program"], {"tv.program": 5}, {})
@@ -602,10 +602,26 @@ class TestRejections:
             for u, m in ds.read_tsv_map(bundle.paths.url2mid).items()
         }
         with pytest.raises(ds.TableRejected, match="core column"):
-            ds.annotate_table(
-                raw, bundle.g, url2eid, bundle.entity_meta, {}, {}, {},
-                ds.BuildSettings(banned_prefixes=()),
-            )
+            ds.annotate_table(raw, bundle.kb, url2eid, ds.BuildSettings(banned_prefixes=()))
+
+    @pytest.mark.parametrize("types", [("base.thing", "common.topic", "type.object"), None])
+    def test_subject_without_a_specific_type_rejected(self, bundle, types):
+        """Only generic types, or none: the compiled SET is the empty token,
+        and a table of that subject is rejected."""
+        raw = ds.read_corpus(bundle.paths.corpus)[0]
+        url2mid = ds.read_tsv_map(bundle.paths.url2mid)
+        url2eid = {u: bundle.g.entity_id(m) for u, m in url2mid.items()}
+        settings = ds.BuildSettings(banned_prefixes=())
+        assert ds.annotate_table(raw, bundle.kb, url2eid, settings).set_tokens != (ds.EMPTY_TOKEN,)
+        types_by_mid = ds.read_tsv_multimap(bundle.paths.mid2types)
+        del types_by_mid[raw.se_mid]
+        if types:
+            types_by_mid[raw.se_mid] = types
+        sets = ds.subject_set_column(bundle.g, types_by_mid, {}, {})
+        kb = bundle.kb._replace(subject_sets=sets[0], subject_set_ids=sets[1])
+        with pytest.raises(ds.TableRejected) as exc:
+            ds.annotate_table(raw, kb, url2eid, settings)
+        assert exc.value.reason == "no specific entity type survives pruning"
 
 
 class TestReachSharing:
@@ -631,19 +647,14 @@ class TestReachSharing:
     @staticmethod
     def _annotated(bundle, walks):
         """Yields each of the first 25 toy tables, annotated, with ``walks`` holding its walks."""
-        from collections import Counter
-
         g = bundle.g
         url2eid = {
             u: g.entity_id(m) for u, m in ds.read_tsv_map(bundle.paths.url2mid).items() if m in g
         }
-        types_by_mid = ds.read_tsv_multimap(bundle.paths.mid2types)
-        fget = ds.read_tsv_map(bundle.paths.fget)
         for raw in ds.read_corpus(bundle.paths.corpus)[:25]:
             walks.clear()
             yield raw, ds.annotate_table(
-                raw, g, url2eid, bundle.entity_meta, types_by_mid, Counter(), fget,
-                ds.BuildSettings(banned_prefixes=()),
+                raw, bundle.kb, url2eid, ds.BuildSettings(banned_prefixes=())
             )
 
     def test_each_segment_is_walked_once_per_table(self, bundle, walks):

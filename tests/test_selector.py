@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from kgtable import selector as sel
-from kgtable.dataset import AnnotatedTable, ConfigurationError, Vocabulary
+from kgtable.dataset import (
+    K_NEGATIVES,
+    AnnotatedTable,
+    ConfigurationError,
+    LabeledChain,
+    Vocabulary,
+)
 from kgtable.graph import ParseError
 from kgtable.paths import ChainPair, MetaPath
 
@@ -416,6 +422,41 @@ class TestTraining:
                 heldout, scorer, bundle.tb_vocab, bundle.kb_vocab
             )
             assert accuracy >= 0.95
+
+
+class TestNegativePolicy:
+    """Training pairs each positive with the negatives build-dataset gave its table."""
+
+    @staticmethod
+    def _trained_triples(monkeypatch, n_negatives):
+        """For a table of two positives: the (positive, negative) canonical pairs
+        one epoch trains on, its negatives in canonical order and its positives."""
+        positives = [chain_of("p.a", "q.a"), chain_of("p.b", "q.b")]
+        negatives = [chain_of(f"n{i:02d}.x", "n.y") for i in range(n_negatives)]
+        chains = [LabeledChain(c, True, 1.0, 1.0, 1.0) for c in positives]
+        # Stored out of canonical order, as padding appends after the table's own.
+        chains += [LabeledChain(c, False, 0.0, 0.0, 0.0) for c in reversed(negatives)]
+        table = AnnotatedTable("t", ("a",), ("b",), ("c",), 0, "SE", ("d",), (), tuple(chains))
+        seen = []
+        gradients = sel.triple_hinge_gradients
+        monkeypatch.setattr(
+            sel, "triple_hinge_gradients",
+            lambda scorer, *triple: seen.append(triple) or gradients(scorer, *triple),
+        )
+        vocab = Vocabulary("KB_Vocab", ())
+        sel.train_embedding([table], vocab, vocab, replace(TEST_HP, epochs=1))
+        ((_, pos, neg),) = seen
+        pairs = [(p.canonical, n.canonical) for p, n in zip(pos, neg)]
+        return pairs, sorted(c.canonical() for c in negatives), [c.canonical() for c in positives]
+
+    def test_fewer_negatives_than_k_are_each_used_once(self, monkeypatch):
+        pairs, negatives, positives = self._trained_triples(monkeypatch, 3)
+        assert pairs == [(p, n) for p in positives for n in negatives]
+
+    def test_more_negatives_than_k_use_the_first_in_canonical_order(self, monkeypatch):
+        pairs, negatives, positives = self._trained_triples(monkeypatch, K_NEGATIVES + 3)
+        kept = negatives[:K_NEGATIVES - 1]
+        assert pairs == [(p, n) for p in positives for n in kept]
 
 
 def edit_matrix(rec, change=None, cut_bytes=0):
