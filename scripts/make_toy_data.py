@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Generate a synthetic corpus plus a ready-to-run config file.
+"""Generate a synthetic corpus plus a ready-to-run config file and query file.
 
 Usage:
     python scripts/make_toy_data.py --out runs/toy --tables 100 --seed 7
     kgtable build-dataset --config runs/toy/config.json
+    ...
+    kgtable complete runs/toy/query.json --config runs/toy/config.json
 """
 
 import argparse
@@ -11,10 +13,29 @@ import json
 from pathlib import Path
 
 from kgtable import synth
+from kgtable.dataset import read_tsv_map
+
+
+def write_query(paths: synth.SynthPaths, path: Path) -> None:
+    """A ``complete`` query file from the first table's first row whose two cells are linked."""
+    url2mid = read_tsv_map(paths.url2mid)
+    with open(paths.corpus, encoding="utf-8") as fh:
+        table = json.loads(fh.readline())
+    row = next(r for r in table["rows"] if all(cell.get("url") in url2mid for cell in r[:2]))
+    query = {
+        "qd": f"{table['page_title']} {table['caption']}",
+        "se": table["se_mid"],
+        "cn1": table["headers"][0],
+        "cn2": table["headers"][1],
+        "er1": url2mid[row[0]["url"]],
+        "er2": url2mid[row[1]["url"]],
+    }
+    path.write_text(json.dumps(query, indent=2) + "\n")
 
 
 def write_toy_data(out: str, n_tables: int, seed: int) -> Path:
-    """Write the corpus under ``out/data`` and its config; return the config's path."""
+    """Write the corpus under ``out/data``, its config and ``out/query.json``; return the
+    config's path."""
     root = Path(out)
     paths = synth.make_corpus(str(root / "data"), n_tables=n_tables, seed=seed)
     config = {
@@ -40,6 +61,7 @@ def write_toy_data(out: str, n_tables: int, seed: int) -> Path:
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2) + "\n")
+    write_query(paths, root / "query.json")
     return cfg_path
 
 
@@ -53,6 +75,7 @@ def main() -> None:
     cfg_path = write_toy_data(args.out, args.tables, args.seed)
     print(f"corpus with {args.tables} tables -> {Path(args.out) / 'data'}")
     print(f"config -> {cfg_path}")
+    print(f"query -> {cfg_path.parent / 'query.json'}")
 
 
 if __name__ == "__main__":

@@ -83,12 +83,10 @@ def _load_kb(cfg: RunConfig) -> ds.CompiledKB:
     return ds.load_kb(cfg.dataset_dir, _kb_sources(cfg))
 
 
-def _selector_model_path(cfg: RunConfig) -> str:
-    return cfg.selector_model_path or str(Path(cfg.output_dir) / "selector.json")
-
-
-def _ranker_model_path(cfg: RunConfig) -> str:
-    return cfg.ranker_model_path or str(Path(cfg.output_dir) / "ranker.json")
+def _model_path(cfg: RunConfig, model: str) -> str:
+    """``<model>_model_path``, else ``<model>.json`` beside the dataset the model was trained
+    on, whose vocabularies selector.json is checked against: results never move a model."""
+    return getattr(cfg, f"{model}_model_path") or str(Path(cfg.dataset_dir) / f"{model}.json")
 
 
 def _make_selector(cfg: RunConfig, tb_vocab, kb_vocab):
@@ -99,7 +97,7 @@ def _make_selector(cfg: RunConfig, tb_vocab, kb_vocab):
     if cfg.selector == "jacsim":
         return selector.JaccardScorer(tb_vocab, kb_vocab)
     if cfg.selector in ("linear", "embedding"):
-        return selector.load_scorer(_selector_model_path(cfg), tb_vocab, kb_vocab)
+        return selector.load_scorer(_model_path(cfg, "selector"), tb_vocab, kb_vocab)
     raise ConfigurationError(
         f"unknown selector {cfg.selector!r} (oracle, random, jacsim, linear, embedding)"
     )
@@ -109,7 +107,7 @@ def _make_tuple_ranker(cfg: RunConfig, entity_meta, pred_meta, embeddings):
     if cfg.ranker == "random":
         return harness.RandomTupleRanker(cfg.seed)
     if cfg.ranker == "feature":
-        model = ranker.load_ranker(_ranker_model_path(cfg))
+        model = ranker.load_ranker(_model_path(cfg, "ranker"))
         return harness.FeatureTupleRanker(model, entity_meta, pred_meta, embeddings)
     raise ConfigurationError(f"unknown ranker {cfg.ranker!r}")
 
@@ -166,7 +164,7 @@ def cmd_train_selector(cfg: RunConfig) -> int:
         scorer = selector.train_embedding(
             train_tables, tb_vocab, kb_vocab, cfg.selector_hp(), cfg.seed
         )
-    path = _selector_model_path(cfg)
+    path = _model_path(cfg, "selector")
     selector.save_scorer(path, scorer)
     print(f"trained {cfg.selector} selector on {len(train_tables)} tables -> {path}")
     return 0
@@ -180,7 +178,7 @@ def cmd_train_ranker(cfg: RunConfig) -> int:
         cfg.budget(),
     )
     model = ranker.train_ranker(groups, cfg.ranker_cfg())
-    path = _ranker_model_path(cfg)
+    path = _model_path(cfg, "ranker")
     ranker.save_ranker(path, model)
     print(f"trained ranker on {len(groups)} query groups -> {path}")
     return 0
@@ -255,7 +253,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
             if not isinstance(query[key], str) or query[key] not in g:
                 raise ValueError(f"{key!r} {query[key]!r} is not an entity of the graph")
         se, er1, er2 = (g.entity_id(query[key]) for key in ("se", "er1", "er2"))
-        given_set = strings(query.get("set") or [], "set")
+        given_set = () if query.get("set") is None else strings(query["set"], "set")
         se_name = string(query.get("se_name"), "se_name", "") or entity_meta.get(se).name
         qis_text, qd = (string(query.get(key), key, "") for key in ("qis", "qd"))
         if qis_text:

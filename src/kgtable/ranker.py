@@ -297,22 +297,21 @@ def _last_accepted(gains: np.ndarray) -> int:
 
 
 def _feature_sort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's rows in stable value order, and their sorted values (features x rows)."""
+    """Each feature's rows by (value, row), and their sorted values (features x rows)."""
     order = np.argsort(X.T, axis=1, kind="stable")
     return order, np.take_along_axis(X.T, order, axis=1)
 
 
-def _best_split(presorted: tuple, y: np.ndarray) -> tuple[int, float, np.ndarray, int] | None:
-    """Best split of the rows, or None: (feature, threshold, rows by feature value, left size).
+def _best_split(presorted: tuple, y: np.ndarray, total: float):
+    """Best split of a node's rows, or None: (feature, threshold, the left rows).
 
-    ``presorted`` is ``_feature_sort`` of the rows' features and ``y`` their targets.
-    All split points of all features are scored at once from the cumulative sums of
-    the targets sorted by each feature. A split must beat the best gain so far by
+    ``presorted`` is the node's ``_feature_sort``, ``y`` every row's target and ``total``
+    the node's sum. All split points of all features are scored at once from the cumulative
+    sums of the targets sorted by each feature. A split must beat the best gain so far by
     more than 1e-12, so the first of equally good splits, by feature then position, wins.
     """
     order, sv = presorted
-    total = float(np.sum(y))
-    n = len(y)
+    n = order.shape[1]
     base_sse_term = total * total / n
     # One row per feature, so the gains read feature by feature when flattened.
     left_sum = np.cumsum(y[order], axis=1)[:, :-1]
@@ -324,29 +323,31 @@ def _best_split(presorted: tuple, y: np.ndarray) -> tuple[int, float, np.ndarray
     if k < 0:
         return None
     feat, i = divmod(k, n - 1)
-    return feat, (sv[feat, i] + sv[feat, i + 1]) / 2.0, order[feat].copy(), i + 1
+    return feat, (sv[feat, i] + sv[feat, i + 1]) / 2.0, order[feat, : i + 1]
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, presorted=None) -> dict:
-    """Exact greedy regression tree on the rows ``idx``, in the form ``ranker.json`` stores.
+def _fit_tree(presorted: tuple, y: np.ndarray, mask: np.ndarray, depth: int) -> dict:
+    """Exact greedy regression tree on the rows in ``mask``, in the form ``ranker.json`` stores.
 
-    A leaf is ``{"value": v}`` and a split ``{"feature", "threshold", "left",
-    "right"}``; a row goes left when its feature value is at most the threshold. A given
-    ``presorted`` is ``_feature_sort(X[idx])``; a child sorts its own rows (ties follow the split).
+    A leaf is ``{"value": v}`` and a split ``{"feature", "threshold", "left", "right"}``;
+    a row goes left when its feature value is at most the threshold. ``presorted`` is the
+    training's one ``_feature_sort``, filtered to the mask's rows: ties always go by row.
     """
-    y_idx = y[idx]
-    if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
-        return {"value": float(np.mean(y_idx))}
-    split = _best_split(presorted or _feature_sort(X[idx]), y_idx)
+    y_node = y[mask]
+    if depth == 0 or len(y_node) < 2 or np.allclose(y_node, y_node[0]):
+        return {"value": float(np.mean(y_node))}
+    split = _best_split(presorted, y, float(np.sum(y_node)))
     if split is None:
-        return {"value": float(np.mean(y_idx))}
-    feat, thr, rows, n_left = split
-    return {
-        "feature": feat,
-        "threshold": float(thr),
-        "left": _fit_tree(X, y, idx[rows[:n_left]], depth - 1),
-        "right": _fit_tree(X, y, idx[rows[n_left:]], depth - 1),
-    }
+        return {"value": float(np.mean(y_node))}
+    feat, thr, left_rows = split
+    left = np.zeros_like(mask)
+    left[left_rows] = True
+    goes_left = left[presorted[0]]
+    tree = {"feature": feat, "threshold": float(thr)}
+    for side, keep, rows in (("left", goes_left, left), ("right", ~goes_left, mask & ~left)):
+        child = tuple(a[keep].reshape(len(a), -1) for a in presorted)
+        tree[side] = _fit_tree(child, y, rows, depth - 1)
+    return tree
 
 
 def _tree_arrays(trees: Sequence[dict]) -> tuple:
@@ -498,19 +499,19 @@ def train_ranker(
     """Boost regression trees on accumulated lambda gradients.
 
     Fully deterministic: splits are exact greedy over all features. The groups
-    are batched by shape once, and every tree's root reuses one feature sort.
+    are batched by shape once, and the features sorted once for every node.
     """
     usable = [g for g in groups if len(g.relevance)]
     if not usable:
         return RankerModel([], TREE_LEARNING_RATE, PAIRWISE_SIGMA)
     X = np.vstack([g.features for g in usable])
     batches = _shape_batches([g.relevance for g in usable])
-    rows, root = np.arange(X.shape[0]), _feature_sort(X)
+    root, everything = _feature_sort(X), np.ones(X.shape[0], dtype=bool)
     scores = np.zeros(X.shape[0])
     trees = []
     for _ in range(cfg.tree_count):
         lambdas = _lambdas(scores, batches, PAIRWISE_SIGMA)
-        tree = _fit_tree(X, lambdas, rows, cfg.tree_depth, root)
+        tree = _fit_tree(root, lambdas, everything, cfg.tree_depth)
         trees.append(tree)
         scores += TREE_LEARNING_RATE * _leaf_values(_tree_arrays([tree]), X)[:, 0]
     return RankerModel(trees, TREE_LEARNING_RATE, PAIRWISE_SIGMA)

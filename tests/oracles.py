@@ -267,6 +267,7 @@ def naive_fit_tree(X, y, idx, depth):
     nested dicts: a leaf ``{"value"}``, a split ``{"feature", "threshold",
     "left", "right"}``.
     """
+    idx = np.sort(idx)  # rows in row order, so tied values go by row
     y_idx = y[idx]
     if depth == 0 or len(idx) < 2 or np.allclose(y_idx, y_idx[0]):
         return {"value": float(np.mean(y_idx))}

@@ -320,8 +320,8 @@ def test_criterion_12_full_pipeline_is_byte_deterministic(tmp_path):
                 "dataset/vocab_tb.json",
                 "dataset/vocab_kb.json",
                 "dataset/kb.bin",
-                "out/selector.json",
-                "out/ranker.json",
+                "dataset/selector.json",
+                "dataset/ranker.json",
                 "out/runs.jsonl",
                 "out/summary.json",
                 "out/metrics.csv",

@@ -119,13 +119,6 @@ def retype(key, dtype):
     return edit_kb(change)
 
 
-def model_flags(cfg):
-    """Flags that keep the workspace's models when ``--output-dir`` moves."""
-    out = Path(cfg["output_dir"])
-    return ["--selector-model-path", str(out / "selector.json"),
-            "--ranker-model-path", str(out / "ranker.json")]
-
-
 def write_query(cfg, path):
     """A query file holding the first row of the first test table."""
     g = load_triples(cfg["graph_path"])
@@ -177,8 +170,8 @@ class TestPipelineCommands:
         root, _, cfg = workspace
         for name in ("tables.jsonl", "split.json", "vocab_tb.json", "vocab_kb.json"):
             assert (Path(cfg["dataset_dir"]) / name).exists()
-        assert (Path(cfg["output_dir"]) / "selector.json").exists()
-        assert (Path(cfg["output_dir"]) / "ranker.json").exists()
+        assert (Path(cfg["dataset_dir"]) / "selector.json").exists()
+        assert (Path(cfg["dataset_dir"]) / "ranker.json").exists()
 
     def test_evaluate_writes_reports(self, workspace, capsys):
         root, cfg_path, cfg = workspace
@@ -187,6 +180,18 @@ class TestPipelineCommands:
         assert "tuple_recall" in out
         for name in ("runs.jsonl", "summary.json", "metrics.csv"):
             assert (Path(cfg["output_dir"]) / name).exists()
+
+    def test_moved_results_read_the_trained_models(self, workspace, tmp_path):
+        """Where results go does not decide which model evaluate and complete read."""
+        _, cfg_path, cfg = workspace
+        query = write_query(cfg, tmp_path / "query.json")
+        runs = []
+        for out in (Path(cfg["output_dir"]), tmp_path / "moved"):
+            flags = ["--config", str(cfg_path), "--output-dir", str(out)]
+            assert main(["evaluate", *flags]) == 0
+            assert main(["complete", str(query), *flags]) == 0
+            runs.append([(out / name).read_bytes() for name in ("runs.jsonl", "completed.tsv")])
+        assert runs[0] == runs[1]
 
     def test_evaluate_is_idempotent(self, workspace):
         root, cfg_path, cfg = workspace
@@ -374,6 +379,7 @@ class TestCompleteCommand:
             ({"cn1": ...}, "missing 'cn1'"),
             ({"set": 5}, "'set' must be a list of strings"),
             ({"set": ["tv", 1]}, "'set' must be a list of strings"),
+            *[({"set": v}, "'set' must be a list of strings") for v in ("", 0, False, {})],
             ({"se_name": 5}, "'se_name' must be a string"),
             ({"cn2": ""}, "'cn1'/'cn2': empty column name after normalization"),
             ({"cn1": None}, "'cn1' must be a string"),
@@ -383,7 +389,8 @@ class TestCompleteCommand:
         ],
         ids=[
             "unknown-entity", "entity-a-list", "entity-null", "missing-key", "set-a-number",
-            "set-item-a-number", "se-name-a-number", "column-name-empty", "column-name-null",
+            "set-item-a-number", "set-empty-string", "set-zero", "set-false", "set-empty-object",
+            "se-name-a-number", "column-name-empty", "column-name-null",
             "column-name-a-list", "qis-a-number", "qd-a-number",
         ],
     )
@@ -556,8 +563,7 @@ class TestSubjectTypes:
             lambda table, *a: seen.append(table.set_tokens) or context_for_table(table, *a),
         )
         query = write_query(cfg, tmp_path / "query.json")
-        flags = ["--config", str(cfg_path), "--output-dir", str(tmp_path / "out"),
-                 *model_flags(cfg)]
+        flags = ["--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]
         assert main(["complete", str(query), *flags]) == 0
         given = {**json.loads(query.read_text()), "set": ["given"]}
         query.write_text(json.dumps(given))
@@ -591,7 +597,7 @@ class TestSubjectTypes:
                 "se": g.mid(table.se), "er1": g.mid(er[0]), "er2": g.mid(er[1]),
                 "qis": " ".join(table.qis), "cn1": " ".join(table.cn1), "cn2": " ".join(table.cn2),
             }))
-            flags = ["--output-dir", str(tmp_path / "out"), *model_flags(cfg)]
+            flags = ["--output-dir", str(tmp_path / "out")]
             assert main(["complete", str(query), "--config", str(cfg_path), *flags]) == 0
             want.append(table.set_tokens)
         assert len(want) > len(tables) // 2 and seen == want
@@ -887,7 +893,7 @@ class TestCompiledKB:
 
         def completed(out):
             assert main(["complete", str(query), "--config", str(cfg_path),
-                         *model_flags(cfg), "--output-dir", str(out)]) == 0
+                         "--output-dir", str(out)]) == 0
             return (out / "completed.tsv").read_bytes()
 
         want = completed(tmp_path / "plain")
@@ -1182,7 +1188,7 @@ class TestConfig:
 
     def test_bad_ranker_model_exits_2_with_file(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace
-        payload = json.loads((Path(cfg["output_dir"]) / "ranker.json").read_text())
+        payload = json.loads((Path(cfg["dataset_dir"]) / "ranker.json").read_text())
         leaf = {"value": 0.0}
         payload["trees"][0] = {"feature": 99, "threshold": 0.0, "left": leaf, "right": leaf}
         bad = tmp_path / "ranker.json"
@@ -1195,7 +1201,7 @@ class TestConfig:
         self, workspace, tmp_path, capsys
     ):
         _, cfg_path, cfg = workspace
-        payload = json.loads((Path(cfg["output_dir"]) / "selector.json").read_text())
+        payload = json.loads((Path(cfg["dataset_dir"]) / "selector.json").read_text())
         old = tmp_path / "selector.json"
         old.write_text(json.dumps({**payload, "version": 1}))
         query = write_query(cfg, tmp_path / "query.json")
@@ -1314,8 +1320,8 @@ class TestServedFileMutations:
         _, cfg_path, cfg = workspace
         root = tmp_path_factory.mktemp("served")
         shutil.copytree(cfg["dataset_dir"], root / "dataset")
-        shutil.copy(Path(cfg["output_dir"]) / "selector.json", root / "selector-linear.json")
-        shutil.copy(Path(cfg["output_dir"]) / "ranker.json", root / "ranker.json")
+        shutil.copy(Path(cfg["dataset_dir"]) / "selector.json", root / "selector-linear.json")
+        shutil.copy(Path(cfg["dataset_dir"]) / "ranker.json", root / "ranker.json")
         shutil.copy(cfg_path, root / "config.json")
         argv = ["train-selector", "--config", str(cfg_path), "--selector", "embedding",
                 "--epochs", "1", "--selector-model-path", str(root / "selector-embedding.json")]

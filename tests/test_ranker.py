@@ -596,7 +596,7 @@ class TestSplitScanOracleParity:
     def test_trees_match_the_loop_oracle_exactly(self):
         for X, y in split_cases(0):
             rows = np.arange(len(y))
-            fast = rk._fit_tree(X, y, rows, 3)
+            fast = rk._fit_tree(rk._feature_sort(X), y, np.ones(len(y), dtype=bool), 3)
             assert fast == naive_fit_tree(X, y, rows, 3)
             # Midpoints of integer features land on thresholds, testing "<=".
             probe = np.vstack([X, (X + np.roll(X, 1, axis=0)) / 2])
@@ -608,6 +608,42 @@ class TestSplitScanOracleParity:
                     node = node[side]
                 per_row.append(node["value"])
             assert rk._leaf_values(rk._tree_arrays([fast]), probe)[:, 0].tolist() == per_row
+
+
+class TestOneSortPerTraining:
+    """Each node filters its parent's feature sort, so the training sorts once."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_node_holds_a_fresh_stable_sort_of_its_rows(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = 300
+        # Mostly tied integer columns, a binary one and one without ties.
+        X = np.column_stack([rng.integers(0, k, size=n) for k in (2, 3, 3, 5, 8)]
+                            + [rng.normal(size=n)]).astype(float)
+        y = rng.normal(size=n)
+        nodes = []
+        fit_tree = rk._fit_tree
+
+        def record(presorted, y, mask, depth):
+            nodes.append((presorted, mask))
+            return fit_tree(presorted, y, mask, depth)
+
+        monkeypatch.setattr(rk, "_fit_tree", record)
+        rk._fit_tree(rk._feature_sort(X), y, np.ones(n, dtype=bool), 4)
+        assert len(nodes) > 7
+        for (order, sv), mask in nodes:
+            rows = np.flatnonzero(mask)  # the node's rows in row order
+            fresh = np.argsort(X[rows].T, axis=1, kind="stable")
+            assert np.array_equal(order, rows[fresh])
+            assert np.array_equal(sv, np.take_along_axis(X[rows].T, fresh, axis=1))
+
+    def test_train_ranker_sorts_the_features_once(self, monkeypatch):
+        calls = []
+        feature_sort = rk._feature_sort
+        monkeypatch.setattr(rk, "_feature_sort", lambda X: calls.append(X) or feature_sort(X))
+        model = rk.train_ranker(mixed_groups(1), rk.RankerConfig(tree_count=5, tree_depth=3))
+        assert len(calls) == 1
+        assert any("left" in node["left"] for node in model.trees)  # children were split
 
 
 class TestRank:
