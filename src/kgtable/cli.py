@@ -295,7 +295,8 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     )
     ctx = selector.context_for_table(query_table, tb_vocab, kb_vocab)
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
-    best = candidates[selector.select_top1(chain_selector, ctx, candidates, kb_vocab)]
+    encodings = [selector.encode_chain(c, kb_vocab) for c in candidates]
+    best = candidates[selector.select_top1(chain_selector, ctx, encodings)]
 
     result = execute_chain(g, se, best, cfg.budget(), memo)
     if isinstance(result, BudgetExceeded):

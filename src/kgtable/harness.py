@@ -3,8 +3,9 @@
 For each (table, row) query the harness filters the chains that actually
 connect that row, scores them with the selector through ``select_top1``,
 executes the best one and scores tuple recall against the remaining rows.
-The queries of a table share one reach memo, so no segment is walked
-twice from one entity and a repeat is charged the steps of its walk.
+The queries of a table share one encoding of each of its chains and one
+reach memo, so no segment is walked twice from one entity and a repeat is
+charged the steps of its walk.
 ``rank_retrieved`` is the one ranking step, shared with ``complete``: it
 drops the example row from the retrieved tuples, as training does, and
 ranks the rest for NDCG and precision at 1. Queries whose filtered chain
@@ -36,7 +37,7 @@ from .ranker import (
     precision_at_1,
     rank,
 )
-from .selector import QueryContext, context_for_table, select_top1
+from .selector import ChainEncoding, QueryContext, context_for_table, encode_chain, select_top1
 
 STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped_empty_cc"
@@ -217,7 +218,7 @@ def _run_one(
     g: KnowledgeGraph,
     selector,
     tuple_ranker,
-    kb_vocab: Vocabulary,
+    encoded: Mapping[ChainPair, ChainEncoding],
     budget: QueryBudget,
     memo: ReachMemo,
 ) -> QueryRun:
@@ -228,8 +229,8 @@ def _run_one(
             table.table_id, er, cc_er, None, None, err,
             None, None, None, STATUS_SKIPPED,
         )
-    chains = [lc.chain for lc in cc_er]
-    selected = chains[select_top1(selector, ctx, chains, kb_vocab, run_key)]
+    encodings = [encoded[lc.chain] for lc in cc_er]
+    selected = cc_er[select_top1(selector, ctx, encodings, run_key)].chain
     result = execute_chain(g, table.se, selected, budget, memo)
     if isinstance(result, BudgetExceeded):
         return QueryRun(
@@ -257,16 +258,18 @@ def run_e2e(
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
 
-    Each table's context and reach memo are built once. Each run derives
-    all its randomness from its position in the fixed job order.
+    Each table's context, chain encodings and reach memo are built once.
+    Each run derives all its randomness from its position in the fixed job
+    order.
     """
     runs = []
     for table in sorted(tables, key=lambda t: t.table_id):
         ctx = context_for_table(table, tb_vocab, kb_vocab)
+        encoded = {lc.chain: encode_chain(lc.chain, kb_vocab) for lc in table.chains}
         memo: ReachMemo = {}
         for er in table.rr:
             runs.append(_run_one(
-                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, budget, memo
+                table, ctx, er, len(runs), g, selector, tuple_ranker, encoded, budget, memo
             ))
     return runs, summarize(runs)
 
@@ -321,7 +324,8 @@ def accuracy_at_1(
     correct = 0
     for key, table in enumerate(eligible):
         ctx = context_for_table(table, tb_vocab, kb_vocab)
-        idx = select_top1(selector, ctx, [lc.chain for lc in table.chains], kb_vocab, key)
+        encodings = [encode_chain(lc.chain, kb_vocab) for lc in table.chains]
+        idx = select_top1(selector, ctx, encodings, key)
         correct += 1 if table.chains[idx].positive else 0
     return correct / len(eligible)
 

@@ -7,7 +7,9 @@ over the degree cap are never expanded), generic-prefix pruning on the
 first edge and a target-neighbour barrier (only a target's neighbours
 start the last hop). The chains of a table share their segments, so one
 memo of segment reaches serves their join and every execution of them; a
-reach without a memo runs through a fresh one.
+reach without a memo runs through a fresh one. An entity whose first hop
+leads to a single neighbour shares that neighbour's reach of the rest of
+the segment, so the entities around a hub share one set of its members.
 """
 
 from __future__ import annotations
@@ -156,17 +158,29 @@ def segment_reach(
     segment) once and charges repeats the recorded charge, so queries run
     out of steps as a walk would; without one, a fresh memo is used. A miss
     (no first-token edge) costs 1 step and reaches nothing without a walk.
+    A first hop to a single neighbour shares that neighbour's memoized reach
+    of the rest of the segment (the same set), charged 1 step more, as a
+    walk would be.
     Reached sets are shared: read only.
     """
-    seen = (memo if memo is not None else {}).setdefault(tokens, {})
+    memo = memo if memo is not None else {}
+    seen = memo.setdefault(tokens, {})
+    left = StepAllowance()
+    rest = None  # the reach along tokens[1:], made on first use
 
     def reach(entity: int) -> set[int]:
+        nonlocal rest
         hit = seen.get(entity)
         if hit is None:
-            if tokens[0] not in g.adjacency(entity):
+            nbrs = g.adjacency(entity).get(tokens[0])
+            if not nbrs:
                 hit = seen[entity] = (set(), 1)
+            elif len(nbrs) == 1 and len(tokens) > 1:
+                rest = rest or segment_reach(g, tokens[1:], left, memo)
+                left.left = steps.left - 1
+                hit = seen[entity] = (rest(nbrs[0]), steps.left - left.left)
             else:
-                left = StepAllowance(steps.left)
+                left.left = steps.left
                 hit = seen[entity] = (walk(g, (entity,), tokens, left), steps.left - left.left)
         reached, charge = hit
         if charge > steps.left:

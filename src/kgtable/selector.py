@@ -273,16 +273,11 @@ def _mean_rows(mat: np.ndarray, indices: Sequence[int]) -> np.ndarray:
 
 
 def select_top1(
-    scorer,
-    ctx: QueryContext,
-    chains: Sequence[ChainPair],
-    kb_vocab: Vocabulary,
-    run_key: int = 0,
+    scorer, ctx: QueryContext, encodings: Sequence[ChainEncoding], run_key: int = 0
 ) -> int:
-    """Index of the highest-scoring chain; ties go to the smallest canonical string."""
-    if len(chains) == 1:
-        return 0  # a lone chain needs no encoding and no score
-    encodings = [encode_chain(chain, kb_vocab) for chain in chains]
+    """Index of the highest-scoring encoded chain; ties go to the smallest canonical string."""
+    if len(encodings) == 1:
+        return 0  # a lone chain needs no score
     if not encodings:
         raise ValueError("no candidate chains to select from")
     scores = scorer.scores(ctx, encodings, run_key)

@@ -76,9 +76,9 @@ class TestTupleRecall:
 
 def oracle_pick(table):
     """The chain ``OracleScorer`` selects among all of the table's chains."""
-    chains = [lc.chain for lc in table.chains]
+    encodings = [sel.encode_chain(lc.chain, NO_VOCABS[1]) for lc in table.chains]
     ctx = sel.context_for_table(table, *NO_VOCABS)
-    return chains[sel.select_top1(sel.OracleScorer(), ctx, chains, NO_VOCABS[1])]
+    return table.chains[sel.select_top1(sel.OracleScorer(), ctx, encodings)].chain
 
 
 class TestOracle:

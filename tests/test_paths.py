@@ -307,6 +307,62 @@ class TestSegmentReach:
                             seen["hit"] += 1
         assert len(seen) == 3, seen
 
+    def test_entities_with_one_shared_first_hop_share_its_reach_as_a_walk_charges(self):
+        # Spokes whose first hop leads only to the hub, which starts a chain of
+        # single neighbours (hub -q-> mid -r-> members); noise edges may give a
+        # spoke, the hub or mid more neighbours.
+        tokens = tuple(PredicateToken(p, False) for p in "pqr")
+        seen = Counter()
+        for seed in range(30):
+            rng = random.Random(7100 + seed)
+            spokes = [f"s{i}" for i in range(rng.randint(2, 6))]
+            members = [f"m{i}" for i in range(rng.randint(1, 5))]
+            nodes = spokes + members + ["hub", "mid"]
+            g = KnowledgeGraph(
+                [(s, "p", "hub") for s in spokes]
+                + [("hub", "q", "mid")]
+                + [("mid", "r", m) for m in members]
+                + [
+                    (rng.choice(nodes), rng.choice("pqr"), rng.choice(nodes))
+                    for _ in range(rng.randint(0, 4))
+                ]
+            )
+            filled = {}
+            for entity in range(len(g)):
+                segment_reach(g, tokens, StepAllowance(), filled)(entity)
+            for entity in range(len(g)):
+                unlimited = StepAllowance()
+                walk(g, (entity,), tokens, unlimited)
+                charge = StepAllowance().left - unlimited.left
+                for left in range(charge + 2):
+                    plain = StepAllowance(left)
+                    try:
+                        want = walk(g, (entity,), tokens, plain)
+                    except StepsExhausted:
+                        want = StepsExhausted
+                    for m in (None, {}, filled):
+                        steps = StepAllowance(left)
+                        try:
+                            got = segment_reach(g, tokens, steps, m)(entity)
+                        except StepsExhausted:
+                            got = StepsExhausted
+                        assert got == want, (seed, g.mid(entity), left)
+                        if got is not StepsExhausted:
+                            assert steps.left == plain.left, (seed, g.mid(entity), left)
+                    seen["exhausted" if want is StepsExhausted else "reached"] += 1
+            by_first_hop = {}
+            for entity in range(len(g)):
+                nbrs = g.adjacency(entity).get(tokens[0], ())
+                if len(nbrs) == 1:
+                    by_first_hop.setdefault(nbrs[0], []).append(entity)
+            reach = segment_reach(g, tokens, StepAllowance())
+            for entities in by_first_hop.values():
+                first, *others = entities
+                for other in others:
+                    assert reach(other) is reach(first), (seed, g.mid(first), g.mid(other))
+                    seen["shared"] += 1
+        assert len(seen) == 3, seen
+
 
 class TestJoinChains:
     def test_connected_pair_kept(self):

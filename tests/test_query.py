@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from kgtable.graph import KnowledgeGraph, UnknownEntityError
-from kgtable.paths import ChainPair, MetaPath, enumerate_simple_paths
+from kgtable.graph import KnowledgeGraph, StepAllowance, StepsExhausted, UnknownEntityError, walk
+from kgtable.paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
 from kgtable.query import (
     BudgetExceeded,
     QueryBudget,
+    TupleSet,
     execute_chain,
     execute_prefix,
     render_sparql,
@@ -24,6 +26,23 @@ def chain_of(p1, p2):
 
 def mids(g, pairs):
     return {(g.mid(x), g.mid(y)) for x, y in pairs}
+
+
+def walked_chain(g, se, chain, budget):
+    """``execute_chain`` as one ``walk`` per segment and x, without a memo."""
+    steps = StepAllowance(budget.max_steps)
+    try:
+        by_x, rows = {}, 0
+        for x in sorted(walk(g, (se,), chain.p1.tokens, steps)):
+            ys = walk(g, (x,), chain.p2.tokens, steps)
+            if ys:
+                rows += len(ys)
+                if rows > budget.max_rows:
+                    return BudgetExceeded("rows")
+                by_x[x] = ys
+    except StepsExhausted:
+        return BudgetExceeded("steps")
+    return TupleSet(by_x)
 
 
 class TestExecuteChain:
@@ -225,6 +244,63 @@ class TestProperties:
                             seen["pairs"] += 1
                 assert mids(g, execute_chain(g, se, chain, memo=memo).pairs) == want
         assert all(seen.values()), seen
+
+    def test_a_table_memo_keeps_joins_results_and_budget_outcomes_on_skewed_graphs(self):
+        # A few hubs with many in-edges, each starting a chain of single
+        # neighbours, so many xs share a first hop; the P2 candidates include
+        # every suffix of a segment. Each graph's memo first serves executions
+        # under growing step budgets, which run out inside shared suffixes,
+        # then the join and the executions of a table.
+        seen = Counter()
+        for seed in range(12):
+            rng = random.Random(5200 + seed)
+            nodes = [f"n{i}" for i in range(rng.randint(10, 16))]
+            triples = [
+                (node, rng.choice("hk"), hub)
+                for rank, hub in enumerate(nodes[:3], 1)
+                for node in rng.sample(nodes[3:], (len(nodes) - 3) // rank)
+            ]
+            triples += [(hub, "q", f"c{hub}") for hub in nodes[:3]]
+            triples += [
+                (f"c{rng.choice(nodes[:3])}", "r", rng.choice(nodes)) for _ in range(6)
+            ]
+            triples += [
+                (rng.choice(nodes), rng.choice("pqr"), rng.choice(nodes)) for _ in range(8)
+            ]
+            g = KnowledgeGraph(triples)
+            se = g.entity_id(nodes[3])
+            p1s = {
+                p for e in range(len(g)) if e != se
+                for p in enumerate_simple_paths(g, se, {e}, 2, 10**9, ())
+            }
+            p2s = {
+                p for a in range(len(g)) for b in range(len(g)) if a != b
+                for p in enumerate_simple_paths(g, a, {b}, 3, 10**9, ())
+            }
+            p2s |= {MetaPath(p.tokens[i:]) for p in p2s for i in range(1, len(p))}
+            chains = join_chains(g, se, p1s, p2s)
+            sample = rng.sample(chains, min(len(chains), 25))
+            budgets = [
+                QueryBudget(max_rows=rows, max_steps=steps)
+                for steps in range(1, 30) for rows in (3, 1000)
+            ]
+            memo = {}
+            for budget in budgets:
+                for chain in sample:
+                    want = walked_chain(g, se, chain, budget)
+                    assert execute_chain(g, se, chain, budget) == want
+                    assert execute_chain(g, se, chain, budget, memo) == want
+                    seen[getattr(want, "reason", "pairs")] += 1
+            for table_memo in (memo, {}):
+                assert join_chains(g, se, p1s, p2s, table_memo) == chains, seed
+                for budget in budgets[::7]:
+                    for chain in sample:
+                        got = execute_chain(g, se, chain, budget, table_memo)
+                        assert got == walked_chain(g, se, chain, budget), seed
+                        if isinstance(got, TupleSet):
+                            reached = list(got.by_x.values())
+                            seen["shared"] += len(reached) - len(set(map(id, reached)))
+        assert all(seen[k] for k in ("pairs", "steps", "rows", "shared")), seen
 
     def test_budget_monotonicity(self):
         triples, g = self._random_graph(7)

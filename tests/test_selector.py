@@ -129,26 +129,29 @@ class TestSelectTop1:
     def _ctx(self):
         return sel.QueryContext((), (), (), ())
 
+    def _encode(self, *chains):
+        return [sel.encode_chain(c, self.KB) for c in chains]
+
     def test_single_candidate(self):
         class Unscorable:
             def scores(self, ctx, chains, run_key):
                 raise AssertionError("a single chain needs no scores")
 
-        assert sel.select_top1(Unscorable(), self._ctx(), [chain_of("p", "q")], self.KB) == 0
+        assert sel.select_top1(Unscorable(), self._ctx(), self._encode(chain_of("p", "q"))) == 0
 
     def test_highest_score_wins(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
         scorer = self.FixedScorer({a.canonical(): 0.9, b.canonical(): 0.7})
-        assert sel.select_top1(scorer, self._ctx(), [b, a], self.KB) == 1
+        assert sel.select_top1(scorer, self._ctx(), self._encode(b, a)) == 1
 
     def test_ties_break_to_smallest_canonical(self):
         a, b = chain_of("a", "x"), chain_of("b", "x")
         scorer = self.FixedScorer({a.canonical(): 0.5, b.canonical(): 0.5})
-        assert sel.select_top1(scorer, self._ctx(), [b, a], self.KB) == 1
+        assert sel.select_top1(scorer, self._ctx(), self._encode(b, a)) == 1
 
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
-            sel.select_top1(self.FixedScorer({}), self._ctx(), [], self.KB)
+            sel.select_top1(self.FixedScorer({}), self._ctx(), [])
 
     def test_scale_invariance(self, bundle, trained):
         class Scaled:
@@ -160,22 +163,19 @@ class TestSelectTop1:
 
         table = bundle.heldout_tables()[0]
         ctx = sel.context_for_table(table, bundle.tb_vocab, bundle.kb_vocab)
-        chains = [lc.chain for lc in table.chains]
-        base = sel.select_top1(trained.linear, ctx, chains, bundle.kb_vocab)
+        encodings = [sel.encode_chain(lc.chain, bundle.kb_vocab) for lc in table.chains]
+        base = sel.select_top1(trained.linear, ctx, encodings)
         for c in (0.25, 3.0):
-            scaled = sel.select_top1(
-                Scaled(trained.linear, c), ctx, chains, bundle.kb_vocab
-            )
-            assert scaled == base
+            assert sel.select_top1(Scaled(trained.linear, c), ctx, encodings) == base
 
 
     def test_oracle_takes_the_first_chain_and_random_its_seeded_draw(self):
-        chains = [chain_of(p, "x") for p in "dcba"]
+        chains = self._encode(*(chain_of(p, "x") for p in "dcba"))
         ctx = self._ctx()
-        assert sel.select_top1(sel.OracleScorer(), ctx, chains, self.KB, run_key=5) == 0
+        assert sel.select_top1(sel.OracleScorer(), ctx, chains, run_key=5) == 0
         for seed, run_key in ((0, 0), (3, 7), (11, 2)):
             want = random.Random(seed * 1_000_003 + run_key).randrange(len(chains))
-            got = sel.select_top1(sel.RandomScorer(seed), ctx, chains, self.KB, run_key=run_key)
+            got = sel.select_top1(sel.RandomScorer(seed), ctx, chains, run_key=run_key)
             assert got == want
 
 
@@ -209,7 +209,7 @@ class TestBatchedScoringOracleParity:
                     got = scorer.scores(ctx, encodings, 0)
                     assert np.max(np.abs(got - want)) <= tolerance, (name, table.table_id)
                     best = min(range(len(chains)), key=lambda i: (-want[i], encodings[i].canonical))
-                    assert sel.select_top1(scorer, ctx, chains, kb) == best, name
+                    assert sel.select_top1(scorer, ctx, encodings) == best, name
         assert oov > 0
 
 
