@@ -383,13 +383,15 @@ class EntityMetaStore:
 
 
 class PredicateMetaStore:
-    """Predicate-name keyed metadata; source types are always prefix-derived."""
+    """Predicate-name keyed metadata, memoized per name; source types are always prefix-derived."""
 
     def __init__(self, tgt_by_name: Mapping[str, frozenset[str]] | None = None):
-        self._tgt = dict(tgt_by_name or {})
+        tgt = self._tgt = dict(tgt_by_name or {})
+        self._meta = _Memo(lambda name: PredicateMeta(
+            predicate_src_tokens(name), tgt.get(name, frozenset())))
 
     def get(self, name: str) -> PredicateMeta:
-        return PredicateMeta(predicate_src_tokens(name), self._tgt.get(name, frozenset()))
+        return self._meta[name]
 
     def __len__(self) -> int:
         return len(self._tgt)

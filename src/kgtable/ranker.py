@@ -7,11 +7,13 @@ between the example row and the candidate against the chain's expected
 types and the column names. Overlap comes in two flavours everywhere:
 Jaccard on token sets and cosine of mean pre-trained word vectors.
 ``featurize`` builds one query's whole candidate matrix: each distinct
-candidate entity is scored once per column, and each token set's mean
-vector once per ``PretrainedEmbeddings`` object. Training featurizes all
-27 columns; serving computes only the columns the model splits on
-(``RankerModel.split_features``) and leaves the others NaN, which a tree
-never reads, so the scores are the same.
+candidate entity is scored once per column. Once per ``PretrainedEmbeddings``
+object, which lives for one command, each token set's mean vector is taken
+and each notable or rdf type set compared with each query side; descriptions
+are compared per entity, as a real KB rarely shares them. Training
+featurizes all 27 columns; serving computes only the columns the model
+splits on (``RankerModel.split_features``) and leaves the others NaN, which
+a tree never reads, so the scores are the same.
 
 The ranker is a from-scratch LambdaMART: small regression trees fit to
 pairwise lambda gradients weighted by the NDCG swap delta.
@@ -20,6 +22,7 @@ pairwise lambda gradients weighted by the NDCG swap delta.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +32,7 @@ import numpy as np
 from .graph import (
     EntityMetaStore,
     PredicateMetaStore,
+    _Memo,
     checked,
     number,
     open_text,
@@ -76,16 +80,22 @@ class PretrainedEmbeddings:
     ``load`` parses a ``token v1 v2 .. vD`` text file. Only build-dataset
     calls it: it compiles the vectors into the dataset's ``kb.bin``, and
     every later command reads them from there (``dataset.load_kb``), bit for
-    bit. Cosines memoize each token set's (mean vector, norm) for the lifetime
-    of the object, which is one command; a set is keyed by its frozenset,
-    which loses nothing because the mean de-duplicates and sorts the tokens
-    anyway.
+    bit. Two memos live as long as the object, which is one command.
+    Cosines memoize each token set's (mean vector, norm); a set is keyed by
+    its frozenset, which loses nothing because the mean de-duplicates and
+    sorts the tokens anyway. ``type_sims`` memoizes ``featurize``'s
+    comparisons of a notable or rdf type set: (similarity, 0 for Jaccard or 1
+    for cosine, query side, type set) -> the similarity of the side and the
+    set. Type sets come from a small shared vocabulary; descriptions are not
+    memoized, since a real KB rarely shares them.
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray], dim: int):
         self._vectors = dict(vectors)
         self.dim = dim
         self._means: dict[frozenset[str], tuple[np.ndarray, float]] = {}
+        weak = weakref.proxy(self)  # no reference cycle: the object dies with its last user
+        self.type_sims = _Memo(lambda key: (jaccard, weak.cosine)[key[0]](key[1], key[2]))
 
     @classmethod
     def load(cls, path: str) -> "PretrainedEmbeddings":
@@ -94,8 +104,10 @@ class PretrainedEmbeddings:
         with checked(path, 0) as at, open_text(path) as fh:
             for at.line_no, line in enumerate(fh, start=1):
                 parts = line.split()
-                if len(parts) < 2:
+                if not parts:
                     continue
+                if len(parts) == 1:
+                    raise ValueError(f"{parts[0]!r}: no values")
                 try:
                     vec = np.asarray([float(v) for v in parts[1:]])
                 except ValueError as exc:
@@ -188,23 +200,27 @@ def _column_features(
     and the query intent, its notable and rdf types against the example's,
     then the example-minus-candidate overlap of notable types with each of
     ``type_sets`` (a type set is read only when one of its features is wanted).
+    A comparison with a type set is read from ``embeddings.type_sims``; both
+    similarities are symmetric, so a diff's (set, side) reads the (side, set) entry.
     """
-    sims = (jaccard, embeddings.cosine)
+    sims, type_sims = (jaccard, embeddings.cosine), embeddings.type_sims
     m = entity_meta.get(example)
     # (query side, candidate field as an index into (description, notable, rdf))
     sides = ((frozenset(m.description), 0), (qis, 0), (m.notable_types, 1), (m.rdf_types, 2))
     sides += tuple((t, 1) for t in type_sets)
-    terms = []  # (similarity, query side, candidate field, the example's overlap of a diff)
+    terms = []  # (index into sims, query side, candidate field, the example's overlap of a diff)
     for k, s in (divmod(i, 2) for i in wanted):
-        sim, (side, f) = sims[s], sides[k]
-        terms.append((sim, side, f, sim(m.notable_types, side) if k >= 4 else None))
+        side, f = sides[k]
+        terms.append((s, side, f, type_sims[s, side, m.notable_types] if k >= 4 else None))
     rows = {}
     for entity in entities:
         c = entity_meta.get(entity)
         fields = (frozenset(c.description), c.notable_types, c.rdf_types)
         rows[entity] = [
-            sim(side, fields[f]) if ex is None else ex - sim(fields[f], side)
-            for sim, side, f, ex in terms
+            sims[s](side, fields[0]) if f == 0
+            else type_sims[s, side, fields[f]] if ex is None
+            else ex - type_sims[s, side, fields[f]]
+            for s, side, f, ex in terms
         ]
     return rows
 

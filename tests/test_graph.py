@@ -20,6 +20,7 @@ from kgtable.graph import (
     EntityMetaStore,
     KnowledgeGraph,
     ParseError,
+    PredicateMeta,
     PredicateMetaStore,
     PredicateToken,
     UnknownEntityError,
@@ -285,6 +286,13 @@ class TestMetadata:
         other = store.get("film.actor.performances")
         assert other.src_type == {"film", "actor"}
         assert other.tgt_types == frozenset()
+
+    def test_predicate_meta_is_derived_once_per_name(self):
+        store = PredicateMetaStore({"tv.tv_program.genre": frozenset({"tv", "genre"})})
+        for name, tgt in (("tv.tv_program.genre", {"tv", "genre"}), ("nodot", set())):
+            first = store.get(name)
+            assert store.get(name) is first
+            assert first == PredicateMeta(predicate_src_tokens(name), frozenset(tgt))
 
 
 class TestPredicateToken:

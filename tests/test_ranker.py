@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +246,77 @@ class TestFeaturizeOracleParity:
         assert all(seen.values()), seen
 
 
+def random_columns(rng: random.Random):
+    """Every column, or a random subset as a served model reads them."""
+    if rng.random() < 0.3:
+        return rk.ALL_FEATURES
+    return sorted(rng.sample(range(rk.NUM_FEATURES), rng.randint(1, rk.NUM_FEATURES)))
+
+
+class TestTypeSetMemo:
+    """``featurize`` compares each type set once per ``PretrainedEmbeddings`` object."""
+
+    @staticmethod
+    def embeddings():
+        vec_rng = np.random.default_rng(3)
+        return rk.PretrainedEmbeddings({f"w{i}": vec_rng.normal(size=3) for i in range(7)}, 3)
+
+    def test_a_shared_memo_equals_a_fresh_one_per_query_byte_for_byte(self):
+        rng = random.Random(23)
+        shared, vectors = self.embeddings(), self.embeddings()._vectors
+        for _ in range(150):
+            ctx, cands, entity_meta, pred_meta = random_query(rng)
+            columns = random_columns(rng)
+            got = rk.featurize(ctx, cands, entity_meta, pred_meta, shared, columns)
+            fresh = rk.PretrainedEmbeddings(vectors, 3)
+            want = rk.featurize(ctx, cands, entity_meta, pred_meta, fresh, columns)
+            assert got.tobytes() == want.tobytes()
+
+    def test_keys_are_the_distinct_type_set_comparisons(self):
+        rng = random.Random(29)
+        embeddings, want, type_sets, descriptions = self.embeddings(), set(), set(), set()
+        for _ in range(60):
+            ctx, cands, entity_meta, pred_meta = random_query(rng)
+            # Descriptions of their own tokens, so none equals a type set.
+            metas = {e: entity_meta.get(e) for e in range(12)}
+            entity_meta = EntityMetaStore({
+                e: m._replace(description=("d", *(f"d{t}" for t in m.description)))
+                for e, m in metas.items()
+            })
+            rk.featurize(ctx, cands, entity_meta, pred_meta, embeddings)
+            chain_sets = rk.chain_type_sets(ctx.chain, pred_meta)
+            for col, diff_sides in (
+                (0, (chain_sets[0], chain_sets[1], frozenset(ctx.cn1_tokens))),
+                (1, (chain_sets[2], frozenset(ctx.cn2_tokens))),
+            ):
+                m = entity_meta.get(ctx.er[col])
+                for c in {entity_meta.get(cand[col]) for cand in cands}:
+                    for s in (0, 1):
+                        want |= {(s, m.notable_types, c.notable_types),
+                                 (s, m.rdf_types, c.rdf_types)}
+                        want |= {(s, t, n) for t in diff_sides
+                                 for n in (m.notable_types, c.notable_types)}
+                    type_sets |= {c.notable_types, c.rdf_types}
+                    descriptions.add(frozenset(c.description))
+                type_sets |= {m.notable_types}
+        assert embeddings.type_sims.keys() == want
+        assert all(key[2] in type_sets and key[2] not in descriptions for key in want)
+
+    def test_the_memos_hold_no_reference_cycle(self):
+        """A command's embeddings and predicate metadata are freed with their last reference."""
+        ctx, cands, entity_meta, pred_meta = random_query(random.Random(31))
+        embeddings = self.embeddings()
+        rk.featurize(ctx, cands, entity_meta, pred_meta, embeddings)
+        assert embeddings.type_sims
+        refs = [weakref.ref(embeddings), weakref.ref(pred_meta)]
+        gc.disable()
+        try:
+            del embeddings, pred_meta
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestFeaturizeWorkCount:
     def test_mean_vectors_once_per_token_set_metadata_once_per_entity(self, monkeypatch):
         rng = random.Random(5)
@@ -349,15 +422,19 @@ class TestMaskedFeaturize:
         get = pred_meta.get
         monkeypatch.setattr(pred_meta, "get", lambda name: lookups.append(name) or get(name))
 
-        def count(columns):
+        def count(columns):  # on fresh embeddings, so each count starts with no type-set memo
             del cosines[:], lookups[:]
-            feats = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, embeddings, columns)
+            fresh = rk.PretrainedEmbeddings(embeddings._vectors, embeddings.dim)
+            feats = rk.featurize(ctx, [(2, 1)], entity_meta, pred_meta, fresh, columns)
             return feats[0], len(cosines), len(lookups)
 
-        # Each column: 4 cosines against the example and the intent, and two
-        # per type set, the example's and the candidate's (3 sets, then 2).
+        # Column 1: 4 cosines against the example and the intent, and two per
+        # type set, the example's and the candidate's; its chain target and its
+        # column name are both {actor}, so 2 sets. Column 2's example is its
+        # candidate, and its chain target and column name equal their notable
+        # types: only the 2 descriptions and the notable and rdf types remain.
         feats, n_cos, n_types = count(rk.ALL_FEATURES)
-        assert (n_cos, n_types) == (4 + 2 * 3 + 4 + 2 * 2, 3)
+        assert (n_cos, n_types) == (4 + 2 * 2 + 4, 3)
         # Three cosine features a column, no type set.
         feats, n_cos, n_types = count(self.CORPUS_SPLITS)
         assert (n_cos, n_types) == (6, 0)
@@ -757,6 +834,21 @@ class TestEmbeddingsFile:
         path.write_text("alpha 1.0 0.0\nbeta 0.5 abc\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: 'beta': could not convert")):
             rk.PretrainedEmbeddings.load(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("a 1.0 2.0\nlonely\nb 3.0 4.0\n", 2), ("lonely\na 1.0 2.0\n", 1), ("\n\nlonely\n", 3),
+    ])
+    def test_a_token_without_values_names_the_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: 'lonely': no values")):
+            rk.PretrainedEmbeddings.load(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n  \nalpha 1.0 0.0\n\t\nbeta 0.0 1.0\n\n")
+        emb = rk.PretrainedEmbeddings.load(str(path))
+        assert (emb.dim, sorted(emb._vectors)) == (2, ["alpha", "beta"])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_the_file_and_line(self, tmp_path, value):
