@@ -444,18 +444,34 @@ def split_dataset(table_ids: Iterable[str], seed: int) -> DatasetSplit:
     )
 
 
+# Tokens kept of a chain; part of the trained model, so training and serving share it.
+MAX_CHAIN_TOKENS = 200
+
+
+@dataclass(frozen=True)
+class ChainEncoding:
+    indices: tuple[int, ...]
+    canonical: str
+
+
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-index map with a reserved out-of-vocabulary slot at index 0."""
+    """Token-to-index map with a reserved out-of-vocabulary slot at index 0.
+
+    ``chains`` memoizes each chain's ``ChainEncoding`` by canonical string
+    for the object's life, one command. It closes over the index, not the
+    object, so the two form no reference cycle.
+    """
 
     kind: str  # "TB_Vocab" or "KB_Vocab"
     tokens: tuple[str, ...]  # sorted, frequency >= 2, OOV excluded
     oov_token: str = OOV_TOKEN
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {t: i + 1 for i, t in enumerate(self.tokens)}
-        )
+        index = {t: i + 1 for i, t in enumerate(self.tokens)}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "chains", _Memo(lambda text: ChainEncoding(
+            tuple(index.get(t, 0) for t in tokenize(text)[:MAX_CHAIN_TOKENS]), text)))
 
     @property
     def size(self) -> int:
@@ -469,15 +485,12 @@ class Vocabulary:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def chain_tokens(chain: ChainPair) -> tuple[str, ...]:
-    return tokenize(chain.canonical())
-
-
 def build_vocab(tables: Sequence[AnnotatedTable]) -> tuple[Vocabulary, Vocabulary]:
     """TB vocabulary from QIS/CN tokens, KB vocabulary from SET/chain tokens.
 
     Tokens occurring only once across the given tables (train+validation)
-    are dropped and map to the OOV index.
+    are dropped and map to the OOV index. Each distinct chain is tokenized
+    once, its tokens counted as often as the chain occurs.
     """
     tb_counts: Counter[str] = Counter()
     kb_counts: Counter[str] = Counter()
@@ -486,8 +499,10 @@ def build_vocab(tables: Sequence[AnnotatedTable]) -> tuple[Vocabulary, Vocabular
         tb_counts.update(t.cn1)
         tb_counts.update(t.cn2)
         kb_counts.update(t.set_tokens)
-        for lc in t.chains:
-            kb_counts.update(chain_tokens(lc.chain))
+    chain_counts = Counter(lc.chain.canonical() for t in tables for lc in t.chains)
+    for text, n in chain_counts.items():
+        for token in tokenize(text):
+            kb_counts[token] += n
     tb = Vocabulary("TB_Vocab", tuple(sorted(t for t, c in tb_counts.items() if c >= 2)))
     kb = Vocabulary("KB_Vocab", tuple(sorted(t for t, c in kb_counts.items() if c >= 2)))
     return tb, kb
@@ -505,10 +520,8 @@ def pad_negatives(
     table's own positives and existing negatives. Validation and test
     tables are never padded. Padded chains carry zero metrics.
     """
-    pool: dict[str, ChainPair] = {}
-    for t in tables.values():
-        for lc in t.negatives():
-            pool[lc.chain.canonical()] = lc.chain
+    pool = {lc.chain.canonical(): lc.chain for t in tables.values() for lc in t.negatives()}
+    ordered = sorted(pool)
     rng = random.Random(seed)
     out = dict(tables)
     for tid in split.train:
@@ -519,7 +532,7 @@ def pad_negatives(
         if not pool:
             raise ConfigurationError("global negative pool is empty; cannot pad")
         present = {lc.chain.canonical() for lc in table.chains}
-        candidates = [pool[c] for c in sorted(pool) if c not in present]
+        candidates = [pool[c] for c in ordered if c not in present]
         picked = candidates if len(candidates) <= need else rng.sample(candidates, need)
         extra = tuple(
             LabeledChain(chain=c, positive=False, recall=0.0, precision=0.0, f1=0.0)

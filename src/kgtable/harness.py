@@ -3,9 +3,9 @@
 For each (table, row) query the harness filters the chains that actually
 connect that row, scores them with the selector through ``select_top1``,
 executes the best one and scores tuple recall against the remaining rows.
-The queries of a table share one encoding of each of its chains and one
-reach memo, so no segment is walked twice from one entity and a repeat is
-charged the steps of its walk.
+The queries of a table share one reach memo, so no segment is walked twice
+from one entity and a repeat is charged the steps of its walk; every query
+reads its chains' encodings from the KB vocabulary's per-command memo.
 ``rank_retrieved`` is the one ranking step, shared with ``complete``: it
 drops the example row from the retrieved tuples, as training does, and
 ranks the rest for NDCG and precision at 1. Queries whose filtered chain
@@ -37,7 +37,7 @@ from .ranker import (
     precision_at_1,
     rank,
 )
-from .selector import ChainEncoding, QueryContext, context_for_table, encode_chain, select_top1
+from .selector import QueryContext, context_for_table, encode_chain, select_top1
 
 STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped_empty_cc"
@@ -218,7 +218,7 @@ def _run_one(
     g: KnowledgeGraph,
     selector,
     tuple_ranker,
-    encoded: Mapping[ChainPair, ChainEncoding],
+    kb_vocab: Vocabulary,
     budget: QueryBudget,
     memo: ReachMemo,
 ) -> QueryRun:
@@ -229,7 +229,7 @@ def _run_one(
             table.table_id, er, cc_er, None, None, err,
             None, None, None, STATUS_SKIPPED,
         )
-    encodings = [encoded[lc.chain] for lc in cc_er]
+    encodings = [encode_chain(lc.chain, kb_vocab) for lc in cc_er]
     selected = cc_er[select_top1(selector, ctx, encodings, run_key)].chain
     result = execute_chain(g, table.se, selected, budget, memo)
     if isinstance(result, BudgetExceeded):
@@ -258,18 +258,17 @@ def run_e2e(
 ) -> tuple[list[QueryRun], MetricSummary]:
     """Simulate every row of every table as the example row.
 
-    Each table's context, chain encodings and reach memo are built once.
-    Each run derives all its randomness from its position in the fixed job
-    order.
+    Each table's context and reach memo are built once; chain encodings
+    come from ``kb_vocab``'s memo. Each run derives all its randomness from
+    its position in the fixed job order.
     """
     runs = []
     for table in sorted(tables, key=lambda t: t.table_id):
         ctx = context_for_table(table, tb_vocab, kb_vocab)
-        encoded = {lc.chain: encode_chain(lc.chain, kb_vocab) for lc in table.chains}
         memo: ReachMemo = {}
         for er in table.rr:
             runs.append(_run_one(
-                table, ctx, er, len(runs), g, selector, tuple_ranker, encoded, budget, memo
+                table, ctx, er, len(runs), g, selector, tuple_ranker, kb_vocab, budget, memo
             ))
     return runs, summarize(runs)
 

@@ -5,7 +5,8 @@ run_key)``, which scores every candidate chain of one query in one call:
 the oracle (stored order, positives first), a seeded random pick,
 token-overlap Jaccard, an L2-regularized logistic model over concatenated
 count vectors, and a trainable embedding matcher. ``select_top1`` is the
-one tie rule: highest score, then smallest canonical string.
+one tie rule: highest score, then smallest canonical string. A command
+tokenizes and encodes each distinct chain once, in the KB vocabulary's memo.
 
 The embedding matcher encodes each field as the mean of its token
 embeddings, concatenates the context fields into a query vector of the
@@ -31,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np  # scipy is imported by the trainers alone: serving never loads it
 
-from .dataset import K_NEGATIVES, AnnotatedTable, ConfigurationError, Vocabulary, chain_tokens
+from .dataset import K_NEGATIVES, AnnotatedTable, ChainEncoding, ConfigurationError, Vocabulary
 from .graph import checked, number, read_json, string, write_json_lines
 from .paths import ChainPair
 
@@ -72,18 +73,12 @@ class QueryContext:
     set_tokens: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChainEncoding:
-    indices: tuple[int, ...]
-    canonical: str
-
-
-# Tokens kept of each context field (each column name alike) and of a chain.
-# They are part of the trained model, so training and serving share them.
+# Tokens kept of each context field (each column name alike); a chain keeps
+# dataset.MAX_CHAIN_TOKENS. They are part of the trained model, so training
+# and serving share them.
 MAX_QIS_TOKENS = 100
 MAX_CN_TOKENS = 10
 MAX_SET_TOKENS = 100
-MAX_CHAIN_TOKENS = 200
 
 
 def context_for_table(
@@ -98,8 +93,8 @@ def context_for_table(
 
 
 def encode_chain(chain: ChainPair, kb_vocab: Vocabulary) -> ChainEncoding:
-    tokens = chain_tokens(chain)[:MAX_CHAIN_TOKENS]
-    return ChainEncoding(indices=kb_vocab.encode(tokens), canonical=chain.canonical())
+    """The chain's encoding from ``kb_vocab``'s memo, shared by every table of a command."""
+    return kb_vocab.chains[chain.canonical()]
 
 
 # -- scoring ------------------------------------------------------------------

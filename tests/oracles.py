@@ -3,7 +3,8 @@
 These deliberately avoid the library's graph and query code: adjacency is
 rebuilt straight from the raw triple list and evaluation enumerates every
 walk recursively, so agreement with the production code is meaningful.
-The featurizer oracle scores one candidate at a time and caches nothing.
+The featurizer oracle scores one candidate at a time and caches nothing,
+and the vocabulary oracle tokenizes every occurrence of a chain anew.
 The selector's gradient oracle takes one (context, positive, negative)
 triple at a time, its scoring oracles score one (context, chain) pair at a
 time, and the tree oracle scans split points one by one. The lambda oracle
@@ -13,11 +14,17 @@ takes one group at a time, and the trainer oracle fits with both.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 
 import numpy as np
 
 Token = tuple[str, bool]  # (predicate name, inverse flag)
+
+
+def _tokens(text: str) -> tuple[str, ...]:
+    """The one normalization rule: lowercase, then split on whitespace and ``. _ / ^ -``."""
+    return tuple(t for t in re.split(r"[\s._/^\-]+", text.lower()) if t)
 
 
 def build_adjacency(triples) -> dict[str, list[tuple[Token, str]]]:
@@ -388,14 +395,9 @@ def naive_entity_meta(path: str) -> dict[str, tuple[str, tuple[str, ...], frozen
     """``mid -> (name, description tokens, notable type tokens, rdf type tokens)``.
 
     Every record is tokenized on its own, with no memo shared between
-    records, by the one normalization rule: lowercase, then split on
-    whitespace and ``. _ / ^ -``.
+    records, by the one normalization rule.
     """
     import json
-    import re
-
-    def tokens(text: str) -> tuple[str, ...]:
-        return tuple(t for t in re.split(r"[\s._/^\-]+", text.lower()) if t)
 
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -405,8 +407,28 @@ def naive_entity_meta(path: str) -> dict[str, tuple[str, tuple[str, ...], frozen
             rec = json.loads(line)
             out[rec["mid"]] = (
                 rec.get("name") or "",
-                tokens(rec.get("description") or ""),
-                frozenset(t for v in rec.get("notable_types") or () for t in tokens(v)),
-                frozenset(t for v in rec.get("rdf_types") or () for t in tokens(v)),
+                _tokens(rec.get("description") or ""),
+                frozenset(t for v in rec.get("notable_types") or () for t in _tokens(v)),
+                frozenset(t for v in rec.get("rdf_types") or () for t in _tokens(v)),
             )
     return out
+
+
+def naive_vocab_tokens(tables) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The TB and KB vocabulary tokens: those seen at least twice, sorted.
+
+    Every token of every field and of every chain occurrence is counted on
+    its own, the chain's canonical string tokenized anew each time.
+    """
+    tb, kb = Counter(), Counter()
+    for t in tables:
+        for tok in (*t.qis, *t.cn1, *t.cn2):
+            tb[tok] += 1
+        for tok in t.set_tokens:
+            kb[tok] += 1
+        for lc in t.chains:
+            for tok in _tokens(lc.chain.canonical()):
+                kb[tok] += 1
+    return tuple(
+        tuple(sorted(tok for tok, n in counts.items() if n >= 2)) for counts in (tb, kb)
+    )

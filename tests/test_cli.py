@@ -8,6 +8,7 @@ import os
 import shutil
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from kgtable.graph import (
     load_entity_meta,
     load_triples,
 )
-from kgtable.paths import ChainPair, MetaPath
+from kgtable.paths import SEGMENT_SEPARATOR, ChainPair, MetaPath
 from kgtable.query import QueryBudget
 from kgtable.ranker import PretrainedEmbeddings, RankerConfig, RankerModel, save_ranker
 from kgtable.selector import SelectorHyperParams
@@ -201,6 +202,35 @@ class TestPipelineCommands:
         assert main(["evaluate", "--config", str(cfg_path)]) == 0
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob
+
+    def test_a_command_tokenizes_each_distinct_chain_once(self, workspace, tmp_path, monkeypatch):
+        """Both trainers and evaluate tokenize a chain's text once, however
+        many tables hold the chain. Evaluate runs on all but the validation
+        tables, so that the tables it runs on share chains."""
+        _, cfg_path, cfg = workspace
+        dataset = tmp_path / "dataset"
+        shutil.copytree(cfg["dataset_dir"], dataset)
+        split = json.loads((dataset / "split.json").read_text())
+        split.update(train=[], test=split["train"] + split["test"])
+        (dataset / "split.json").write_text(json.dumps(split))
+        texts, original = [], ds.tokenize
+
+        def tokenize(text):
+            texts.append(text)
+            return original(text)
+
+        monkeypatch.setattr(ds, "tokenize", tokenize)
+        model = ["--selector-model-path", str(tmp_path / "selector.json")]
+        for argv in (
+            ["train-selector", "--selector", "embedding", "--epochs", "1", *model],
+            ["train-selector", "--selector", "linear", *model],
+            ["evaluate", "--selector", "linear", *model, "--dataset-dir", str(dataset),
+             "--output-dir", str(tmp_path / "out")],
+        ):
+            texts.clear()
+            assert main([*argv, "--config", str(cfg_path)]) == 0
+            chains = Counter(t for t in texts if SEGMENT_SEPARATOR in t)
+            assert chains and max(chains.values()) == 1, (argv[0], chains.most_common(1))
 
     def test_core_column_eval(self, workspace, capsys):
         root, cfg_path, cfg = workspace

@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from kgtable import dataset as ds
 from kgtable.graph import KnowledgeGraph
 from kgtable.paths import ChainPair, MetaPath
 from kgtable.query import QueryBudget
+from oracles import naive_vocab_tokens
 
 
 def chain_of(p1, p2):
@@ -236,6 +240,46 @@ class TestVocabulary:
         t2 = make_table("b", (labeled("x.p", "y.q", True),), set_tokens=("stype",))
         _, kb = ds.build_vocab([t1, t2])
         assert {"stype", "x", "p", "y", "q"} <= set(kb.tokens)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_build_vocab_counts_every_chain_occurrence(self, seed):
+        """Tables drawing from a few shared chains give the vocabularies of an
+        oracle that tokenizes every occurrence. A chain seen once keeps its own
+        tokens out; one seen twice, in two tables, brings them in."""
+        rng = random.Random(seed)
+        words = ("film", "Actor", "tv_show", "cast-member", "role", "^type")
+        shared = [
+            chain_of(*(".".join(rng.sample(words, rng.randint(1, 3))) for _ in "12"))
+            for _ in range(6)
+        ]
+        extra = {0: ("once.a",), 1: ("twice.b",), 2: ("twice.b",)}
+        tables = [
+            make_table(
+                f"t{i}",
+                tuple(labeled(c.p1.canonical(), c.p2.canonical(), rng.random() < 0.3)
+                      for c in rng.sample(shared, rng.randint(1, 5)))
+                + tuple(labeled(p1, "x", False) for p1 in extra.get(i, ())),
+                qis=tuple(rng.choices(("alpha", "beta", "gamma", f"q{i}"), k=3)),
+                set_tokens=tuple(rng.sample(("person", "place", f"s{i}"), 2)),
+            )
+            for i in range(8)
+        ]
+        tb, kb = ds.build_vocab(tables)
+        assert (tb.tokens, kb.tokens) == naive_vocab_tokens(tables)
+        assert "twice" in kb.tokens and "once" not in kb.tokens
+
+    def test_chain_memo_holds_no_reference_cycle(self):
+        """A vocabulary and its memoized chain encodings die with its last reference."""
+        vocab = ds.Vocabulary("KB_Vocab", ("p", "x"))
+        encoding = vocab.chains[chain_of("x.p", "y.q").canonical()]
+        assert encoding == ds.ChainEncoding((2, 1, 0, 0), "x.p / y.q")
+        ref = weakref.ref(vocab)
+        gc.disable()
+        try:
+            del vocab
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_encode_maps_unknown_to_zero(self):
         vocab = ds.Vocabulary("TB_Vocab", ("alpha", "beta"))
