@@ -75,8 +75,8 @@ def main() -> None:
 
     cfg = load_config(config)
     g = cli._load_kb(cfg).graph
-    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
-    heldout = cli._eval_tables(cfg, tables, split)
+    tables, _, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g, (cfg.eval_split,))
+    heldout = list(tables.values())
     print(f"\nchain selection Accuracy@1 ({cfg.eval_split} tables with negatives):")
     for name in SELECTORS:
         scorer = cli._make_selector(load_config(config, settings(name)), tb_vocab, kb_vocab)

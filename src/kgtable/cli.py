@@ -138,9 +138,11 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
     type_freq = ds.subject_type_freq(corpus, g, types_by_mid)
     sets = ds.subject_set_column(g, types_by_mid, type_freq, fget_map)
     kb = ds.CompiledKB(g, entity_meta, pred_meta, embeddings, *sets)
-    tables, split, tb_vocab, kb_vocab, rejects = ds.build_corpus_dataset(
-        corpus, kb, url2mid, cfg.build_settings(), cfg.seed
-    )
+    try:
+        tables, split, tb_vocab, kb_vocab, rejects = ds.build_corpus_dataset(
+            corpus, kb, url2mid, cfg.build_settings(), cfg.seed)
+    except ConfigurationError as exc:  # the corpus yields too few tables
+        raise ConfigurationError(f"{cfg.corpus_path}: {exc}") from None
     ds.save_dataset(cfg.dataset_dir, tables, split, tb_vocab, kb_vocab, g)
     ds.save_kb(cfg.dataset_dir, kb, sources)
     print(
@@ -156,8 +158,8 @@ def cmd_build_dataset(cfg: RunConfig) -> int:
 def cmd_train_selector(cfg: RunConfig) -> int:
     selector.import_trainer(cfg.selector)
     g = _load_kb(cfg).graph
-    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
-    train_tables = [tables[tid] for tid in split.train]
+    tables, _, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g, ("train",))
+    train_tables = list(tables.values())
     if cfg.selector == "linear":
         scorer = selector.train_linear(train_tables, tb_vocab, kb_vocab)
     else:
@@ -172,10 +174,9 @@ def cmd_train_selector(cfg: RunConfig) -> int:
 
 def cmd_train_ranker(cfg: RunConfig) -> int:
     g, entity_meta, pred_meta, embeddings, *_ = _load_kb(cfg)
-    tables, split, _, _ = ds.load_dataset(cfg.dataset_dir, g)
+    tables, *_ = ds.load_dataset(cfg.dataset_dir, g, ("train",))
     groups = harness.ranker_training_groups(
-        [tables[tid] for tid in split.train], g, entity_meta, pred_meta, embeddings,
-        cfg.budget(),
+        list(tables.values()), g, entity_meta, pred_meta, embeddings, cfg.budget()
     )
     model = ranker.train_ranker(groups, cfg.ranker_cfg())
     path = _model_path(cfg, "ranker")
@@ -184,24 +185,13 @@ def cmd_train_ranker(cfg: RunConfig) -> int:
     return 0
 
 
-def _eval_tables(cfg: RunConfig, tables, split):
-    if cfg.eval_split == "validation":
-        ids = split.validation
-    elif cfg.eval_split == "test":
-        ids = split.test
-    else:
-        raise ConfigurationError(f"unknown eval_split {cfg.eval_split!r}")
-    return [tables[tid] for tid in ids]
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     g, entity_meta, pred_meta, embeddings, *_ = _load_kb(cfg)
-    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
+    tables, _, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g, (cfg.eval_split,))
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
-    eval_tables = _eval_tables(cfg, tables, split)
     runs, summary = harness.run_e2e(
-        eval_tables, g, chain_selector, tuple_ranker, tb_vocab, kb_vocab, cfg.budget()
+        list(tables.values()), g, chain_selector, tuple_ranker, tb_vocab, kb_vocab, cfg.budget()
     )
     out = Path(cfg.output_dir)
     harness.write_runs(str(out / "runs.jsonl"), runs, g)
@@ -217,11 +207,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_core_column_eval(cfg: RunConfig) -> int:
     g = _load_kb(cfg).graph
-    tables, split, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g)
+    tables, _, tb_vocab, kb_vocab = ds.load_dataset(cfg.dataset_dir, g, (cfg.eval_split,))
     chain_selector = _make_selector(cfg, tb_vocab, kb_vocab)
-    eval_tables = _eval_tables(cfg, tables, split)
     runs, _ = harness.run_e2e(
-        eval_tables, g, chain_selector, harness.RandomTupleRanker(cfg.seed),
+        list(tables.values()), g, chain_selector, harness.RandomTupleRanker(cfg.seed),
         tb_vocab, kb_vocab, cfg.budget(),
     )
     payload = {}

@@ -117,6 +117,8 @@ def load_config(
         cfg.build_settings()  # and its budget
         cfg.selector_hp()
         cfg.ranker_cfg()
+        if cfg.eval_split not in ("validation", "test"):
+            raise ValueError(f"eval_split must be validation or test, not {cfg.eval_split!r}")
     return cfg
 
 

@@ -13,6 +13,7 @@ vocabularies are built from the training+validation portions.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -42,6 +43,7 @@ from .graph import (
     _tsv_rows,
     checked,
     integer,
+    open_text,
     read_json,
     string,
     strings,
@@ -425,6 +427,9 @@ class DatasetSplit:
     seed: int
 
 
+SPLITS = ("train", "validation", "test")  # the order of the blocks of tables.jsonl
+
+
 def split_dataset(table_ids: Iterable[str], seed: int) -> DatasetSplit:
     """Random 80/10/10 split; validation and test take ceil(0.1 n) each."""
     ids = sorted(table_ids)
@@ -629,25 +634,17 @@ def save_dataset(
     kb_vocab: Vocabulary,
     g: KnowledgeGraph,
 ) -> None:
-    """Write tables.jsonl, split.json and the two vocabulary files.
+    """Write tables.jsonl, split.json and the two vocabulary files, byte-deterministic.
 
-    All output is byte-deterministic: tables are ordered by id.
+    tables.jsonl holds a block of each split's tables in turn, in the split's order;
+    split.json holds the seed and each block's size: a table's split is its block.
     """
     out = Path(out_dir)
-    write_json_lines(
-        out / "tables.jsonl", (_table_to_json(tables[tid], g) for tid in sorted(tables))
-    )
-    write_json_lines(
-        out / "split.json",
-        [
-            {
-                "seed": split.seed,
-                "train": list(split.train),
-                "validation": list(split.validation),
-                "test": list(split.test),
-            }
-        ],
-    )
+    blocks = {part: getattr(split, part) for part in SPLITS}
+    write_json_lines(out / "tables.jsonl", (
+        _table_to_json(tables[tid], g) for ids in blocks.values() for tid in ids))
+    write_json_lines(out / "split.json", [
+        {"seed": split.seed, **{part: len(ids) for part, ids in blocks.items()}}])
     for vocab, name in ((tb_vocab, "vocab_tb.json"), (kb_vocab, "vocab_kb.json")):
         write_json_lines(
             out / name,
@@ -902,31 +899,41 @@ def load_vocabularies(in_dir: str) -> tuple[Vocabulary, Vocabulary]:
 
 
 def load_dataset(
-    in_dir: str, g: KnowledgeGraph
+    in_dir: str, g: KnowledgeGraph, splits: Sequence[str] = SPLITS
 ) -> tuple[dict[str, AnnotatedTable], DatasetSplit, Vocabulary, Vocabulary]:
+    """The tables of the blocks ``splits`` names, the split and the vocabularies
+    ``save_dataset`` wrote. Another block's lines are counted, not parsed, and its
+    split holds no ids. The records must number the block sizes of split.json
+    added up, and no table id read may repeat.
+    """
     base = Path(in_dir)
+    split_path, tables_path = str(base / "split.json"), str(base / "tables.jsonl")
+    rec = read_json(split_path)
+    with checked(split_path, 1, "split record"):
+        seed, sizes = integer(rec["seed"], "seed"), [integer(rec[k], k) for k in SPLITS]
+        if min(sizes) < 0:
+            raise ValueError("a block size is negative")
+    stops = [sum(sizes[:i + 1]) for i in range(len(SPLITS))]  # where each block ends
+    ids: dict[str, list[str]] = {part: [] for part in SPLITS}
     tables: dict[str, AnnotatedTable] = {}
     memo: dict = {}  # tables repeat a few segments and chains many times
-    tables_path = str(base / "tables.jsonl")
-    with checked(tables_path, 0, "table record") as at:
-        for at.line_no, rec in _json_lines(tables_path):
-            t = _table_from_json(rec, g, memo)
-            if t.table_id in tables:
-                raise ValueError(f"table id {t.table_id!r} repeats an earlier record")
-            tables[t.table_id] = t
-    path = str(base / "split.json")
-    rec = read_json(path)
-    with checked(path, 1, "split record"):
-        parts = (strings(rec[k], k) for k in ("train", "validation", "test"))
-        split = DatasetSplit(*parts, integer(rec["seed"], "seed"))
-        ids = split.train + split.validation + split.test
-        unknown = [t for t in ids if t not in tables]
-        if unknown:
-            raise ValueError(f"table id {unknown[0]!r} names no table of {tables_path}")
-        repeated = [t for t, n in Counter(ids).items() if n > 1]
-        if repeated:
-            raise ValueError(f"table id {repeated[0]!r} appears more than once in the split")
-    return (tables, split, *load_vocabularies(in_dir))
+    count = 0  # records so far
+    with checked(tables_path, 0, "table record") as at, open_text(tables_path) as fh:
+        for at.line_no, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            block, count = bisect.bisect_right(stops, count), count + 1  # 3 is past the last block
+            if block < len(SPLITS) and SPLITS[block] in splits:
+                # One line, so JSON reports no line of its own.
+                t = _table_from_json(_json_object(tables_path, at.line_no, line.strip()), g, memo)
+                if t.table_id in tables:
+                    raise ValueError(f"table id {t.table_id!r} repeats an earlier record")
+                tables[t.table_id] = t
+                ids[SPLITS[block]].append(t.table_id)
+    if count != stops[-1]:
+        raise ConfigurationError(f"{tables_path} holds {count} table records, but {split_path} "
+                                 f"sizes its train, validation and test blocks {sizes}; {REBUILD}")
+    return tables, DatasetSplit(*map(tuple, ids.values()), seed), *load_vocabularies(in_dir)
 
 
 def subject_type_freq(
@@ -962,7 +969,8 @@ def build_corpus_dataset(
             continue
         tables[table.table_id] = table
     if not tables:
-        raise ConfigurationError("no table survived annotation")
+        reasons = "".join(f"; {n} rejected: {r}" for r, n in sorted(rejects.items()))
+        raise ConfigurationError(f"none of its {len(corpus)} tables survived annotation{reasons}")
 
     split = split_dataset(tables.keys(), seed)
     tables = pad_negatives(tables, split, seed=seed)

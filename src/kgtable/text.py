@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-_SPLIT = re.compile(r"[\s._/^\-]+")
+_TOKEN = re.compile(r"[^\s._/^\-]+")
 
 NUM_TOKEN = "numtkn"
 EMPTY_TOKEN = "emptstr"
@@ -19,7 +19,7 @@ EMPTY_TOKEN = "emptstr"
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase ``text`` and split it into normalized tokens."""
-    return tuple(t for t in _SPLIT.split(text.lower()) if t)
+    return tuple(_TOKEN.findall(text.lower()))
 
 
 def is_numeric(token: str) -> bool:

@@ -211,7 +211,12 @@ class TestPipelineCommands:
         dataset = tmp_path / "dataset"
         shutil.copytree(cfg["dataset_dir"], dataset)
         split = json.loads((dataset / "split.json").read_text())
-        split.update(train=[], test=split["train"] + split["test"])
+        lines = (dataset / "tables.jsonl").read_text().splitlines(keepends=True)
+        n_train, n_val = split["train"], split["validation"]
+        # The validation block first, then the train and test blocks as one test block.
+        lines = lines[n_train:n_train + n_val] + lines[:n_train] + lines[n_train + n_val:]
+        (dataset / "tables.jsonl").write_text("".join(lines))
+        split.update(train=0, test=len(lines) - n_val)
         (dataset / "split.json").write_text(json.dumps(split))
         texts, original = [], ds.tokenize
 
@@ -1134,6 +1139,31 @@ class TestConfig:
             err = capsys.readouterr().err
             assert flag[2:].replace("-", "_") in err and must in err and missing not in err, err
 
+    def test_unknown_eval_split_exits_2_naming_the_key(self, capsys):
+        assert main(["evaluate", "--eval-split", "train"]) == 2
+        assert "error: eval_split must be validation or test, not 'train'" in (
+            capsys.readouterr().err)
+
+    def test_a_corpus_of_no_usable_table_exits_2_naming_it_and_each_reason(
+        self, tmp_path, capsys
+    ):
+        graph, corpus, url2mid = (tmp_path / n for n in ("g.tsv", "corpus.jsonl", "u.tsv"))
+        graph.write_text("m.1\tp\tm.2\n")
+        url2mid.write_text("")
+        argv = ["build-dataset", "--graph-path", str(graph), "--corpus-path", str(corpus),
+                "--url2mid-path", str(url2mid), "--dataset-dir", str(tmp_path / "dataset")]
+        corpus.write_text("")
+        assert main(argv) == 2
+        assert f"error: {corpus}: none of its 0 tables survived annotation\n" in (
+            capsys.readouterr().err)
+        one_column = {"headers": ["a"], "rows": [[{"text": "x"}]]}
+        corpus.write_text(json.dumps(one_column) + "\n" + json.dumps(
+            {"headers": ["a", "b"], "rows": [[{"text": "x"}, {"text": "y"}]]}) + "\n")
+        assert main(argv) == 2
+        assert (f"error: {corpus}: none of its 2 tables survived annotation; "
+                "1 rejected: fewer than 3 linked rows; 1 rejected: fewer than two columns"
+                in capsys.readouterr().err)
+
     def test_bad_metadata_field_exits_2_with_file_and_line(self, tmp_path, capsys):
         graph = tmp_path / "graph.tsv"
         graph.write_text("m.1\tp\tm.2\n")
@@ -1170,51 +1200,75 @@ class TestConfig:
             ("tables.jsonl", lambda rec: rec.update(rr=rec["rr"][:1])),
             ("tables.jsonl", lambda rec: rec["rr"].append(rec["rr"][-1])),
             ("tables.jsonl", lambda rec: rec.update(table_id=7)),
-            ("split.json", lambda rec: rec["train"].append("no-such-table")),
-            ("split.json", lambda rec: rec["train"].append(rec["test"][0])),
-            ("split.json", lambda rec: rec["test"].append(rec["test"][0])),
-            ("split.json", lambda rec: rec.update(test=rec["test"][0])),
+            ("split.json", lambda rec: rec.update(test=str(rec["test"]))),
+            ("split.json", lambda rec: rec.update(train=-1)),
             ("split.json", lambda rec: rec.update(seed=str(rec["seed"]))),
             ("vocab_tb.json", lambda rec: rec["tokens"].append(7)),
             ("vocab_kb.json", lambda rec: rec.update(oov_token=["<oov>"])),
         ],
         ids=["no-chains", "first-chain-negative", "int-in-qis", "int-in-cn1", "int-in-cn2",
              "int-in-set", "int-p1", "int-p2", "no-rr", "one-rr", "repeated-rr", "int-table-id",
-             "unknown-split-id", "test-id-in-train", "test-id-twice", "string-test-split",
-             "string-split-seed", "int-vocab-token", "list-oov-token"],
+             "string-test-split", "negative-train-split", "string-split-seed", "int-vocab-token",
+             "list-oov-token"],
     )
     def test_bad_dataset_record_exits_2_with_file_and_line(
         self, workspace, tmp_path, capsys, name, edit
     ):
+        """A command reads the tables of its own split only: a bad record of the
+        test block stops evaluate but not train-selector, one of the train block
+        stops both trainers. A bad split or vocabulary file stops every command."""
         _, cfg_path, cfg = workspace
-        dataset = tmp_path / "dataset"
-        dataset.mkdir()
-        for src in Path(cfg["dataset_dir"]).iterdir():
-            (dataset / src.name).write_bytes(src.read_bytes())
-        lines = (dataset / name).read_text().splitlines(keepends=True)
-        line_no = 2 if name == "tables.jsonl" else 1
-        rec = json.loads(lines[line_no - 1])
-        edit(rec)
-        lines[line_no - 1] = json.dumps(rec) + "\n"
-        (dataset / name).write_text("".join(lines))
-        for command in ("train-selector", "train-ranker", "evaluate"):
-            argv = [command, "--config", str(cfg_path), "--dataset-dir", str(dataset)]
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert f"{dataset / name}:{line_no}: " in err and "Traceback" not in err
+        n_lines = len((Path(cfg["dataset_dir"]) / name).read_text().splitlines())
+        # (line edited, the commands it stops, a command it does not stop)
+        cases = [(1, ("train-selector", "train-ranker", "evaluate"), None)]
+        if name == "tables.jsonl":
+            cases = [(n_lines, ("evaluate",), "train-selector"),
+                     (2, ("train-selector", "train-ranker"), "evaluate")]
+        for line_no, stopped, unaffected in cases:
+            dataset = tmp_path / f"dataset-{line_no}"
+            shutil.copytree(cfg["dataset_dir"], dataset)
+            lines = (dataset / name).read_text().splitlines(keepends=True)
+            rec = json.loads(lines[line_no - 1])
+            edit(rec)
+            lines[line_no - 1] = json.dumps(rec) + "\n"
+            (dataset / name).write_text("".join(lines))
+            flags = ["--config", str(cfg_path), "--dataset-dir", str(dataset),
+                     "--output-dir", str(tmp_path / "out")]
+            for command in stopped:
+                assert main([command, *flags]) == 2
+                err = capsys.readouterr().err
+                assert f"{dataset / name}:{line_no}: " in err and "Traceback" not in err
+            if unaffected:
+                assert main([unaffected, *flags]) == 0, capsys.readouterr().err
 
     def test_repeated_table_id_exits_2_with_file_and_line(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace
         dataset = tmp_path / "dataset"
-        dataset.mkdir()
-        for src in Path(cfg["dataset_dir"]).iterdir():
-            (dataset / src.name).write_bytes(src.read_bytes())
+        shutil.copytree(cfg["dataset_dir"], dataset)
         lines = (dataset / "tables.jsonl").read_text().splitlines(keepends=True)
-        (dataset / "tables.jsonl").write_text("".join(lines) + lines[0])
+        lines[-1] = lines[-2]  # both of the test block
+        (dataset / "tables.jsonl").write_text("".join(lines))
         argv = ["evaluate", "--config", str(cfg_path), "--dataset-dir", str(dataset)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"{dataset / 'tables.jsonl'}:{len(lines) + 1}: " in err and "repeats" in err
+        assert f"{dataset / 'tables.jsonl'}:{len(lines)}: " in err and "repeats" in err
+
+    @pytest.mark.parametrize("edit", [lambda lines: lines[1:], lambda lines: lines + lines[:1]],
+                             ids=["line-deleted", "line-added"])
+    def test_tables_unlike_the_split_sizes_exit_2_naming_both(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        _, cfg_path, cfg = workspace
+        dataset = tmp_path / "dataset"
+        shutil.copytree(cfg["dataset_dir"], dataset)
+        lines = (dataset / "tables.jsonl").read_text().splitlines(keepends=True)
+        (dataset / "tables.jsonl").write_text("".join(edit(lines)))
+        for command in ("train-selector", "train-ranker", "evaluate", "core-column-eval"):
+            argv = [command, "--config", str(cfg_path), "--dataset-dir", str(dataset)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{dataset / 'tables.jsonl'} holds" in err, err
+            assert f"{dataset / 'split.json'} sizes" in err, err
 
     def test_bad_ranker_model_exits_2_with_file(self, workspace, tmp_path, capsys):
         _, cfg_path, cfg = workspace

@@ -420,6 +420,28 @@ class TestRoundTrip:
         assert tb.tokens == bundle.tb_vocab.tokens
         assert kb.tokens == bundle.kb_vocab.tokens
         assert tables == bundle.tables
+        # A block of each split in turn, and the block sizes.
+        blocks = (bundle.split.train, bundle.split.validation, bundle.split.test)
+        assert list(tables) == [tid for ids in blocks for tid in ids]
+        assert json.loads((out1 / "split.json").read_text()) == dict(
+            seed=bundle.split.seed, **dict(zip(ds.SPLITS, map(len, blocks))))
+
+    def test_a_load_of_some_splits_parses_only_their_blocks(self, tmp_path, bundle):
+        ds.save_dataset(
+            str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
+            bundle.g,
+        )
+        path = tmp_path / "tables.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("{broken\n" + "".join(lines[1:]))  # the first train record
+        for splits in (("test",), ("validation", "test")):
+            tables, split, *_ = ds.load_dataset(str(tmp_path), bundle.g, splits)
+            want = {part: getattr(bundle.split, part) if part in splits else ()
+                    for part in ds.SPLITS}
+            assert split == ds.DatasetSplit(**want, seed=bundle.split.seed)
+            assert tables == {tid: bundle.tables[tid] for tid in split.validation + split.test}
+        with pytest.raises(ds.ParseError, match=r"tables\.jsonl:1: bad JSON"):
+            ds.load_dataset(str(tmp_path), bundle.g, ("train",))
 
     def test_loaded_segments_are_parsed_once_and_equal_a_fresh_parse(self, tmp_path, bundle):
         ds.save_dataset(
@@ -562,12 +584,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda rec: rec["train"].append(rec["test"][0]), "appears more than once"),
-            (lambda rec: rec["test"].append(rec["test"][0]), "appears more than once"),
-            (lambda rec: rec.update(test=rec["test"][0]), "'test' must be a list of strings"),
+            (lambda rec: rec.update(train=-1), "a block size is negative"),
+            (lambda rec: rec.update(validation=1.0), "'validation' must be an integer"),
+            (lambda rec: rec.update(test=str(rec["test"])), "'test' must be an integer"),
             (lambda rec: rec.update(seed=1.0), "'seed' must be an integer"),
         ],
-        ids=["test-id-in-train", "test-id-twice", "string-test", "float-seed"],
+        ids=["negative-train", "float-validation", "string-test", "float-seed"],
     )
     def test_bad_split_ids_name_the_file(self, tmp_path, bundle, edit, message):
         ds.save_dataset(
