@@ -1188,28 +1188,29 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name, edit",
         [
-            ("tables.jsonl", lambda rec: rec.update(chains=[])),
-            ("tables.jsonl", lambda rec: rec["chains"][0].update(label="negative")),
-            ("tables.jsonl", lambda rec: rec["qis"].append(7)),
-            ("tables.jsonl", lambda rec: rec["cn1"].append(7)),
-            ("tables.jsonl", lambda rec: rec["cn2"].append(7)),
-            ("tables.jsonl", lambda rec: rec["set"].append(7)),
-            ("tables.jsonl", lambda rec: rec["chains"][0].update(p1=7)),
-            ("tables.jsonl", lambda rec: rec["chains"][0].update(p2=7)),
-            ("tables.jsonl", lambda rec: rec.update(rr=[])),
-            ("tables.jsonl", lambda rec: rec.update(rr=rec["rr"][:1])),
-            ("tables.jsonl", lambda rec: rec["rr"].append(rec["rr"][-1])),
-            ("tables.jsonl", lambda rec: rec.update(table_id=7)),
-            ("split.json", lambda rec: rec.update(test=str(rec["test"]))),
-            ("split.json", lambda rec: rec.update(train=-1)),
-            ("split.json", lambda rec: rec.update(seed=str(rec["seed"]))),
-            ("vocab_tb.json", lambda rec: rec["tokens"].append(7)),
-            ("vocab_kb.json", lambda rec: rec.update(oov_token=["<oov>"])),
+            ("tables.jsonl", lambda rec, prev: rec.update(chains=[])),
+            ("tables.jsonl", lambda rec, prev: rec["chains"][0].update(label="negative")),
+            ("tables.jsonl", lambda rec, prev: rec["qis"].append(7)),
+            ("tables.jsonl", lambda rec, prev: rec["cn1"].append(7)),
+            ("tables.jsonl", lambda rec, prev: rec["cn2"].append(7)),
+            ("tables.jsonl", lambda rec, prev: rec["set"].append(7)),
+            ("tables.jsonl", lambda rec, prev: rec["chains"][0].update(p1=7)),
+            ("tables.jsonl", lambda rec, prev: rec["chains"][0].update(p2=7)),
+            ("tables.jsonl", lambda rec, prev: rec.update(rr=[])),
+            ("tables.jsonl", lambda rec, prev: rec.update(rr=rec["rr"][:1])),
+            ("tables.jsonl", lambda rec, prev: rec["rr"].append(rec["rr"][-1])),
+            ("tables.jsonl", lambda rec, prev: rec.update(table_id=7)),
+            ("tables.jsonl", lambda rec, prev: rec.update(table_id=prev["table_id"])),
+            ("split.json", lambda rec, prev: rec.update(test=str(rec["test"]))),
+            ("split.json", lambda rec, prev: rec.update(train=-1)),
+            ("split.json", lambda rec, prev: rec.update(seed=str(rec["seed"]))),
+            ("vocab_tb.json", lambda rec, prev: rec["tokens"].append(7)),
+            ("vocab_kb.json", lambda rec, prev: rec.update(oov_token=["<oov>"])),
         ],
         ids=["no-chains", "first-chain-negative", "int-in-qis", "int-in-cn1", "int-in-cn2",
              "int-in-set", "int-p1", "int-p2", "no-rr", "one-rr", "repeated-rr", "int-table-id",
-             "string-test-split", "negative-train-split", "string-split-seed", "int-vocab-token",
-             "list-oov-token"],
+             "test-id-twice", "string-test-split", "negative-train-split", "string-split-seed",
+             "int-vocab-token", "list-oov-token"],
     )
     def test_bad_dataset_record_exits_2_with_file_and_line(
         self, workspace, tmp_path, capsys, name, edit
@@ -1229,7 +1230,7 @@ class TestConfig:
             shutil.copytree(cfg["dataset_dir"], dataset)
             lines = (dataset / name).read_text().splitlines(keepends=True)
             rec = json.loads(lines[line_no - 1])
-            edit(rec)
+            edit(rec, json.loads(lines[line_no - 2]) if line_no > 1 else None)
             lines[line_no - 1] = json.dumps(rec) + "\n"
             (dataset / name).write_text("".join(lines))
             flags = ["--config", str(cfg_path), "--dataset-dir", str(dataset),

@@ -588,8 +588,9 @@ class TestRoundTrip:
             (lambda rec: rec.update(validation=1.0), "'validation' must be an integer"),
             (lambda rec: rec.update(test=str(rec["test"])), "'test' must be an integer"),
             (lambda rec: rec.update(seed=1.0), "'seed' must be an integer"),
+            (lambda rec: rec.update(test=["t1", "t1"]), "'test' must be an integer"),
         ],
-        ids=["negative-train", "float-validation", "string-test", "float-seed"],
+        ids=["negative-train", "float-validation", "string-test", "float-seed", "test-id-twice"],
     )
     def test_bad_split_ids_name_the_file(self, tmp_path, bundle, edit, message):
         ds.save_dataset(
