@@ -30,7 +30,6 @@ from .graph import (
     load_triples,
     read_json,
     string,
-    strings,
     write_json_lines,
 )
 from .paths import ChainPair, MetaPath, enumerate_simple_paths, join_chains
@@ -226,6 +225,10 @@ def cmd_core_column_eval(cfg: RunConfig) -> int:
     return 0
 
 
+# The paper's tabular query (description, column names, example row) plus its subject.
+QUERY_KEYS = ("qd", "se", "cn1", "cn2", "er1", "er2")
+
+
 def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     if cfg.selector == "oracle":
         raise ConfigurationError(
@@ -235,22 +238,20 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
     g, entity_meta, pred_meta, embeddings, subject_sets, subject_set_ids = _load_kb(cfg)
     query = read_json(query_path)
     with checked(query_path, 1):
-        for key in ("se", "er1", "er2", "cn1", "cn2"):
+        if unknown := sorted(query.keys() - QUERY_KEYS):
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        for key in QUERY_KEYS:
             if key not in query:
                 raise ValueError(f"missing {key!r}")
         for key in ("se", "er1", "er2"):
             if not isinstance(query[key], str) or query[key] not in g:
                 raise ValueError(f"{key!r} {query[key]!r} is not an entity of the graph")
         se, er1, er2 = (g.entity_id(query[key]) for key in ("se", "er1", "er2"))
-        given_set = () if query.get("set") is None else strings(query["set"], "set")
-        se_name = string(query.get("se_name"), "se_name", "") or entity_meta.get(se).name
-        qis_text, qd = (string(query.get(key), key, "") for key in ("qis", "qd"))
-        if qis_text:
-            qis = ds.normalize_text(qis_text)
-        elif qd:
-            qis = ds.build_qis(qd, "", se_name or qd)
-        else:
-            raise ValueError("needs either 'qis' or 'qd'")
+        se_name = entity_meta.get(se).name
+        qd = string(query["qd"], "qd")
+        if not qd:
+            raise ValueError("'qd' is empty")
+        qis = ds.build_qis(qd, "", se_name or qd)
         names = [string(query[key], key) for key in ("cn1", "cn2")]
         try:
             cn1, cn2 = ds.normalize_column_names(names)
@@ -258,7 +259,7 @@ def cmd_complete(cfg: RunConfig, query_path: str) -> int:
             raise ValueError(f"'cn1'/'cn2': {exc}") from None
     # A random pick reads no tokens: it needs no SET and no vocabularies.
     reads_tokens = cfg.selector != "random"
-    set_tokens = (given_set or subject_sets[subject_set_ids[se]]) if reads_tokens else ()
+    set_tokens = subject_sets[subject_set_ids[se]] if reads_tokens else ()
     tuple_ranker = _make_tuple_ranker(cfg, entity_meta, pred_meta, embeddings)
 
     settings = cfg.build_settings()
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(name, parents=config_flags)
     p = sub.add_parser("complete", parents=config_flags, help="resolve one tabular query file")
-    p.add_argument("query_file", help="JSON file with qis/qd, se, cn1, cn2, er1, er2")
+    p.add_argument("query_file", help="JSON file with exactly qd, se, cn1, cn2, er1, er2")
     p = sub.add_parser(
         "render-sparql", parents=config_flags, help="print the SPARQL text of a chain"
     )

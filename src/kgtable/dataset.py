@@ -637,10 +637,15 @@ def save_dataset(
     """Write tables.jsonl, split.json and the two vocabulary files, byte-deterministic.
 
     tables.jsonl holds a block of each split's tables in turn, in the split's order;
-    split.json holds the seed and each block's size: a table's split is its block.
+    split.json holds the seed and each block's size: a table's split is its block,
+    so each table of ``tables`` must sit in exactly one block.
     """
     out = Path(out_dir)
     blocks = {part: getattr(split, part) for part in SPLITS}
+    placed = Counter(tid for ids in blocks.values() for tid in ids)
+    for tid in sorted(placed.keys() | tables.keys()):
+        if placed[tid] != 1:
+            raise ConfigurationError(f"table {tid!r} sits in {placed[tid]} split blocks, not 1")
     write_json_lines(out / "tables.jsonl", (
         _table_to_json(tables[tid], g) for ids in blocks.values() for tid in ids))
     write_json_lines(out / "split.json", [
@@ -910,6 +915,10 @@ def load_dataset(
     split_path, tables_path = str(base / "split.json"), str(base / "tables.jsonl")
     rec = read_json(split_path)
     with checked(split_path, 1, "split record"):
+        for k in SPLITS:
+            if type(rec.get(k)) is list:  # the table ids of the layout before block sizes
+                raise ParseError(split_path, 1, f"bad split record: {k!r} must be an "
+                                 f"integer, not a list of table ids; {REBUILD}")
         seed, sizes = integer(rec["seed"], "seed"), [integer(rec[k], k) for k in SPLITS]
         if min(sizes) < 0:
             raise ValueError("a block size is negative")

@@ -265,15 +265,15 @@ def walk(
     g: KnowledgeGraph,
     frontier: Iterable[int],
     tokens: Sequence[PredicateToken],
-    steps: StepAllowance | None = None,
+    steps: StepAllowance,
 ) -> set[int]:
     """Entities reachable from ``frontier`` by following ``tokens`` in order.
 
     The one traversal that follows predicate tokens: each hop expands every
-    entity of the deduplicated frontier by one adjacency lookup. With a step
-    allowance, each hop charges one step per frontier entity before expanding
-    it and raises ``StepsExhausted`` when the allowance cannot cover the hop;
-    the charge depends only on the frontier and the tokens.
+    entity of the deduplicated frontier by one adjacency lookup. Each hop
+    charges ``steps`` one step per frontier entity before expanding it and
+    raises ``StepsExhausted`` when the allowance cannot cover the hop; the
+    charge depends only on the frontier and the tokens.
     """
     cur = set(frontier)
     for e in cur:
@@ -282,10 +282,9 @@ def walk(
     for tok in tokens:
         if not cur:
             break
-        if steps is not None:
-            if len(cur) > steps.left:
-                raise StepsExhausted
-            steps.left -= len(cur)
+        if len(cur) > steps.left:
+            raise StepsExhausted
+        steps.left -= len(cur)
         nxt: set[int] = set()
         for e in cur:
             nxt.update(adj[e].get(tok, ()))

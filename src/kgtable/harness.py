@@ -23,7 +23,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import AnnotatedTable, LabeledChain, Vocabulary
-from .graph import EntityMetaStore, KnowledgeGraph, PredicateMetaStore, walk, write_json_lines
+from .graph import (
+    EntityMetaStore,
+    KnowledgeGraph,
+    PredicateMetaStore,
+    StepAllowance,
+    walk,
+    write_json_lines,
+)
 from .paths import ChainPair, ReachMemo
 from .query import BudgetExceeded, QueryBudget, TupleSet, execute_chain, execute_prefix
 from .ranker import (
@@ -101,12 +108,12 @@ def filter_cc_er(
     for lc in table.chains:
         k1 = lc.chain.p1.canonical()
         if k1 not in p1_ok:
-            p1_ok[k1] = er1 in walk(g, {table.se}, lc.chain.p1.tokens)
+            p1_ok[k1] = er1 in walk(g, {table.se}, lc.chain.p1.tokens, StepAllowance())
         if not p1_ok[k1]:
             continue
         k2 = lc.chain.p2.canonical()
         if k2 not in p2_ok:
-            p2_ok[k2] = er2 in walk(g, {er1}, lc.chain.p2.tokens)
+            p2_ok[k2] = er2 in walk(g, {er1}, lc.chain.p2.tokens, StepAllowance())
         if p2_ok[k2]:
             kept.append(lc)
     return tuple(kept)

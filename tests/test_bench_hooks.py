@@ -83,7 +83,7 @@ def test_pipeline_commands_reach_every_wrapped_function(tmp_path):
         er = next(r for r in table.rr if harness.filter_cc_er(table, r, g))
         query = {
             "se": g.mid(table.se), "er1": g.mid(er[0]), "er2": g.mid(er[1]),
-            "qis": " ".join(table.qis), "cn1": " ".join(table.cn1), "cn2": " ".join(table.cn2),
+            "qd": " ".join(table.qis), "cn1": " ".join(table.cn1), "cn2": " ".join(table.cn2),
         }
         query_path = tmp_path / "query.json"
         query_path.write_text(json.dumps(query))

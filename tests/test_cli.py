@@ -127,10 +127,15 @@ def write_query(cfg, path):
     table = tables[split.test[0]]
     er1, er2 = table.rr[0]
     path.write_text(json.dumps({
-        "qis": " ".join(table.qis), "se": g.mid(table.se), "cn1": " ".join(table.cn1),
+        "qd": " ".join(table.qis), "se": g.mid(table.se), "cn1": " ".join(table.cn1),
         "cn2": " ".join(table.cn2), "er1": g.mid(er1), "er2": g.mid(er2),
     }))
     return path
+
+
+def query_fields(table):
+    """What a table tells the selector of its query: QIS, column names and SET."""
+    return table.qis, table.cn1, table.cn2, table.set_tokens
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +344,6 @@ class TestCompleteCommand:
                 {
                     "qd": "CSI: Miami Season 5 Notable Cast Members",
                     "se": "m.02dzsr",
-                    "se_name": "CSI: Miami",
                     "cn1": "Actor",
                     "cn2": "Character",
                     "er1": "m.0311dg",
@@ -378,7 +382,6 @@ class TestCompleteCommand:
                 {
                     "qd": "whatever",
                     "se": "m.02dzsr",
-                    "se_name": "CSI: Miami",
                     "cn1": "Actor",
                     "cn2": "Character",
                     "er1": "m.0311dg",
@@ -412,21 +415,32 @@ class TestCompleteCommand:
             ({"se": ["m.02dzsr"]}, "'se' ['m.02dzsr'] is not an entity of the graph"),
             ({"se": None}, "'se' None is not an entity of the graph"),
             ({"cn1": ...}, "missing 'cn1'"),
-            ({"set": 5}, "'set' must be a list of strings"),
-            ({"set": ["tv", 1]}, "'set' must be a list of strings"),
-            *[({"set": v}, "'set' must be a list of strings") for v in ("", 0, False, {})],
-            ({"se_name": 5}, "'se_name' must be a string"),
+            # The query is the six keys; an older file's SET, name or QIS is refused.
+            ({"set": 5}, "unknown key 'set'"),
+            ({"set": ["tv", 1]}, "unknown key 'set'"),
+            *[({"set": v}, "unknown key 'set'") for v in ("", 0, False, {})],
+            ({"set": None}, "unknown key 'set'"),
+            ({"set": ["tv"]}, "unknown key 'set'"),
+            ({"se_name": 5}, "unknown key 'se_name'"),
+            ({"se_name": "CSI: Miami"}, "unknown key 'se_name'"),
             ({"cn2": ""}, "'cn1'/'cn2': empty column name after normalization"),
             ({"cn1": None}, "'cn1' must be a string"),
             ({"cn2": ["a", "b"]}, "'cn2' must be a string"),
-            ({"qis": 7}, "'qis' must be a string"),
+            ({"qis": 7}, "unknown key 'qis'"),
+            ({"qis": "cast"}, "unknown key 'qis'"),
+            ({"title": "CSI", "qis": "cast"}, "unknown key 'qis'"),
+            ({"title": "CSI"}, "unknown key 'title'"),
             ({"qd": 7}, "'qd' must be a string"),
+            ({"qd": ...}, "missing 'qd'"),
+            ({"qd": None}, "'qd' must be a string"),
+            ({"qd": ""}, "'qd' is empty"),
         ],
         ids=[
             "unknown-entity", "entity-a-list", "entity-null", "missing-key", "set-a-number",
             "set-item-a-number", "set-empty-string", "set-zero", "set-false", "set-empty-object",
-            "se-name-a-number", "column-name-empty", "column-name-null",
-            "column-name-a-list", "qis-a-number", "qd-a-number",
+            "set-null", "set-a-list", "se-name-a-number", "se-name-a-string", "column-name-empty",
+            "column-name-null", "column-name-a-list", "qis-a-number", "qis-a-string",
+            "first-unknown-key", "other-key", "qd-a-number", "qd-missing", "qd-null", "qd-empty",
         ],
     )
     def test_bad_query_exits_2_naming_the_query_file(self, tv_world, capsys, edit, message):
@@ -496,7 +510,7 @@ class TestTrainServeParity:
         dataset = tmp_path / "dataset"
         no_vocabs = (ds.Vocabulary("TB_Vocab", ()), ds.Vocabulary("KB_Vocab", ()))
         ds.save_dataset(
-            str(dataset), {"w": table}, ds.DatasetSplit(("w",), (), ("w",), 0), *no_vocabs, g
+            str(dataset), {"w": table}, ds.DatasetSplit(("w",), (), (), 0), *no_vocabs, g
         )
         save_kb(dataset, graph)
         model = RankerModel([], 0.1, 1.0)
@@ -520,7 +534,7 @@ class TestTrainServeParity:
         del seen[2:]  # evaluate's later runs take the other rows as the example
         query = tmp_path / "query.json"
         query.write_text(json.dumps(
-            {"qis": "cast", "se": "se", "er1": "x0", "er2": "y0", "cn1": "actor", "cn2": "role"}
+            {"qd": "cast", "se": "se", "er1": "x0", "er2": "y0", "cn1": "actor", "cn2": "role"}
         ))
         assert main([
             "complete", str(query), "--graph-path", str(graph), "--dataset-dir", str(dataset),
@@ -528,6 +542,39 @@ class TestTrainServeParity:
             "--output-dir", str(tmp_path / "out"),
         ]) == 0
         assert seen == [("p / q", rr[0], [rr[1], rr[2]])] * 3
+
+    def test_complete_derives_each_tables_query_fields_as_the_build_did(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        """A query written from a corpus record, as a user would write it, gives
+        the QIS, column names and SET the build annotated that table with."""
+        _, cfg_path, cfg = workspace
+        g = load_triples(cfg["graph_path"])
+        tables, *_ = ds.load_dataset(cfg["dataset_dir"], g)
+        seen = []
+        context_for_table = selector.context_for_table
+        monkeypatch.setattr(
+            selector, "context_for_table",
+            lambda table, *a: seen.append(query_fields(table)) or context_for_table(table, *a),
+        )
+        query = tmp_path / "query.json"
+        want = []
+        for raw in ds.read_corpus(cfg["corpus_path"]):
+            if raw.table_id not in tables:  # rejected by the build
+                continue
+            table = tables[raw.table_id]
+            er = next((r for r in table.rr if harness.filter_cc_er(table, r, g)), None)
+            if er is None:
+                continue
+            query.write_text(json.dumps({
+                "qd": f"{raw.page_title} {raw.caption}", "se": raw.se_mid,
+                "cn1": raw.headers[0], "cn2": raw.headers[1],
+                "er1": g.mid(er[0]), "er2": g.mid(er[1]),
+            }))
+            flags = ["--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]
+            assert main(["complete", str(query), *flags]) == 0
+            want.append(query_fields(table))
+        assert len(want) > len(tables) // 2 and seen == want
 
 
 class TestSubjectTypes:
@@ -589,24 +636,6 @@ class TestSubjectTypes:
             "base.thing": (ds.EMPTY_TOKEN,),
         }
 
-    def test_a_query_set_overrides_the_compiled_one(self, workspace, tmp_path, monkeypatch):
-        _, cfg_path, cfg = workspace
-        seen = []
-        context_for_table = selector.context_for_table
-        monkeypatch.setattr(
-            selector, "context_for_table",
-            lambda table, *a: seen.append(table.set_tokens) or context_for_table(table, *a),
-        )
-        query = write_query(cfg, tmp_path / "query.json")
-        flags = ["--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]
-        assert main(["complete", str(query), *flags]) == 0
-        given = {**json.loads(query.read_text()), "set": ["given"]}
-        query.write_text(json.dumps(given))
-        assert main(["complete", str(query), *flags]) == 0
-        kb = ds.load_kb(cfg["dataset_dir"], _kb_sources(load_config(str(cfg_path))))
-        compiled = kb.subject_sets[kb.subject_set_ids[kb.graph.entity_id(given["se"])]]
-        assert seen == [compiled, ("given",)] and compiled != ("given",)
-
     def test_built_tables_agree_with_serving_time_set(self, workspace, tmp_path, monkeypatch):
         _, cfg_path, cfg = workspace
         kb = ds.load_kb(cfg["dataset_dir"], _kb_sources(load_config(str(cfg_path))))
@@ -630,7 +659,7 @@ class TestSubjectTypes:
                 continue
             query.write_text(json.dumps({
                 "se": g.mid(table.se), "er1": g.mid(er[0]), "er2": g.mid(er[1]),
-                "qis": " ".join(table.qis), "cn1": " ".join(table.cn1), "cn2": " ".join(table.cn2),
+                "qd": " ".join(table.qis), "cn1": " ".join(table.cn1), "cn2": " ".join(table.cn2),
             }))
             flags = ["--output-dir", str(tmp_path / "out")]
             assert main(["complete", str(query), "--config", str(cfg_path), *flags]) == 0

@@ -426,6 +426,26 @@ class TestRoundTrip:
         assert json.loads((out1 / "split.json").read_text()) == dict(
             seed=bundle.split.seed, **dict(zip(ds.SPLITS, map(len, blocks))))
 
+    @pytest.mark.parametrize(
+        "move, count",
+        [
+            (lambda train, test: (train, test + train[:1]), 2),
+            (lambda train, test: (train[1:], test), 0),
+        ],
+        ids=["in-two-blocks", "in-no-block"],
+    )
+    def test_a_split_that_misplaces_a_table_is_not_saved(self, tmp_path, bundle, move, count):
+        split = bundle.split
+        train, test = move(split.train, split.test)
+        bad = ds.DatasetSplit(train, split.validation, test, split.seed)
+        with pytest.raises(
+            ds.ConfigurationError, match=rf"table '{split.train[0]}' sits in {count} split blocks"
+        ):
+            ds.save_dataset(
+                str(tmp_path), bundle.tables, bad, bundle.tb_vocab, bundle.kb_vocab, bundle.g
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_a_load_of_some_splits_parses_only_their_blocks(self, tmp_path, bundle):
         ds.save_dataset(
             str(tmp_path), bundle.tables, bundle.split, bundle.tb_vocab, bundle.kb_vocab,
@@ -588,7 +608,8 @@ class TestRoundTrip:
             (lambda rec: rec.update(validation=1.0), "'validation' must be an integer"),
             (lambda rec: rec.update(test=str(rec["test"])), "'test' must be an integer"),
             (lambda rec: rec.update(seed=1.0), "'seed' must be an integer"),
-            (lambda rec: rec.update(test=["t1", "t1"]), "'test' must be an integer"),
+            (lambda rec: rec.update(test=["t1", "t1"]),
+             rf"'test' must be an integer.*; {ds.REBUILD}$"),
         ],
         ids=["negative-train", "float-validation", "string-test", "float-seed", "test-id-twice"],
     )
@@ -702,7 +723,7 @@ class TestReachSharing:
         walks = Counter()
         original = graph.walk
 
-        def counting_walk(g, frontier, tokens, steps=None):
+        def counting_walk(g, frontier, tokens, steps):
             frontier = tuple(frontier)
             walks[(frontier, tuple(tokens))] += 1
             return original(g, frontier, tokens, steps)

@@ -23,6 +23,7 @@ from kgtable.graph import (
     PredicateMeta,
     PredicateMetaStore,
     PredicateToken,
+    StepAllowance,
     UnknownEntityError,
     load_entity_meta,
     load_predicate_meta,
@@ -156,15 +157,16 @@ class TestWalk:
     def test_walk_follows_tokens_in_order(self):
         g = graph_of(("s", "p", "a"), ("a", "q", "b"))
         s = g.entity_id("s")
-        assert walk(g, {s}, (PredicateToken("p"), PredicateToken("q"))) == {g.entity_id("b")}
-        assert walk(g, {s}, (PredicateToken("q"),)) == set()
+        p, q = PredicateToken("p"), PredicateToken("q")
+        assert walk(g, {s}, (p, q), StepAllowance()) == {g.entity_id("b")}
+        assert walk(g, {s}, (q,), StepAllowance()) == set()
 
     def test_unknown_start_entity_raises(self):
         g = graph_of(("s", "p", "a"))
         with pytest.raises(UnknownEntityError):
-            walk(g, {9999}, (PredicateToken("p"),))
+            walk(g, {9999}, (PredicateToken("p"),), StepAllowance())
         with pytest.raises(UnknownEntityError):
-            walk(g, {g.entity_id("s"), -1}, ())
+            walk(g, {g.entity_id("s"), -1}, (), StepAllowance())
 
 
 class TestMetadata:

@@ -173,7 +173,7 @@ class TestRunE2e:
         walks = Counter()
         original = paths.walk
 
-        def counting_walk(g, frontier, tokens, steps=None):
+        def counting_walk(g, frontier, tokens, steps):
             frontier = tuple(frontier)
             walks[frontier, tuple(tokens)] += 1
             return original(g, frontier, tokens, steps)
